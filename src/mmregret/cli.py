@@ -98,7 +98,7 @@ def cmd_scan(args) -> int:
     s = report.argmax_state
     print(f"max_regret={fmt17(report.max_regret)}")
     print(f"argmax_state=(p_a={fmt17(s.p_a)}, p_b={fmt17(s.p_b)})")
-    rec = next(r for r in report.per_state if r.state is s)
+    rec = report.record(report.argmax)
     if rec.error_prob is not None:
         print(f"argmax_error_prob={fmt17(rec.error_prob)}")
     print(f"argmax_effect_size={fmt17(s.effect_size)}")
@@ -109,7 +109,10 @@ def cmd_scan(args) -> int:
 # bounds
 
 def cmd_bounds(args) -> int:
-    n_list = [int(x) for x in args.n.split(",")]
+    try:
+        n_list = [int(x) for x in args.n.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
     print("n       bound_10              bound_11              tighter")
     for n in n_list:
         b = engine.regret_bounds(args.k, args.m, n)
@@ -152,8 +155,22 @@ def parse_config(path) -> dict[str, str]:
     return cfg
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}") from None
+
+
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    return [_number(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _bounds(text: str, flag: str) -> tuple[float, float]:
+    vals = _floats(text)
+    if len(vals) != 2:
+        raise ConfigError(f"{flag} must be 'y0,y1', got {text!r}")
+    return vals[0], vals[1]
 
 
 def _pairs(text: str) -> list[tuple[float, float]]:
@@ -199,8 +216,10 @@ def _wald_predictor(cfg) -> DecisionRule:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            m, pred = chunk.split(":")
-            rows.append((float(m), float(pred)))
+            parts = chunk.split(":")
+            if len(parts) != 2:
+                raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
+            rows.append((_number(parts[0]), _number(parts[1])))
         rows.sort()
         return DecisionRule("custom", {"mean_table": rows})
     raise ConfigError(f"unknown predictor {name!r}")
@@ -280,8 +299,8 @@ def cmd_wald_mse(args) -> int:
 # alloc
 
 def cmd_alloc(args) -> int:
-    bounds_a = tuple(_floats(args.bounds_a))
-    bounds_b = tuple(_floats(args.bounds_b))
+    bounds_a = _bounds(args.bounds_a, "--bounds-a")
+    bounds_b = _bounds(args.bounds_b, "--bounds-b")
     if args.mode == "population":
         state = states.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
                                         bounds_a, bounds_b)

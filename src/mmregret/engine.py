@@ -9,7 +9,6 @@ tiny trial designs.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .mathutil import binom_pmf_vector, fmt17, one_sided_critical_value
+from .mathutil import FMT17, binom_pmf_matrix, binom_pmf_vector, fmt17, one_sided_critical_value
 from .rules import Action, DecisionRule, analog_predict, es_choose, ztest_choose
 from .sampling import SeedSpec, SurveyDesign, TrialDesign, TrialOutcome
 from .states import BinaryTrialState, PredictionState, StateGrid
@@ -68,18 +67,75 @@ class StateRecord:
     mc_stderr: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegretReport:
-    per_state: tuple[StateRecord, ...]
-    max_regret: float
-    argmax_state: object
+    """Per-state results of a scan, as columns aligned with the grid's states.
+
+    NaN in ``error_prob`` or ``expected_welfare`` marks a state without that
+    value: tied arms, and every state of an MSE scan. ``argmax`` is the index
+    of the first state of largest regret. ``per_state`` builds one
+    StateRecord per state on first access and caches them.
+    """
+
+    grid: StateGrid
+    error_prob: np.ndarray
+    expected_welfare: np.ndarray
+    regret: np.ndarray
+    mc_stderr: np.ndarray
+    argmax: int
     method: EvalMethod
     seed: SeedSpec | None = None
+    _records: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        regrets = [r.regret for r in self.per_state]
-        if abs(self.max_regret - max(regrets)) > 1e-12:
+        columns = (self.error_prob, self.expected_welfare, self.regret, self.mc_stderr)
+        if any(len(c) != len(self.grid) for c in columns):
+            raise PreconditionError("result columns do not match the grid")
+        if abs(self.max_regret - float(np.max(self.regret))) > 1e-12:
             raise PreconditionError("max_regret does not match per-state records")
+
+    @property
+    def max_regret(self) -> float:
+        return float(self.regret[self.argmax])
+
+    @property
+    def argmax_state(self):
+        return self.grid.state(self.argmax)
+
+    def record(self, k: int) -> StateRecord:
+        """The StateRecord of state k, built without building the others."""
+        return self._record(k, self.grid.state(k))
+
+    @property
+    def per_state(self) -> tuple[StateRecord, ...]:
+        if self._records is None:
+            records = tuple(map(self._record, range(len(self.grid)), self.grid.states))
+            object.__setattr__(self, "_records", records)
+        return self._records
+
+    def _record(self, k: int, state) -> StateRecord:
+        err, welfare = float(self.error_prob[k]), float(self.expected_welfare[k])
+        return StateRecord(state, None if err != err else err,  # NaN: no value
+                           None if welfare != welfare else welfare,
+                           float(self.regret[k]), float(self.mc_stderr[k]))
+
+
+def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
+            mc_stderr=None) -> RegretReport:
+    """A report over the grid; columns left out hold no value (NaN) or zero stderr."""
+    missing = np.full(len(grid), np.nan)
+    return RegretReport(
+        grid, missing if error_prob is None else error_prob,
+        missing if expected_welfare is None else expected_welfare, regret,
+        np.zeros(len(grid)) if mc_stderr is None else mc_stderr,
+        int(np.argmax(regret)), method, seed)
+
+
+def _report_from_records(grid, records, method, seed) -> RegretReport:
+    # a None value becomes NaN in a float array
+    cols = np.array([(r.error_prob, r.expected_welfare, r.regret, r.mc_stderr)
+                     for r in records], dtype=float).T
+    return _report(grid, cols[2], method, seed, cols[0], cols[1], cols[3])
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +266,19 @@ def expected_welfare(
 # ---------------------------------------------------------------------------
 # grid scans
 
-def _exact_binary_scan(rule, grid, design) -> list[StateRecord]:
+def _exact_binary_scan(rule, grid, design, method, seed) -> RegretReport:
     _check_exact_trial(design)
     n = design.per_arm_n
-    table = choice_table(rule, n)
-    pa = np.array([s.p_a for s in grid])
-    pb = np.array([s.p_b for s in grid])
-    uniq = np.unique(np.concatenate([pa, pb]))
-    pmf = np.vstack([binom_pmf_vector(n, p) for p in uniq])
+    pmf = binom_pmf_matrix(n, grid.points)
     # prob of choosing b for every (p_a, p_b) pair of grid probabilities
-    full = pmf @ table @ pmf.T
-    ia = np.searchsorted(uniq, pa)
-    ib = np.searchsorted(uniq, pb)
-    prob_b = full[ia, ib]
-    records = []
-    for k, s in enumerate(grid):
-        if s.p_a == s.p_b:
-            records.append(StateRecord(s, None, s.best_welfare, 0.0))
-            continue
-        err = prob_b[k] if s.p_a > s.p_b else 1.0 - prob_b[k]
-        reg = err * abs(s.p_a - s.p_b)
-        records.append(StateRecord(s, float(err), float(s.best_welfare - reg), float(reg)))
-    return records
+    prob_b = (pmf @ choice_table(rule, n) @ pmf.T)[grid.index_a, grid.index_b]
+    pa, pb = grid.p_a, grid.p_b
+    tie = pa == pb
+    err = np.where(pa > pb, prob_b, 1.0 - prob_b)
+    reg = err * np.abs(pa - pb)
+    err[tie] = np.nan
+    reg[tie] = 0.0
+    return _report(grid, reg, method, seed, err, np.maximum(pa, pb) - reg)
 
 
 def _mc_binary_state(args) -> StateRecord:
@@ -247,16 +294,15 @@ def _mc_binary_state(args) -> StateRecord:
 
 
 def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
+    if workers == 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8))))
 
 
-def _assemble_report(records, method, seed) -> RegretReport:
-    best = max(range(len(records)), key=lambda k: (records[k].regret, -k))
-    return RegretReport(tuple(records), records[best].regret,
-                        records[best].state, method, seed)
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise PreconditionError(f"workers={workers} must be at least 1")
 
 
 def max_regret_scan(
@@ -270,13 +316,13 @@ def max_regret_scan(
     """Per-state regret of a trial-choice rule over a binary-trial grid."""
     if grid.family != "binary_trial":
         raise PreconditionError("max_regret_scan needs a binary_trial grid")
+    _check_workers(workers)
     if method.mode == "exact":
-        records = _exact_binary_scan(rule, grid, design)
-    else:
-        args = [(rule, s, design, method, seed or SeedSpec(), k)
-                for k, s in enumerate(grid)]
-        records = _parallel_map(_mc_binary_state, args, workers)
-    return _assemble_report(records, method, seed)
+        return _exact_binary_scan(rule, grid, design, method, seed)
+    args = [(rule, s, design, method, seed or SeedSpec(), k)
+            for k, s in enumerate(grid)]
+    return _report_from_records(grid, _parallel_map(_mc_binary_state, args, workers),
+                                method, seed)
 
 
 @dataclass(frozen=True)
@@ -356,6 +402,12 @@ def _known_p1(state: PredictionState, design: SurveyDesign) -> float:
     if design.known_miss_rate is not None:
         return 1.0 - design.known_miss_rate
     return 1.0 - state.miss_rate
+
+
+def _check_exact_survey(state: PredictionState, design: SurveyDesign) -> None:
+    if design.mode != "fixed_n" or state.dist_observed.family != "bernoulli":
+        raise PreconditionError(
+            "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
 
 
 def _exact_bernoulli_mse(rule, state, design) -> float:
@@ -439,9 +491,7 @@ def predictor_mse(
     observed distribution with fixed N <= 25; Monte Carlo handles the rest.
     """
     if method.mode == "exact":
-        if design.mode != "fixed_n" or state.dist_observed.family != "bernoulli":
-            raise PreconditionError(
-                "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
+        _check_exact_survey(state, design)
         if design.n_observed > _MAX_EXACT_SURVEY_N:
             raise PreconditionError(
                 f"exact MSE limited to N <= {_MAX_EXACT_SURVEY_N}")
@@ -461,14 +511,17 @@ def max_mse_scan(
     """Maximize predictor MSE over a prediction grid (regret = MSE here)."""
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
+    _check_workers(workers)
     if method.mode == "exact":
-        records = [StateRecord(s, None, None, _exact_bernoulli_mse(rule, s, design))
-                   for s in grid]
-    else:
-        args = [(rule, s, design, method, seed or SeedSpec(), k)
-                for k, s in enumerate(grid)]
-        records = _parallel_map(_mc_mse_state, args, workers)
-    return _assemble_report(records, method, seed)
+        mse = []
+        for s in grid:
+            _check_exact_survey(s, design)
+            mse.append(_exact_bernoulli_mse(rule, s, design))
+        return _report(grid, np.array(mse), method, seed)
+    args = [(rule, s, design, method, seed or SeedSpec(), k)
+            for k, s in enumerate(grid)]
+    return _report_from_records(grid, _parallel_map(_mc_mse_state, args, workers),
+                                method, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -530,23 +583,50 @@ def _state_columns(state) -> tuple[list[str], list[str]]:
     raise PreconditionError(f"cannot serialize state of type {type(state).__name__}")
 
 
+_CSV_CHUNK_ROWS = 4096  # rows formatted per write; bounds the memory held by cells
+
+
+def _coordinate_chunks(grid: StateGrid):
+    """(rows, formatted state coordinates of those rows, one list per column), per chunk."""
+    chunks = [slice(lo, lo + _CSV_CHUNK_ROWS) for lo in range(0, len(grid), _CSV_CHUNK_ROWS)]
+    if grid.family == "binary_trial":
+        points = [fmt17(p) for p in grid.points.tolist()]
+        for rows in chunks:
+            yield rows, [[points[i] for i in idx[rows].tolist()]
+                         for idx in (grid.index_a, grid.index_b)]
+    else:
+        for rows in chunks:
+            yield rows, list(zip(*(_state_columns(s)[1] for s in grid.states[rows])))
+
+
+def _cells(values: np.ndarray, optional: bool = False) -> list[str]:
+    """Each value as fmt17 formats it; an optional column leaves NaN empty."""
+    if optional:
+        return ["" if v != v else format(v, FMT17) for v in values.tolist()]
+    return [format(v, FMT17) for v in values.tolist()]
+
+
 def report_to_csv(report: RegretReport, path) -> None:
-    """One row per state plus a summary footer row."""
-    state_names, _ = _state_columns(report.per_state[0].state)
+    """One row per state plus a summary footer row, written a chunk of rows at a time.
+
+    Lines end in CRLF, as the csv module writes them. No field needs CSV
+    quoting: each is a number, an empty value or a fixed word.
+    """
+    state_names, _ = _state_columns(report.grid.state(0))
+    _, argmax_coords = _state_columns(report.argmax_state)
+    summary = ["#summary", f"max_regret={fmt17(report.max_regret)}",
+               "argmax=" + "|".join(argmax_coords),
+               f"method={report.method.mode}",
+               f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+               f"seed={report.seed.master_seed if report.seed else ''}"]
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(state_names + ["error_prob", "expected_welfare", "regret", "mc_stderr"])
-        for rec in report.per_state:
-            _, coords = _state_columns(rec.state)
-            wr.writerow(coords + [
-                "" if rec.error_prob is None else fmt17(rec.error_prob),
-                "" if rec.expected_welfare is None else fmt17(rec.expected_welfare),
-                fmt17(rec.regret),
-                fmt17(rec.mc_stderr),
-            ])
-        _, argmax_coords = _state_columns(report.argmax_state)
-        wr.writerow(["#summary", f"max_regret={fmt17(report.max_regret)}",
-                     "argmax=" + "|".join(argmax_coords),
-                     f"method={report.method.mode}",
-                     f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
-                     f"seed={report.seed.master_seed if report.seed else ''}"])
+        fh.write(",".join(state_names + ["error_prob", "expected_welfare", "regret",
+                                         "mc_stderr"]) + "\r\n")
+        for rows, coords in _coordinate_chunks(report.grid):
+            lines = map(",".join, zip(*coords,
+                                      _cells(report.error_prob[rows], optional=True),
+                                      _cells(report.expected_welfare[rows], optional=True),
+                                      _cells(report.regret[rows]),
+                                      _cells(report.mc_stderr[rows])))
+            fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(summary) + "\r\n")

@@ -107,6 +107,9 @@ def one_sided_critical_value(alpha: float) -> float:
     return norm_ppf(1.0 - alpha)
 
 
+FMT17 = ".17g"  # 17 significant digits, '.' decimal separator
+
+
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits, '.' decimal separator."""
-    return format(float(x), ".17g")
+    return format(float(x), FMT17)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -169,22 +169,79 @@ class MissingDataState:
                         f"(e={e}, p={p}) and bounds [{y0}, {y1}]")
 
 
-@dataclass(frozen=True)
 class StateGrid:
-    """A finite, ordered discretization of one state-space family."""
+    """A finite, ordered discretization of one state-space family.
 
-    family: str  # "binary_trial" | "prediction" | "missing_data"
-    states: tuple
-    step: dict = field(default_factory=dict)
+    A binary-trial grid is columnar: ``points`` holds its distinct success
+    probabilities in increasing order, and ``index_a``/``index_b`` give each
+    state's (p_a, p_b) as positions in ``points``. Its ``states`` tuple of
+    BinaryTrialState objects is built on first access and cached. Grids of
+    the other families hold the states they are given.
+    """
 
-    def __post_init__(self):
-        if self.family not in ("binary_trial", "prediction", "missing_data"):
-            raise PreconditionError(f"unknown grid family {self.family!r}")
-        if len(self.states) == 0:
+    def __init__(self, family: str, states: Sequence, step: dict | None = None):
+        if family not in ("binary_trial", "prediction", "missing_data"):
+            raise PreconditionError(f"unknown grid family {family!r}")
+        if len(states) == 0:
             raise PreconditionError("empty state grid")
+        self.family = family
+        self.step = dict(step or {})
+        self._states = tuple(states)
+        self._built: dict[int, BinaryTrialState] = {}
+        if family == "binary_trial":
+            pa = np.array([s.p_a for s in self._states], dtype=float)
+            pb = np.array([s.p_b for s in self._states], dtype=float)
+            points = np.unique(np.concatenate([pa, pb]))
+            self._set_columns(points, np.searchsorted(points, pa), np.searchsorted(points, pb))
+
+    @classmethod
+    def _from_columns(cls, points: np.ndarray, index_a: np.ndarray, index_b: np.ndarray,
+                      step: dict) -> StateGrid:
+        """A binary-trial grid whose states are built only when asked for."""
+        grid = cls.__new__(cls)
+        grid.family, grid.step, grid._states, grid._built = "binary_trial", dict(step), None, {}
+        grid._set_columns(points, index_a, index_b)
+        return grid
+
+    def _set_columns(self, points, index_a, index_b) -> None:
+        for name, col in (("points", points), ("index_a", index_a), ("index_b", index_b)):
+            col.flags.writeable = False
+            setattr(self, name, col)
+
+    @property
+    def p_a(self) -> np.ndarray:
+        """Arm-a success probability of every state (binary-trial grids)."""
+        return self.points[self.index_a]
+
+    @property
+    def p_b(self) -> np.ndarray:
+        """Arm-b success probability of every state (binary-trial grids)."""
+        return self.points[self.index_b]
+
+    @property
+    def states(self) -> tuple:
+        if self._states is None:
+            pts = self.points.tolist()
+            built = [BinaryTrialState(pts[i], pts[j])
+                     for i, j in zip(self.index_a.tolist(), self.index_b.tolist())]
+            for k, s in self._built.items():
+                built[k] = s
+            self._states = tuple(built)
+        return self._states
+
+    def state(self, k: int):
+        """State k, the same object as ``states[k]``, without building the others."""
+        k = range(len(self))[k]
+        if self._states is not None:
+            return self._states[k]
+        if k not in self._built:
+            pts = self.points
+            self._built[k] = BinaryTrialState(float(pts[self.index_a[k]]),
+                                              float(pts[self.index_b[k]]))
+        return self._built[k]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.index_a) if self._states is None else len(self._states)
 
     def __iter__(self):
         return iter(self.states)
@@ -218,7 +275,7 @@ class FiniteDecisionProblem:
 
 def _lattice(step: float) -> np.ndarray:
     """Points {0, step, 2*step, ..., 1}; step must divide 1."""
-    if step <= 0 or step > 0.5:
+    if not 0 < step <= 0.5:  # also rejects NaN
         raise PreconditionError(f"step {step} must lie in (0, 0.5]")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
@@ -229,9 +286,9 @@ def _lattice(step: float) -> np.ndarray:
 def build_binary_grid(step: float) -> StateGrid:
     """All (p_a, p_b) pairs on the square lattice with the given step, row-major."""
     pts = _lattice(step)
-    states = tuple(BinaryTrialState(float(pa), float(pb))
-                   for pa in pts for pb in pts)
-    return StateGrid("binary_trial", states, {"p_a": step, "p_b": step})
+    idx = np.arange(len(pts))
+    return StateGrid._from_columns(pts, np.repeat(idx, len(pts)), np.tile(idx, len(pts)),
+                                   {"p_a": step, "p_b": step})
 
 
 def build_prediction_grid(

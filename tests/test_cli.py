@@ -210,3 +210,52 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "conventional" in proc.stdout
+
+
+def run_err(capsys, *argv):
+    """Exit code and stderr; a rejected input gives one line, no traceback."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    return code
+
+
+BETA_CFG = WALD_CFG.replace("family = bernoulli", "family = beta").replace(
+    "theta_obs_step = 0.1\ntheta_miss_step = 0.1\n",
+    "beta_obs_shapes = 1,1; 2,5\nbeta_miss_shapes = 0.5,2\n")
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_3(self, capsys, step):
+        assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", step) == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_scan_workers_below_one_exit_3(self, capsys, workers):
+        assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
+                       "--workers", workers) == 3
+
+    def test_wald_workers_below_one_exit_3(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG)
+        assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
+
+    @pytest.mark.parametrize("text", [BETA_CFG, WALD_CFG.replace(
+        "miss_known = true", "miss_known = false")], ids=["beta", "random_miss"])
+    def test_exact_wald_outside_exact_mode_exits_3(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    def test_bounds_non_integer_n_exits_2(self, capsys):
+        assert run_err(capsys, "bounds", "--n", "abc") == 2
+
+    def test_alloc_one_bound_exits_2(self, capsys):
+        assert run_err(capsys, "alloc", "--mode", "population", "--e-a", "0.5",
+                       "--e-b", "0.5", "--p-a", "1", "--p-b", "1", "--bounds-a", "1") == 2
+
+    def test_custom_table_entry_without_colon_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("predictor = midpoint",
+                                        "predictor = custom\ncustom_table = 0:0; 0.5 0.5; 1:1"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2

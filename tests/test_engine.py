@@ -321,3 +321,123 @@ class TestReportCsv:
                                      TrialDesign(per_arm_n=9), method, SeedSpec(4))
             report_to_csv(report, path)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestScanPreconditions:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(PreconditionError):
+            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=2),
+                            workers=workers)
+        grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                     miss_rates=[0.2])
+        with pytest.raises(PreconditionError):
+            max_mse_scan(DecisionRule("midpoint"), grid,
+                         SurveyDesign("fixed_n", n_observed=5), workers=workers)
+
+    def test_exact_scan_needs_bernoulli_outcomes(self):
+        grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0)],
+                                     miss_params=[(2.0, 5.0)], miss_rates=[0.2])
+        with pytest.raises(PreconditionError):
+            max_mse_scan(DecisionRule("midpoint"), grid,
+                         SurveyDesign("fixed_n", n_observed=5), EvalMethod("exact"))
+
+    def test_exact_scan_needs_fixed_n_design(self):
+        grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                     miss_rates=[0.2])
+        with pytest.raises(PreconditionError):
+            max_mse_scan(DecisionRule("midpoint"), grid,
+                         SurveyDesign("random_miss", total_n=5), EvalMethod("exact"))
+
+
+def _rowwise_report_to_csv(report, path):
+    """Reference writer: one csv.writer row per StateRecord, every cell through fmt17."""
+    import csv
+    from mmregret.mathutil import fmt17
+
+    def coords(state):
+        if isinstance(state, BinaryTrialState):
+            return ["p_a", "p_b"], [fmt17(state.p_a), fmt17(state.p_b)]
+        do, dm = state.dist_observed, state.dist_missing
+        if do.family == "bernoulli":
+            return (["theta_obs", "theta_miss", "miss_rate"],
+                    [fmt17(do.theta), fmt17(dm.theta), fmt17(state.miss_rate)])
+        return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
+                [fmt17(do.alpha), fmt17(do.beta), fmt17(dm.alpha), fmt17(dm.beta),
+                 fmt17(state.miss_rate)])
+
+    names, _ = coords(report.per_state[0].state)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(names + ["error_prob", "expected_welfare", "regret", "mc_stderr"])
+        for rec in report.per_state:
+            wr.writerow(coords(rec.state)[1] + [
+                "" if rec.error_prob is None else fmt17(rec.error_prob),
+                "" if rec.expected_welfare is None else fmt17(rec.expected_welfare),
+                fmt17(rec.regret), fmt17(rec.mc_stderr)])
+        wr.writerow(["#summary", f"max_regret={fmt17(report.max_regret)}",
+                     "argmax=" + "|".join(coords(report.argmax_state)[1]),
+                     f"method={report.method.mode}",
+                     f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+                     f"seed={report.seed.master_seed if report.seed else ''}"])
+
+
+def _beta_grid():
+    return build_prediction_grid("beta", obs_params=[(0.5, 0.5), (2.0, 5.0)],
+                                 miss_params=[(0.5, 2.0)], miss_rates=[0.2])
+
+
+class TestColumnarReport:
+    CASES = {
+        "exact_es_ties": lambda: max_regret_scan(
+            ES, build_binary_grid(0.1), TrialDesign(per_arm_n=15)),
+        "exact_ztest": lambda: max_regret_scan(
+            ZTEST, build_binary_grid(0.05), TrialDesign(per_arm_n=30)),
+        "mc_es": lambda: max_regret_scan(
+            ES, build_binary_grid(0.25), TrialDesign(per_arm_n=9),
+            EvalMethod("monte_carlo", 2000), SeedSpec(4)),
+        "exact_midpoint": lambda: max_mse_scan(
+            DecisionRule("midpoint"),
+            build_prediction_grid("bernoulli", obs_params=list(np.linspace(0, 1, 11)),
+                                  miss_params=list(np.linspace(0, 1, 11)),
+                                  miss_rates=[0.2, 0.5]),
+            SurveyDesign("fixed_n", n_observed=10), EvalMethod("exact")),
+        "mc_beta_median": lambda: max_mse_scan(
+            DecisionRule("analog_predictor", {"loss": "absolute"}), _beta_grid(),
+            SurveyDesign("fixed_n", n_observed=5), EvalMethod("monte_carlo", 1000),
+            SeedSpec(3)),
+        "more_rows_than_a_chunk": lambda: max_regret_scan(
+            ES, build_binary_grid(0.01), TrialDesign(per_arm_n=20)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_csv_bytes_match_rowwise_writer(self, case, tmp_path):
+        report = self.CASES[case]()
+        # write the columnar CSV first, so it cannot lean on built records
+        report_to_csv(report, tmp_path / "columnar.csv")
+        _rowwise_report_to_csv(report, tmp_path / "rowwise.csv")
+        assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+
+    def test_cases_cover_ties_stderr_and_chunks(self):
+        from mmregret.engine import _CSV_CHUNK_ROWS
+        ties = self.CASES["exact_es_ties"]()
+        assert any(r.error_prob is None for r in ties.per_state)
+        assert any(r.mc_stderr > 0 for r in self.CASES["mc_es"]().per_state)
+        assert any(r.mc_stderr > 0 for r in self.CASES["mc_beta_median"]().per_state)
+        assert len(self.CASES["more_rows_than_a_chunk"]().grid) > _CSV_CHUNK_ROWS
+
+    @pytest.mark.parametrize("case", ["exact_es_ties", "mc_es", "exact_midpoint"])
+    def test_argmax_record_is_the_argmax_state(self, case):
+        report = self.CASES[case]()
+        state = report.argmax_state  # before per_state builds the others
+        rec = report.per_state[report.argmax]
+        assert rec.state is state
+        assert rec.regret == report.max_regret
+        assert report.record(report.argmax) == rec
+        assert [r for r in report.per_state if r.state is report.argmax_state] == [rec]
+
+    def test_inconsistent_max_rejected(self):
+        from dataclasses import replace
+        report = self.CASES["exact_ztest"]()
+        with pytest.raises(PreconditionError):
+            replace(report, argmax=(report.argmax + 1) % len(report.grid))

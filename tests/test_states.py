@@ -154,3 +154,26 @@ class TestGridCsv:
         path = tmp_path / "grid.csv"
         grid_to_csv(grid, path)
         assert grid_from_csv(path).states == grid.states
+
+
+class TestColumnarBinaryGrid:
+    def test_states_built_from_columns(self):
+        grid = build_binary_grid(0.5)
+        assert grid.points.tolist() == [0.0, 0.5, 1.0]
+        assert list(zip(grid.p_a.tolist(), grid.p_b.tolist())) == \
+            [(s.p_a, s.p_b) for s in grid.states]
+
+    def test_single_state_is_the_cached_one(self):
+        grid = build_binary_grid(0.25)
+        s = grid.state(7)
+        assert grid.states[7] is s
+        assert grid.state(-1) is grid.states[-1]
+
+    def test_grid_from_states_derives_columns(self):
+        from mmregret import StateGrid
+        lattice = build_binary_grid(0.5)
+        grid = StateGrid("binary_trial", lattice.states)
+        assert grid.points.tolist() == lattice.points.tolist()
+        assert grid.index_a.tolist() == lattice.index_a.tolist()
+        assert grid.index_b.tolist() == lattice.index_b.tolist()
+        assert grid.states == lattice.states
