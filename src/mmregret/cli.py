@@ -14,8 +14,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import engine, missing, states
 from .errors import ConfigError, PreconditionError
 from .mathutil import fmt17
@@ -28,20 +26,36 @@ EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
 
-def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--reps", type=int, default=100_000,
-                        help="Monte Carlo replications per state")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for grid scans")
-    parser.add_argument("--method", choices=("exact", "mc"), default="exact")
-    parser.add_argument("--out", default=None, help="CSV output path")
+def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
+    # None marks a flag not given, so that a config value can stand in for it
+    parser.add_argument("--seed", type=int, help="master seed (default 0)")
+    parser.add_argument("--reps", type=int,
+                        help="Monte Carlo replications per state (default 100000)")
+    parser.add_argument("--workers", type=int,
+                        help="worker processes for grid scans (default 1)")
+    parser.add_argument("--method", choices=("exact", "mc"),
+                        help=f"evaluation method (default {method_default})")
+    parser.add_argument("--out", help="CSV output path")
 
 
-def _method(args) -> engine.EvalMethod:
-    if args.method == "exact":
-        return engine.EvalMethod("exact")
-    return engine.EvalMethod("monte_carlo", args.reps)
+def _setting(args, cfg: dict[str, str], key: str, default, parse=str):
+    """A global flag's value if given, else the config's, else the default."""
+    value = getattr(args, key)
+    if value is not None:
+        return value
+    return parse(cfg[key]) if key in cfg else default
+
+
+def _run_settings(args, cfg: dict[str, str], method_default: str):
+    """(EvalMethod, SeedSpec, workers, out path) from the global flags and the config."""
+    name = _setting(args, cfg, "method", method_default)
+    if name not in ("exact", "mc"):
+        raise ConfigError(f"method must be 'exact' or 'mc', got {name!r}")
+    reps = _setting(args, cfg, "reps", 100_000, _integer)
+    method = (engine.EvalMethod("exact") if name == "exact"
+              else engine.EvalMethod("monte_carlo", reps))
+    return (method, SeedSpec(_setting(args, cfg, "seed", 0, _integer)),
+            _setting(args, cfg, "workers", 1, _integer), _setting(args, cfg, "out", None))
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +105,10 @@ def cmd_scan(args) -> int:
     rule = _scan_rule(args)
     grid = states.build_binary_grid(args.step)
     design = TrialDesign(arms=2, per_arm_n=args.n)
-    report = engine.max_regret_scan(rule, grid, design, _method(args),
-                                    SeedSpec(args.seed), args.workers)
-    if args.out:
-        engine.report_to_csv(report, args.out)
+    method, seed, workers, out = _run_settings(args, {}, "exact")
+    report = engine.max_regret_scan(rule, grid, design, method, seed, workers)
+    if out:
+        engine.report_to_csv(report, out)
     s = report.argmax_state
     print(f"max_regret={fmt17(report.max_regret)}")
     print(f"argmax_state=(p_a={fmt17(s.p_a)}, p_b={fmt17(s.p_b)})")
@@ -162,6 +176,13 @@ def _number(text: str) -> float:
         raise ConfigError(f"expected a number, got {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}") from None
+
+
 def _floats(text: str) -> list[float]:
     return [_number(x) for x in text.split(",") if x.strip() != ""]
 
@@ -186,16 +207,13 @@ def _pairs(text: str) -> list[tuple[float, float]]:
     return out
 
 
-def _param_grid(cfg, step_key, values_key):
-    if values_key in cfg:
-        return _floats(cfg[values_key])
-    if step_key in cfg:
-        step = float(cfg[step_key])
-        n = round(1.0 / step)
-        if abs(n * step - 1.0) > 1e-9:
-            raise ConfigError(f"{step_key}={step} does not divide 1")
-        return list(np.linspace(0.0, 1.0, n + 1))
-    raise ConfigError(f"config needs {step_key} or {values_key}")
+def _coordinate(cfg, name: str):
+    """A grid coordinate's values: the list ``{name}_values`` or the lattice ``{name}_step``."""
+    if f"{name}_values" in cfg:
+        return _floats(cfg[f"{name}_values"])
+    if f"{name}_step" in cfg:
+        return states._lattice(_number(cfg[f"{name}_step"]))
+    raise ConfigError(f"config needs {name}_step or {name}_values")
 
 
 def _wald_predictor(cfg) -> DecisionRule:
@@ -230,21 +248,16 @@ def _wald_grid(cfg) -> states.StateGrid:
     support = tuple(_floats(cfg.get("support", "0,1")))
     if len(support) != 2:
         raise ConfigError("support must be 'y0,y1'")
-    if "miss_values" in cfg:
-        miss = _floats(cfg["miss_values"])
-    elif "miss_step" in cfg:
-        miss = _param_grid(cfg, "miss_step", "miss_values")
-    else:
-        raise ConfigError("config needs miss_values or miss_step")
+    miss = _coordinate(cfg, "miss")
     filters = dict(
-        max_miss_rate=float(cfg["max_miss"]) if "max_miss" in cfg else None,
-        min_missing_mean=float(cfg["min_miss_mean"]) if "min_miss_mean" in cfg else None,
-        max_missing_mean=float(cfg["max_miss_mean"]) if "max_miss_mean" in cfg else None,
-        max_mean_abs_diff=float(cfg["max_mean_diff"]) if "max_mean_diff" in cfg else None,
+        max_miss_rate=_number(cfg["max_miss"]) if "max_miss" in cfg else None,
+        min_missing_mean=_number(cfg["min_miss_mean"]) if "min_miss_mean" in cfg else None,
+        max_missing_mean=_number(cfg["max_miss_mean"]) if "max_miss_mean" in cfg else None,
+        max_mean_abs_diff=_number(cfg["max_mean_diff"]) if "max_mean_diff" in cfg else None,
     )
     if family == "bernoulli":
-        obs = _param_grid(cfg, "theta_obs_step", "theta_obs_values")
-        mis = _param_grid(cfg, "theta_miss_step", "theta_miss_values")
+        obs = _coordinate(cfg, "theta_obs")
+        mis = _coordinate(cfg, "theta_miss")
     elif family == "beta":
         if "beta_obs_shapes" not in cfg or "beta_miss_shapes" not in cfg:
             raise ConfigError("beta family needs beta_obs_shapes and beta_miss_shapes")
@@ -263,25 +276,14 @@ def cmd_wald_mse(args) -> int:
     grid = _wald_grid(cfg)
     if "n" not in cfg:
         raise ConfigError("config needs n (sample size)")
-    n = int(cfg["n"])
+    n = _integer(cfg["n"])
     miss_known = cfg.get("miss_known", "true").lower() in ("1", "true", "yes")
     if miss_known:
         design = SurveyDesign(mode="fixed_n", n_observed=n)
     else:
         design = SurveyDesign(mode="random_miss", total_n=n)
-
-    method_name = args.method if args.method_set else cfg.get("method", "mc")
-    reps = args.reps if args.reps_set else int(cfg.get("reps", 100_000))
-    seed = args.seed if args.seed_set else int(cfg.get("seed", 0))
-    workers = args.workers if args.workers_set else int(cfg.get("workers", 1))
-    out = args.out if args.out is not None else cfg.get("out")
-
-    if method_name == "exact":
-        method = engine.EvalMethod("exact")
-    else:
-        method = engine.EvalMethod("monte_carlo", reps)
-
-    report = engine.max_mse_scan(rule, grid, design, method, SeedSpec(seed), workers)
+    method, seed, workers, out = _run_settings(args, cfg, "mc")
+    report = engine.max_mse_scan(rule, grid, design, method, seed, workers)
     if out:
         engine.report_to_csv(report, out)
     s = report.argmax_state
@@ -364,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-better", type=float, default=5.0)
     p.add_argument("--alpha1", type=float, default=0.05, help="Type I error probability")
     p.add_argument("--alpha2", type=float, default=0.20, help="Type II error probability")
-    _global_flags(p)
     p.set_defaults(func=cmd_medical)
 
     p = sub.add_parser("scan", help="max-regret scan of a trial-choice rule")
@@ -373,19 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--status-quo", type=int, default=0, choices=(0, 1))
     p.add_argument("--n", type=int, required=True, help="subjects per arm")
     p.add_argument("--step", type=float, default=0.01, help="grid step")
-    _global_flags(p)
+    _global_flags(p, "exact")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("bounds", help="analytic max-regret bounds for empirical success")
     p.add_argument("--k", type=int, default=2, help="number of treatment arms")
     p.add_argument("--m", type=float, default=1.0, help="outcome range")
     p.add_argument("--n", required=True, help="comma-separated per-arm sample sizes")
-    _global_flags(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("wald-mse", help="maximize predictor MSE over a state grid")
     p.add_argument("--config", required=True, help="flat key=value config file")
-    _global_flags(p)
+    _global_flags(p, "mc")
     p.set_defaults(func=cmd_wald_mse)
 
     p = sub.add_parser("alloc", help="minimax-regret allocation with missing outcomes")
@@ -398,28 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--known-p", type=float, default=None)
     p.add_argument("--bounds-a", default="0,1")
     p.add_argument("--bounds-b", default="0,1")
-    _global_flags(p)
     p.set_defaults(func=cmd_alloc)
 
     p = sub.add_parser("oracle", help="exhaustive deterministic-rule oracle (tiny n)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--step", type=float, default=0.05)
-    _global_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # track which global flags were given explicitly, so config values
-    # are only overridden when the user asked for it
-    args.method_set = any(a == "--method" or a.startswith("--method=") for a in argv)
-    args.reps_set = any(a == "--reps" or a.startswith("--reps=") for a in argv)
-    args.seed_set = any(a == "--seed" or a.startswith("--seed=") for a in argv)
-    args.workers_set = any(a == "--workers" or a.startswith("--workers=") for a in argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .mathutil import FMT17, binom_pmf_matrix, binom_pmf_vector, fmt17, one_sided_critical_value
-from .rules import Action, DecisionRule, analog_predict, es_choose, ztest_choose
-from .sampling import SeedSpec, SurveyDesign, TrialDesign, TrialOutcome
+from .mathutil import FMT17, binom_pmf_matrix, binom_pmf_vector, fmt17
+from .rules import DecisionRule, choice_table, mean_predictor
+from .sampling import SeedSpec, SurveyDesign, TrialDesign
 from .states import BinaryTrialState, PredictionState, StateGrid
 
 __all__ = [
@@ -139,53 +139,7 @@ def _report_from_records(grid, records, method, seed) -> RegretReport:
 
 
 # ---------------------------------------------------------------------------
-# decision tables for two-arm binary trials
-
-def _rule_action(rule: DecisionRule, outcome: TrialOutcome, n: int) -> Action:
-    if rule.kind == "empirical_success":
-        return es_choose(outcome)
-    if rule.kind == "ztest":
-        return ztest_choose(outcome, n, rule.params.get("alpha", 0.05),
-                            rule.params.get("status_quo", 0))
-    if rule.kind == "custom" and "apply_trial" in rule.params:
-        return rule.params["apply_trial"](outcome)
-    raise PreconditionError(f"rule kind {rule.kind!r} is not a trial-choice rule")
-
-
-def choice_table(rule: DecisionRule, n: int) -> np.ndarray:
-    """Probability mass the rule puts on arm b, per outcome (i, j).
-
-    Shape (n+1, n+1) indexed by (successes_a, successes_b). The empirical
-    success and z-test rules are vectorized; other rules fall back to a loop
-    over the (n+1)^2 outcomes.
-    """
-    i = np.arange(n + 1)[:, None]
-    j = np.arange(n + 1)[None, :]
-    if rule.kind == "empirical_success":
-        return np.where(j > i, 1.0, np.where(j < i, 0.0, 0.5))
-    if rule.kind == "ztest":
-        alpha = rule.params.get("alpha", 0.05)
-        status_quo = rule.params.get("status_quo", 0)
-        pooled = (i + j) / (2.0 * n)
-        se = np.sqrt(np.where((pooled > 0) & (pooled < 1),
-                              pooled * (1.0 - pooled) * 2.0 / n, np.inf))
-        crit = one_sided_critical_value(alpha)
-        if status_quo == 0:
-            z = (j - i) / n / se
-            return np.where(z > crit, 1.0, 0.0)
-        z = (i - j) / n / se
-        return np.where(z > crit, 0.0, 1.0)
-    if rule.kind == "custom" and "trial_table" in rule.params:
-        table = np.asarray(rule.params["trial_table"], dtype=float)
-        if table.shape != (n + 1, n + 1):
-            raise PreconditionError(f"trial table shape {table.shape} != {(n + 1, n + 1)}")
-        return table
-    out = np.empty((n + 1, n + 1))
-    for a in range(n + 1):
-        for b in range(n + 1):
-            out[a, b] = _rule_action(rule, TrialOutcome((a, b)), n).mass_on(1)
-    return out
-
+# two-arm binary trials
 
 def _check_exact_trial(design: TrialDesign) -> None:
     if design.arms != 2 or design.outcome_range != 1.0:
@@ -319,7 +273,9 @@ def max_regret_scan(
     _check_workers(workers)
     if method.mode == "exact":
         return _exact_binary_scan(rule, grid, design, method, seed)
-    args = [(rule, s, design, method, seed or SeedSpec(), k)
+    # workers get the table, not the rule: a callable rule need not pickle
+    table_rule = DecisionRule("custom", {"trial_table": choice_table(rule, design.per_arm_n)})
+    args = [(table_rule, s, design, method, seed or SeedSpec(), k)
             for k, s in enumerate(grid)]
     return _report_from_records(grid, _parallel_map(_mc_binary_state, args, workers),
                                 method, seed)
@@ -360,42 +316,15 @@ def midpoint_max_regret_formula(p_obs: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # predictor evaluation
 
-def _predict_from_mean(rule: DecisionRule, m, n_obs, p1, support):
-    """Vectorized prediction for rules that depend on the sample only through
-    the observed mean (and the observed fraction)."""
+def _bernoulli_predictions(predict, k, n, p1, support):
+    """Predictions from k successes among n >= 1 observed Bernoulli outcomes.
+
+    ``predict`` is the rule's mean predictor; None is the sample median.
+    """
     y0, y1 = support
-    width = y1 - y0
-    if rule.kind == "hodges_lehmann":
-        rn = np.sqrt(n_obs)
-        m_norm = (m - y0) / width
-        return y0 + width * (m_norm * rn + 0.5) / (rn + 1.0)
-    if rule.kind == "midpoint":
-        mid = 0.5 * (y0 + y1)
-        return m * p1 + mid * (1.0 - p1)
-    if rule.kind == "analog_predictor" and rule.params.get("loss", "square") == "square":
-        return m
-    if rule.kind == "custom" and "predict_mean" in rule.params:
-        return rule.params["predict_mean"](m, p1)
-    if rule.kind == "custom" and "mean_table" in rule.params:
-        pts = np.asarray(rule.params["mean_table"], dtype=float)  # rows (m, pred)
-        return np.interp(m, pts[:, 0], pts[:, 1])
-    raise PreconditionError(f"rule kind {rule.kind!r} is not mean-based")
-
-
-def _is_mean_based(rule: DecisionRule) -> bool:
-    if rule.kind in ("hodges_lehmann", "midpoint"):
-        return True
-    if rule.kind == "analog_predictor":
-        return rule.params.get("loss", "square") == "square"
-    if rule.kind == "custom":
-        return "predict_mean" in rule.params or "mean_table" in rule.params
-    return False
-
-
-def _bernoulli_median(k, n, support):
-    y0, y1 = support
-    mid = 0.5 * (y0 + y1)
-    return np.where(2 * k > n, y1, np.where(2 * k < n, y0, mid))
+    if predict is None:
+        return np.where(2 * k > n, y1, np.where(2 * k < n, y0, 0.5 * (y0 + y1)))
+    return predict(y0 + (k / n) * (y1 - y0), n, p1, support)
 
 
 def _known_p1(state: PredictionState, design: SurveyDesign) -> float:
@@ -413,18 +342,10 @@ def _check_exact_survey(state: PredictionState, design: SurveyDesign) -> None:
 def _exact_bernoulli_mse(rule, state, design) -> float:
     """Enumerate the observed success count of a fixed-N Bernoulli survey."""
     n = design.n_observed
-    theta = state.dist_observed.theta
-    y0, y1 = state.support
-    pmf = binom_pmf_vector(n, theta)
-    k = np.arange(n + 1)
-    m = y0 + (k / n) * (y1 - y0)
-    p1 = _known_p1(state, design)
-    if rule.kind == "analog_predictor" and rule.params.get("loss") == "absolute":
-        pred = _bernoulli_median(k, n, state.support)
-    else:
-        pred = _predict_from_mean(rule, m, n, p1, state.support)
-    mu = state.population_mean
-    return float(pmf @ (pred - mu) ** 2)
+    pmf = binom_pmf_vector(n, state.dist_observed.theta)
+    pred = _bernoulli_predictions(mean_predictor(rule), np.arange(n + 1), n,
+                                  _known_p1(state, design), state.support)
+    return float(pmf @ (pred - state.population_mean) ** 2)
 
 
 def _mc_mse_state(args) -> StateRecord:
@@ -443,34 +364,27 @@ def _mc_mse_state(args) -> StateRecord:
         p1 = n_obs / design.total_n
 
     mid = 0.5 * (y0 + y1)
+    predict = mean_predictor(rule)  # None: the sample median
     if bern:
-        theta = state.dist_observed.theta
-        k = rng.binomial(n_obs, theta)
-        m = y0 + (k / np.maximum(n_obs, 1)) * (y1 - y0)
-        if rule.kind == "analog_predictor" and rule.params.get("loss") == "absolute":
-            pred = _bernoulli_median(k, n_obs, state.support)
-        else:
-            pred = _predict_from_mean(rule, m, np.maximum(n_obs, 1), p1, state.support)
+        k = rng.binomial(n_obs, state.dist_observed.theta)
+        pred = _bernoulli_predictions(predict, k, np.maximum(n_obs, 1), p1, state.support)
         # zero-observation draws fall back to the support midpoint (the
         # midpoint predictor lands there anyway through p1 = 0)
         pred = np.where(n_obs > 0, pred, mid)
     else:
         pred = np.empty(reps)
-        absolute = (rule.kind == "analog_predictor"
-                    and rule.params.get("loss") == "absolute")
         for r in range(reps):
             nr = int(n_obs[r])
             if nr == 0:
-                pred[r] = mid if not _is_mean_based(rule) else \
-                    float(_predict_from_mean(rule, mid, 1, p1[r], state.support))
+                pred[r] = mid if predict is None else \
+                    float(predict(mid, 1, p1[r], state.support))
                 continue
             ys = y0 + (y1 - y0) * rng.beta(state.dist_observed.alpha,
                                            state.dist_observed.beta, size=nr)
-            if absolute:
+            if predict is None:
                 pred[r] = float(np.median(ys))
             else:
-                pred[r] = float(_predict_from_mean(rule, ys.mean(), nr, p1[r],
-                                                   state.support))
+                pred[r] = float(predict(ys.mean(), nr, p1[r], state.support))
     sq = (pred - mu) ** 2
     mse = float(sq.mean())
     stderr = float(sq.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0

@@ -1,9 +1,8 @@
-"""Numerical helpers: stable binomial PMFs and an inverse normal CDF.
+"""Numerical helpers: stable binomial PMFs and normal critical values.
 
 Binomial probabilities are computed by a multiplicative recurrence in linear
 space (no factorials), which stays stable through n in the thousands. The
-inverse normal CDF uses Acklam's rational approximation (max abs error below
-1e-8), so critical values are bit-reproducible across platforms.
+inverse normal CDF is the standard library's ``NormalDist.inv_cdf``.
 """
 
 from __future__ import annotations
@@ -52,50 +51,13 @@ def binom_pmf_matrix(n: int, ps: np.ndarray) -> np.ndarray:
     return np.vstack([binom_pmf_vector(n, p) for p in ps])
 
 
-# Acklam's rational approximation coefficients
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-_P_HIGH = 1.0 - _P_LOW
-
-
 def norm_ppf(q: float) -> float:
     """Inverse of the standard normal CDF."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile {q} outside (0, 1)")
-    if q < _P_LOW:
-        t = np.sqrt(-2.0 * np.log(q))
-        num = ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
-        den = (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        x = num / den
-    elif q <= _P_HIGH:
-        t = q - 0.5
-        r = t * t
-        num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * t
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x = num / den
-    else:
-        t = np.sqrt(-2.0 * np.log(1.0 - q))
-        num = ((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]
-        den = (((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0
-        x = -num / den
-    # one Halley refinement step to push the error well below 1e-8
-    e = 0.5 * _erfc(-x / np.sqrt(2.0)) - q
-    u = e * np.sqrt(2.0 * np.pi) * np.exp(x * x / 2.0)
-    x = x - u / (1.0 + x * u / 2.0)
-    return float(x)
-
-
-def _erfc(x: float) -> float:
-    import math
-    return math.erfc(x)
+    # imported here, not at start-up: scans at the pinned alpha = 0.05 never call this
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(q)
 
 
 def one_sided_critical_value(alpha: float) -> float:

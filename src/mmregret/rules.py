@@ -4,13 +4,14 @@ Covers treatment-choice rules for two-arm trials (empirical success, one-sided
 z-test), point predictors for a bounded mean (Hodges-Lehmann shrinkage,
 midpoint of the sample-analog identification interval, plain sample analogs),
 and the generic criteria that decide as if a finite set estimate contained the
-true state.
+true state. Scans evaluate a rule through its vectorized form: a trial rule's
+``choice_table`` and a predictor's ``mean_predictor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,12 +29,14 @@ __all__ = [
     "hodges_lehmann_predict",
     "midpoint_predict",
     "analog_predict",
+    "choice_table",
+    "mean_predictor",
     "asif_decide",
     "asif_optimize",
 ]
 
 RULE_KINDS = ("empirical_success", "ztest", "hodges_lehmann", "midpoint",
-              "analog_predictor", "mmr_allocation_sample", "custom")
+              "analog_predictor", "custom")
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,6 @@ class DecisionRule:
         if self.kind == "analog_predictor":
             if self.params.get("loss", "square") not in ("square", "absolute"):
                 raise PreconditionError("analog loss must be 'square' or 'absolute'")
-        p = self.params.get("known_p")
-        if self.kind == "mmr_allocation_sample" and p is not None:
-            if not 0.0 < p <= 1.0:
-                raise PreconditionError("known observability score must lie in (0, 1]")
 
 
 def es_choose(outcome: TrialOutcome) -> Action:
@@ -130,8 +129,7 @@ def hodges_lehmann_predict(m: float, n: int) -> Action:
         raise PreconditionError(f"sample mean {m} outside [0, 1]")
     if n < 1:
         raise PreconditionError("sample size must be >= 1")
-    rn = np.sqrt(n)
-    return Action(prediction=float((m * rn + 0.5) / (rn + 1.0)))
+    return Action(prediction=float(_hodges_lehmann(m, n, 1.0, (0.0, 1.0))))
 
 
 def midpoint_predict(
@@ -149,8 +147,7 @@ def midpoint_predict(
         raise PreconditionError(f"observed mean {obs_mean} outside support [{y0}, {y1}]")
     if not 0.0 <= obs_fraction <= 1.0:
         raise PreconditionError(f"observed fraction {obs_fraction} outside [0, 1]")
-    mid = 0.5 * (y0 + y1)
-    return Action(prediction=float(obs_mean * obs_fraction + mid * (1.0 - obs_fraction)))
+    return Action(prediction=float(_midpoint(obs_mean, None, obs_fraction, support)))
 
 
 def analog_predict(draw: SurveyDraw, loss: str = "square") -> Action:
@@ -163,6 +160,89 @@ def analog_predict(draw: SurveyDraw, loss: str = "square") -> Action:
     if loss == "absolute":
         return Action(prediction=float(np.median(ys)))
     raise PreconditionError(f"unknown loss {loss!r}")
+
+
+# ---------------------------------------------------------------------------
+# vectorized forms, the ones every scan evaluates
+
+def choice_table(rule: DecisionRule, n: int) -> np.ndarray:
+    """Probability mass the rule puts on arm b, per outcome (i, j).
+
+    Shape (n+1, n+1) indexed by (successes_a, successes_b). The empirical
+    success and z-test rules are vectorized, a custom ``trial_table`` is
+    returned as given, and a custom ``apply_trial`` callable is evaluated on
+    each of the (n+1)^2 outcomes.
+    """
+    i = np.arange(n + 1)[:, None]
+    j = np.arange(n + 1)[None, :]
+    if rule.kind == "empirical_success":
+        return np.where(j > i, 1.0, np.where(j < i, 0.0, 0.5))
+    if rule.kind == "ztest":
+        alpha = rule.params.get("alpha", 0.05)
+        status_quo = rule.params.get("status_quo", 0)
+        pooled = (i + j) / (2.0 * n)
+        se = np.sqrt(np.where((pooled > 0) & (pooled < 1),
+                              pooled * (1.0 - pooled) * 2.0 / n, np.inf))
+        crit = one_sided_critical_value(alpha)
+        if status_quo == 0:
+            z = (j - i) / n / se
+            return np.where(z > crit, 1.0, 0.0)
+        z = (i - j) / n / se
+        return np.where(z > crit, 0.0, 1.0)
+    if rule.kind == "custom" and "trial_table" in rule.params:
+        table = np.asarray(rule.params["trial_table"], dtype=float)
+        if table.shape != (n + 1, n + 1):
+            raise PreconditionError(f"trial table shape {table.shape} != {(n + 1, n + 1)}")
+        return table
+    if rule.kind == "custom" and "apply_trial" in rule.params:
+        apply = rule.params["apply_trial"]
+        out = np.empty((n + 1, n + 1))
+        for a in range(n + 1):
+            for b in range(n + 1):
+                out[a, b] = apply(TrialOutcome((a, b))).mass_on(1)
+        return out
+    raise PreconditionError(f"rule kind {rule.kind!r} is not a trial-choice rule")
+
+
+def _hodges_lehmann(m, n_obs, p1, support):
+    """Shrinkage toward the support's midpoint, on the support rescaled to [0, 1]."""
+    y0, y1 = support
+    width = y1 - y0
+    rn = np.sqrt(n_obs)
+    return y0 + width * ((m - y0) / width * rn + 0.5) / (rn + 1.0)
+
+
+def _midpoint(m, n_obs, p1, support):
+    """Midpoint of the identification interval for the mean."""
+    mid = 0.5 * (support[0] + support[1])
+    return m * p1 + mid * (1.0 - p1)
+
+
+def _sample_mean(m, n_obs, p1, support):
+    return m
+
+
+def mean_predictor(rule: DecisionRule) -> Callable | None:
+    """The rule's prediction as a function of the observed mean.
+
+    The function takes (observed mean m, observed count n_obs, observed
+    fraction p1, support); m, n_obs and p1 may be arrays. None means the
+    rule is the sample median (the analog predictor under absolute loss),
+    which depends on more of the sample than its mean.
+    """
+    if rule.kind == "hodges_lehmann":
+        return _hodges_lehmann
+    if rule.kind == "midpoint":
+        return _midpoint
+    if rule.kind == "analog_predictor":
+        return _sample_mean if rule.params.get("loss", "square") == "square" else None
+    if rule.kind == "custom" and "predict_mean" in rule.params:
+        predict = rule.params["predict_mean"]
+        return lambda m, n_obs, p1, support: predict(m, p1)
+    if rule.kind == "custom" and "mean_table" in rule.params:
+        pts = np.asarray(rule.params["mean_table"], dtype=float)  # rows (m, pred)
+        return lambda m, n_obs, p1, support: np.interp(m, pts[:, 0], pts[:, 1])
+    raise PreconditionError(f"rule kind {rule.kind!r} is not mean-based")
 
 
 @dataclass(frozen=True)

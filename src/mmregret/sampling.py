@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _MAX_ENUM_N = 10000
-_INVERSION_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -131,19 +130,6 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_binomial(rng: np.random.Generator, n: int, p: float) -> int:
-    """Binomial draw: CDF inversion for small n, numpy's sampler otherwise."""
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    if n <= _INVERSION_MAX_N:
-        u = rng.random()
-        cdf = np.cumsum(binom_pmf_vector(n, p))
-        return int(np.searchsorted(cdf, u, side="right"))
-    return int(rng.binomial(n, p))
-
-
 def enumerate_trial(
     state: BinaryTrialState, design: TrialDesign
 ) -> Iterator[tuple[TrialOutcome, float]]:
@@ -170,10 +156,7 @@ def draw_trial(
     """One simulated trial outcome: independent per-arm binomial counts."""
     rng = seed.rng(state_index, stream)
     n = design.per_arm_n
-    return TrialOutcome((
-        _draw_binomial(rng, n, state.p_a),
-        _draw_binomial(rng, n, state.p_b),
-    ))
+    return TrialOutcome((int(rng.binomial(n, state.p_a)), int(rng.binomial(n, state.p_b))))
 
 
 def _draw_outcome(rng: np.random.Generator, dist, support) -> float:

@@ -127,6 +127,14 @@ class TestWaldMse:
         assert float(grab(out, "max_mse")) == pytest.approx(
             midpoint_max_regret_formula(0.8, 10), abs=1e-9)
 
+    def test_abbreviated_flag_overrides_config_method(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))
+        code, out = run(capsys, "wald-mse", "--config", str(cfg), "--meth", "exact")
+        assert code == 0
+        assert float(grab(out, "max_mse")) == pytest.approx(
+            midpoint_max_regret_formula(0.8, 10), abs=1e-9)
+
     def test_unknown_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG + "plot = yes\n")
@@ -259,3 +267,26 @@ class TestRejectedInput:
         cfg.write_text(WALD_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 0:0; 0.5 0.5; 1:1"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("key,value,code", [
+        ("n", "ten", 2), ("reps", "many", 2), ("seed", "s", 2), ("workers", "w", 2),
+        ("method", "fast", 2), ("max_miss", "abc", 2), ("theta_obs_step", "nan", 3),
+        ("theta_obs_step", "1", 3), ("theta_obs_step", "0.3", 3), ("miss_step", "x", 2)])
+    def test_bad_wald_value(self, capsys, tmp_path, key, value, code):
+        text = WALD_CFG.replace("miss_values = 0.2", "miss_step = 0.5")
+        lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == code
+
+    @pytest.mark.parametrize("argv", [
+        ("medical", "--seed", "1"),
+        ("bounds", "--n", "10", "--reps", "1000"),
+        ("alloc", "--mode", "sample", "--e-a", "0.5", "--e-b", "0.5", "--p-a", "1",
+         "--p-b", "1", "--workers", "2"),
+        ("oracle", "--n", "1", "--step", "0.5", "--method", "mc"),
+        ("oracle", "--n", "1", "--step", "0.5", "--out", "x.csv")])
+    def test_global_flag_on_command_that_ignores_it_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2

@@ -150,6 +150,18 @@ class TestMaxRegretScan:
             report = max_regret_scan(ES, build_binary_grid(0.05), TrialDesign(per_arm_n=n))
             assert report.max_regret <= regret_bounds(2, 1.0, n).bound_10
 
+    def test_callable_rule_runs_on_two_workers(self):
+        from mmregret import es_choose
+        rule = DecisionRule("custom", {"apply_trial": lambda o: es_choose(o)})
+        grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
+        method = EvalMethod("monte_carlo", 2000)
+        one = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=1)
+        two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
+        assert one.per_state == two.per_state
+        # the callable's table is the ES table, so the draws give the ES report
+        es = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
+        assert one.per_state == es.per_state
+
 
 class TestRegretBounds:
     def test_k2_n145(self):

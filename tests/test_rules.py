@@ -79,6 +79,30 @@ class TestZtestChoose:
         assert norm_ppf(0.001) == pytest.approx(-3.090232306167813, abs=1e-8)
 
 
+class TestScalarMatchesTable:
+    """The scalar rules are an independent reference for the tables every scan uses."""
+
+    @given(st.integers(1, 60), st.sampled_from([0.01, 0.05, 0.1]), st.sampled_from([0, 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_every_outcome(self, n, alpha, status_quo):
+        ztest = choice_table(DecisionRule("ztest", {"alpha": alpha, "status_quo": status_quo}), n)
+        es = choice_table(DecisionRule("empirical_success"), n)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                outcome = TrialOutcome((i, j))
+                assert ztest[i, j] == ztest_choose(outcome, n, alpha, status_quo).mass_on(1)
+                assert es[i, j] == es_choose(outcome).mass_on(1)
+
+    def test_non_trial_rule_rejected(self):
+        with pytest.raises(PreconditionError):
+            choice_table(DecisionRule("midpoint"), 3)
+
+
+def test_removed_allocation_rule_kind_rejected():
+    with pytest.raises(PreconditionError):
+        DecisionRule("mmr_allocation_sample")
+
+
 class TestHodgesLehmann:
     def test_fixed_point_half(self):
         for n in (1, 4, 100):

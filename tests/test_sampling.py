@@ -67,6 +67,13 @@ class TestDrawTrial:
         draws = {draw_trial(s, d, SeedSpec(42), 0, k).successes for k in range(8)}
         assert len(draws) > 1
 
+    def test_draws_are_the_substreams_binomials(self):
+        d = TrialDesign(per_arm_n=12)
+        s = BinaryTrialState(0.4, 0.7)
+        rng = SeedSpec(42).rng(5, 9)
+        want = (int(rng.binomial(12, 0.4)), int(rng.binomial(12, 0.7)))
+        assert draw_trial(s, d, SeedSpec(42), state_index=5, stream=9).successes == want
+
     def test_simulation_matches_enumeration(self):
         # empirical frequencies within 4 standard errors of exact probabilities
         d = TrialDesign(per_arm_n=3)
