@@ -157,16 +157,32 @@ def _prob_choose_b_exact(rule, state, design) -> float:
     return float(pa @ table @ pb)
 
 
+# The MC kernel draws a state's reps iid samples as a histogram of their
+# sufficient statistic (multinomial counts over its finite support, which have
+# the iid sample's law) and scores each support point once.
+
+def _draw_histogram(rng, reps: int, pmf: np.ndarray, cond_pmf):
+    """Counts of reps iid draws of (i, j), i ~ pmf and j ~ cond_pmf(rows) given i: the
+    occupied values ``rows`` of i, and one row of counts of j per occupied i."""
+    h = rng.multinomial(reps, pmf)
+    rows = np.flatnonzero(h)
+    return rows, rng.multinomial(h[rows], cond_pmf(rows))
+
+
+def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
+    """Mean and standard error (ddof=1) of reps draws given as values and their counts."""
+    est = float(np.sum(counts * values) / reps)
+    var = np.sum(counts * (values - est) ** 2) / (reps - 1)
+    return est, float(np.sqrt(var / reps))
+
+
 def _prob_choose_b_mc(rule, state, design, method, seed, state_index) -> tuple[float, float]:
     n = design.per_arm_n
-    table = choice_table(rule, n)
     rng = (seed or SeedSpec()).rng(state_index, 0)
-    ca = rng.binomial(n, state.p_a, size=method.reps)
-    cb = rng.binomial(n, state.p_b, size=method.reps)
-    mass_b = table[ca, cb]
-    est = float(mass_b.mean())
-    stderr = float(mass_b.std(ddof=1) / np.sqrt(method.reps)) if method.reps > 1 else 0.0
-    return est, stderr
+    pmf_b = binom_pmf_vector(n, state.p_b)
+    rows, counts = _draw_histogram(rng, method.reps, binom_pmf_vector(n, state.p_a),
+                                   lambda rows: pmf_b)
+    return _mean_stderr(choice_table(rule, n)[rows], counts, method.reps)
 
 
 def error_probability(
@@ -339,55 +355,67 @@ def _check_exact_survey(state: PredictionState, design: SurveyDesign) -> None:
             "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
 
 
-def _exact_bernoulli_mse(rule, state, design) -> float:
-    """Enumerate the observed success count of a fixed-N Bernoulli survey."""
-    n = design.n_observed
-    pmf = binom_pmf_vector(n, state.dist_observed.theta)
-    pred = _bernoulli_predictions(mean_predictor(rule), np.arange(n + 1), n,
-                                  _known_p1(state, design), state.support)
-    return float(pmf @ (pred - state.population_mean) ** 2)
+def _exact_bernoulli_mse(rule, states, design) -> np.ndarray:
+    """Per-state MSE of a fixed-N Bernoulli survey, enumerating the success count,
+    with one PMF per theta_obs and one prediction vector per (p1, support)."""
+    predict, n = mean_predictor(rule), design.n_observed
+    pmfs, preds = {}, {}
+    mse = np.empty(len(states))
+    for i, s in enumerate(states):
+        _check_exact_survey(s, design)
+        theta, key = s.dist_observed.theta, (_known_p1(s, design), s.support)
+        if theta not in pmfs:
+            pmfs[theta] = binom_pmf_vector(n, theta)
+        if key not in preds:
+            preds[key] = _bernoulli_predictions(predict, np.arange(n + 1), n, *key)
+        mse[i] = pmfs[theta] @ (preds[key] - s.population_mean) ** 2
+    return mse
+
+
+def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
+    """Median or mean of each of count samples of m Beta draws, 2^18 draws at a time."""
+    per, out = max(1, (1 << 18) // m), []
+    for lo in range(0, count, per):
+        b = rng.beta(dist.alpha, dist.beta, size=(min(per, count - lo), m))
+        out.append(np.median(b, axis=1) if median else b.mean(axis=1))
+    return np.concatenate(out)
 
 
 def _mc_mse_state(args) -> StateRecord:
+    """A histogram of (n_obs, successes) for Bernoulli outcomes; Beta samples in
+    blocks grouped by n_obs otherwise. No observation predicts the support midpoint."""
     rule, state, design, method, seed, state_index = args
     rng = seed.rng(state_index, 0)
     y0, y1 = state.support
-    reps = method.reps
-    mu = state.population_mean
-    bern = state.dist_observed.family == "bernoulli"
-
+    reps, dist, mid = method.reps, state.dist_observed, 0.5 * (y0 + y1)
     if design.mode == "fixed_n":
-        n_obs = np.full(reps, design.n_observed)
-        p1 = np.full(reps, _known_p1(state, design))
+        n_obs, pmf_n = np.array([design.n_observed]), np.ones(1)
+        p1 = np.array([_known_p1(state, design)])
     else:
-        n_obs = rng.binomial(design.total_n, 1.0 - state.miss_rate, size=reps)
+        n_obs = np.arange(design.total_n + 1)
+        pmf_n = binom_pmf_vector(design.total_n, 1.0 - state.miss_rate)
         p1 = n_obs / design.total_n
-
-    mid = 0.5 * (y0 + y1)
     predict = mean_predictor(rule)  # None: the sample median
-    if bern:
-        k = rng.binomial(n_obs, state.dist_observed.theta)
-        pred = _bernoulli_predictions(predict, k, np.maximum(n_obs, 1), p1, state.support)
-        # zero-observation draws fall back to the support midpoint (the
-        # midpoint predictor lands there anyway through p1 = 0)
-        pred = np.where(n_obs > 0, pred, mid)
+    if dist.family == "bernoulli":
+        k = np.arange(n_obs[-1] + 1)
+
+        def pmf_k(rows):  # successes given each occupied n_obs, zero past n_obs
+            return np.array([np.pad(binom_pmf_vector(m, dist.theta), (0, k[-1] - m))
+                             for m in n_obs[rows]])
+
+        rows, counts = _draw_histogram(rng, reps, pmf_n, pmf_k)
+        m = n_obs[rows, None]
+        pred = _bernoulli_predictions(predict, k, np.maximum(m, 1), p1[rows, None],
+                                      state.support)
+        pred = np.where(m > 0, pred, mid)  # the midpoint predictor lands there anyway
     else:
-        pred = np.empty(reps)
-        for r in range(reps):
-            nr = int(n_obs[r])
-            if nr == 0:
-                pred[r] = mid if predict is None else \
-                    float(predict(mid, 1, p1[r], state.support))
-                continue
-            ys = y0 + (y1 - y0) * rng.beta(state.dist_observed.alpha,
-                                           state.dist_observed.beta, size=nr)
-            if predict is None:
-                pred[r] = float(np.median(ys))
-            else:
-                pred[r] = float(predict(ys.mean(), nr, p1[r], state.support))
-    sq = (pred - mu) ** 2
-    mse = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
+        h = rng.multinomial(reps, pmf_n)
+        pred, counts = [np.full(h[n_obs == 0].sum(), mid)], 1
+        for i in np.flatnonzero(h * n_obs):
+            stat = y0 + (y1 - y0) * _beta_statistic(rng, dist, h[i], n_obs[i], predict is None)
+            pred.append(stat if predict is None else predict(stat, n_obs[i], p1[i], state.support))
+        pred = np.concatenate(pred)
+    mse, stderr = _mean_stderr((pred - state.population_mean) ** 2, counts, reps)
     return StateRecord(state, None, None, mse, stderr)
 
 
@@ -409,7 +437,7 @@ def predictor_mse(
         if design.n_observed > _MAX_EXACT_SURVEY_N:
             raise PreconditionError(
                 f"exact MSE limited to N <= {_MAX_EXACT_SURVEY_N}")
-        return _exact_bernoulli_mse(rule, state, design)
+        return float(_exact_bernoulli_mse(rule, (state,), design)[0])
     rec = _mc_mse_state((rule, state, design, method, seed or SeedSpec(), state_index))
     return rec.regret
 
@@ -427,11 +455,7 @@ def max_mse_scan(
         raise PreconditionError("max_mse_scan needs a prediction grid")
     _check_workers(workers)
     if method.mode == "exact":
-        mse = []
-        for s in grid:
-            _check_exact_survey(s, design)
-            mse.append(_exact_bernoulli_mse(rule, s, design))
-        return _report(grid, np.array(mse), method, seed)
+        return _report(grid, _exact_bernoulli_mse(rule, grid.states, design), method, seed)
     args = [(rule, s, design, method, seed or SeedSpec(), k)
             for k, s in enumerate(grid)]
     return _report_from_records(grid, _parallel_map(_mc_mse_state, args, workers),
@@ -459,18 +483,14 @@ def exhaustive_mmr_oracle(
     n_rules = 1 << m
 
     # outcome probabilities, states x outcomes
-    probs = np.empty((len(grid), m))
-    for si, s in enumerate(grid):
-        pa = binom_pmf_vector(n, s.p_a)
-        pb = binom_pmf_vector(n, s.p_b)
-        probs[si] = np.outer(pa, pb).ravel()
+    pmf = binom_pmf_matrix(n, grid.points)
+    probs = (pmf[grid.index_a][:, :, None] * pmf[grid.index_b][:, None, :]).reshape(-1, m)
 
     # rule r chooses arm b on outcome o iff bit o of r is set
     bits = ((np.arange(n_rules)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
 
     prob_b = probs @ bits.T  # states x rules
-    pa_vec = np.array([s.p_a for s in grid])
-    pb_vec = np.array([s.p_b for s in grid])
+    pa_vec, pb_vec = grid.p_a, grid.p_b
     gap = np.abs(pa_vec - pb_vec)
     err = np.where(pa_vec[:, None] > pb_vec[:, None], prob_b, 1.0 - prob_b)
     err[gap == 0] = 0.0

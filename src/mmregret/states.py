@@ -312,6 +312,9 @@ def build_prediction_grid(
     """
     if obs_params is None or miss_params is None or len(miss_rates) == 0:
         raise PreconditionError("all three coordinate grids must be non-empty")
+    if any(r != r for r in (max_miss_rate, min_missing_mean, max_missing_mean,
+                            max_mean_abs_diff)):  # NaN would filter nothing
+        raise PreconditionError("a state-space restriction is NaN")
 
     def make_dist(param):
         if family == "bernoulli":

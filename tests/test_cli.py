@@ -279,6 +279,29 @@ class TestRejectedInput:
         cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == code
 
+    @pytest.mark.parametrize("value", ["on", "off", "2", "truthy", ""])
+    def test_miss_known_not_a_boolean_exits_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("miss_known = true", f"miss_known = {value}"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("value,code", [
+        ("true", 0), ("TRUE", 0), ("yes", 0), ("1", 0),
+        ("false", 3), ("False", 3), ("no", 3), ("0", 3)])
+    def test_miss_known_spellings(self, capsys, tmp_path, value, code):
+        # exact mode runs only the known-miss (fixed-N) design; the other exits 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("miss_known = true", f"miss_known = {value}"))
+        assert main(["wald-mse", "--config", str(cfg)]) == code
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["max_miss", "min_miss_mean", "max_miss_mean",
+                                     "max_mean_diff"])
+    def test_nan_restriction_exits_3(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG + f"{key} = nan\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
     @pytest.mark.parametrize("argv", [
         ("medical", "--seed", "1"),
         ("bounds", "--n", "10", "--reps", "1000"),

@@ -24,7 +24,9 @@ from mmregret import (
     regret_bounds,
     report_to_csv,
 )
-from mmregret.engine import StateRecord, _mc_binary_state
+from mmregret.engine import (StateRecord, _draw_histogram, _mc_binary_state, _mc_mse_state,
+                             _mean_stderr, choice_table)
+from mmregret.mathutil import binom_pmf_vector
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -125,6 +127,93 @@ class TestExactVsMonteCarlo:
         rec = _mc_binary_state(
             (ES, s, TrialDesign(per_arm_n=5), EvalMethod("monte_carlo", 5000), SeedSpec(1), 0))
         assert rec.regret >= -4 * rec.mc_stderr
+
+
+MEDIAN = DecisionRule("analog_predictor", {"loss": "absolute"})
+
+
+def _comb_pmf(n, p):
+    from math import comb
+    return [comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _beta_state(obs, miss, miss_rate, support):
+    return PredictionState(OutcomeDist("beta", alpha=obs[0], beta=obs[1]),
+                           OutcomeDist("beta", alpha=miss[0], beta=miss[1]), miss_rate, support)
+
+
+class TestHistogramMonteCarlo:
+    @pytest.mark.parametrize("conditional", [False, True], ids=["one_pmf", "pmf_per_row"])
+    def test_moments_equal_those_of_the_rebuilt_sample(self, conditional):
+        n, reps = 20, 5000
+        pmf_b = binom_pmf_vector(n, 0.6)
+        cond = ((lambda rows: np.array([binom_pmf_vector(n, 0.1 + 0.04 * r) for r in rows]))
+                if conditional else (lambda rows: pmf_b))
+        rows, counts = _draw_histogram(np.random.default_rng(5), reps,
+                                       binom_pmf_vector(n, 0.45), cond)
+        assert counts.sum() == reps and counts.shape == (len(rows), n + 1)
+        values = choice_table(ES, n)[rows]
+        sample = np.repeat(values.ravel(), counts.ravel())
+        est, stderr = _mean_stderr(values, counts, reps)
+        assert est == pytest.approx(sample.mean(), rel=1e-12)
+        assert stderr == pytest.approx(sample.std(ddof=1) / np.sqrt(reps), rel=1e-12)
+
+    @pytest.mark.parametrize("rule,predict", [
+        (DecisionRule("midpoint"), lambda k, m, total: m / total * k / m + (1 - m / total) / 2),
+        (MEDIAN, lambda k, m, total: 1.0 if 2 * k > m else 0.0 if 2 * k < m else 0.5),
+        (DecisionRule("hodges_lehmann"),
+         lambda k, m, total: (k / m * np.sqrt(m) + 0.5) / (np.sqrt(m) + 1))])
+    @pytest.mark.parametrize("theta_obs,theta_miss,miss", [
+        (0.4, 0.9, 0.3), (0.8, 0.0, 0.7), (0.5, 0.5, 0.5)])
+    def test_bernoulli_random_miss_matches_enumeration(self, rule, predict, theta_obs,
+                                                       theta_miss, miss):
+        total = 6
+        state = _bern_state(theta_obs, theta_miss, miss)
+        mu = (1 - miss) * theta_obs + miss * theta_miss
+        # n_obs ~ Bin(N, 1 - miss), then k | n_obs ~ Bin(n_obs, theta_obs); no
+        # observation predicts the support midpoint
+        exact = sum(pm * pk * ((predict(k, m, total) if m else 0.5) - mu) ** 2
+                    for m, pm in enumerate(_comb_pmf(total, 1 - miss))
+                    for k, pk in enumerate(_comb_pmf(m, theta_obs)))
+        rec = _mc_mse_state((rule, state, SurveyDesign("random_miss", total_n=total),
+                             EvalMethod("monte_carlo", 50_000), SeedSpec(17), 3))
+        assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-12
+
+    @pytest.mark.parametrize("obs,miss_dist,miss,support", [
+        ((2.0, 5.0), (0.5, 2.0), 0.3, (0.0, 1.0)),
+        ((0.5, 0.5), (2.0, 0.5), 0.6, (-1.0, 3.0))])
+    def test_beta_midpoint_random_miss_matches_closed_form(self, obs, miss_dist, miss,
+                                                           support):
+        total = 7
+        y0, y1 = support
+        w, c = y1 - y0, 0.5 * (y0 + y1)
+        a, b = obs
+        mu_obs = y0 + w * a / (a + b)
+        var_obs = w * w * a * b / ((a + b) ** 2 * (a + b + 1))
+        mu = (1 - miss) * mu_obs + miss * (y0 + w * miss_dist[0] / sum(miss_dist))
+        # given n_obs = m the midpoint predicts (m/N) mean + (1 - m/N) c: its
+        # variance is (m/N)^2 var/m, its bias (m/N) mu_obs + (1 - m/N) c - mu
+        exact = sum(pm * ((m / total) ** 2 * var_obs / max(m, 1)
+                          + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
+                    for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
+        rec = _mc_mse_state((DecisionRule("midpoint"), _beta_state(obs, miss_dist, miss, support),
+                             SurveyDesign("random_miss", total_n=total),
+                             EvalMethod("monte_carlo", 50_000), SeedSpec(23), 1))
+        assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
+
+    @pytest.mark.parametrize("family,params,design,predictor", [
+        ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", total_n=9), DecisionRule("midpoint")),
+        ("bernoulli", [0.2, 0.7], SurveyDesign("fixed_n", n_observed=9), MEDIAN),
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", total_n=9), MEDIAN)])
+    def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor):
+        grid = build_prediction_grid(family, obs_params=params, miss_params=params,
+                                     miss_rates=[0.1, 0.5])
+        method = EvalMethod("monte_carlo", 2000)
+        one = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
+        again = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
+        two = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=2)
+        assert one.per_state == again.per_state == two.per_state
+        assert all(r.mc_stderr > 0 for r in one.per_state)
 
 
 class TestMaxRegretScan:

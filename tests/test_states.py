@@ -82,6 +82,14 @@ class TestPredictionGrid:
                 "bernoulli", obs_params=[0.5], miss_params=[0.0],
                 miss_rates=[0.1], min_missing_mean=0.5)
 
+    @pytest.mark.parametrize("key", ["max_miss_rate", "min_missing_mean",
+                                     "max_missing_mean", "max_mean_abs_diff"])
+    def test_nan_restriction_rejected(self, key):
+        with pytest.raises(PreconditionError, match="NaN"):
+            build_prediction_grid(
+                "bernoulli", obs_params=[0.5], miss_params=[0.0, 1.0],
+                miss_rates=[0.1], **{key: float("nan")})
+
     def test_bad_beta_shapes_rejected(self):
         with pytest.raises(PreconditionError):
             build_prediction_grid(
