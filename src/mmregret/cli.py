@@ -194,15 +194,15 @@ def _bounds(text: str, flag: str) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
-def _pairs(text: str, sep: str = ",") -> list[tuple[float, float]]:
+def _pairs(text: str) -> list[tuple[float, float]]:
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [_number(x) for x in chunk.split(sep) if x.strip()]
+        vals = _floats(chunk)
         if len(vals) != 2:
-            raise ConfigError(f"expected 'a{sep}b' pairs separated by ';', got {chunk!r}")
+            raise ConfigError(f"expected 'a,b' pairs separated by ';', got {chunk!r}")
         out.append((vals[0], vals[1]))
     return out
 
@@ -229,7 +229,17 @@ def _wald_predictor(cfg) -> DecisionRule:
     if name == "custom":
         if "custom_table" not in cfg:
             raise ConfigError("custom predictor needs custom_table")
-        return DecisionRule("custom", {"mean_table": sorted(_pairs(cfg["custom_table"], ":"))})
+        rows = []
+        for chunk in cfg["custom_table"].split(";"):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            parts = chunk.split(":")
+            if len(parts) != 2:
+                raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
+            rows.append((_number(parts[0]), _number(parts[1])))
+        rows.sort()
+        return DecisionRule("custom", {"mean_table": rows})
     raise ConfigError(f"unknown predictor {name!r}")
 
 
@@ -295,11 +305,14 @@ def cmd_wald_mse(args) -> int:
 def cmd_alloc(args) -> int:
     bounds_a = _bounds(args.bounds_a, "--bounds-a")
     bounds_b = _bounds(args.bounds_b, "--bounds-b")
-    if args.mode in ("population", "known-p"):
+    if args.mode == "population":
         state = states.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
                                         bounds_a, bounds_b)
-        result = (missing.mmr_alloc_population if args.mode == "population"
-                  else missing.mmr_alloc_known_p)(state)
+        result = missing.mmr_alloc_population(state)
+    elif args.mode == "known-p":
+        state = states.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
+                                        bounds_a, bounds_b)
+        result = missing.mmr_alloc_known_p(state)
     elif args.mode == "sample":
         result = missing.mmr_alloc_sample(args.e_a, args.e_b, args.p_a, args.p_b,
                                           bounds_a, bounds_b)
@@ -322,6 +335,8 @@ def cmd_alloc(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
+    if args.n > 3:
+        raise PreconditionError("oracle limited to n <= 3 per arm")
     design = TrialDesign(arms=2, per_arm_n=args.n)
     grid = states.build_binary_grid(args.step)
     table, oracle_max = engine.exhaustive_mmr_oracle(design, grid)

@@ -158,15 +158,23 @@ def _prob_choose_b_exact(rule, state, design) -> float:
 
 
 # The MC kernel draws a state's reps iid samples as a histogram of their
-# sufficient statistic (multinomial counts over its finite support, which have
-# the iid sample's law) and scores each support point once.
+# sufficient statistic (counts over its finite support, which have the iid
+# sample's law) and scores each support point once.
 
-def _draw_histogram(rng, reps: int, pmf: np.ndarray, cond_pmf):
-    """Counts of reps iid draws of (i, j), i ~ pmf and j ~ cond_pmf(rows) given i: the
+def _draw_histogram(rng, reps: int, pmf_a: np.ndarray, pmf_b: np.ndarray):
+    """Counts of reps iid draws of independent (i, j), i ~ pmf_a and j ~ pmf_b: the
     occupied values ``rows`` of i, and one row of counts of j per occupied i."""
-    h = rng.multinomial(reps, pmf)
+    h = rng.multinomial(reps, pmf_a)
     rows = np.flatnonzero(h)
-    return rows, rng.multinomial(h[rows], cond_pmf(rows))
+    return rows, rng.multinomial(h[rows], pmf_b)
+
+
+def _binomial_counts(rng, count: int, m: int, theta: float) -> np.ndarray:
+    """Counts of k = 0..m among count iid Binomial(m, theta) draws: one multinomial
+    draw when count exceeds the support, count binomial draws otherwise."""
+    if count > m:
+        return rng.multinomial(count, binom_pmf_vector(m, theta))
+    return np.bincount(rng.binomial(m, theta, size=count), minlength=m + 1)
 
 
 def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
@@ -179,9 +187,8 @@ def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
 def _prob_choose_b_mc(rule, state, design, method, seed, state_index) -> tuple[float, float]:
     n = design.per_arm_n
     rng = (seed or SeedSpec()).rng(state_index, 0)
-    pmf_b = binom_pmf_vector(n, state.p_b)
     rows, counts = _draw_histogram(rng, method.reps, binom_pmf_vector(n, state.p_a),
-                                   lambda rows: pmf_b)
+                                   binom_pmf_vector(n, state.p_b))
     return _mean_stderr(choice_table(rule, n)[rows], counts, method.reps)
 
 
@@ -382,8 +389,8 @@ def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
 
 
 def _mc_mse_state(args) -> StateRecord:
-    """A histogram of (n_obs, successes) for Bernoulli outcomes; Beta samples in
-    blocks grouped by n_obs otherwise. No observation predicts the support midpoint."""
+    """Per occupied n_obs, a histogram of the successes for Bernoulli outcomes and
+    blocks of Beta samples otherwise. No observation predicts the support midpoint."""
     rule, state, design, method, seed, state_index = args
     rng = seed.rng(state_index, 0)
     y0, y1 = state.support
@@ -396,26 +403,24 @@ def _mc_mse_state(args) -> StateRecord:
         pmf_n = binom_pmf_vector(design.total_n, 1.0 - state.miss_rate)
         p1 = n_obs / design.total_n
     predict = mean_predictor(rule)  # None: the sample median
-    if dist.family == "bernoulli":
-        k = np.arange(n_obs[-1] + 1)
-
-        def pmf_k(rows):  # successes given each occupied n_obs, zero past n_obs
-            return np.array([np.pad(binom_pmf_vector(m, dist.theta), (0, k[-1] - m))
-                             for m in n_obs[rows]])
-
-        rows, counts = _draw_histogram(rng, reps, pmf_n, pmf_k)
-        m = n_obs[rows, None]
-        pred = _bernoulli_predictions(predict, k, np.maximum(m, 1), p1[rows, None],
-                                      state.support)
-        pred = np.where(m > 0, pred, mid)  # the midpoint predictor lands there anyway
-    else:
-        h = rng.multinomial(reps, pmf_n)
-        pred, counts = [np.full(h[n_obs == 0].sum(), mid)], 1
-        for i in np.flatnonzero(h * n_obs):
-            stat = y0 + (y1 - y0) * _beta_statistic(rng, dist, h[i], n_obs[i], predict is None)
-            pred.append(stat if predict is None else predict(stat, n_obs[i], p1[i], state.support))
-        pred = np.concatenate(pred)
-    mse, stderr = _mean_stderr((pred - state.population_mean) ** 2, counts, reps)
+    h = rng.multinomial(reps, pmf_n)
+    preds, counts = [], []
+    for i in np.flatnonzero(h):
+        m = n_obs[i]
+        if m == 0:  # the midpoint predictor lands there anyway
+            pred, count = mid, h[i:i + 1]
+        elif dist.family == "bernoulli":
+            c = _binomial_counts(rng, h[i], m, dist.theta)
+            k = np.flatnonzero(c)  # only successes that occur reach the predictor
+            pred, count = _bernoulli_predictions(predict, k, m, p1[i], state.support), c[k]
+        else:
+            stat = y0 + (y1 - y0) * _beta_statistic(rng, dist, h[i], m, predict is None)
+            pred = stat if predict is None else predict(stat, m, p1[i], state.support)
+            count = np.ones(h[i])
+        preds.append(np.broadcast_to(pred, count.shape))
+        counts.append(count)
+    mse, stderr = _mean_stderr((np.concatenate(preds) - state.population_mean) ** 2,
+                               np.concatenate(counts), reps)
     return StateRecord(state, None, None, mse, stderr)
 
 
@@ -483,14 +488,18 @@ def exhaustive_mmr_oracle(
     n_rules = 1 << m
 
     # outcome probabilities, states x outcomes
-    pmf = binom_pmf_matrix(n, grid.points)
-    probs = (pmf[grid.index_a][:, :, None] * pmf[grid.index_b][:, None, :]).reshape(-1, m)
+    probs = np.empty((len(grid), m))
+    for si, s in enumerate(grid):
+        pa = binom_pmf_vector(n, s.p_a)
+        pb = binom_pmf_vector(n, s.p_b)
+        probs[si] = np.outer(pa, pb).ravel()
 
     # rule r chooses arm b on outcome o iff bit o of r is set
     bits = ((np.arange(n_rules)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
 
     prob_b = probs @ bits.T  # states x rules
-    pa_vec, pb_vec = grid.p_a, grid.p_b
+    pa_vec = np.array([s.p_a for s in grid])
+    pb_vec = np.array([s.p_b for s in grid])
     gap = np.abs(pa_vec - pb_vec)
     err = np.where(pa_vec[:, None] > pb_vec[:, None], prob_b, 1.0 - prob_b)
     err[gap == 0] = 0.0

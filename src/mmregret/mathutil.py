@@ -1,8 +1,9 @@
 """Numerical helpers: stable binomial PMFs and normal critical values.
 
-Binomial probabilities are computed by a multiplicative recurrence in linear
-space (no factorials), which stays stable through n in the thousands. The
-inverse normal CDF is the standard library's ``NormalDist.inv_cdf``.
+Binomial probabilities are computed by a multiplicative recurrence (no
+factorials): in linear space while the probability of zero successes stays a
+normal double, in log space beyond that. The inverse normal CDF is the standard
+library's ``NormalDist.inv_cdf``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ def binom_pmf_vector(n: int, p: float) -> np.ndarray:
     """Return the full Binomial(n, p) PMF as an array of length n + 1.
 
     Uses pmf[k+1] = pmf[k] * (n-k)/(k+1) * p/(1-p), run from whichever end
-    keeps the odds ratio below 1, then normalizes to kill drift.
+    keeps the odds ratio below 1, then normalizes to kill drift. Where pmf[0]
+    would underflow (and the running product overflow), the recurrence is
+    summed in logs and scaled by its maximum before exponentiating.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
@@ -33,9 +36,13 @@ def binom_pmf_vector(n: int, p: float) -> np.ndarray:
         log0 = n * np.log1p(-p)
         k = np.arange(n)
         factors = (n - k) / (k + 1.0) * ratio
-        out[0] = 1.0
-        out[1:] = np.cumprod(factors)
-        out *= np.exp(log0)
+        if log0 > -700.0:
+            out[0] = 1.0
+            out[1:] = np.cumprod(factors)
+            out *= np.exp(log0)
+        else:
+            out[1:] = np.cumsum(np.log(factors))
+            out = np.exp(out - out.max())
     else:
         out = binom_pmf_vector(n, 1.0 - p)[::-1].copy()
         return out

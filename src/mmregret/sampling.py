@@ -56,6 +56,13 @@ class TrialOutcome:
 
     successes: tuple[int, ...]
 
+    def validate(self, design: TrialDesign) -> None:
+        if len(self.successes) != design.arms:
+            raise PreconditionError("success counts do not match arm count")
+        for c in self.successes:
+            if not 0 <= c <= design.per_arm_n:
+                raise PreconditionError(f"success count {c} outside [0, {design.per_arm_n}]")
+
 
 @dataclass(frozen=True)
 class SurveyDesign:
@@ -101,6 +108,10 @@ class SurveyDraw:
     @property
     def observed(self) -> tuple[float, ...]:
         return tuple(y for y, d in self.records if d == 1)
+
+    @property
+    def n_observed(self) -> int:
+        return sum(d for _, d in self.records)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from mmregret import (
     regret_bounds,
     report_to_csv,
 )
-from mmregret.engine import (StateRecord, _draw_histogram, _mc_binary_state, _mc_mse_state,
-                             _mean_stderr, choice_table)
+from mmregret.engine import (StateRecord, _binomial_counts, _draw_histogram, _mc_binary_state,
+                             _mc_mse_state, _mean_stderr, choice_table)
 from mmregret.mathutil import binom_pmf_vector
 
 ES = DecisionRule("empirical_success")
@@ -122,6 +122,19 @@ class TestExactVsMonteCarlo:
             ratio = hi / lo
             assert abs(ratio - np.sqrt(10)) < 0.2 * np.sqrt(10)
 
+    def test_large_n_scan_agrees_with_exact(self):
+        # n = 2000 is past the n at which a linear-space binomial PMF at p = 0.5
+        # overflows; exact enumeration still runs there
+        from mmregret.states import StateGrid
+        design = TrialDesign(per_arm_n=2000)
+        states = [BinaryTrialState(0.5, 0.52), BinaryTrialState(0.31, 0.3)]
+        report = max_regret_scan(ES, StateGrid("binary_trial", states), design,
+                                 EvalMethod("monte_carlo", 20_000), SeedSpec(6))
+        for rec in report.per_state:
+            exact = binary_regret(ES, rec.state, design)
+            assert np.isfinite(exact) and exact > 0
+            assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
+
     def test_mc_regret_within_noise_of_nonnegative(self):
         s = BinaryTrialState(0.5, 0.501)
         rec = _mc_binary_state(
@@ -143,20 +156,25 @@ def _beta_state(obs, miss, miss_rate, support):
 
 
 class TestHistogramMonteCarlo:
-    @pytest.mark.parametrize("conditional", [False, True], ids=["one_pmf", "pmf_per_row"])
-    def test_moments_equal_those_of_the_rebuilt_sample(self, conditional):
+    def test_moments_equal_those_of_the_rebuilt_sample(self):
         n, reps = 20, 5000
-        pmf_b = binom_pmf_vector(n, 0.6)
-        cond = ((lambda rows: np.array([binom_pmf_vector(n, 0.1 + 0.04 * r) for r in rows]))
-                if conditional else (lambda rows: pmf_b))
         rows, counts = _draw_histogram(np.random.default_rng(5), reps,
-                                       binom_pmf_vector(n, 0.45), cond)
+                                       binom_pmf_vector(n, 0.45), binom_pmf_vector(n, 0.6))
         assert counts.sum() == reps and counts.shape == (len(rows), n + 1)
         values = choice_table(ES, n)[rows]
         sample = np.repeat(values.ravel(), counts.ravel())
         est, stderr = _mean_stderr(values, counts, reps)
         assert est == pytest.approx(sample.mean(), rel=1e-12)
         assert stderr == pytest.approx(sample.std(ddof=1) / np.sqrt(reps), rel=1e-12)
+
+    @pytest.mark.parametrize("count,m", [(5000, 20), (21, 20), (20, 20), (3000, 20000)])
+    def test_binomial_counts_have_the_binomial_mean(self, count, m):
+        # one multinomial draw when count > m, count binomial draws otherwise
+        theta = 0.3
+        c = _binomial_counts(np.random.default_rng(8), count, m, theta)
+        assert c.shape == (m + 1,) and c.sum() == count
+        k = np.repeat(np.arange(m + 1), c)
+        assert abs(k.mean() - m * theta) <= 4 * np.sqrt(m * theta * (1 - theta) / count)
 
     @pytest.mark.parametrize("rule,predict", [
         (DecisionRule("midpoint"), lambda k, m, total: m / total * k / m + (1 - m / total) / 2),
@@ -200,6 +218,36 @@ class TestHistogramMonteCarlo:
                              SurveyDesign("random_miss", total_n=total),
                              EvalMethod("monte_carlo", 50_000), SeedSpec(23), 1))
         assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
+
+    @pytest.mark.parametrize("total,reps", [(2000, 20_000), (20000, 2000)])
+    def test_bernoulli_random_miss_large_n_matches_closed_form(self, total, reps):
+        # the midpoint predicts K/N + (1 - M/N)/2 = 1/2 + sum_i D_i (Y_i - 1/2) / N
+        # over N iid units with D_i ~ Bern(q) observed and Y_i ~ Bern(theta)
+        theta, theta_miss, miss = 0.5, 0.1, 0.2
+        q = 1 - miss
+        mu = q * theta + miss * theta_miss
+        var_x = q / 4 - (q * (theta - 0.5)) ** 2
+        exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
+        rec = _mc_mse_state((DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
+                             SurveyDesign("random_miss", total_n=total),
+                             EvalMethod("monte_carlo", reps), SeedSpec(29), 2))
+        assert np.isfinite(rec.mc_stderr) and rec.mc_stderr > 0
+        assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
+
+    @pytest.mark.parametrize("design", [SurveyDesign("random_miss", total_n=12),
+                                        SurveyDesign("fixed_n", n_observed=12)])
+    def test_predictor_sees_only_means_that_occur(self, design):
+        def strict(m, p1):  # not finite off the support of the observed mean
+            m = np.asarray(m, dtype=float)
+            return np.where((m >= 0) & (m <= 1), m, np.nan)
+
+        state, method = _bern_state(0.3, 0.6, 0.4), EvalMethod("monte_carlo", 5000)
+        got = _mc_mse_state((DecisionRule("custom", {"predict_mean": strict}), state, design,
+                             method, SeedSpec(4), 0))
+        plain = _mc_mse_state((DecisionRule("analog_predictor"), state, design, method,
+                               SeedSpec(4), 0))
+        assert np.isfinite(got.regret) and (got.regret, got.mc_stderr) == (
+            plain.regret, plain.mc_stderr)
 
     @pytest.mark.parametrize("family,params,design,predictor", [
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", total_n=9), DecisionRule("midpoint")),
