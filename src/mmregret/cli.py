@@ -335,8 +335,6 @@ def cmd_alloc(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
-    if args.n > 3:
-        raise PreconditionError("oracle limited to n <= 3 per arm")
     design = TrialDesign(arms=2, per_arm_n=args.n)
     grid = states.build_binary_grid(args.step)
     table, oracle_max = engine.exhaustive_mmr_oracle(design, grid)

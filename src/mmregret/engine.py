@@ -2,7 +2,9 @@
 
 Evaluates a rule exactly where the sample space is enumerable (two-arm binary
 trials, Bernoulli surveys with a fixed observed count) and by seeded Monte
-Carlo otherwise. Also provides analytic maximum-regret bounds for the
+Carlo otherwise. Each grid family has one evaluation path, a report builder
+over a grid; the scans call it on their grid and the scalar functions on a
+grid of one state. Also provides analytic maximum-regret bounds for the
 empirical success rule and an exhaustive oracle over deterministic rules on
 tiny trial designs.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +42,6 @@ __all__ = [
 ]
 
 _MAX_EXACT_TRIAL_N = 10000
-_MAX_EXACT_SURVEY_N = 25
 _MIN_MC_REPS = 1000
 
 
@@ -131,11 +132,21 @@ def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
         int(np.argmax(regret)), method, seed)
 
 
-def _report_from_records(grid, records, method, seed) -> RegretReport:
-    # a None value becomes NaN in a float array
-    cols = np.array([(r.error_prob, r.expected_welfare, r.regret, r.mc_stderr)
-                     for r in records], dtype=float).T
-    return _report(grid, cols[2], method, seed, cols[0], cols[1], cols[3])
+def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
+    """``fn(chunk, index of its first item)`` over contiguous chunks of items, one
+    chunk per worker process; the chunks' result columns, concatenated."""
+    if workers == 1:
+        return fn(items, first)
+    size = -(-len(items) // workers)
+    starts = range(0, len(items), size)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(fn, [items[lo:lo + size] for lo in starts], [first + lo for lo in starts])
+        return np.concatenate(list(parts), axis=-1)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise PreconditionError(f"workers={workers} must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +157,6 @@ def _check_exact_trial(design: TrialDesign) -> None:
         raise PreconditionError("exact mode requires a two-arm binary design")
     if design.per_arm_n > _MAX_EXACT_TRIAL_N:
         raise PreconditionError("per-arm n too large for exact enumeration")
-
-
-def _prob_choose_b_exact(rule, state, design) -> float:
-    _check_exact_trial(design)
-    n = design.per_arm_n
-    table = choice_table(rule, n)
-    pa = binom_pmf_vector(n, state.p_a)
-    pb = binom_pmf_vector(n, state.p_b)
-    return float(pa @ table @ pb)
 
 
 # The MC kernel draws a state's reps iid samples as a histogram of their
@@ -184,12 +186,47 @@ def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
     return est, float(np.sqrt(var / reps))
 
 
-def _prob_choose_b_mc(rule, state, design, method, seed, state_index) -> tuple[float, float]:
+def _mc_choose_b(table, pmf, reps: int, seed: SeedSpec, pairs, first: int) -> np.ndarray:
+    """MC probability of choosing b and its standard error, one column per (row of
+    arm a, row of arm b) pair of pmf rows. Pair k draws from substream first + k;
+    a tied pair (the same row twice) is not drawn and gets zeros."""
+    out = np.zeros((2, len(pairs)))
+    for k, (i, j) in enumerate(pairs.tolist()):
+        if i != j:
+            rows, counts = _draw_histogram(seed.rng(first + k, 0), reps, pmf[i], pmf[j])
+            out[:, k] = _mean_stderr(table[rows], counts, reps)
+    return out
+
+
+def _trial_report(rule, grid, design, method, seed, workers: int, first: int) -> RegretReport:
+    """Regret of a trial-choice rule in every state of a binary-trial grid. One PMF
+    per grid probability serves every state; MC state k draws from substream
+    first + k."""
     n = design.per_arm_n
-    rng = (seed or SeedSpec()).rng(state_index, 0)
-    rows, counts = _draw_histogram(rng, method.reps, binom_pmf_vector(n, state.p_a),
-                                   binom_pmf_vector(n, state.p_b))
-    return _mean_stderr(choice_table(rule, n)[rows], counts, method.reps)
+    if method.mode == "exact":
+        _check_exact_trial(design)
+    pmf, table = binom_pmf_matrix(n, grid.points), choice_table(rule, n)
+    if method.mode == "exact":
+        # prob of choosing b for every (p_a, p_b) pair of grid probabilities
+        prob_b = (pmf @ table @ pmf.T)[grid.index_a, grid.index_b]
+        se_b = np.zeros(len(grid))
+    else:
+        # workers get the table, not the rule: a callable rule need not pickle
+        kernel = partial(_mc_choose_b, table, pmf, method.reps, seed or SeedSpec())
+        prob_b, se_b = _map_chunks(kernel, np.column_stack([grid.index_a, grid.index_b]),
+                                   workers, first)
+    pa, pb = grid.p_a, grid.p_b
+    tie, gap = pa == pb, np.abs(pa - pb)
+    err = np.where(pa > pb, prob_b, 1.0 - prob_b)
+    reg = err * gap
+    err[tie] = np.nan
+    reg[tie] = 0.0
+    return _report(grid, reg, method, seed, err, np.maximum(pa, pb) - reg, se_b * gap)
+
+
+def _one_state(rule, state, design, method, seed, state_index) -> StateRecord:
+    grid = StateGrid("binary_trial", (state,))
+    return _trial_report(rule, grid, design, method, seed, 1, state_index).record(0)
 
 
 def error_probability(
@@ -204,13 +241,7 @@ def error_probability(
 
     Fractional allocations contribute their mass on the inferior arm.
     """
-    if state.p_a == state.p_b:
-        return None
-    if method.mode == "exact":
-        prob_b = _prob_choose_b_exact(rule, state, design)
-    else:
-        prob_b, _ = _prob_choose_b_mc(rule, state, design, method, seed, state_index)
-    return prob_b if state.p_a > state.p_b else 1.0 - prob_b
+    return _one_state(rule, state, design, method, seed, state_index).error_prob
 
 
 def binary_regret(
@@ -222,10 +253,7 @@ def binary_regret(
     state_index: int = 0,
 ) -> float:
     """Error probability times the welfare gap |p_a - p_b|."""
-    err = error_probability(rule, state, design, method, seed, state_index)
-    if err is None:
-        return 0.0
-    return err * abs(state.p_a - state.p_b)
+    return _one_state(rule, state, design, method, seed, state_index).regret
 
 
 def expected_welfare(
@@ -237,50 +265,11 @@ def expected_welfare(
     state_index: int = 0,
 ) -> float:
     """Best attainable welfare in the state minus the rule's regret."""
-    return state.best_welfare - binary_regret(rule, state, design, method, seed, state_index)
+    return _one_state(rule, state, design, method, seed, state_index).expected_welfare
 
 
 # ---------------------------------------------------------------------------
 # grid scans
-
-def _exact_binary_scan(rule, grid, design, method, seed) -> RegretReport:
-    _check_exact_trial(design)
-    n = design.per_arm_n
-    pmf = binom_pmf_matrix(n, grid.points)
-    # prob of choosing b for every (p_a, p_b) pair of grid probabilities
-    prob_b = (pmf @ choice_table(rule, n) @ pmf.T)[grid.index_a, grid.index_b]
-    pa, pb = grid.p_a, grid.p_b
-    tie = pa == pb
-    err = np.where(pa > pb, prob_b, 1.0 - prob_b)
-    reg = err * np.abs(pa - pb)
-    err[tie] = np.nan
-    reg[tie] = 0.0
-    return _report(grid, reg, method, seed, err, np.maximum(pa, pb) - reg)
-
-
-def _mc_binary_state(args) -> StateRecord:
-    rule, state, design, method, seed, state_index = args
-    if state.p_a == state.p_b:
-        return StateRecord(state, None, state.best_welfare, 0.0)
-    prob_b, se_b = _prob_choose_b_mc(rule, state, design, method, seed, state_index)
-    err = prob_b if state.p_a > state.p_b else 1.0 - prob_b
-    gap = abs(state.p_a - state.p_b)
-    reg = err * gap
-    return StateRecord(state, float(err), float(state.best_welfare - reg),
-                       float(reg), float(se_b * gap))
-
-
-def _parallel_map(fn, items, workers: int):
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8))))
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise PreconditionError(f"workers={workers} must be at least 1")
-
 
 def max_regret_scan(
     rule: DecisionRule,
@@ -294,14 +283,7 @@ def max_regret_scan(
     if grid.family != "binary_trial":
         raise PreconditionError("max_regret_scan needs a binary_trial grid")
     _check_workers(workers)
-    if method.mode == "exact":
-        return _exact_binary_scan(rule, grid, design, method, seed)
-    # workers get the table, not the rule: a callable rule need not pickle
-    table_rule = DecisionRule("custom", {"trial_table": choice_table(rule, design.per_arm_n)})
-    args = [(table_rule, s, design, method, seed or SeedSpec(), k)
-            for k, s in enumerate(grid)]
-    return _report_from_records(grid, _parallel_map(_mc_binary_state, args, workers),
-                                method, seed)
+    return _trial_report(rule, grid, design, method, seed, workers, 0)
 
 
 @dataclass(frozen=True)
@@ -388,13 +370,13 @@ def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _mc_mse_state(args) -> StateRecord:
-    """Per occupied n_obs, a histogram of the successes for Bernoulli outcomes and
-    blocks of Beta samples otherwise. No observation predicts the support midpoint."""
-    rule, state, design, method, seed, state_index = args
-    rng = seed.rng(state_index, 0)
+def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
+            rng) -> tuple[float, float]:
+    """MC MSE of a predictor in one state and its standard error. Per occupied n_obs,
+    a histogram of the successes for Bernoulli outcomes and blocks of Beta samples
+    otherwise. No observation predicts the support midpoint."""
     y0, y1 = state.support
-    reps, dist, mid = method.reps, state.dist_observed, 0.5 * (y0 + y1)
+    dist, mid = state.dist_observed, 0.5 * (y0 + y1)
     if design.mode == "fixed_n":
         n_obs, pmf_n = np.array([design.n_observed]), np.ones(1)
         p1 = np.array([_known_p1(state, design)])
@@ -419,9 +401,25 @@ def _mc_mse_state(args) -> StateRecord:
             count = np.ones(h[i])
         preds.append(np.broadcast_to(pred, count.shape))
         counts.append(count)
-    mse, stderr = _mean_stderr((np.concatenate(preds) - state.population_mean) ** 2,
-                               np.concatenate(counts), reps)
-    return StateRecord(state, None, None, mse, stderr)
+    return _mean_stderr((np.concatenate(preds) - state.population_mean) ** 2,
+                        np.concatenate(counts), reps)
+
+
+def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, first: int) -> np.ndarray:
+    """MC MSE and its standard error, one column per state; state k draws from
+    substream first + k."""
+    return np.array([_mc_mse(rule, s, design, reps, seed.rng(first + k, 0))
+                     for k, s in enumerate(states)]).T
+
+
+def _mse_report(rule, grid, design, method, seed, workers: int, first: int) -> RegretReport:
+    """MSE of a predictor in every state of a prediction grid (regret = MSE here);
+    MC state k draws from substream first + k."""
+    if method.mode == "exact":
+        return _report(grid, _exact_bernoulli_mse(rule, grid.states, design), method, seed)
+    kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec())
+    mse, stderr = _map_chunks(kernel, grid.states, workers, first)
+    return _report(grid, mse, method, seed, mc_stderr=stderr)
 
 
 def predictor_mse(
@@ -434,17 +432,12 @@ def predictor_mse(
 ) -> float:
     """MSE of a predictor as an estimate of the population mean.
 
-    Exact mode enumerates the observed success count and requires a Bernoulli
-    observed distribution with fixed N <= 25; Monte Carlo handles the rest.
+    A one-state ``max_mse_scan``: exact mode enumerates the observed success
+    count and requires Bernoulli observed outcomes and a fixed-N design, at any
+    N; Monte Carlo handles the rest, drawing from substream ``state_index``.
     """
-    if method.mode == "exact":
-        _check_exact_survey(state, design)
-        if design.n_observed > _MAX_EXACT_SURVEY_N:
-            raise PreconditionError(
-                f"exact MSE limited to N <= {_MAX_EXACT_SURVEY_N}")
-        return float(_exact_bernoulli_mse(rule, (state,), design)[0])
-    rec = _mc_mse_state((rule, state, design, method, seed or SeedSpec(), state_index))
-    return rec.regret
+    grid = StateGrid("prediction", (state,))
+    return _mse_report(rule, grid, design, method, seed, 1, state_index).record(0).regret
 
 
 def max_mse_scan(
@@ -459,12 +452,7 @@ def max_mse_scan(
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
     _check_workers(workers)
-    if method.mode == "exact":
-        return _report(grid, _exact_bernoulli_mse(rule, grid.states, design), method, seed)
-    args = [(rule, s, design, method, seed or SeedSpec(), k)
-            for k, s in enumerate(grid)]
-    return _report_from_records(grid, _parallel_map(_mc_mse_state, args, workers),
-                                method, seed)
+    return _mse_report(rule, grid, design, method, seed, workers, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,20 +476,16 @@ def exhaustive_mmr_oracle(
     n_rules = 1 << m
 
     # outcome probabilities, states x outcomes
-    probs = np.empty((len(grid), m))
-    for si, s in enumerate(grid):
-        pa = binom_pmf_vector(n, s.p_a)
-        pb = binom_pmf_vector(n, s.p_b)
-        probs[si] = np.outer(pa, pb).ravel()
+    pmf = binom_pmf_matrix(n, grid.points)
+    probs = (pmf[grid.index_a][:, :, None] * pmf[grid.index_b][:, None, :]).reshape(-1, m)
 
     # rule r chooses arm b on outcome o iff bit o of r is set
     bits = ((np.arange(n_rules)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
 
     prob_b = probs @ bits.T  # states x rules
-    pa_vec = np.array([s.p_a for s in grid])
-    pb_vec = np.array([s.p_b for s in grid])
-    gap = np.abs(pa_vec - pb_vec)
-    err = np.where(pa_vec[:, None] > pb_vec[:, None], prob_b, 1.0 - prob_b)
+    pa, pb = grid.p_a, grid.p_b
+    gap = np.abs(pa - pb)
+    err = np.where(pa[:, None] > pb[:, None], prob_b, 1.0 - prob_b)
     err[gap == 0] = 0.0
     max_reg = (err * gap[:, None]).max(axis=0)
     best = int(np.argmin(max_reg))

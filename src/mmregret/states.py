@@ -179,13 +179,12 @@ class StateGrid:
     the other families hold the states they are given.
     """
 
-    def __init__(self, family: str, states: Sequence, step: dict | None = None):
+    def __init__(self, family: str, states: Sequence):
         if family not in ("binary_trial", "prediction", "missing_data"):
             raise PreconditionError(f"unknown grid family {family!r}")
         if len(states) == 0:
             raise PreconditionError("empty state grid")
         self.family = family
-        self.step = dict(step or {})
         self._states = tuple(states)
         self._built: dict[int, BinaryTrialState] = {}
         if family == "binary_trial":
@@ -195,11 +194,11 @@ class StateGrid:
             self._set_columns(points, np.searchsorted(points, pa), np.searchsorted(points, pb))
 
     @classmethod
-    def _from_columns(cls, points: np.ndarray, index_a: np.ndarray, index_b: np.ndarray,
-                      step: dict) -> StateGrid:
+    def _from_columns(cls, points: np.ndarray, index_a: np.ndarray,
+                      index_b: np.ndarray) -> StateGrid:
         """A binary-trial grid whose states are built only when asked for."""
         grid = cls.__new__(cls)
-        grid.family, grid.step, grid._states, grid._built = "binary_trial", dict(step), None, {}
+        grid.family, grid._states, grid._built = "binary_trial", None, {}
         grid._set_columns(points, index_a, index_b)
         return grid
 
@@ -287,8 +286,7 @@ def build_binary_grid(step: float) -> StateGrid:
     """All (p_a, p_b) pairs on the square lattice with the given step, row-major."""
     pts = _lattice(step)
     idx = np.arange(len(pts))
-    return StateGrid._from_columns(pts, np.repeat(idx, len(pts)), np.tile(idx, len(pts)),
-                                   {"p_a": step, "p_b": step})
+    return StateGrid._from_columns(pts, np.repeat(idx, len(pts)), np.tile(idx, len(pts)))
 
 
 def build_prediction_grid(
@@ -302,7 +300,6 @@ def build_prediction_grid(
     min_missing_mean: float | None = None,
     max_missing_mean: float | None = None,
     max_mean_abs_diff: float | None = None,
-    step_meta: dict | None = None,
 ) -> StateGrid:
     """Cartesian product of observed-, missing- and miss-rate grids, filtered.
 
@@ -339,7 +336,7 @@ def build_prediction_grid(
         states.append(s)
     if not states:
         raise PreconditionError("prediction grid is empty after filtering")
-    return StateGrid("prediction", tuple(states), dict(step_meta or {}))
+    return StateGrid("prediction", tuple(states))
 
 
 def classify_dominance(problem: FiniteDecisionProblem) -> dict[str, list[str]]:

@@ -24,9 +24,10 @@ from mmregret import (
     regret_bounds,
     report_to_csv,
 )
-from mmregret.engine import (StateRecord, _binomial_counts, _draw_histogram, _mc_binary_state,
-                             _mc_mse_state, _mean_stderr, choice_table)
+from mmregret.engine import (_binomial_counts, _draw_histogram, _mc_mse, _mean_stderr,
+                             _trial_report, choice_table)
 from mmregret.mathutil import binom_pmf_vector
+from mmregret.states import StateGrid
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -95,6 +96,12 @@ class TestRegretAndWelfare:
         assert 0.20 * (5 - 1) == pytest.approx(4 / 5, abs=1e-12)
 
 
+def _mc_trial_record(rule, state, design, method, seed, k):
+    """The MC record of one state drawn from substream k, with its standard error."""
+    grid = StateGrid("binary_trial", (state,))
+    return _trial_report(rule, grid, design, method, seed, 1, k).record(0)
+
+
 class TestExactVsMonteCarlo:
     def test_agreement_within_four_stderr(self):
         rng = np.random.default_rng(23)
@@ -105,7 +112,7 @@ class TestExactVsMonteCarlo:
                 pa, pb = rng.random(2)
                 s = BinaryTrialState(pa, pb)
                 exact = binary_regret(rule, s, design)
-                rec = _mc_binary_state((rule, s, design, method, SeedSpec(99), k))
+                rec = _mc_trial_record(rule, s, design, method, SeedSpec(99), k)
                 # the 1e-6 floor covers states where the MC draw never errs
                 # (stderr 0) while the exact regret is a tiny positive number
                 assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-6
@@ -115,8 +122,7 @@ class TestExactVsMonteCarlo:
         design = TrialDesign(per_arm_n=30)
         stderrs = []
         for reps in (1000, 10_000, 100_000):
-            rec = _mc_binary_state(
-                (ES, s, design, EvalMethod("monte_carlo", reps), SeedSpec(3), 0))
+            rec = _mc_trial_record(ES, s, design, EvalMethod("monte_carlo", reps), SeedSpec(3), 0)
             stderrs.append(rec.mc_stderr)
         for lo, hi in zip(stderrs[1:], stderrs[:-1]):
             ratio = hi / lo
@@ -125,7 +131,6 @@ class TestExactVsMonteCarlo:
     def test_large_n_scan_agrees_with_exact(self):
         # n = 2000 is past the n at which a linear-space binomial PMF at p = 0.5
         # overflows; exact enumeration still runs there
-        from mmregret.states import StateGrid
         design = TrialDesign(per_arm_n=2000)
         states = [BinaryTrialState(0.5, 0.52), BinaryTrialState(0.31, 0.3)]
         report = max_regret_scan(ES, StateGrid("binary_trial", states), design,
@@ -137,8 +142,8 @@ class TestExactVsMonteCarlo:
 
     def test_mc_regret_within_noise_of_nonnegative(self):
         s = BinaryTrialState(0.5, 0.501)
-        rec = _mc_binary_state(
-            (ES, s, TrialDesign(per_arm_n=5), EvalMethod("monte_carlo", 5000), SeedSpec(1), 0))
+        rec = _mc_trial_record(ES, s, TrialDesign(per_arm_n=5), EvalMethod("monte_carlo", 5000),
+                               SeedSpec(1), 0)
         assert rec.regret >= -4 * rec.mc_stderr
 
 
@@ -193,9 +198,9 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * pk * ((predict(k, m, total) if m else 0.5) - mu) ** 2
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss))
                     for k, pk in enumerate(_comb_pmf(m, theta_obs)))
-        rec = _mc_mse_state((rule, state, SurveyDesign("random_miss", total_n=total),
-                             EvalMethod("monte_carlo", 50_000), SeedSpec(17), 3))
-        assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-12
+        mse, stderr = _mc_mse(rule, state, SurveyDesign("random_miss", total_n=total), 50_000,
+                              SeedSpec(17).rng(3, 0))
+        assert abs(mse - exact) <= 4 * stderr + 1e-12
 
     @pytest.mark.parametrize("obs,miss_dist,miss,support", [
         ((2.0, 5.0), (0.5, 2.0), 0.3, (0.0, 1.0)),
@@ -214,10 +219,10 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * ((m / total) ** 2 * var_obs / max(m, 1)
                           + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
-        rec = _mc_mse_state((DecisionRule("midpoint"), _beta_state(obs, miss_dist, miss, support),
-                             SurveyDesign("random_miss", total_n=total),
-                             EvalMethod("monte_carlo", 50_000), SeedSpec(23), 1))
-        assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
+        mse, stderr = _mc_mse(DecisionRule("midpoint"), _beta_state(obs, miss_dist, miss, support),
+                              SurveyDesign("random_miss", total_n=total), 50_000,
+                              SeedSpec(23).rng(1, 0))
+        assert abs(mse - exact) <= 4 * stderr
 
     @pytest.mark.parametrize("total,reps", [(2000, 20_000), (20000, 2000)])
     def test_bernoulli_random_miss_large_n_matches_closed_form(self, total, reps):
@@ -228,11 +233,11 @@ class TestHistogramMonteCarlo:
         mu = q * theta + miss * theta_miss
         var_x = q / 4 - (q * (theta - 0.5)) ** 2
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
-        rec = _mc_mse_state((DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
-                             SurveyDesign("random_miss", total_n=total),
-                             EvalMethod("monte_carlo", reps), SeedSpec(29), 2))
-        assert np.isfinite(rec.mc_stderr) and rec.mc_stderr > 0
-        assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
+        mse, stderr = _mc_mse(DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
+                              SurveyDesign("random_miss", total_n=total), reps,
+                              SeedSpec(29).rng(2, 0))
+        assert np.isfinite(stderr) and stderr > 0
+        assert abs(mse - exact) <= 4 * stderr
 
     @pytest.mark.parametrize("design", [SurveyDesign("random_miss", total_n=12),
                                         SurveyDesign("fixed_n", n_observed=12)])
@@ -241,13 +246,12 @@ class TestHistogramMonteCarlo:
             m = np.asarray(m, dtype=float)
             return np.where((m >= 0) & (m <= 1), m, np.nan)
 
-        state, method = _bern_state(0.3, 0.6, 0.4), EvalMethod("monte_carlo", 5000)
-        got = _mc_mse_state((DecisionRule("custom", {"predict_mean": strict}), state, design,
-                             method, SeedSpec(4), 0))
-        plain = _mc_mse_state((DecisionRule("analog_predictor"), state, design, method,
-                               SeedSpec(4), 0))
-        assert np.isfinite(got.regret) and (got.regret, got.mc_stderr) == (
-            plain.regret, plain.mc_stderr)
+        state = _bern_state(0.3, 0.6, 0.4)
+        got = _mc_mse(DecisionRule("custom", {"predict_mean": strict}), state, design, 5000,
+                      SeedSpec(4).rng(0, 0))
+        plain = _mc_mse(DecisionRule("analog_predictor"), state, design, 5000,
+                        SeedSpec(4).rng(0, 0))
+        assert np.isfinite(got[0]) and got == plain
 
     @pytest.mark.parametrize("family,params,design,predictor", [
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", total_n=9), DecisionRule("midpoint")),
@@ -260,13 +264,14 @@ class TestHistogramMonteCarlo:
         one = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
         again = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
         two = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=2)
-        assert one.per_state == again.per_state == two.per_state
+        # three workers split the 8 states into uneven chunks
+        three = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=3)
+        assert one.per_state == again.per_state == two.per_state == three.per_state
         assert all(r.mc_stderr > 0 for r in one.per_state)
 
 
 class TestMaxRegretScan:
     def test_diagonal_grid_zero_regret(self):
-        from mmregret.states import StateGrid
         diag = StateGrid("binary_trial",
                          tuple(BinaryTrialState(p, p) for p in (0.0, 0.5, 1.0)))
         report = max_regret_scan(ES, diag, TrialDesign(per_arm_n=10))
@@ -294,10 +299,39 @@ class TestMaxRegretScan:
         method = EvalMethod("monte_carlo", 2000)
         one = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=1)
         two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
-        assert one.per_state == two.per_state
+        three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 9, 7
+        assert one.per_state == two.per_state == three.per_state
         # the callable's table is the ES table, so the draws give the ES report
         es = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
         assert one.per_state == es.per_state
+
+
+class TestScalarIsOneStateScan:
+    """The scalar functions are one-state scans: state k of a scan and the scalar
+    call with state_index=k give the same floats."""
+
+    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
+    @pytest.mark.parametrize("rule", [ES, ZTEST])
+    def test_trial_scalars_equal_scan_records(self, rule, method):
+        grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=12)
+        report = max_regret_scan(rule, grid, design, method, SeedSpec(7))
+        for k in range(len(grid)):
+            rec, args = report.record(k), (rule, grid.state(k), design, method, SeedSpec(7))
+            assert error_probability(*args, state_index=k) == rec.error_prob
+            assert binary_regret(*args, state_index=k) == rec.regret
+            assert expected_welfare(*args, state_index=k) == rec.expected_welfare
+
+    @pytest.mark.parametrize("method,design", [
+        (EvalMethod("exact"), SurveyDesign("fixed_n", n_observed=12)),
+        (EvalMethod("monte_carlo", 2000), SurveyDesign("fixed_n", n_observed=12)),
+        (EvalMethod("monte_carlo", 2000), SurveyDesign("random_miss", total_n=12))])
+    def test_predictor_mse_equals_scan(self, method, design):
+        grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.5, 0.8],
+                                     miss_params=[0.0, 0.6], miss_rates=[0.2, 0.7])
+        report = max_mse_scan(DecisionRule("hodges_lehmann"), grid, design, method, SeedSpec(7))
+        for k, state in enumerate(grid):
+            assert predictor_mse(DecisionRule("hodges_lehmann"), state, design, method,
+                                 SeedSpec(7), state_index=k) == report.regret[k]
 
 
 class TestRegretBounds:
@@ -348,11 +382,23 @@ class TestPredictorMse:
                             design, EvalMethod("exact"))
         assert mse == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [26, 400, 5000])
+    def test_exact_has_no_sample_size_cap(self, n):
+        design = SurveyDesign("fixed_n", n_observed=n, known_miss_rate=0.0)
+        for theta in (0.2, 0.5, 0.9):
+            mse = predictor_mse(DecisionRule("midpoint"), _bern_state(theta, theta, 0.0),
+                                design, EvalMethod("exact"))
+            assert mse == pytest.approx(theta * (1 - theta) / n, rel=0, abs=1e-16)
+
     def test_exact_mode_guard(self):
-        design = SurveyDesign("fixed_n", n_observed=26)
+        # the preconditions of an exact max_mse_scan, and no others
+        beta = _beta_state((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
         with pytest.raises(PreconditionError):
-            predictor_mse(DecisionRule("midpoint"), _bern_state(0.5, 0.5, 0.0),
-                          design, EvalMethod("exact"))
+            predictor_mse(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", n_observed=5),
+                          EvalMethod("exact"))
+        with pytest.raises(PreconditionError):
+            predictor_mse(DecisionRule("midpoint"), _bern_state(0.5, 0.5, 0.2),
+                          SurveyDesign("random_miss", total_n=5), EvalMethod("exact"))
 
     def test_mc_matches_exact(self):
         design = SurveyDesign("fixed_n", n_observed=10, known_miss_rate=0.2)
@@ -429,7 +475,6 @@ class TestMidpointFormula:
 
 class TestOracle:
     def test_single_state_grid(self):
-        from mmregret.states import StateGrid
         grid = StateGrid("binary_trial", (BinaryTrialState(0.2, 0.8),))
         _, max_reg = exhaustive_mmr_oracle(TrialDesign(per_arm_n=1), grid)
         assert max_reg == pytest.approx(0.0, abs=1e-12)
