@@ -11,7 +11,6 @@ tiny trial designs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -137,6 +136,8 @@ def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
     chunk per worker process; the chunks' result columns, concatenated."""
     if workers == 1:
         return fn(items, first)
+    # imported here: loading the pool machinery costs every CLI start ~20 ms
+    from concurrent.futures import ProcessPoolExecutor
     size = -(-len(items) // workers)
     starts = range(0, len(items), size)
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -338,26 +339,32 @@ def _known_p1(state: PredictionState, design: SurveyDesign) -> float:
     return 1.0 - state.miss_rate
 
 
-def _check_exact_survey(state: PredictionState, design: SurveyDesign) -> None:
-    if design.mode != "fixed_n" or state.dist_observed.family != "bernoulli":
+_CONTRACTION_CELLS = 1 << 18  # squared errors held per chunk of states
+
+
+def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
+    """Per-state MSE of a fixed-N Bernoulli survey, enumerating the success count:
+    one PMF per distinct theta_obs, one prediction vector per distinct observed
+    fraction p1, and one PMF-weighted sum of squared errors per state."""
+    if design.mode != "fixed_n" or grid.outcome != "bernoulli":
         raise PreconditionError(
             "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
-
-
-def _exact_bernoulli_mse(rule, states, design) -> np.ndarray:
-    """Per-state MSE of a fixed-N Bernoulli survey, enumerating the success count,
-    with one PMF per theta_obs and one prediction vector per (p1, support)."""
     predict, n = mean_predictor(rule), design.n_observed
-    pmfs, preds = {}, {}
-    mse = np.empty(len(states))
-    for i, s in enumerate(states):
-        _check_exact_survey(s, design)
-        theta, key = s.dist_observed.theta, (_known_p1(s, design), s.support)
-        if theta not in pmfs:
-            pmfs[theta] = binom_pmf_vector(n, theta)
-        if key not in preds:
-            preds[key] = _bernoulli_predictions(predict, np.arange(n + 1), n, *key)
-        mse[i] = pmfs[theta] @ (preds[key] - s.population_mean) ** 2
+    if design.known_miss_rate is None:
+        p1, index_p1 = 1.0 - grid.miss_rates, grid.index_rate
+    else:
+        p1, index_p1 = np.array([1.0 - design.known_miss_rate]), np.zeros(len(grid), int)
+    k = np.arange(n + 1)
+    preds = np.array([_bernoulli_predictions(predict, k, n, p, grid.support)
+                      for p in p1.tolist()])
+    pmf, pop = binom_pmf_matrix(n, grid.obs_params), grid.population_mean
+    mse = np.empty(len(grid))
+    per = max(1, _CONTRACTION_CELLS // (n + 1))
+    for lo in range(0, len(grid), per):
+        rows = slice(lo, lo + per)
+        err2 = (preds[index_p1[rows]] - pop[rows, None]) ** 2
+        # a stack of (1 x n+1) @ (n+1 x 1) products: the same bits as one pmf @ err2 each
+        mse[rows] = np.matmul(pmf[grid.index_obs[rows], None, :], err2[:, :, None])[:, 0, 0]
     return mse
 
 
@@ -416,7 +423,7 @@ def _mse_report(rule, grid, design, method, seed, workers: int, first: int) -> R
     """MSE of a predictor in every state of a prediction grid (regret = MSE here);
     MC state k draws from substream first + k."""
     if method.mode == "exact":
-        return _report(grid, _exact_bernoulli_mse(rule, grid.states, design), method, seed)
+        return _report(grid, _exact_bernoulli_mse(rule, grid, design), method, seed)
     kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec())
     mse, stderr = _map_chunks(kernel, grid.states, workers, first)
     return _report(grid, mse, method, seed, mc_stderr=stderr)
@@ -496,34 +503,7 @@ def exhaustive_mmr_oracle(
 # ---------------------------------------------------------------------------
 # CSV serialization
 
-def _state_columns(state) -> tuple[list[str], list[str]]:
-    if isinstance(state, BinaryTrialState):
-        return ["p_a", "p_b"], [fmt17(state.p_a), fmt17(state.p_b)]
-    if isinstance(state, PredictionState):
-        do, dm = state.dist_observed, state.dist_missing
-        if do.family == "bernoulli":
-            return (["theta_obs", "theta_miss", "miss_rate"],
-                    [fmt17(do.theta), fmt17(dm.theta), fmt17(state.miss_rate)])
-        return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
-                [fmt17(do.alpha), fmt17(do.beta), fmt17(dm.alpha), fmt17(dm.beta),
-                 fmt17(state.miss_rate)])
-    raise PreconditionError(f"cannot serialize state of type {type(state).__name__}")
-
-
 _CSV_CHUNK_ROWS = 4096  # rows formatted per write; bounds the memory held by cells
-
-
-def _coordinate_chunks(grid: StateGrid):
-    """(rows, formatted state coordinates of those rows, one list per column), per chunk."""
-    chunks = [slice(lo, lo + _CSV_CHUNK_ROWS) for lo in range(0, len(grid), _CSV_CHUNK_ROWS)]
-    if grid.family == "binary_trial":
-        points = [fmt17(p) for p in grid.points.tolist()]
-        for rows in chunks:
-            yield rows, [[points[i] for i in idx[rows].tolist()]
-                         for idx in (grid.index_a, grid.index_b)]
-    else:
-        for rows in chunks:
-            yield rows, list(zip(*(_state_columns(s)[1] for s in grid.states[rows])))
 
 
 def _cells(values: np.ndarray, optional: bool = False) -> list[str]:
@@ -533,23 +513,43 @@ def _cells(values: np.ndarray, optional: bool = False) -> list[str]:
     return [format(v, FMT17) for v in values.tolist()]
 
 
+def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple[list[str], np.ndarray]]]:
+    """The report CSV's state coordinate names and, per coordinate, its distinct
+    values formatted once with the index column that picks each state's value."""
+    if grid.family == "binary_trial":
+        points = _cells(grid.points)
+        return ["p_a", "p_b"], [(points, grid.index_a), (points, grid.index_b)]
+    if grid.family != "prediction":
+        raise PreconditionError(f"cannot serialize a {grid.family} grid")
+    rate = (_cells(grid.miss_rates), grid.index_rate)
+    obs, miss = grid.obs_params, grid.miss_params
+    if grid.outcome == "bernoulli":
+        return (["theta_obs", "theta_miss", "miss_rate"],
+                [(_cells(obs), grid.index_obs), (_cells(miss), grid.index_miss), rate])
+    return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
+            [(_cells(obs[:, 0]), grid.index_obs), (_cells(obs[:, 1]), grid.index_obs),
+             (_cells(miss[:, 0]), grid.index_miss), (_cells(miss[:, 1]), grid.index_miss),
+             rate])
+
+
 def report_to_csv(report: RegretReport, path) -> None:
     """One row per state plus a summary footer row, written a chunk of rows at a time.
 
     Lines end in CRLF, as the csv module writes them. No field needs CSV
     quoting: each is a number, an empty value or a fixed word.
     """
-    state_names, _ = _state_columns(report.grid.state(0))
-    _, argmax_coords = _state_columns(report.argmax_state)
+    state_names, columns = _coordinate_columns(report.grid)
     summary = ["#summary", f"max_regret={fmt17(report.max_regret)}",
-               "argmax=" + "|".join(argmax_coords),
+               "argmax=" + "|".join(values[index[report.argmax]] for values, index in columns),
                f"method={report.method.mode}",
                f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
                f"seed={report.seed.master_seed if report.seed else ''}"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(state_names + ["error_prob", "expected_welfare", "regret",
                                          "mc_stderr"]) + "\r\n")
-        for rows, coords in _coordinate_chunks(report.grid):
+        for lo in range(0, len(report.grid), _CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+            coords = [[values[i] for i in index[rows].tolist()] for values, index in columns]
             lines = map(",".join, zip(*coords,
                                       _cells(report.error_prob[rows], optional=True),
                                       _cells(report.expected_welfare[rows], optional=True),

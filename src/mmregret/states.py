@@ -16,7 +16,7 @@ Types are immutable value objects; builders are pure and deterministic.
 from __future__ import annotations
 
 import csv
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -108,6 +108,8 @@ class PredictionState:
         y0, y1 = self.support
         if not y0 < y1:
             raise PreconditionError(f"support [{y0}, {y1}] is degenerate")
+        if not (math.isfinite(y0) and math.isfinite(y1)):
+            raise PreconditionError(f"support [{y0}, {y1}] is not finite")
         if self.dist_observed.family != self.dist_missing.family:
             raise PreconditionError("observed and missing outcome families must match")
 
@@ -172,11 +174,20 @@ class MissingDataState:
 class StateGrid:
     """A finite, ordered discretization of one state-space family.
 
-    A binary-trial grid is columnar: ``points`` holds its distinct success
-    probabilities in increasing order, and ``index_a``/``index_b`` give each
-    state's (p_a, p_b) as positions in ``points``. Its ``states`` tuple of
-    BinaryTrialState objects is built on first access and cached. Grids of
-    the other families hold the states they are given.
+    Binary-trial and prediction grids are columnar: they hold the distinct
+    values of each state coordinate and one index column per coordinate,
+    giving each state's position among those values. Their ``states`` tuple is
+    built on first access and cached.
+
+    * binary_trial -- ``points``, the distinct success probabilities in
+      increasing order, indexed by ``index_a`` and ``index_b``.
+    * prediction -- one outcome family (``outcome``) and one ``support``;
+      ``obs_params`` and ``miss_params`` hold the distinct parameters of the
+      outcome given observed and given missing (thetas, or rows of Beta
+      shapes), ``miss_rates`` the distinct miss rates, indexed by
+      ``index_obs``, ``index_miss`` and ``index_rate``.
+
+    Missing-data grids hold the states they are given.
     """
 
     def __init__(self, family: str, states: Sequence):
@@ -186,25 +197,28 @@ class StateGrid:
             raise PreconditionError("empty state grid")
         self.family = family
         self._states = tuple(states)
-        self._built: dict[int, BinaryTrialState] = {}
+        self._built: dict[int, object] = {}
         if family == "binary_trial":
             pa = np.array([s.p_a for s in self._states], dtype=float)
             pb = np.array([s.p_b for s in self._states], dtype=float)
             points = np.unique(np.concatenate([pa, pb]))
-            self._set_columns(points, np.searchsorted(points, pa), np.searchsorted(points, pb))
+            self._set_columns(points=points, index_a=np.searchsorted(points, pa),
+                              index_b=np.searchsorted(points, pb))
+        elif family == "prediction":
+            self._set_columns(**_prediction_columns(self._states))
 
     @classmethod
-    def _from_columns(cls, points: np.ndarray, index_a: np.ndarray,
-                      index_b: np.ndarray) -> StateGrid:
-        """A binary-trial grid whose states are built only when asked for."""
+    def _from_columns(cls, family: str, **columns) -> StateGrid:
+        """A grid whose states are built only when asked for."""
         grid = cls.__new__(cls)
-        grid.family, grid._states, grid._built = "binary_trial", None, {}
-        grid._set_columns(points, index_a, index_b)
+        grid.family, grid._states, grid._built = family, None, {}
+        grid._set_columns(**columns)
         return grid
 
-    def _set_columns(self, points, index_a, index_b) -> None:
-        for name, col in (("points", points), ("index_a", index_a), ("index_b", index_b)):
-            col.flags.writeable = False
+    def _set_columns(self, **columns) -> None:
+        for name, col in columns.items():
+            if isinstance(col, np.ndarray):
+                col.flags.writeable = False
             setattr(self, name, col)
 
     @property
@@ -218,11 +232,31 @@ class StateGrid:
         return self.points[self.index_b]
 
     @property
+    def population_mean(self) -> np.ndarray:
+        """Mean of the full outcome distribution, of every state (prediction grids);
+        the same floats as each state's ``population_mean``."""
+        rate = self.miss_rates[self.index_rate]
+        observed = _outcome_mean(self.outcome, self.obs_params, self.support)[self.index_obs]
+        missing = _outcome_mean(self.outcome, self.miss_params, self.support)[self.index_miss]
+        return (1.0 - rate) * observed + rate * missing
+
+    def _build(self, rows) -> list:
+        """The states at the given rows, built from the columns."""
+        if self.family == "binary_trial":
+            pts = self.points.tolist()
+            return [BinaryTrialState(pts[i], pts[j])
+                    for i, j in zip(self.index_a[rows].tolist(), self.index_b[rows].tolist())]
+        obs = [_outcome(self.outcome, p) for p in self.obs_params.tolist()]
+        miss = [_outcome(self.outcome, p) for p in self.miss_params.tolist()]
+        rates = self.miss_rates.tolist()
+        return [PredictionState(obs[i], miss[j], rates[r], self.support)
+                for i, j, r in zip(self.index_obs[rows].tolist(), self.index_miss[rows].tolist(),
+                                   self.index_rate[rows].tolist())]
+
+    @property
     def states(self) -> tuple:
         if self._states is None:
-            pts = self.points.tolist()
-            built = [BinaryTrialState(pts[i], pts[j])
-                     for i, j in zip(self.index_a.tolist(), self.index_b.tolist())]
+            built = self._build(slice(None))
             for k, s in self._built.items():
                 built[k] = s
             self._states = tuple(built)
@@ -234,16 +268,61 @@ class StateGrid:
         if self._states is not None:
             return self._states[k]
         if k not in self._built:
-            pts = self.points
-            self._built[k] = BinaryTrialState(float(pts[self.index_a[k]]),
-                                              float(pts[self.index_b[k]]))
+            self._built[k] = self._build(slice(k, k + 1))[0]
         return self._built[k]
 
     def __len__(self) -> int:
-        return len(self.index_a) if self._states is None else len(self._states)
+        if self._states is not None:
+            return len(self._states)
+        return len(self.index_a if self.family == "binary_trial" else self.index_obs)
 
     def __iter__(self):
         return iter(self.states)
+
+
+def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values (rows, for pairs) and each value's position among them.
+
+    Values are told apart by their bits, so 0.0 and -0.0 stay apart and every
+    state keeps the exact coordinates it was given.
+    """
+    values = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64), axis=0, return_inverse=True)
+    return np.ascontiguousarray(bits).view(float), inverse.reshape(-1)
+
+
+def _outcome(family: str, param) -> OutcomeDist:
+    """The outcome distribution of a theta (Bernoulli) or an (alpha, beta) pair (Beta)."""
+    if family == "bernoulli":
+        return OutcomeDist("bernoulli", theta=float(param))
+    if family == "beta":
+        a, b = param
+        return OutcomeDist("beta", alpha=float(a), beta=float(b))
+    raise PreconditionError(f"unknown family {family!r}")
+
+
+def _params(dist: OutcomeDist):
+    return dist.theta if dist.family == "bernoulli" else (dist.alpha, dist.beta)
+
+
+def _outcome_mean(family: str, params: np.ndarray, support) -> np.ndarray:
+    """``OutcomeDist.mean`` of each parameter (row), with the same arithmetic."""
+    y0, y1 = support
+    frac = params if family == "bernoulli" else params[:, 0] / (params[:, 0] + params[:, 1])
+    return y0 + frac * (y1 - y0)
+
+
+def _prediction_columns(states: Sequence[PredictionState]) -> dict:
+    """The columns of a prediction grid holding the given states, in their order."""
+    outcome, support = states[0].dist_observed.family, states[0].support
+    if any(s.dist_observed.family != outcome or s.support != support for s in states):
+        raise PreconditionError("a prediction grid needs one outcome family and one support")
+    obs, index_obs = _distinct([_params(s.dist_observed) for s in states])
+    miss, index_miss = _distinct([_params(s.dist_missing) for s in states])
+    rates, index_rate = _distinct([s.miss_rate for s in states])
+    return dict(outcome=outcome, support=support, obs_params=obs, miss_params=miss,
+                miss_rates=rates, index_obs=index_obs, index_miss=index_miss,
+                index_rate=index_rate)
 
 
 @dataclass(frozen=True)
@@ -286,7 +365,8 @@ def build_binary_grid(step: float) -> StateGrid:
     """All (p_a, p_b) pairs on the square lattice with the given step, row-major."""
     pts = _lattice(step)
     idx = np.arange(len(pts))
-    return StateGrid._from_columns(pts, np.repeat(idx, len(pts)), np.tile(idx, len(pts)))
+    return StateGrid._from_columns("binary_trial", points=pts, index_a=np.repeat(idx, len(pts)),
+                                   index_b=np.tile(idx, len(pts)))
 
 
 def build_prediction_grid(
@@ -301,42 +381,47 @@ def build_prediction_grid(
     max_missing_mean: float | None = None,
     max_mean_abs_diff: float | None = None,
 ) -> StateGrid:
-    """Cartesian product of observed-, missing- and miss-rate grids, filtered.
+    """Cartesian product of observed-, missing- and miss-rate grids, restricted.
 
     For the Bernoulli family the parameter grids are theta values; for Beta
     they are (alpha, beta) shape pairs supplied explicitly by the caller.
-    The optional restrictions are applied as predicate filters on states.
+    States run in ``itertools.product(obs_params, miss_params, miss_rates)``
+    order, duplicates kept. The grid is columnar: the optional restrictions
+    are one boolean mask over the product of the coordinate lists, and no
+    state is built.
     """
-    if obs_params is None or miss_params is None or len(miss_rates) == 0:
+    coordinates = (obs_params, miss_params, miss_rates)
+    if any(c is None or len(c) == 0 for c in coordinates):
         raise PreconditionError("all three coordinate grids must be non-empty")
     if any(r != r for r in (max_miss_rate, min_missing_mean, max_missing_mean,
                             max_mean_abs_diff)):  # NaN would filter nothing
         raise PreconditionError("a state-space restriction is NaN")
+    (obs, i_obs), (miss, i_miss), (rates, i_rate) = map(_distinct, coordinates)
+    # one distribution per distinct parameter, and one state per distinct miss
+    # rate, run the checks a state runs on its coordinates
+    dists = [_outcome(family, p) for p in obs.tolist() + miss.tolist()]
+    support = tuple(support)
+    for rate in rates.tolist():
+        PredictionState(dists[0], dists[-1], rate, support)
 
-    def make_dist(param):
-        if family == "bernoulli":
-            return OutcomeDist("bernoulli", theta=float(param))
-        if family == "beta":
-            a, b = param
-            return OutcomeDist("beta", alpha=float(a), beta=float(b))
-        raise PreconditionError(f"unknown family {family!r}")
-
-    states = []
-    for po, pm, mr in itertools.product(obs_params, miss_params, miss_rates):
-        s = PredictionState(make_dist(po), make_dist(pm), float(mr), support)
-        if max_miss_rate is not None and s.miss_rate > max_miss_rate:
-            continue
-        if min_missing_mean is not None and s.missing_mean < min_missing_mean:
-            continue
-        if max_missing_mean is not None and s.missing_mean > max_missing_mean:
-            continue
-        if max_mean_abs_diff is not None and \
-                abs(s.observed_mean - s.missing_mean) > max_mean_abs_diff:
-            continue
-        states.append(s)
-    if not states:
+    # keep[o, m, r]: whether state (obs_params[o], miss_params[m], miss_rates[r]) stays
+    obs_mean = _outcome_mean(family, obs, support)[i_obs]
+    miss_mean = _outcome_mean(family, miss, support)[i_miss, None]
+    keep = np.ones((len(i_obs), len(i_miss), len(i_rate)), dtype=bool)
+    if max_miss_rate is not None:
+        keep &= ~(rates[i_rate] > max_miss_rate)
+    if min_missing_mean is not None:
+        keep &= ~(miss_mean < min_missing_mean)
+    if max_missing_mean is not None:
+        keep &= ~(miss_mean > max_missing_mean)
+    if max_mean_abs_diff is not None:
+        keep &= ~(np.abs(obs_mean[:, None, None] - miss_mean) > max_mean_abs_diff)
+    o, m, r = np.nonzero(keep)  # in row-major order, which is the product's
+    if len(o) == 0:
         raise PreconditionError("prediction grid is empty after filtering")
-    return StateGrid("prediction", tuple(states))
+    return StateGrid._from_columns(
+        "prediction", outcome=family, support=support, obs_params=obs, miss_params=miss,
+        miss_rates=rates, index_obs=i_obs[o], index_miss=i_miss[m], index_rate=i_rate[r])
 
 
 def classify_dominance(problem: FiniteDecisionProblem) -> dict[str, list[str]]:

@@ -219,6 +219,13 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "conventional" in proc.stdout
 
+    def test_start_up_leaves_the_process_pool_unloaded(self):
+        # only a scan on more than one worker needs it
+        code = "import sys, mmregret.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 def run_err(capsys, *argv):
     """Exit code and stderr; a rejected input gives one line, no traceback."""
@@ -294,6 +301,24 @@ class TestRejectedInput:
         cfg.write_text(WALD_CFG.replace("miss_known = true", f"miss_known = {value}"))
         assert main(["wald-mse", "--config", str(cfg)]) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize("support", ["0,inf", "-inf,1"])
+    def test_non_finite_support_exits_3(self, capsys, tmp_path, support):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG + f"support = {support}\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("key", ["theta_obs_values", "theta_miss_values", "miss_values"])
+    def test_empty_coordinate_list_exits_3(self, capsys, tmp_path, key):
+        text = WALD_CFG.replace("theta_obs_step = 0.1\ntheta_miss_step = 0.1\n",
+                                "theta_obs_values = 0.5\ntheta_miss_values = 0.5\n")
+        lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} ="]) + "\n")
+        assert main(["wald-mse", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "all three coordinate grids must be non-empty" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("key", ["max_miss", "min_miss_mean", "max_miss_mean",
                                      "max_mean_diff"])

@@ -305,6 +305,23 @@ class TestMaxRegretScan:
         es = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
         assert one.per_state == es.per_state
 
+    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
+    def test_custom_trial_table_reproduces_es(self, method, tmp_path):
+        grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=12)
+        table_rule = DecisionRule("custom", {"trial_table": choice_table(ES, 12)})
+        got = max_regret_scan(table_rule, grid, design, method, SeedSpec(5))
+        want = max_regret_scan(ES, grid, design, method, SeedSpec(5))
+        assert any(r.mc_stderr > 0 for r in got.per_state) == (method.mode == "monte_carlo")
+        report_to_csv(got, tmp_path / "table.csv")
+        report_to_csv(want, tmp_path / "es.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "es.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(12, 12), (13, 12), (13,)])
+    def test_custom_trial_table_of_wrong_shape_rejected(self, shape):
+        rule = DecisionRule("custom", {"trial_table": np.zeros(shape)})
+        with pytest.raises(PreconditionError, match="trial table shape"):
+            max_regret_scan(rule, build_binary_grid(0.5), TrialDesign(per_arm_n=12))
+
 
 class TestScalarIsOneStateScan:
     """The scalar functions are one-state scans: state k of a scan and the scalar
@@ -460,6 +477,30 @@ class TestMaxMseScan:
         restr_max = max_mse_scan(DecisionRule("midpoint"), restricted, design,
                                  EvalMethod("exact")).max_regret
         assert restr_max <= full_max + 1e-15
+
+    @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), DecisionRule("hodges_lehmann"),
+                                      DecisionRule("analog_predictor"), MEDIAN,
+                                      DecisionRule("custom", {"mean_table": [(0, 0.2), (1, 0.9)]})],
+                             ids=["midpoint", "hodges_lehmann", "mean", "median", "table"])
+    @pytest.mark.parametrize("n,known,support", [(7, None, (0.0, 1.0)), (7, 0.3, (-1.0, 2.5)),
+                                                 (200, None, (0.0, 1.0))])
+    def test_exact_equals_per_state_dot_product(self, rule, n, known, support):
+        # the per-state arithmetic of the scan before it was columnar; at n = 200
+        # the grid spans more than one chunk of the contraction
+        from mmregret.engine import _bernoulli_predictions
+        from mmregret.rules import mean_predictor
+        thetas = [0.0, 0.3, 0.3, 0.55, 1.0] if n == 7 else list(np.linspace(0, 1, 21))
+        grid = build_prediction_grid("bernoulli", obs_params=thetas, miss_params=thetas[::-1],
+                                     miss_rates=[0.0, 0.25, 0.6, 1.0], support=support)
+        design = SurveyDesign("fixed_n", n_observed=n, known_miss_rate=known)
+        report = max_mse_scan(rule, grid, design, EvalMethod("exact"))
+        want = []
+        for s in grid.states:
+            p1 = 1.0 - (s.miss_rate if known is None else known)
+            pred = _bernoulli_predictions(mean_predictor(rule), np.arange(n + 1), n, p1, support)
+            want.append(binom_pmf_vector(n, s.dist_observed.theta)
+                        @ (pred - s.population_mean) ** 2)
+        assert report.regret.tolist() == want
 
 
 class TestMidpointFormula:

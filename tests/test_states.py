@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from mmregret import (
     OutcomeDist,
     PredictionState,
     PreconditionError,
+    StateGrid,
     build_binary_grid,
     build_prediction_grid,
     classify_dominance,
@@ -185,3 +188,115 @@ class TestColumnarBinaryGrid:
         assert grid.index_a.tolist() == lattice.index_a.tolist()
         assert grid.index_b.tolist() == lattice.index_b.tolist()
         assert grid.states == lattice.states
+
+
+def _product_grid_states(family, obs, miss, rates, support, max_miss_rate=None,
+                         min_missing_mean=None, max_missing_mean=None, max_mean_abs_diff=None):
+    """The prediction grid's states as itertools.product plus predicate filters makes them."""
+    def dist(p):
+        if family == "bernoulli":
+            return OutcomeDist("bernoulli", theta=float(p))
+        return OutcomeDist("beta", alpha=float(p[0]), beta=float(p[1]))
+
+    out = []
+    for po, pm, mr in itertools.product(obs, miss, rates):
+        s = PredictionState(dist(po), dist(pm), float(mr), support)
+        if max_miss_rate is not None and s.miss_rate > max_miss_rate:
+            continue
+        if min_missing_mean is not None and s.missing_mean < min_missing_mean:
+            continue
+        if max_missing_mean is not None and s.missing_mean > max_missing_mean:
+            continue
+        if max_mean_abs_diff is not None and \
+                abs(s.observed_mean - s.missing_mean) > max_mean_abs_diff:
+            continue
+        out.append(s)
+    return out
+
+
+_UNIT = st.sampled_from([0.0, -0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0])
+_SHAPE = st.tuples(st.sampled_from([0.5, 1.0, 2.0, 5.0]), st.sampled_from([0.5, 1.0, 3.0]))
+# restrictions on coordinate values themselves make the comparisons at the boundary
+_BOUND = st.none() | st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0, 1.5]) | st.floats(-0.5, 3.0)
+
+
+class TestColumnarPredictionGrid:
+    @given(family=st.sampled_from(["bernoulli", "beta"]), data=st.data(),
+           rates=st.lists(_UNIT, min_size=1, max_size=4),
+           support=st.sampled_from([(0.0, 1.0), (-1.0, 2.5), (1, 3)]),
+           max_miss_rate=_BOUND, min_missing_mean=_BOUND, max_missing_mean=_BOUND,
+           max_mean_abs_diff=_BOUND)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_product_and_filter(self, family, data, rates, support, **restrictions):
+        param = _UNIT if family == "bernoulli" else _SHAPE
+        obs = data.draw(st.lists(param, min_size=1, max_size=5), label="obs")
+        miss = data.draw(st.lists(param, min_size=1, max_size=5), label="miss")
+        want = _product_grid_states(family, obs, miss, rates, support, **restrictions)
+        if not want:
+            with pytest.raises(PreconditionError, match="empty after filtering"):
+                build_prediction_grid(family, obs_params=obs, miss_params=miss,
+                                      miss_rates=rates, support=support, **restrictions)
+            return
+        grid = build_prediction_grid(family, obs_params=obs, miss_params=miss,
+                                     miss_rates=rates, support=support, **restrictions)
+        assert len(grid) == len(want)
+        # repr tells -0.0 from 0.0, so order, duplicates and signs are all kept
+        assert [repr(grid.state(k)) for k in range(len(grid))] == [repr(s) for s in want]
+        assert [repr(s) for s in grid.states] == [repr(s) for s in want]
+        assert grid.population_mean.tolist() == [s.population_mean for s in want]
+        # columns derived from the states hold the same coordinates, bit for bit
+        derived = StateGrid("prediction", want)
+        for values, index in (("obs_params", "index_obs"), ("miss_params", "index_miss"),
+                              ("miss_rates", "index_rate")):
+            got, built = (getattr(g, values)[getattr(g, index)] for g in (derived, grid))
+            assert got.view(np.int64).tolist() == built.view(np.int64).tolist()
+
+    def test_states_built_on_demand(self):
+        grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.1, 0.9],
+                                     miss_params=[0.5], miss_rates=[0.0, 0.2])
+        assert grid.obs_params.tolist() == [0.1, 0.9]
+        assert grid.index_obs.tolist() == [0, 0, 0, 0, 1, 1]
+        s = grid.state(5)
+        assert grid._states is None
+        assert grid.states[5] is s
+        assert s == PredictionState(OutcomeDist("bernoulli", theta=0.9),
+                                    OutcomeDist("bernoulli", theta=0.5), 0.2)
+
+    @pytest.mark.parametrize("empty", ["obs_params", "miss_params", "miss_rates"])
+    def test_empty_coordinate_list_rejected_as_such(self, empty):
+        coords = {**dict(obs_params=[0.5], miss_params=[0.5], miss_rates=[0.1]), empty: []}
+        with pytest.raises(PreconditionError, match="must be non-empty"):
+            build_prediction_grid("bernoulli", **coords)
+
+    @pytest.mark.parametrize("support", [(0.0, float("inf")), (float("-inf"), 1.0)])
+    def test_non_finite_support_rejected(self, support):
+        with pytest.raises(PreconditionError, match="not finite"):
+            build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                  miss_rates=[0.1], support=support)
+        with pytest.raises(PreconditionError, match="not finite"):
+            PredictionState(OutcomeDist("bernoulli", theta=0.5),
+                            OutcomeDist("bernoulli", theta=0.5), 0.1, support)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(obs_params=[0.5, 1.5], miss_params=[0.5], miss_rates=[0.1]),
+        dict(obs_params=[0.5], miss_params=[-0.1], miss_rates=[0.1]),
+        dict(obs_params=[0.5], miss_params=[0.5], miss_rates=[0.1, 1.2]),
+        dict(obs_params=[0.5], miss_params=[0.5], miss_rates=[0.1], support=(1.0, 1.0))])
+    def test_bad_coordinate_rejected(self, kwargs):
+        with pytest.raises(PreconditionError):
+            build_prediction_grid("bernoulli", **kwargs)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(PreconditionError, match="unknown family"):
+            build_prediction_grid("gauss", obs_params=[0.5], miss_params=[0.5],
+                                  miss_rates=[0.1])
+
+    def test_mixed_grid_from_states_rejected(self):
+        bern = PredictionState(OutcomeDist("bernoulli", theta=0.5),
+                               OutcomeDist("bernoulli", theta=0.5), 0.1)
+        beta = PredictionState(OutcomeDist("beta", alpha=1, beta=1),
+                               OutcomeDist("beta", alpha=1, beta=1), 0.1)
+        wide = PredictionState(bern.dist_observed, bern.dist_missing, 0.1, (0.0, 2.0))
+        for mixed in ((bern, beta), (bern, wide)):
+            with pytest.raises(PreconditionError, match="one outcome family and one support"):
+                StateGrid("prediction", mixed)
