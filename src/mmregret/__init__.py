@@ -35,14 +35,26 @@ from .missing import (
     mmr_alloc_sample_known_p,
 )
 from .rules import (
+    ANALOG_MEAN,
+    ANALOG_MEDIAN,
+    HODGES_LEHMANN,
+    MIDPOINT,
     Action,
     AsIfDecision,
     DecisionRule,
+    EmpiricalSuccess,
+    OutcomeRule,
+    Predictor,
+    TableRule,
+    TrialRule,
+    ZTest,
     analog_predict,
     asif_decide,
     asif_optimize,
     es_choose,
     hodges_lehmann_predict,
+    mean_function_predictor,
+    mean_table_predictor,
     midpoint_predict,
     ztest_choose,
 )

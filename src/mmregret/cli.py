@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import engine, missing, states
 from .errors import ConfigError, PreconditionError
 from .mathutil import fmt17
-from .rules import DecisionRule
+from .rules import (ANALOG_MEAN, ANALOG_MEDIAN, HODGES_LEHMANN, MIDPOINT, EmpiricalSuccess,
+                    Predictor, ZTest, mean_table_predictor)
 from .sampling import SeedSpec, SurveyDesign, TrialDesign
 
 EXIT_OK = 0
@@ -95,14 +96,8 @@ def cmd_medical(args) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
-def _scan_rule(args) -> DecisionRule:
-    if args.rule == "es":
-        return DecisionRule("empirical_success")
-    return DecisionRule("ztest", {"alpha": args.alpha, "status_quo": args.status_quo})
-
-
 def cmd_scan(args) -> int:
-    rule = _scan_rule(args)
+    rule = EmpiricalSuccess() if args.rule == "es" else ZTest(args.alpha, args.status_quo)
     grid = states.build_binary_grid(args.step)
     design = TrialDesign(arms=2, per_arm_n=args.n)
     method, seed, workers, out = _run_settings(args, {}, "exact")
@@ -216,18 +211,16 @@ def _coordinate(cfg, name: str):
     raise ConfigError(f"config needs {name}_step or {name}_values")
 
 
-def _wald_predictor(cfg) -> DecisionRule:
+_PREDICTORS = {"midpoint": MIDPOINT, "hodges_lehmann": HODGES_LEHMANN,
+               "analog_mean": ANALOG_MEAN, "analog_median": ANALOG_MEDIAN}
+
+
+def _wald_predictor(cfg) -> Predictor:
     name = cfg.get("predictor")
-    if name == "midpoint":
-        return DecisionRule("midpoint")
-    if name == "hodges_lehmann":
-        return DecisionRule("hodges_lehmann")
-    if name == "analog_mean":
-        return DecisionRule("analog_predictor", {"loss": "square"})
-    if name == "analog_median":
-        return DecisionRule("analog_predictor", {"loss": "absolute"})
+    if name in _PREDICTORS:
+        return _PREDICTORS[name]
     if name == "custom":
-        if "custom_table" not in cfg:
+        if not cfg.get("custom_table"):
             raise ConfigError("custom predictor needs custom_table")
         rows = []
         for chunk in cfg["custom_table"].split(";"):
@@ -238,8 +231,7 @@ def _wald_predictor(cfg) -> DecisionRule:
             if len(parts) != 2:
                 raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
             rows.append((_number(parts[0]), _number(parts[1])))
-        rows.sort()
-        return DecisionRule("custom", {"mean_table": rows})
+        return mean_table_predictor(rows)
     raise ConfigError(f"unknown predictor {name!r}")
 
 
@@ -338,8 +330,8 @@ def cmd_oracle(args) -> int:
     design = TrialDesign(arms=2, per_arm_n=args.n)
     grid = states.build_binary_grid(args.step)
     table, oracle_max = engine.exhaustive_mmr_oracle(design, grid)
-    es_report = engine.max_regret_scan(
-        DecisionRule("empirical_success"), grid, design, engine.EvalMethod("exact"))
+    es_report = engine.max_regret_scan(EmpiricalSuccess(), grid, design,
+                                       engine.EvalMethod("exact"))
     print(f"oracle_max_regret={fmt17(oracle_max)}")
     print(f"es_max_regret={fmt17(es_report.max_regret)}")
     if oracle_max >= es_report.max_regret - 1e-12:

@@ -11,6 +11,7 @@ tiny trial designs.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .mathutil import FMT17, binom_pmf_matrix, binom_pmf_vector, fmt17
-from .rules import DecisionRule, choice_table, mean_predictor
+from .rules import Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign
 from .states import BinaryTrialState, PredictionState, StateGrid
 
@@ -199,6 +200,14 @@ def _mc_choose_b(table, pmf, reps: int, seed: SeedSpec, pairs, first: int) -> np
     return out
 
 
+def choice_table(rule: TrialRule, n: int) -> np.ndarray:
+    """Probability mass the trial rule puts on arm b, per outcome (i, j): its
+    table at n, of shape (n+1, n+1) indexed by (successes_a, successes_b)."""
+    if not isinstance(rule, TrialRule):
+        raise PreconditionError(f"{type(rule).__name__} is not a trial-choice rule")
+    return rule.table(n)
+
+
 def _trial_report(rule, grid, design, method, seed, workers: int, first: int) -> RegretReport:
     """Regret of a trial-choice rule in every state of a binary-trial grid. One PMF
     per grid probability serves every state; MC state k draws from substream
@@ -212,7 +221,7 @@ def _trial_report(rule, grid, design, method, seed, workers: int, first: int) ->
         prob_b = (pmf @ table @ pmf.T)[grid.index_a, grid.index_b]
         se_b = np.zeros(len(grid))
     else:
-        # workers get the table, not the rule: a callable rule need not pickle
+        # workers get the table, not the rule: an OutcomeRule's callable need not pickle
         kernel = partial(_mc_choose_b, table, pmf, method.reps, seed or SeedSpec())
         prob_b, se_b = _map_chunks(kernel, np.column_stack([grid.index_a, grid.index_b]),
                                    workers, first)
@@ -231,7 +240,7 @@ def _one_state(rule, state, design, method, seed, state_index) -> StateRecord:
 
 
 def error_probability(
-    rule: DecisionRule,
+    rule: TrialRule,
     state: BinaryTrialState,
     design: TrialDesign,
     method: EvalMethod = EvalMethod(),
@@ -246,7 +255,7 @@ def error_probability(
 
 
 def binary_regret(
-    rule: DecisionRule,
+    rule: TrialRule,
     state: BinaryTrialState,
     design: TrialDesign,
     method: EvalMethod = EvalMethod(),
@@ -258,7 +267,7 @@ def binary_regret(
 
 
 def expected_welfare(
-    rule: DecisionRule,
+    rule: TrialRule,
     state: BinaryTrialState,
     design: TrialDesign,
     method: EvalMethod = EvalMethod(),
@@ -273,7 +282,7 @@ def expected_welfare(
 # grid scans
 
 def max_regret_scan(
-    rule: DecisionRule,
+    rule: TrialRule,
     grid: StateGrid,
     design: TrialDesign,
     method: EvalMethod = EvalMethod(),
@@ -322,15 +331,14 @@ def midpoint_max_regret_formula(p_obs: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # predictor evaluation
 
-def _bernoulli_predictions(predict, k, n, p1, support):
-    """Predictions from k successes among n >= 1 observed Bernoulli outcomes.
-
-    ``predict`` is the rule's mean predictor; None is the sample median.
-    """
+def _bernoulli_predictions(rule: Predictor, k, n, p1, support):
+    """Predictions from k successes among n >= 1 observed Bernoulli outcomes."""
     y0, y1 = support
-    if predict is None:
-        return np.where(2 * k > n, y1, np.where(2 * k < n, y0, 0.5 * (y0 + y1)))
-    return predict(y0 + (k / n) * (y1 - y0), n, p1, support)
+    if rule.statistic == "median":
+        stat = np.where(2 * k > n, y1, np.where(2 * k < n, y0, 0.5 * (y0 + y1)))
+    else:
+        stat = y0 + (k / n) * (y1 - y0)
+    return rule.predict(stat, n, p1, support)
 
 
 def _known_p1(state: PredictionState, design: SurveyDesign) -> float:
@@ -349,13 +357,13 @@ def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
     if design.mode != "fixed_n" or grid.outcome != "bernoulli":
         raise PreconditionError(
             "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
-    predict, n = mean_predictor(rule), design.n_observed
+    n = design.n_observed
     if design.known_miss_rate is None:
         p1, index_p1 = 1.0 - grid.miss_rates, grid.index_rate
     else:
         p1, index_p1 = np.array([1.0 - design.known_miss_rate]), np.zeros(len(grid), int)
     k = np.arange(n + 1)
-    preds = np.array([_bernoulli_predictions(predict, k, n, p, grid.support)
+    preds = np.array([_bernoulli_predictions(rule, k, n, p, grid.support)
                       for p in p1.tolist()])
     pmf, pop = binom_pmf_matrix(n, grid.obs_params), grid.population_mean
     mse = np.empty(len(grid))
@@ -391,7 +399,7 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
         n_obs = np.arange(design.total_n + 1)
         pmf_n = binom_pmf_vector(design.total_n, 1.0 - state.miss_rate)
         p1 = n_obs / design.total_n
-    predict = mean_predictor(rule)  # None: the sample median
+    median = rule.statistic == "median"
     h = rng.multinomial(reps, pmf_n)
     preds, counts = [], []
     for i in np.flatnonzero(h):
@@ -401,10 +409,10 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
         elif dist.family == "bernoulli":
             c = _binomial_counts(rng, h[i], m, dist.theta)
             k = np.flatnonzero(c)  # only successes that occur reach the predictor
-            pred, count = _bernoulli_predictions(predict, k, m, p1[i], state.support), c[k]
+            pred, count = _bernoulli_predictions(rule, k, m, p1[i], state.support), c[k]
         else:
-            stat = y0 + (y1 - y0) * _beta_statistic(rng, dist, h[i], m, predict is None)
-            pred = stat if predict is None else predict(stat, m, p1[i], state.support)
+            stat = y0 + (y1 - y0) * _beta_statistic(rng, dist, h[i], m, median)
+            pred = rule.predict(stat, m, p1[i], state.support)
             count = np.ones(h[i])
         preds.append(np.broadcast_to(pred, count.shape))
         counts.append(count)
@@ -422,15 +430,23 @@ def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, first: int) 
 def _mse_report(rule, grid, design, method, seed, workers: int, first: int) -> RegretReport:
     """MSE of a predictor in every state of a prediction grid (regret = MSE here);
     MC state k draws from substream first + k."""
+    if not isinstance(rule, Predictor):
+        raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     if method.mode == "exact":
         return _report(grid, _exact_bernoulli_mse(rule, grid, design), method, seed)
+    if workers > 1:
+        try:  # workers get the predictor: fail here, not in a worker
+            pickle.dumps(rule)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            raise PreconditionError("the predictor does not pickle, so it cannot be sent to "
+                                    "worker processes; use one worker") from None
     kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec())
     mse, stderr = _map_chunks(kernel, grid.states, workers, first)
     return _report(grid, mse, method, seed, mc_stderr=stderr)
 
 
 def predictor_mse(
-    rule: DecisionRule,
+    rule: Predictor,
     state: PredictionState,
     design: SurveyDesign,
     method: EvalMethod = EvalMethod(),
@@ -448,7 +464,7 @@ def predictor_mse(
 
 
 def max_mse_scan(
-    rule: DecisionRule,
+    rule: Predictor,
     grid: StateGrid,
     design: SurveyDesign,
     method: EvalMethod = EvalMethod(),

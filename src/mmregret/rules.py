@@ -4,13 +4,16 @@ Covers treatment-choice rules for two-arm trials (empirical success, one-sided
 z-test), point predictors for a bounded mean (Hodges-Lehmann shrinkage,
 midpoint of the sample-analog identification interval, plain sample analogs),
 and the generic criteria that decide as if a finite set estimate contained the
-true state. Scans evaluate a rule through its vectorized form: a trial rule's
-``choice_table`` and a predictor's ``mean_predictor``.
+true state. Scans evaluate rules as values: a trial rule (``EmpiricalSuccess``,
+``ZTest``, ``TableRule``, ``OutcomeRule``) through its choice table
+``rule.table(n)``, and a ``Predictor`` through the sample statistic it reads
+and its function of that statistic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,6 +25,18 @@ from .states import FiniteDecisionProblem
 
 __all__ = [
     "Action",
+    "TrialRule",
+    "EmpiricalSuccess",
+    "ZTest",
+    "TableRule",
+    "OutcomeRule",
+    "Predictor",
+    "HODGES_LEHMANN",
+    "MIDPOINT",
+    "ANALOG_MEAN",
+    "ANALOG_MEDIAN",
+    "mean_table_predictor",
+    "mean_function_predictor",
     "DecisionRule",
     "AsIfDecision",
     "es_choose",
@@ -29,14 +44,9 @@ __all__ = [
     "hodges_lehmann_predict",
     "midpoint_predict",
     "analog_predict",
-    "choice_table",
-    "mean_predictor",
     "asif_decide",
     "asif_optimize",
 ]
-
-RULE_KINDS = ("empirical_success", "ztest", "hodges_lehmann", "midpoint",
-              "analog_predictor", "custom")
 
 
 @dataclass(frozen=True)
@@ -64,27 +74,6 @@ class Action:
         if self.allocation is not None:
             return self.allocation[arm]
         raise PreconditionError("prediction actions carry no arm mass")
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """An identified, parameterized rule; params are kind-specific."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise PreconditionError(f"unknown rule kind {self.kind!r}")
-        alpha = self.params.get("alpha")
-        if self.kind == "ztest":
-            if alpha is None or not 0.0 < alpha < 1.0:
-                raise PreconditionError("ztest needs alpha in (0, 1)")
-            if self.params.get("status_quo", 0) not in (0, 1):
-                raise PreconditionError("status_quo arm must be 0 or 1")
-        if self.kind == "analog_predictor":
-            if self.params.get("loss", "square") not in ("square", "absolute"):
-                raise PreconditionError("analog loss must be 'square' or 'absolute'")
 
 
 def es_choose(outcome: TrialOutcome) -> Action:
@@ -163,45 +152,105 @@ def analog_predict(draw: SurveyDraw, loss: str = "square") -> Action:
 
 
 # ---------------------------------------------------------------------------
-# vectorized forms, the ones every scan evaluates
+# rules as values, the forms every scan evaluates: a trial rule is its choice
+# table at each n, a predictor the sample statistic it reads and a function of it
 
-def choice_table(rule: DecisionRule, n: int) -> np.ndarray:
-    """Probability mass the rule puts on arm b, per outcome (i, j).
+class TrialRule:
+    """A two-arm treatment-choice rule. ``table(n)`` is the probability mass it puts
+    on arm b per outcome, shape (n+1, n+1) indexed by (successes_a, successes_b)."""
 
-    Shape (n+1, n+1) indexed by (successes_a, successes_b). The empirical
-    success and z-test rules are vectorized, a custom ``trial_table`` is
-    returned as given, and a custom ``apply_trial`` callable is evaluated on
-    each of the (n+1)^2 outcomes.
-    """
-    i = np.arange(n + 1)[:, None]
-    j = np.arange(n + 1)[None, :]
-    if rule.kind == "empirical_success":
+
+@dataclass(frozen=True)
+class EmpiricalSuccess(TrialRule):
+    """Choose the arm with more successes; a tie splits the mass equally."""
+
+    def table(self, n: int) -> np.ndarray:
+        i = np.arange(n + 1)[:, None]
+        j = np.arange(n + 1)[None, :]
         return np.where(j > i, 1.0, np.where(j < i, 0.0, 0.5))
-    if rule.kind == "ztest":
-        alpha = rule.params.get("alpha", 0.05)
-        status_quo = rule.params.get("status_quo", 0)
+
+
+@dataclass(frozen=True)
+class ZTest(TrialRule):
+    """One-sided two-sample z-test with pooled variance, as ``ztest_choose``."""
+
+    alpha: float = 0.05
+    status_quo: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise PreconditionError("ztest needs alpha in (0, 1)")
+        if self.status_quo not in (0, 1):
+            raise PreconditionError("status_quo arm must be 0 or 1")
+
+    def table(self, n: int) -> np.ndarray:
+        i = np.arange(n + 1)[:, None]
+        j = np.arange(n + 1)[None, :]
         pooled = (i + j) / (2.0 * n)
         se = np.sqrt(np.where((pooled > 0) & (pooled < 1),
                               pooled * (1.0 - pooled) * 2.0 / n, np.inf))
-        crit = one_sided_critical_value(alpha)
-        if status_quo == 0:
+        crit = one_sided_critical_value(self.alpha)
+        if self.status_quo == 0:
             z = (j - i) / n / se
             return np.where(z > crit, 1.0, 0.0)
         z = (i - j) / n / se
         return np.where(z > crit, 0.0, 1.0)
-    if rule.kind == "custom" and "trial_table" in rule.params:
-        table = np.asarray(rule.params["trial_table"], dtype=float)
-        if table.shape != (n + 1, n + 1):
-            raise PreconditionError(f"trial table shape {table.shape} != {(n + 1, n + 1)}")
-        return table
-    if rule.kind == "custom" and "apply_trial" in rule.params:
-        apply = rule.params["apply_trial"]
+
+
+@dataclass(frozen=True, eq=False)
+class TableRule(TrialRule):
+    """A given table of the mass on arm b, for the one n its shape fits."""
+
+    choices: np.ndarray
+
+    def __post_init__(self):
+        choices = np.array(self.choices, dtype=float)
+        if not np.all((choices >= 0.0) & (choices <= 1.0)):
+            raise PreconditionError("trial table entries must lie in [0, 1]")
+        choices.flags.writeable = False
+        object.__setattr__(self, "choices", choices)
+
+    def table(self, n: int) -> np.ndarray:
+        if self.choices.shape != (n + 1, n + 1):
+            raise PreconditionError(f"trial table shape {self.choices.shape} != {(n + 1, n + 1)}")
+        return self.choices
+
+
+@dataclass(frozen=True)
+class OutcomeRule(TrialRule):
+    """A rule given as a function from a TrialOutcome to an Action."""
+
+    apply: Callable[[TrialOutcome], Action]
+
+    def __post_init__(self):
+        if not callable(self.apply):
+            raise PreconditionError("an outcome rule needs a callable")
+
+    def table(self, n: int) -> np.ndarray:
+        """The function evaluated on each of the (n+1)^2 outcomes."""
         out = np.empty((n + 1, n + 1))
         for a in range(n + 1):
             for b in range(n + 1):
-                out[a, b] = apply(TrialOutcome((a, b))).mass_on(1)
+                out[a, b] = self.apply(TrialOutcome((a, b))).mass_on(1)
         return out
-    raise PreconditionError(f"rule kind {rule.kind!r} is not a trial-choice rule")
+
+
+@dataclass(frozen=True)
+class Predictor:
+    """A point predictor of the population mean: ``predict(statistic, n_obs, p1,
+    support)`` of the sample ``statistic`` ("mean" or "median") of the observed
+    outcomes, their count and fraction p1 (each may be an array). A scan on more
+    than one worker sends it to the worker processes, where ``predict`` must
+    pickle: a module-level function or a ``functools.partial`` of one."""
+
+    statistic: str
+    predict: Callable
+
+    def __post_init__(self):
+        if self.statistic not in ("mean", "median"):
+            raise PreconditionError(f"unknown predictor statistic {self.statistic!r}")
+        if not callable(self.predict):
+            raise PreconditionError("a predictor needs a callable predict")
 
 
 def _hodges_lehmann(m, n_obs, p1, support):
@@ -218,31 +267,73 @@ def _midpoint(m, n_obs, p1, support):
     return m * p1 + mid * (1.0 - p1)
 
 
-def _sample_mean(m, n_obs, p1, support):
+def _sample_statistic(m, n_obs, p1, support):
     return m
 
 
-def mean_predictor(rule: DecisionRule) -> Callable | None:
-    """The rule's prediction as a function of the observed mean.
+def _interpolate(means, predictions, m, n_obs, p1, support):
+    return np.interp(m, means, predictions)
 
-    The function takes (observed mean m, observed count n_obs, observed
-    fraction p1, support); m, n_obs and p1 may be arrays. None means the
-    rule is the sample median (the analog predictor under absolute loss),
-    which depends on more of the sample than its mean.
-    """
-    if rule.kind == "hodges_lehmann":
-        return _hodges_lehmann
-    if rule.kind == "midpoint":
-        return _midpoint
-    if rule.kind == "analog_predictor":
-        return _sample_mean if rule.params.get("loss", "square") == "square" else None
-    if rule.kind == "custom" and "predict_mean" in rule.params:
-        predict = rule.params["predict_mean"]
-        return lambda m, n_obs, p1, support: predict(m, p1)
-    if rule.kind == "custom" and "mean_table" in rule.params:
-        pts = np.asarray(rule.params["mean_table"], dtype=float)  # rows (m, pred)
-        return lambda m, n_obs, p1, support: np.interp(m, pts[:, 0], pts[:, 1])
-    raise PreconditionError(f"rule kind {rule.kind!r} is not mean-based")
+
+def _of_mean_and_fraction(fn, m, n_obs, p1, support):
+    return fn(m, p1)
+
+
+HODGES_LEHMANN = Predictor("mean", _hodges_lehmann)
+MIDPOINT = Predictor("mean", _midpoint)
+ANALOG_MEAN = Predictor("mean", _sample_statistic)  # the sample analog under square loss
+ANALOG_MEDIAN = Predictor("median", _sample_statistic)  # and under absolute loss
+
+
+def mean_table_predictor(rows) -> Predictor:
+    """Linear interpolation in (observed mean, prediction) rows given in any order,
+    constant beyond the end rows."""
+    try:
+        points = np.array(sorted(tuple(map(float, row)) for row in rows))
+    except (TypeError, ValueError):
+        raise PreconditionError("mean table rows must be pairs of numbers") from None
+    if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
+        raise PreconditionError("a mean table needs rows of two finite numbers")
+    return Predictor("mean", partial(_interpolate, *points.T))
+
+
+def mean_function_predictor(fn: Callable) -> Predictor:
+    """The prediction fn(observed mean, observed fraction)."""
+    if not callable(fn):
+        raise PreconditionError("a mean predictor needs a callable")
+    return Predictor("mean", partial(_of_mean_and_fraction, fn))
+
+
+_CUSTOM = {"trial_table": TableRule, "apply_trial": OutcomeRule,
+           "mean_table": mean_table_predictor, "predict_mean": mean_function_predictor}
+_PARAMETERS = {"empirical_success": (), "ztest": ("alpha", "status_quo"), "hodges_lehmann": (),
+               "midpoint": (), "analog_predictor": ("loss",), "custom": tuple(_CUSTOM)}
+
+
+def DecisionRule(kind: str, params: dict | None = None) -> TrialRule | Predictor:
+    """The rule a kind string and its parameters name (see ``_PARAMETERS``); the
+    one map from kind strings to rules. Unknown kinds and parameter names raise
+    PreconditionError."""
+    if kind not in _PARAMETERS:
+        raise PreconditionError(f"unknown rule kind {kind!r}")
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(_PARAMETERS[kind]))
+    if unknown:
+        raise PreconditionError(f"rule kind {kind!r} has no parameter {unknown[0]!r}")
+    if kind == "ztest":
+        return ZTest(**params)
+    if kind == "analog_predictor":
+        loss = params.get("loss", "square")
+        if loss not in ("square", "absolute"):
+            raise PreconditionError("analog loss must be 'square' or 'absolute'")
+        return ANALOG_MEAN if loss == "square" else ANALOG_MEDIAN
+    if kind == "custom":
+        if len(params) != 1:
+            raise PreconditionError(f"a custom rule needs exactly one of {', '.join(_CUSTOM)}")
+        (key, value), = params.items()
+        return _CUSTOM[key](value)
+    return {"empirical_success": EmpiricalSuccess(), "hodges_lehmann": HODGES_LEHMANN,
+            "midpoint": MIDPOINT}[kind]
 
 
 @dataclass(frozen=True)

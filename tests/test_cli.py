@@ -166,6 +166,21 @@ class TestWaldMse:
         assert outs[0] == outs[1]
 
 
+    def test_custom_predictor_csv_ignores_worker_count(self, capsys, tmp_path):
+        # the custom predictor is sent to the worker processes, so it must pickle
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("predictor = midpoint",
+                                        "predictor = custom\ncustom_table = 1:0.9; 0:0.2; 0.5:0.4")
+                       .replace("method = exact", "method = mc\nreps = 2000\nseed = 5")
+                       .replace("miss_values = 0.2", "miss_values = 0.2,0.5"))
+        paths = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+        for workers, path in zip(("1", "2"), paths):
+            code, _ = run(capsys, "wald-mse", "--config", str(cfg), "--workers", workers,
+                          "--out", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestAlloc:
     def test_population_dominant(self, capsys):
         code, out = run(capsys, "alloc", "--mode", "population",
@@ -274,6 +289,14 @@ class TestRejectedInput:
         cfg.write_text(WALD_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 0:0; 0.5 0.5; 1:1"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("table,code", [("", 2), ("0:nan; 1:1", 3), ("0:0; nan:1", 3)],
+                             ids=["empty", "nan_prediction", "nan_mean"])
+    def test_bad_custom_table(self, capsys, tmp_path, table, code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("predictor = midpoint",
+                                        f"predictor = custom\ncustom_table = {table}"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == code
 
     @pytest.mark.parametrize("key,value,code", [
         ("n", "ten", 2), ("reps", "many", 2), ("seed", "s", 2), ("workers", "w", 2),

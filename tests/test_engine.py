@@ -488,7 +488,6 @@ class TestMaxMseScan:
         # the per-state arithmetic of the scan before it was columnar; at n = 200
         # the grid spans more than one chunk of the contraction
         from mmregret.engine import _bernoulli_predictions
-        from mmregret.rules import mean_predictor
         thetas = [0.0, 0.3, 0.3, 0.55, 1.0] if n == 7 else list(np.linspace(0, 1, 21))
         grid = build_prediction_grid("bernoulli", obs_params=thetas, miss_params=thetas[::-1],
                                      miss_rates=[0.0, 0.25, 0.6, 1.0], support=support)
@@ -497,7 +496,7 @@ class TestMaxMseScan:
         want = []
         for s in grid.states:
             p1 = 1.0 - (s.miss_rate if known is None else known)
-            pred = _bernoulli_predictions(mean_predictor(rule), np.arange(n + 1), n, p1, support)
+            pred = _bernoulli_predictions(rule, np.arange(n + 1), n, p1, support)
             want.append(binom_pmf_vector(n, s.dist_observed.theta)
                         @ (pred - s.population_mean) ** 2)
         assert report.regret.tolist() == want
@@ -583,6 +582,30 @@ class TestScanPreconditions:
         with pytest.raises(PreconditionError):
             max_mse_scan(DecisionRule("midpoint"), grid,
                          SurveyDesign("random_miss", total_n=5), EvalMethod("exact"))
+
+
+    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
+    def test_scan_of_the_other_rule_family_rejected(self, method):
+        grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                     miss_rates=[0.2])
+        with pytest.raises(PreconditionError, match="not a trial-choice rule"):
+            max_regret_scan(DecisionRule("midpoint"), build_binary_grid(0.5),
+                            TrialDesign(per_arm_n=2), method)
+        with pytest.raises(PreconditionError, match="not a predictor"):
+            max_mse_scan(ES, grid, SurveyDesign("fixed_n", n_observed=5), method)
+
+    def test_predictor_that_does_not_pickle_needs_one_worker(self):
+        rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.5],
+                                     miss_rates=[0.2])
+        design, method = SurveyDesign("random_miss", total_n=6), EvalMethod("monte_carlo", 2000)
+        with pytest.raises(PreconditionError, match="does not pickle") as exc:
+            max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
+        assert len(str(exc.value).splitlines()) == 1
+        one = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=1)
+        midpoint = max_mse_scan(DecisionRule("midpoint"), grid, design, method, SeedSpec(3),
+                                workers=2)
+        assert one.regret.tolist() == midpoint.regret.tolist()
 
 
 def _rowwise_report_to_csv(report, path):

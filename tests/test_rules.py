@@ -1,19 +1,32 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmregret import (
+    ANALOG_MEAN,
+    ANALOG_MEDIAN,
+    HODGES_LEHMANN,
+    MIDPOINT,
     DecisionRule,
+    EmpiricalSuccess,
     FiniteDecisionProblem,
+    OutcomeRule,
     PreconditionError,
+    Predictor,
     SurveyDraw,
+    TableRule,
     TrialOutcome,
+    ZTest,
     analog_predict,
     asif_decide,
     asif_optimize,
     es_choose,
     hodges_lehmann_predict,
+    mean_function_predictor,
+    mean_table_predictor,
     midpoint_predict,
     ztest_choose,
 )
@@ -101,6 +114,89 @@ class TestScalarMatchesTable:
 def test_removed_allocation_rule_kind_rejected():
     with pytest.raises(PreconditionError):
         DecisionRule("mmr_allocation_sample")
+
+
+class TestRuleValues:
+    def test_factory_builds_the_values(self):
+        assert DecisionRule("empirical_success") == EmpiricalSuccess()
+        assert DecisionRule("ztest", {"alpha": 0.01, "status_quo": 1}) == ZTest(0.01, 1)
+        assert DecisionRule("ztest") == ZTest()
+        assert DecisionRule("midpoint") is MIDPOINT
+        assert DecisionRule("hodges_lehmann") is HODGES_LEHMANN
+        assert DecisionRule("analog_predictor") is ANALOG_MEAN
+        assert DecisionRule("analog_predictor", {"loss": "absolute"}) is ANALOG_MEDIAN
+        table = DecisionRule("custom", {"trial_table": np.eye(3)})
+        assert isinstance(table, TableRule) and table.table(2).tolist() == np.eye(3).tolist()
+        assert isinstance(DecisionRule("custom", {"apply_trial": es_choose}), OutcomeRule)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("ztest", {"alpha": 0.05, "status_qou": 1}),
+        ("ztest", {"alpah": 0.05}),
+        ("analog_predictor", {"los": "absolute"}),
+        ("custom", {"mean_tabel": [(0, 0), (1, 1)]}),
+        ("custom", {"predict_means": lambda m, p1: m}),
+        ("empirical_success", {"alpha": 0.05}),
+        ("midpoint", {"loss": "square"})])
+    def test_unknown_parameter_name_rejected(self, kind, params):
+        with pytest.raises(PreconditionError, match="has no parameter"):
+            DecisionRule(kind, params)
+
+    @pytest.mark.parametrize("params", [{}, None, {"mean_table": [(0, 0), (1, 1)],
+                                                   "trial_table": np.zeros((2, 2))}])
+    def test_custom_kind_needs_exactly_one_recognised_key(self, params):
+        with pytest.raises(PreconditionError, match="exactly one of"):
+            DecisionRule("custom", params)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DecisionRule("ztest", {"alpha": 1.5}),
+        lambda: ZTest(alpha=0.0),
+        lambda: ZTest(status_quo=2),
+        lambda: DecisionRule("analog_predictor", {"loss": "huber"}),
+        lambda: Predictor("mode", lambda m, n_obs, p1, support: m),
+        lambda: Predictor("mean", 0.5),
+        lambda: TableRule([[0.5, 1.5], [0.0, 0.0]]),
+        lambda: TableRule([[np.nan]]),
+        lambda: OutcomeRule(None),
+        lambda: mean_function_predictor(0.5),
+        lambda: mean_table_predictor([]),
+        lambda: mean_table_predictor([(0, np.nan), (1, 1)]),
+        lambda: mean_table_predictor([(0, 0), (np.inf, 1)]),
+        lambda: mean_table_predictor([(0, 0, 0), (1, 1, 1)]),
+        lambda: mean_table_predictor([(0, 0), (1,)]),
+        lambda: mean_table_predictor([0.5])])
+    def test_bad_field_rejected_when_built(self, build):
+        with pytest.raises(PreconditionError):
+            build()
+
+    def test_mean_table_rows_in_any_order(self):
+        m = np.linspace(-0.5, 1.5, 9)
+        shuffled = mean_table_predictor([(1, 0.9), (0, 0.2), (0.5, 0.4)])
+        ordered = mean_table_predictor([(0, 0.2), (0.5, 0.4), (1, 0.9)])
+        assert (shuffled.predict(m, 5, 0.8, (0.0, 1.0)).tolist()
+                == ordered.predict(m, 5, 0.8, (0.0, 1.0)).tolist()
+                == np.interp(m, [0, 0.5, 1], [0.2, 0.4, 0.9]).tolist())
+
+    @pytest.mark.parametrize("rule", [
+        EmpiricalSuccess(), ZTest(0.01, 1), MIDPOINT, HODGES_LEHMANN, ANALOG_MEAN,
+        ANALOG_MEDIAN, mean_table_predictor([(0, 0.2), (1, 0.9)])],
+        ids=["es", "ztest", "midpoint", "hodges_lehmann", "mean", "median", "table"])
+    def test_rules_the_command_line_builds_pickle(self, rule):
+        again = pickle.loads(pickle.dumps(rule))
+        if isinstance(rule, Predictor):
+            m = np.linspace(0, 1, 7)
+            assert again.statistic == rule.statistic
+            assert (again.predict(m, 4, 0.7, (0.0, 1.0)).tolist()
+                    == rule.predict(m, 4, 0.7, (0.0, 1.0)).tolist())
+        else:
+            assert again == rule and again.table(5).tolist() == rule.table(5).tolist()
+
+    def test_table_rule_holds_a_read_only_copy(self):
+        given = np.zeros((3, 3))
+        rule = TableRule(given)
+        given[0, 0] = 1.0
+        assert rule.table(2)[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            rule.table(2)[0, 0] = 1.0
 
 
 class TestHodgesLehmann:
