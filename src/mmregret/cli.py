@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import engine, missing, states
 from .errors import ConfigError, PreconditionError
@@ -33,7 +32,7 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
     parser.add_argument("--reps", type=int,
                         help="Monte Carlo replications per state (default 100000)")
     parser.add_argument("--workers", type=int,
-                        help="worker processes for grid scans (default 1)")
+                        help="worker processes for Monte Carlo scans (default 1)")
     parser.add_argument("--method", choices=("exact", "mc"),
                         help=f"evaluation method (default {method_default})")
     parser.add_argument("--out", help="CSV output path")
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("medical", help="two-hypothesis regret arithmetic for a test")
     p.add_argument("--w-statusquo", type=float, default=1.0)
-    p.add_argument("--w-worse", type=float, default=float(Fraction(1, 3)))
+    p.add_argument("--w-worse", type=float, default=1 / 3)
     p.add_argument("--w-better", type=float, default=5.0)
     p.add_argument("--alpha1", type=float, default=0.05, help="Type I error probability")
     p.add_argument("--alpha2", type=float, default=0.20, help="Type II error probability")

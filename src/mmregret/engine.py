@@ -11,9 +11,12 @@ tiny trial designs.
 
 from __future__ import annotations
 
+import os
 import pickle
+import sys
+from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -132,18 +135,40 @@ def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
         int(np.argmax(regret)), method, seed)
 
 
+def _ordered_map(fn, tasks, workers: int):
+    """``fn(*task)`` for each task, yielded in order. With more than one worker the
+    tasks run in a pool of that many processes, at most two per worker submitted
+    ahead of the result yielded, so the results held in memory stay bounded."""
+    if workers == 1:
+        for task in tasks:
+            yield fn(*task)
+        return
+    # imported here: loading the pool machinery costs every CLI start ~20 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts as a copy of this process, with nothing to import;
+    # forkserver (Linux's default from Python 3.14) and spawn workers import numpy
+    # first, ~0.3 s per pool. Forking is sound here: the pool forks its workers
+    # before it starts its own threads, and no worker calls BLAS, whose threads
+    # the parent may hold.
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        pending = deque()
+        for task in tasks:
+            pending.append(pool.submit(fn, *task))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
     """``fn(chunk, index of its first item)`` over contiguous chunks of items, one
     chunk per worker process; the chunks' result columns, concatenated."""
-    if workers == 1:
-        return fn(items, first)
-    # imported here: loading the pool machinery costs every CLI start ~20 ms
-    from concurrent.futures import ProcessPoolExecutor
     size = -(-len(items) // workers)
-    starts = range(0, len(items), size)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(fn, [items[lo:lo + size] for lo in starts], [first + lo for lo in starts])
-        return np.concatenate(list(parts), axis=-1)
+    tasks = [(items[lo:lo + size], first + lo) for lo in range(0, len(items), size)]
+    return np.concatenate(list(_ordered_map(fn, tasks, workers)), axis=-1)
 
 
 def _check_workers(workers: int) -> None:
@@ -173,11 +198,12 @@ def _draw_histogram(rng, reps: int, pmf_a: np.ndarray, pmf_b: np.ndarray):
     return rows, rng.multinomial(h[rows], pmf_b)
 
 
-def _binomial_counts(rng, count: int, m: int, theta: float) -> np.ndarray:
+def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
     """Counts of k = 0..m among count iid Binomial(m, theta) draws: one multinomial
-    draw when count exceeds the support, count binomial draws otherwise."""
+    draw over ``pmf(m, theta)`` when count exceeds the support, count binomial
+    draws otherwise."""
     if count > m:
-        return rng.multinomial(count, binom_pmf_vector(m, theta))
+        return rng.multinomial(count, pmf(m, theta))
     return np.bincount(rng.binomial(m, theta, size=count), minlength=m + 1)
 
 
@@ -386,10 +412,11 @@ def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
 
 
 def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
-            rng) -> tuple[float, float]:
+            rng, pmf) -> tuple[float, float]:
     """MC MSE of a predictor in one state and its standard error. Per occupied n_obs,
     a histogram of the successes for Bernoulli outcomes and blocks of Beta samples
-    otherwise. No observation predicts the support midpoint."""
+    otherwise. No observation predicts the support midpoint. ``pmf(n, p)`` is the
+    Binomial(n, p) PMF."""
     y0, y1 = state.support
     dist, mid = state.dist_observed, 0.5 * (y0 + y1)
     if design.mode == "fixed_n":
@@ -397,7 +424,7 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
         p1 = np.array([_known_p1(state, design)])
     else:
         n_obs = np.arange(design.total_n + 1)
-        pmf_n = binom_pmf_vector(design.total_n, 1.0 - state.miss_rate)
+        pmf_n = pmf(design.total_n, 1.0 - state.miss_rate)
         p1 = n_obs / design.total_n
     median = rule.statistic == "median"
     h = rng.multinomial(reps, pmf_n)
@@ -407,7 +434,7 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
         if m == 0:  # the midpoint predictor lands there anyway
             pred, count = mid, h[i:i + 1]
         elif dist.family == "bernoulli":
-            c = _binomial_counts(rng, h[i], m, dist.theta)
+            c = _binomial_counts(rng, h[i], m, dist.theta, pmf)
             k = np.flatnonzero(c)  # only successes that occur reach the predictor
             pred, count = _bernoulli_predictions(rule, k, m, p1[i], state.support), c[k]
         else:
@@ -422,8 +449,9 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
 
 def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, first: int) -> np.ndarray:
     """MC MSE and its standard error, one column per state; state k draws from
-    substream first + k."""
-    return np.array([_mc_mse(rule, s, design, reps, seed.rng(first + k, 0))
+    substream first + k. Each distinct binomial PMF is computed once per chunk."""
+    pmf = cache(binom_pmf_vector)
+    return np.array([_mc_mse(rule, s, design, reps, seed.rng(first + k, 0), pmf)
                      for k, s in enumerate(states)]).T
 
 
@@ -519,57 +547,97 @@ def exhaustive_mmr_oracle(
 # ---------------------------------------------------------------------------
 # CSV serialization
 
-_CSV_CHUNK_ROWS = 4096  # rows formatted per write; bounds the memory held by cells
+_CSV_BLOCK_ROWS = 4096  # rows formatted per block; bounds the text a block holds
+# A report of more rows has its blocks formatted by a process pool. Measured on
+# a 2-vCPU VM (Python 3.11, fork): starting, feeding and stopping the pool cost
+# 30-60 ms, so it breaks even near 12,000 rows; at 2^16 rows it saves ~30%
+# (270 -> 190 ms), a margin for machines where a worker starts more slowly.
+_CSV_POOL_ROWS = 1 << 16
 
 
-def _cells(values: np.ndarray, optional: bool = False) -> list[str]:
-    """Each value as fmt17 formats it; an optional column leaves NaN empty."""
-    if optional:
-        return ["" if v != v else format(v, FMT17) for v in values.tolist()]
-    return [format(v, FMT17) for v in values.tolist()]
+def _texts(values: np.ndarray) -> np.ndarray:
+    """Each value as fmt17 formats it, in an object array of str."""
+    return np.array([format(v, FMT17) for v in values.tolist()], dtype=object)
 
 
-def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple[list[str], np.ndarray]]]:
+def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
     """The report CSV's state coordinate names and, per coordinate, its distinct
     values formatted once with the index column that picks each state's value."""
     if grid.family == "binary_trial":
-        points = _cells(grid.points)
+        points = _texts(grid.points)
         return ["p_a", "p_b"], [(points, grid.index_a), (points, grid.index_b)]
     if grid.family != "prediction":
         raise PreconditionError(f"cannot serialize a {grid.family} grid")
-    rate = (_cells(grid.miss_rates), grid.index_rate)
+    rate = (_texts(grid.miss_rates), grid.index_rate)
     obs, miss = grid.obs_params, grid.miss_params
     if grid.outcome == "bernoulli":
         return (["theta_obs", "theta_miss", "miss_rate"],
-                [(_cells(obs), grid.index_obs), (_cells(miss), grid.index_miss), rate])
+                [(_texts(obs), grid.index_obs), (_texts(miss), grid.index_miss), rate])
     return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
-            [(_cells(obs[:, 0]), grid.index_obs), (_cells(obs[:, 1]), grid.index_obs),
-             (_cells(miss[:, 0]), grid.index_miss), (_cells(miss[:, 1]), grid.index_miss),
+            [(_texts(obs[:, 0]), grid.index_obs), (_texts(obs[:, 1]), grid.index_obs),
+             (_texts(miss[:, 0]), grid.index_miss), (_texts(miss[:, 1]), grid.index_miss),
              rate])
 
 
-def report_to_csv(report: RegretReport, path) -> None:
-    """One row per state plus a summary footer row, written a chunk of rows at a time.
+def _format_block(columns, rows: int) -> bytes:
+    """The CSV lines of a block of rows, each ended by CRLF, as bytes.
 
-    Lines end in CRLF, as the csv module writes them. No field needs CSV
-    quoting: each is a number, an empty value or a fixed word.
+    Each column is ``(values, optional)`` with one value per row: an object
+    array of str is written as it is, a float array as fmt17 formats it, and an
+    optional column leaves NaN empty. One %-format call formats the block.
+    Defined at module level, so that it can run in a worker process.
     """
-    state_names, columns = _coordinate_columns(report.grid)
+    fields = np.empty((rows, len(columns)), dtype=object)
+    specs = np.empty(fields.shape, dtype=object)  # each field's format and separator
+    keep = np.ones(fields.shape, dtype=bool)
+    last = len(columns) - 1
+    for c, (values, optional) in enumerate(columns):
+        end = "\r\n" if c == last else ","
+        fields[:, c] = values
+        specs[:, c] = ("%s" if values.dtype == object else "%" + FMT17) + end
+        if optional:
+            empty = np.isnan(values)
+            specs[empty, c] = end
+            keep[empty, c] = False
+    return ("".join(specs.ravel().tolist()) % tuple(fields[keep].tolist())).encode()
+
+
+def _csv_workers(blocks: int) -> int:
+    """Worker processes to format a report's blocks: one per CPU this process may
+    run on, at most one per block, on Linux only. There the pool forks its
+    workers; spawned workers import numpy first, and a pool of them was slower
+    than formatting in process even at 251,001 rows (2-vCPU VM)."""
+    if sys.platform != "linux":
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def report_to_csv(report: RegretReport, path) -> None:
+    """One row per state plus a summary footer row, written a block of rows at a time.
+
+    On Linux, a report of more than _CSV_POOL_ROWS rows in a process that may
+    run on more than one CPU has its blocks formatted by a pool of worker
+    processes, one per CPU; the file gets the same bytes either way. Lines end
+    in CRLF, as the csv module writes them. No field needs CSV quoting: each is
+    a number, an empty value or a fixed word.
+    """
+    state_names, coordinates = _coordinate_columns(report.grid)
+    results = [(report.error_prob, True), (report.expected_welfare, True),
+               (report.regret, False), (report.mc_stderr, False)]
+    header = state_names + ["error_prob", "expected_welfare", "regret", "mc_stderr"]
     summary = ["#summary", f"max_regret={fmt17(report.max_regret)}",
-               "argmax=" + "|".join(values[index[report.argmax]] for values, index in columns),
+               "argmax=" + "|".join(texts[index[report.argmax]] for texts, index in coordinates),
                f"method={report.method.mode}",
                f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
                f"seed={report.seed.master_seed if report.seed else ''}"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(state_names + ["error_prob", "expected_welfare", "regret",
-                                         "mc_stderr"]) + "\r\n")
-        for lo in range(0, len(report.grid), _CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-            coords = [[values[i] for i in index[rows].tolist()] for values, index in columns]
-            lines = map(",".join, zip(*coords,
-                                      _cells(report.error_prob[rows], optional=True),
-                                      _cells(report.expected_welfare[rows], optional=True),
-                                      _cells(report.regret[rows]),
-                                      _cells(report.mc_stderr[rows])))
-            fh.write("\r\n".join(lines) + "\r\n")
-        fh.write(",".join(summary) + "\r\n")
+    n = len(report.grid)
+    starts = range(0, n, _CSV_BLOCK_ROWS)
+    blocks = (([(texts[index[lo:lo + _CSV_BLOCK_ROWS]], False) for texts, index in coordinates]
+               + [(values[lo:lo + _CSV_BLOCK_ROWS], opt) for values, opt in results],
+               min(_CSV_BLOCK_ROWS, n - lo)) for lo in starts)
+    workers = _csv_workers(len(starts)) if n > _CSV_POOL_ROWS else 1
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for text in _ordered_map(_format_block, blocks, workers):
+            fh.write(text)
+        fh.write((",".join(summary) + "\r\n").encode())

@@ -56,13 +56,6 @@ class TrialOutcome:
 
     successes: tuple[int, ...]
 
-    def validate(self, design: TrialDesign) -> None:
-        if len(self.successes) != design.arms:
-            raise PreconditionError("success counts do not match arm count")
-        for c in self.successes:
-            if not 0 <= c <= design.per_arm_n:
-                raise PreconditionError(f"success count {c} outside [0, {design.per_arm_n}]")
-
 
 @dataclass(frozen=True)
 class SurveyDesign:

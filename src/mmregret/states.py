@@ -55,10 +55,6 @@ class BinaryTrialState:
     def effect_size(self) -> float:
         return self.p_b - self.p_a
 
-    @property
-    def best_welfare(self) -> float:
-        return max(self.p_a, self.p_b)
-
 
 @dataclass(frozen=True)
 class OutcomeDist:

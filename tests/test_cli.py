@@ -235,11 +235,13 @@ class TestConsoleScript:
         assert "conventional" in proc.stdout
 
     def test_start_up_leaves_the_process_pool_unloaded(self):
-        # only a scan on more than one worker needs it
-        code = "import sys, mmregret.cli; print('concurrent.futures.process' in sys.modules)"
+        # the pool serves only MC scans on more than one worker and large CSVs;
+        # fractions and decimal serve no command at all
+        modules = ["fractions", "decimal", "concurrent.futures.process"]
+        code = f"import sys, mmregret.cli; print([m for m in {modules} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 def run_err(capsys, *argv):

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmregret import (
     BinaryTrialState,
@@ -8,6 +12,7 @@ from mmregret import (
     OutcomeDist,
     PredictionState,
     PreconditionError,
+    RegretReport,
     SeedSpec,
     SurveyDesign,
     TrialDesign,
@@ -24,8 +29,9 @@ from mmregret import (
     regret_bounds,
     report_to_csv,
 )
-from mmregret.engine import (_binomial_counts, _draw_histogram, _mc_mse, _mean_stderr,
-                             _trial_report, choice_table)
+from mmregret.engine import (_CSV_BLOCK_ROWS, _CSV_POOL_ROWS, _binomial_counts,
+                             _draw_histogram, _mc_mse, _mean_stderr, _trial_report,
+                             choice_table)
 from mmregret.mathutil import binom_pmf_vector
 from mmregret.states import StateGrid
 
@@ -176,7 +182,7 @@ class TestHistogramMonteCarlo:
     def test_binomial_counts_have_the_binomial_mean(self, count, m):
         # one multinomial draw when count > m, count binomial draws otherwise
         theta = 0.3
-        c = _binomial_counts(np.random.default_rng(8), count, m, theta)
+        c = _binomial_counts(np.random.default_rng(8), count, m, theta, binom_pmf_vector)
         assert c.shape == (m + 1,) and c.sum() == count
         k = np.repeat(np.arange(m + 1), c)
         assert abs(k.mean() - m * theta) <= 4 * np.sqrt(m * theta * (1 - theta) / count)
@@ -199,7 +205,7 @@ class TestHistogramMonteCarlo:
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss))
                     for k, pk in enumerate(_comb_pmf(m, theta_obs)))
         mse, stderr = _mc_mse(rule, state, SurveyDesign("random_miss", total_n=total), 50_000,
-                              SeedSpec(17).rng(3, 0))
+                              SeedSpec(17).rng(3, 0), binom_pmf_vector)
         assert abs(mse - exact) <= 4 * stderr + 1e-12
 
     @pytest.mark.parametrize("obs,miss_dist,miss,support", [
@@ -221,7 +227,7 @@ class TestHistogramMonteCarlo:
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
         mse, stderr = _mc_mse(DecisionRule("midpoint"), _beta_state(obs, miss_dist, miss, support),
                               SurveyDesign("random_miss", total_n=total), 50_000,
-                              SeedSpec(23).rng(1, 0))
+                              SeedSpec(23).rng(1, 0), binom_pmf_vector)
         assert abs(mse - exact) <= 4 * stderr
 
     @pytest.mark.parametrize("total,reps", [(2000, 20_000), (20000, 2000)])
@@ -235,9 +241,24 @@ class TestHistogramMonteCarlo:
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
         mse, stderr = _mc_mse(DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
                               SurveyDesign("random_miss", total_n=total), reps,
-                              SeedSpec(29).rng(2, 0))
+                              SeedSpec(29).rng(2, 0), binom_pmf_vector)
         assert np.isfinite(stderr) and stderr > 0
         assert abs(mse - exact) <= 4 * stderr
+
+    def test_each_distinct_pmf_is_computed_once_per_scan(self, monkeypatch):
+        import mmregret.engine as engine
+        calls = []
+
+        def counting(n, p):
+            calls.append((n, p))
+            return binom_pmf_vector(n, p)
+
+        monkeypatch.setattr(engine, "binom_pmf_vector", counting)
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.1, 0.5],
+                                     miss_rates=[0.2, 0.4])
+        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", total_n=12),
+                     EvalMethod("monte_carlo", 20_000), SeedSpec(5))
+        assert len(calls) == len(set(calls)) > 2
 
     @pytest.mark.parametrize("design", [SurveyDesign("random_miss", total_n=12),
                                         SurveyDesign("fixed_n", n_observed=12)])
@@ -248,9 +269,9 @@ class TestHistogramMonteCarlo:
 
         state = _bern_state(0.3, 0.6, 0.4)
         got = _mc_mse(DecisionRule("custom", {"predict_mean": strict}), state, design, 5000,
-                      SeedSpec(4).rng(0, 0))
+                      SeedSpec(4).rng(0, 0), binom_pmf_vector)
         plain = _mc_mse(DecisionRule("analog_predictor"), state, design, 5000,
-                        SeedSpec(4).rng(0, 0))
+                        SeedSpec(4).rng(0, 0), binom_pmf_vector)
         assert np.isfinite(got[0]) and got == plain
 
     @pytest.mark.parametrize("family,params,design,predictor", [
@@ -677,12 +698,11 @@ class TestColumnarReport:
         assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
 
     def test_cases_cover_ties_stderr_and_chunks(self):
-        from mmregret.engine import _CSV_CHUNK_ROWS
         ties = self.CASES["exact_es_ties"]()
         assert any(r.error_prob is None for r in ties.per_state)
         assert any(r.mc_stderr > 0 for r in self.CASES["mc_es"]().per_state)
         assert any(r.mc_stderr > 0 for r in self.CASES["mc_beta_median"]().per_state)
-        assert len(self.CASES["more_rows_than_a_chunk"]().grid) > _CSV_CHUNK_ROWS
+        assert len(self.CASES["more_rows_than_a_chunk"]().grid) > _CSV_BLOCK_ROWS
 
     @pytest.mark.parametrize("case", ["exact_es_ties", "mc_es", "exact_midpoint"])
     def test_argmax_record_is_the_argmax_state(self, case):
@@ -699,3 +719,141 @@ class TestColumnarReport:
         report = self.CASES["exact_ztest"]()
         with pytest.raises(PreconditionError):
             replace(report, argmax=(report.argmax + 1) % len(report.grid))
+
+
+def _per_cell_report_to_csv(report, path):
+    """Reference writer: every cell through format(v, ".17g"), one column at a
+    time, with NaN left empty in the optional columns."""
+    grid = report.grid
+    if grid.family == "binary_trial":
+        names = ["p_a", "p_b"]
+        coords = [grid.points[grid.index_a], grid.points[grid.index_b]]
+    elif grid.outcome == "bernoulli":
+        names = ["theta_obs", "theta_miss", "miss_rate"]
+        coords = [grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss],
+                  grid.miss_rates[grid.index_rate]]
+    else:
+        names = ["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"]
+        obs, miss = grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss]
+        coords = [obs[:, 0], obs[:, 1], miss[:, 0], miss[:, 1], grid.miss_rates[grid.index_rate]]
+
+    def cells(values, optional=False):
+        return ["" if optional and v != v else format(v, ".17g") for v in values.tolist()]
+
+    coords = [cells(c) for c in coords]
+    results = [cells(report.error_prob, True), cells(report.expected_welfare, True),
+               cells(report.regret), cells(report.mc_stderr)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names + ["error_prob", "expected_welfare", "regret",
+                                   "mc_stderr"]) + "\r\n")
+        for row in zip(*coords, *results):
+            fh.write(",".join(row) + "\r\n")
+        fh.write(",".join([
+            "#summary", f"max_regret={format(report.max_regret, '.17g')}",
+            "argmax=" + "|".join(c[report.argmax] for c in coords),
+            f"method={report.method.mode}",
+            f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+            f"seed={report.seed.master_seed if report.seed else ''}"]) + "\r\n")
+
+
+_SPECIAL_FLOATS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
+                            2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+                            0.1, 1 / 3, 1e16, 123456789.0])
+
+
+def _wild_column(rng, n):
+    """Floats of every kind: random bit patterns (NaN payloads, subnormals, huge
+    values), the special values above, and ordinary numbers."""
+    kind = rng.integers(0, 3, n)
+    bits = np.frombuffer(rng.bytes(8 * n), dtype=np.float64)
+    plain = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+    return np.where(kind == 0, bits, np.where(kind == 1, rng.choice(_SPECIAL_FLOATS, n), plain))
+
+
+def _wild_report(grid, seed):
+    """A report over the grid whose result columns hold floats of every kind;
+    error_prob and expected_welfare are NaN on about a third of the rows."""
+    rng = np.random.default_rng(seed)
+    n = len(grid)
+    err, welfare, regret, stderr = (_wild_column(rng, n) for _ in range(4))
+    err[rng.random(n) < 0.3] = np.nan
+    welfare[rng.random(n) < 0.3] = np.nan
+    method = EvalMethod("monte_carlo", 5000) if seed % 2 else EvalMethod("exact")
+    return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)), method,
+                        SeedSpec(seed) if seed % 3 else None)
+
+
+def _grid(family, rows, rng):
+    """A grid of the family with the given number of rows."""
+    if family == "binary_trial":
+        points = [0.0, -0.0, 5e-324, 1e-310, 0.1, 1 / 3, 0.5, 0.7, 1.0]
+        pick = rng.integers(0, len(points), (rows, 2)).tolist()
+        return StateGrid("binary_trial", [BinaryTrialState(points[i], points[j])
+                                          for i, j in pick])
+    miss = 2 - rows % 2  # obs x miss parameters x one miss rate
+    obs, rates = rows // miss, [rng.choice([0.0, 0.2, 1 / 3, 1.0])]
+    if family == "bernoulli":
+        return build_prediction_grid("bernoulli", obs_params=list(rng.random(obs)),
+                                     miss_params=list(rng.random(miss)), miss_rates=rates)
+    shapes = [5e-324, 1e-300, 0.5, 1 / 3, 2.0, 1e300]
+    return build_prediction_grid(
+        "beta", obs_params=[tuple(rng.choice(shapes, 2)) for _ in range(obs)],
+        miss_params=[tuple(rng.choice(shapes, 2)) for _ in range(miss)], miss_rates=rates)
+
+
+ON_LINUX = pytest.mark.skipif(sys.platform != "linux", reason="the CSV pool runs on Linux")
+
+
+class TestBlockCsvWriter:
+    """report_to_csv against the per-cell reference writer, byte for byte."""
+
+    @given(family=st.sampled_from(["binary_trial", "bernoulli", "beta"]),
+           rows=st.one_of(st.integers(1, 200), st.sampled_from(
+               [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                2 * _CSV_BLOCK_ROWS + 1])),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bytes_match_per_cell_writer(self, tmp_path_factory, family, rows, seed):
+        tmp = tmp_path_factory.mktemp("csv")
+        report = _wild_report(_grid(family, rows, np.random.default_rng(seed)), seed)
+        assert len(report.grid) == rows
+        report_to_csv(report, tmp / "block.csv")
+        _per_cell_report_to_csv(report, tmp / "cell.csv")
+        assert (tmp / "block.csv").read_bytes() == (tmp / "cell.csv").read_bytes()
+
+    def test_pool_cases_are_above_the_pool_threshold(self):
+        assert len(build_binary_grid(1 / 256)) > _CSV_POOL_ROWS
+
+    @ON_LINUX
+    @given(seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=1, deadline=None)  # a second example adds ~1 s
+    def test_pool_bytes_match_per_cell_writer(self, tmp_path_factory, seed):
+        tmp = tmp_path_factory.mktemp("csv")
+        report = _wild_report(build_binary_grid(1 / 256), seed)
+        assert _write_on_cpus(report, tmp / "pool.csv", {0, 1}) == [2]
+        _per_cell_report_to_csv(report, tmp / "cell.csv")
+        assert (tmp / "pool.csv").read_bytes() == (tmp / "cell.csv").read_bytes()
+
+    @ON_LINUX
+    def test_one_cpu_writes_the_pool_bytes_in_process(self, tmp_path):
+        report = max_regret_scan(ZTEST, build_binary_grid(1 / 256), TrialDesign(per_arm_n=20))
+        assert _write_on_cpus(report, tmp_path / "pool.csv", {0, 1}) == [2]
+        assert _write_on_cpus(report, tmp_path / "one.csv", {0}) == [1]
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+
+
+def _write_on_cpus(report, path, cpus):
+    """report_to_csv as if the process could run on the given CPUs; the worker
+    counts it asked the pool helper for."""
+    import mmregret.engine as engine
+    ordered_map, workers = engine._ordered_map, []
+
+    def spy(fn, tasks, n):
+        workers.append(n)
+        return ordered_map(fn, tasks, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
+        mp.setattr(engine, "_ordered_map", spy)
+        report_to_csv(report, path)
+    return workers
