@@ -27,7 +27,6 @@ from .missing import (
     AllocationResult,
     allocation_regret,
     allocation_welfare,
-    allocations_to_csv,
     es_asymptotic_interval,
     mmr_alloc_known_p,
     mmr_alloc_population,
@@ -48,25 +47,16 @@ from .rules import (
     TableRule,
     TrialRule,
     ZTest,
-    analog_predict,
     asif_decide,
     asif_optimize,
-    es_choose,
-    hodges_lehmann_predict,
     mean_function_predictor,
     mean_table_predictor,
-    midpoint_predict,
-    ztest_choose,
 )
 from .sampling import (
     SeedSpec,
     SurveyDesign,
-    SurveyDraw,
     TrialDesign,
     TrialOutcome,
-    draw_survey,
-    draw_trial,
-    enumerate_trial,
 )
 from .states import (
     BinaryTrialState,
@@ -78,8 +68,6 @@ from .states import (
     build_binary_grid,
     build_prediction_grid,
     classify_dominance,
-    grid_from_csv,
-    grid_to_csv,
 )
 
 __version__ = "0.1.0"

@@ -121,9 +121,10 @@ def cmd_bounds(args) -> int:
         n_list = [int(x) for x in args.n.split(",")]
     except ValueError:
         raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
+    # every row before the first print, so that a bad n prints nothing
+    rows = [(n, engine.regret_bounds(args.k, args.m, n)) for n in n_list]
     print("n       bound_10              bound_11              tighter")
-    for n in n_list:
-        b = engine.regret_bounds(args.k, args.m, n)
+    for n, b in rows:
         print(f"{n:<7} {fmt17(b.bound_10):<21} {fmt17(b.bound_11):<21} {b.tighter}")
     return EXIT_OK
 

@@ -164,11 +164,12 @@ def _ordered_map(fn, tasks, workers: int):
 
 
 def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
-    """``fn(chunk, index of its first item)`` over contiguous chunks of items, one
-    chunk per worker process; the chunks' result columns, concatenated."""
+    """``fn(chunk, index of its first item)`` over contiguous chunks of items, at
+    most one chunk per worker process; the chunks' result columns, concatenated.
+    The pool gets one process per chunk: it starts all its processes at once."""
     size = -(-len(items) // workers)
     tasks = [(items[lo:lo + size], first + lo) for lo in range(0, len(items), size)]
-    return np.concatenate(list(_ordered_map(fn, tasks, workers)), axis=-1)
+    return np.concatenate(list(_ordered_map(fn, tasks, len(tasks))), axis=-1)
 
 
 def _check_workers(workers: int) -> None:
@@ -337,8 +338,8 @@ def regret_bounds(k: int, m: float, n: int) -> RegretBounds:
     """
     if k < 2:
         raise PreconditionError("need at least two treatments")
-    if n < 1 or m <= 0:
-        raise PreconditionError("need n >= 1 and M > 0")
+    if n < 1 or not 0 < m < np.inf:  # also rejects NaN
+        raise PreconditionError("need n >= 1 and a finite M > 0")
     b10 = (2.0 * np.e) ** -0.5 * m * (k - 1) / np.sqrt(n)
     b11 = m * np.sqrt(np.log(k)) / np.sqrt(n)
     return RegretBounds(float(b10), float(b11), 10 if b10 <= b11 else 11)
@@ -566,8 +567,6 @@ def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple[np.ndarr
     if grid.family == "binary_trial":
         points = _texts(grid.points)
         return ["p_a", "p_b"], [(points, grid.index_a), (points, grid.index_b)]
-    if grid.family != "prediction":
-        raise PreconditionError(f"cannot serialize a {grid.family} grid")
     rate = (_texts(grid.miss_rates), grid.index_rate)
     obs, miss = grid.obs_params, grid.miss_params
     if grid.outcome == "bernoulli":

@@ -9,7 +9,6 @@ treatment selection is only a model.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +24,6 @@ __all__ = [
     "allocation_welfare",
     "allocation_regret",
     "es_asymptotic_interval",
-    "allocations_to_csv",
 ]
 
 _EQ_TOL = 1e-12
@@ -96,6 +94,15 @@ def mmr_alloc_known_p(state: MissingDataState) -> AllocationResult:
     return AllocationResult(z, "interior")
 
 
+def _check_sample_arm(arm: str, e: float, p: float, bounds: tuple[float, float]) -> None:
+    """An arm's observed share lies in [0, 1] and its sample mean within its bounds."""
+    y0, y1 = bounds
+    if not 0.0 <= p <= 1.0:  # the comparisons also reject NaN
+        raise PreconditionError(f"p_N{arm}={p} outside [0, 1]")
+    if not y0 <= e <= y1:
+        raise PreconditionError(f"e_N{arm}={e} outside bounds [{y0}, {y1}]")
+
+
 def mmr_alloc_sample(
     e_na: float | None,
     e_nb: float | None,
@@ -109,12 +116,11 @@ def mmr_alloc_sample(
     A conditional-mean estimate may be passed as None only when its arm had no
     observed outcomes; that case is rejected rather than imputed.
     """
-    for arm, e, p in (("a", e_na, p_na), ("b", e_nb, p_nb)):
-        if not 0.0 <= p <= 1.0:
-            raise PreconditionError(f"p_N{arm}={p} outside [0, 1]")
+    for arm, e, p, bounds in (("a", e_na, p_na, bounds_a), ("b", e_nb, p_nb, bounds_b)):
         if e is None:
             raise PreconditionError(
                 f"arm {arm} has no observed outcomes; its conditional mean is undefined")
+        _check_sample_arm(arm, e, p, bounds)
     return _alloc_general(e_na, e_nb, p_na, p_nb, bounds_a, bounds_b)
 
 
@@ -136,6 +142,8 @@ def mmr_alloc_sample_known_p(
     y0, y1 = bounds
     if y0 == y1:
         raise PreconditionError("degenerate outcome support")
+    _check_sample_arm("a", e_na, p_na, bounds)
+    _check_sample_arm("b", e_nb, p_nb, bounds)
     raw = (e_nb * p_nb + y1 * (1.0 - p_nb)
            - e_na * p_na - y0 * (1.0 - p_na)) / ((y1 - y0) * (2.0 - known_p))
     if raw < 0.0:
@@ -189,11 +197,3 @@ def es_asymptotic_interval(
             lower = max(lower, gap)
             upper = max(upper, gap)
     return lower, upper
-
-
-def allocations_to_csv(results: Sequence[AllocationResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["z_b", "regime", "clamped"])
-        for r in results:
-            wr.writerow([repr(r.z_b), r.regime, int(r.clamped)])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .mathutil import one_sided_critical_value
-from .sampling import SurveyDraw, TrialOutcome
+from .sampling import TrialOutcome
 from .states import FiniteDecisionProblem
 
 __all__ = [
@@ -39,11 +39,6 @@ __all__ = [
     "mean_function_predictor",
     "DecisionRule",
     "AsIfDecision",
-    "es_choose",
-    "ztest_choose",
-    "hodges_lehmann_predict",
-    "midpoint_predict",
-    "analog_predict",
     "asif_decide",
     "asif_optimize",
 ]
@@ -76,81 +71,6 @@ class Action:
         raise PreconditionError("prediction actions carry no arm mass")
 
 
-def es_choose(outcome: TrialOutcome) -> Action:
-    """Empirical success: pick the arm with the highest count, splitting ties equally."""
-    counts = outcome.successes
-    top = max(counts)
-    winners = [t for t, c in enumerate(counts) if c == top]
-    if len(winners) == 1:
-        return Action(arm=winners[0])
-    share = 1.0 / len(winners)
-    alloc = tuple(share if t in winners else 0.0 for t in range(len(counts)))
-    return Action(allocation=alloc)
-
-
-def ztest_choose(
-    outcome: TrialOutcome,
-    n: int,
-    alpha: float = 0.05,
-    status_quo: int = 0,
-) -> Action:
-    """One-sided two-sample z-test with pooled variance.
-
-    Picks the innovation arm iff z exceeds the upper critical value. A zero
-    pooled standard error (pooled rate 0 or 1) sets z = 0 and keeps the
-    status quo.
-    """
-    if len(outcome.successes) != 2:
-        raise PreconditionError("z-test rule requires exactly two arms")
-    innovation = 1 - status_quo
-    p_hat = [c / n for c in outcome.successes]
-    pooled = (outcome.successes[0] + outcome.successes[1]) / (2.0 * n)
-    if pooled <= 0.0 or pooled >= 1.0:
-        return Action(arm=status_quo)
-    z = (p_hat[innovation] - p_hat[status_quo]) / np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
-    crit = one_sided_critical_value(alpha)
-    return Action(arm=innovation if z > crit else status_quo)
-
-
-def hodges_lehmann_predict(m: float, n: int) -> Action:
-    """Shrink the sample mean toward 1/2: (m*sqrt(N) + 1/2) / (sqrt(N) + 1)."""
-    if not 0.0 <= m <= 1.0:
-        raise PreconditionError(f"sample mean {m} outside [0, 1]")
-    if n < 1:
-        raise PreconditionError("sample size must be >= 1")
-    return Action(prediction=float(_hodges_lehmann(m, n, 1.0, (0.0, 1.0))))
-
-
-def midpoint_predict(
-    obs_mean: float,
-    obs_fraction: float,
-    support: tuple[float, float] = (0.0, 1.0),
-) -> Action:
-    """Midpoint of the sample-analog identification interval for the mean.
-
-    The interval is [m*p1 + y0*(1-p1), m*p1 + y1*(1-p1)] where p1 is the
-    observed fraction; the midpoint is m*p1 + (y0+y1)/2 * (1-p1).
-    """
-    y0, y1 = support
-    if not y0 <= obs_mean <= y1:
-        raise PreconditionError(f"observed mean {obs_mean} outside support [{y0}, {y1}]")
-    if not 0.0 <= obs_fraction <= 1.0:
-        raise PreconditionError(f"observed fraction {obs_fraction} outside [0, 1]")
-    return Action(prediction=float(_midpoint(obs_mean, None, obs_fraction, support)))
-
-
-def analog_predict(draw: SurveyDraw, loss: str = "square") -> Action:
-    """Sample-analog predictor: mean under square loss, median under absolute."""
-    ys = draw.observed
-    if not ys:
-        raise PreconditionError("no observed records to form an analog predictor")
-    if loss == "square":
-        return Action(prediction=float(np.mean(ys)))
-    if loss == "absolute":
-        return Action(prediction=float(np.median(ys)))
-    raise PreconditionError(f"unknown loss {loss!r}")
-
-
 # ---------------------------------------------------------------------------
 # rules as values, the forms every scan evaluates: a trial rule is its choice
 # table at each n, a predictor the sample statistic it reads and a function of it
@@ -172,7 +92,9 @@ class EmpiricalSuccess(TrialRule):
 
 @dataclass(frozen=True)
 class ZTest(TrialRule):
-    """One-sided two-sample z-test with pooled variance, as ``ztest_choose``."""
+    """One-sided two-sample z-test with pooled variance: choose the innovation arm
+    iff z exceeds the upper critical value. A zero pooled standard error (pooled
+    rate 0 or 1) keeps the status quo."""
 
     alpha: float = 0.05
     status_quo: int = 0

