@@ -11,7 +11,6 @@ tiny trial designs.
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 from collections import deque
@@ -21,7 +20,8 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import PreconditionError
-from .mathutil import FMT17, binom_pmf_matrix, binom_pmf_vector, fmt17
+from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_vector,
+                       fmt17)
 from .rules import Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign
 from .states import BinaryTrialState, PredictionState, StateGrid
@@ -548,95 +548,72 @@ def exhaustive_mmr_oracle(
 # ---------------------------------------------------------------------------
 # CSV serialization
 
-_CSV_BLOCK_ROWS = 4096  # rows formatted per block; bounds the text a block holds
-# A report of more rows has its blocks formatted by a process pool. Measured on
-# a 2-vCPU VM (Python 3.11, fork): starting, feeding and stopping the pool cost
-# 30-60 ms, so it breaks even near 12,000 rows; at 2^16 rows it saves ~30%
-# (270 -> 190 ms), a margin for machines where a worker starts more slowly.
-_CSV_POOL_ROWS = 1 << 16
-
-
-def _texts(values: np.ndarray) -> np.ndarray:
-    """Each value as fmt17 formats it, in an object array of str."""
-    return np.array([format(v, FMT17) for v in values.tolist()], dtype=object)
+_CSV_BLOCK_ROWS = 4096  # rows formatted per block; bounds the memory a block holds
+# each field's separator goes in the free bytes 29-30 of its template (word 3)
+_COMMA, _CRLF = np.uint64(ord(",") << 40), np.uint64((ord("\r") | ord("\n") << 8) << 40)
 
 
 def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
     """The report CSV's state coordinate names and, per coordinate, its distinct
-    values formatted once with the index column that picks each state's value."""
+    values with the index column that picks each state's value."""
     if grid.family == "binary_trial":
-        points = _texts(grid.points)
-        return ["p_a", "p_b"], [(points, grid.index_a), (points, grid.index_b)]
-    rate = (_texts(grid.miss_rates), grid.index_rate)
+        return ["p_a", "p_b"], [(grid.points, grid.index_a), (grid.points, grid.index_b)]
+    rate = (grid.miss_rates, grid.index_rate)
     obs, miss = grid.obs_params, grid.miss_params
     if grid.outcome == "bernoulli":
         return (["theta_obs", "theta_miss", "miss_rate"],
-                [(_texts(obs), grid.index_obs), (_texts(miss), grid.index_miss), rate])
+                [(obs, grid.index_obs), (miss, grid.index_miss), rate])
     return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
-            [(_texts(obs[:, 0]), grid.index_obs), (_texts(obs[:, 1]), grid.index_obs),
-             (_texts(miss[:, 0]), grid.index_miss), (_texts(miss[:, 1]), grid.index_miss),
-             rate])
+            [(obs[:, 0], grid.index_obs), (obs[:, 1], grid.index_obs),
+             (miss[:, 0], grid.index_miss), (miss[:, 1], grid.index_miss), rate])
 
 
-def _format_block(columns, rows: int) -> bytes:
+def _format_block(fields: np.ndarray) -> bytes:
     """The CSV lines of a block of rows, each ended by CRLF, as bytes.
 
-    Each column is ``(values, optional)`` with one value per row: an object
-    array of str is written as it is, a float array as fmt17 formats it, and an
-    optional column leaves NaN empty. One %-format call formats the block.
-    Defined at module level, so that it can run in a worker process.
+    ``fields`` holds one row of templates per CSV row, one template per column,
+    as mathutil._fmt17_cells writes them: a field's text is the bytes of its
+    template other than NUL. The separators go into the templates' free bytes,
+    and one deletion of every NUL gives the block's bytes.
     """
-    fields = np.empty((rows, len(columns)), dtype=object)
-    specs = np.empty(fields.shape, dtype=object)  # each field's format and separator
-    keep = np.ones(fields.shape, dtype=bool)
-    last = len(columns) - 1
-    for c, (values, optional) in enumerate(columns):
-        end = "\r\n" if c == last else ","
-        fields[:, c] = values
-        specs[:, c] = ("%s" if values.dtype == object else "%" + FMT17) + end
-        if optional:
-            empty = np.isnan(values)
-            specs[empty, c] = end
-            keep[empty, c] = False
-    return ("".join(specs.ravel().tolist()) % tuple(fields[keep].tolist())).encode()
-
-
-def _csv_workers(blocks: int) -> int:
-    """Worker processes to format a report's blocks: one per CPU this process may
-    run on, at most one per block, on Linux only. There the pool forks its
-    workers; spawned workers import numpy first, and a pool of them was slower
-    than formatting in process even at 251,001 rows (2-vCPU VM)."""
-    if sys.platform != "linux":
-        return 1
-    return min(len(os.sched_getaffinity(0)), blocks)
+    fields[:, :-1, -1] |= _COMMA
+    fields[:, -1, -1] |= _CRLF
+    return fields.tobytes().translate(None, b"\0")
 
 
 def report_to_csv(report: RegretReport, path) -> None:
     """One row per state plus a summary footer row, written a block of rows at a time.
 
-    On Linux, a report of more than _CSV_POOL_ROWS rows in a process that may
-    run on more than one CPU has its blocks formatted by a pool of worker
-    processes, one per CPU; the file gets the same bytes either way. Lines end
-    in CRLF, as the csv module writes them. No field needs CSV quoting: each is
-    a number, an empty value or a fixed word.
+    Each number is ``format(v, ".17g")``, byte for byte: mathutil._fmt17_cells
+    formats a block's result columns with numpy operations, and falls back to
+    ``format`` for the rare values whose rounding it cannot certify. Distinct
+    state coordinates are formatted once. Lines end in CRLF, as the csv module
+    writes them. No field needs CSV quoting: each is a number, an empty value
+    or a fixed word.
     """
     state_names, coordinates = _coordinate_columns(report.grid)
+    texts = [(_fmt17_cells(values), index) for values, index in coordinates]
     results = [(report.error_prob, True), (report.expected_welfare, True),
                (report.regret, False), (report.mc_stderr, False)]
     header = state_names + ["error_prob", "expected_welfare", "regret", "mc_stderr"]
     summary = ["#summary", f"max_regret={fmt17(report.max_regret)}",
-               "argmax=" + "|".join(texts[index[report.argmax]] for texts, index in coordinates),
+               "argmax=" + "|".join(fmt17(values[index[report.argmax]])
+                                    for values, index in coordinates),
                f"method={report.method.mode}",
                f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
                f"seed={report.seed.master_seed if report.seed else ''}"]
     n = len(report.grid)
-    starts = range(0, n, _CSV_BLOCK_ROWS)
-    blocks = (([(texts[index[lo:lo + _CSV_BLOCK_ROWS]], False) for texts, index in coordinates]
-               + [(values[lo:lo + _CSV_BLOCK_ROWS], opt) for values, opt in results],
-               min(_CSV_BLOCK_ROWS, n - lo)) for lo in starts)
-    workers = _csv_workers(len(starts)) if n > _CSV_POOL_ROWS else 1
+    fields = np.empty((min(n, _CSV_BLOCK_ROWS), len(header), FMT17_WIDTH // 8), "<u8")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for text in _ordered_map(_format_block, blocks, workers):
-            fh.write(text)
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            block = fields[:min(_CSV_BLOCK_ROWS, n - lo)]
+            rows = slice(lo, lo + len(block))
+            for c, (chars, index) in enumerate(texts):
+                block[:, c] = chars[index[rows]]
+            for c, (values, optional) in enumerate(results, len(texts)):
+                _fmt17_cells(values[rows], block[:, c])
+                if optional:  # NaN marks no value: an empty field
+                    block[np.isnan(values[rows]), c] = 0
+            fh.write(_format_block(block))
         fh.write((",".join(summary) + "\r\n").encode())

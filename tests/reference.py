@@ -1,7 +1,8 @@
-"""Independent scalar references for the choice tables the scans use.
+"""Independent references for the scans and the report CSV.
 
-Each function decides or weighs one outcome at a time, written without the
-tables, so tests can check ``rule.table(n)`` and the exact scans against them.
+The choice functions decide or weigh one outcome at a time, written without
+the tables, so tests can check ``rule.table(n)`` and the exact scans against
+them. The CSV writer formats one cell at a time with ``format``.
 """
 
 from typing import Iterator
@@ -48,3 +49,38 @@ def enumerate_trial(state: BinaryTrialState,
     for i in range(n + 1):
         for j in range(n + 1):
             yield TrialOutcome((i, j)), float(pmf_a[i] * pmf_b[j])
+
+
+def per_cell_report_to_csv(report, path):
+    """Reference writer: every cell through format(v, ".17g"), one column at a
+    time, with NaN left empty in the optional columns."""
+    grid = report.grid
+    if grid.family == "binary_trial":
+        names = ["p_a", "p_b"]
+        coords = [grid.points[grid.index_a], grid.points[grid.index_b]]
+    elif grid.outcome == "bernoulli":
+        names = ["theta_obs", "theta_miss", "miss_rate"]
+        coords = [grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss],
+                  grid.miss_rates[grid.index_rate]]
+    else:
+        names = ["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"]
+        obs, miss = grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss]
+        coords = [obs[:, 0], obs[:, 1], miss[:, 0], miss[:, 1], grid.miss_rates[grid.index_rate]]
+
+    def cells(values, optional=False):
+        return ["" if optional and v != v else format(v, ".17g") for v in values.tolist()]
+
+    coords = [cells(c) for c in coords]
+    results = [cells(report.error_prob, True), cells(report.expected_welfare, True),
+               cells(report.regret), cells(report.mc_stderr)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names + ["error_prob", "expected_welfare", "regret",
+                                   "mc_stderr"]) + "\r\n")
+        for row in zip(*coords, *results):
+            fh.write(",".join(row) + "\r\n")
+        fh.write(",".join([
+            "#summary", f"max_regret={format(report.max_regret, '.17g')}",
+            "argmax=" + "|".join(c[report.argmax] for c in coords),
+            f"method={report.method.mode}",
+            f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+            f"seed={report.seed.master_seed if report.seed else ''}"]) + "\r\n")

@@ -1,4 +1,3 @@
-import sys
 from functools import partial
 
 import numpy as np
@@ -30,12 +29,11 @@ from mmregret import (
     regret_bounds,
     report_to_csv,
 )
-from mmregret.engine import (_CSV_BLOCK_ROWS, _CSV_POOL_ROWS, _binomial_counts,
-                             _draw_histogram, _mc_mse, _mean_stderr, _trial_report,
-                             choice_table)
+from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _draw_histogram, _mc_mse,
+                             _mean_stderr, _trial_report, choice_table)
 from mmregret.mathutil import binom_pmf_vector
 from mmregret.states import StateGrid
-from reference import enumerate_trial, es_choose, ztest_choose
+from reference import enumerate_trial, es_choose, per_cell_report_to_csv, ztest_choose
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -720,41 +718,6 @@ class TestColumnarReport:
             replace(report, argmax=(report.argmax + 1) % len(report.grid))
 
 
-def _per_cell_report_to_csv(report, path):
-    """Reference writer: every cell through format(v, ".17g"), one column at a
-    time, with NaN left empty in the optional columns."""
-    grid = report.grid
-    if grid.family == "binary_trial":
-        names = ["p_a", "p_b"]
-        coords = [grid.points[grid.index_a], grid.points[grid.index_b]]
-    elif grid.outcome == "bernoulli":
-        names = ["theta_obs", "theta_miss", "miss_rate"]
-        coords = [grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss],
-                  grid.miss_rates[grid.index_rate]]
-    else:
-        names = ["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"]
-        obs, miss = grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss]
-        coords = [obs[:, 0], obs[:, 1], miss[:, 0], miss[:, 1], grid.miss_rates[grid.index_rate]]
-
-    def cells(values, optional=False):
-        return ["" if optional and v != v else format(v, ".17g") for v in values.tolist()]
-
-    coords = [cells(c) for c in coords]
-    results = [cells(report.error_prob, True), cells(report.expected_welfare, True),
-               cells(report.regret), cells(report.mc_stderr)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names + ["error_prob", "expected_welfare", "regret",
-                                   "mc_stderr"]) + "\r\n")
-        for row in zip(*coords, *results):
-            fh.write(",".join(row) + "\r\n")
-        fh.write(",".join([
-            "#summary", f"max_regret={format(report.max_regret, '.17g')}",
-            "argmax=" + "|".join(c[report.argmax] for c in coords),
-            f"method={report.method.mode}",
-            f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
-            f"seed={report.seed.master_seed if report.seed else ''}"]) + "\r\n")
-
-
 _SPECIAL_FLOATS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
                             2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
                             0.1, 1 / 3, 1e16, 123456789.0])
@@ -800,9 +763,6 @@ def _grid(family, rows, rng):
         miss_params=[tuple(rng.choice(shapes, 2)) for _ in range(miss)], miss_rates=rates)
 
 
-ON_LINUX = pytest.mark.skipif(sys.platform != "linux", reason="the CSV pool runs on Linux")
-
-
 class TestBlockCsvWriter:
     """report_to_csv against the per-cell reference writer, byte for byte."""
 
@@ -817,45 +777,17 @@ class TestBlockCsvWriter:
         report = _wild_report(_grid(family, rows, np.random.default_rng(seed)), seed)
         assert len(report.grid) == rows
         report_to_csv(report, tmp / "block.csv")
-        _per_cell_report_to_csv(report, tmp / "cell.csv")
+        per_cell_report_to_csv(report, tmp / "cell.csv")
         assert (tmp / "block.csv").read_bytes() == (tmp / "cell.csv").read_bytes()
 
-    def test_pool_cases_are_above_the_pool_threshold(self):
-        assert len(build_binary_grid(1 / 256)) > _CSV_POOL_ROWS
 
-    @ON_LINUX
-    @given(seed=st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=1, deadline=None)  # a second example adds ~1 s
-    def test_pool_bytes_match_per_cell_writer(self, tmp_path_factory, seed):
-        tmp = tmp_path_factory.mktemp("csv")
-        report = _wild_report(build_binary_grid(1 / 256), seed)
-        assert _write_on_cpus(report, tmp / "pool.csv", {0, 1}) == [2]
-        _per_cell_report_to_csv(report, tmp / "cell.csv")
-        assert (tmp / "pool.csv").read_bytes() == (tmp / "cell.csv").read_bytes()
-
-    @ON_LINUX
-    def test_one_cpu_writes_the_pool_bytes_in_process(self, tmp_path):
-        report = max_regret_scan(ZTEST, build_binary_grid(1 / 256), TrialDesign(per_arm_n=20))
-        assert _write_on_cpus(report, tmp_path / "pool.csv", {0, 1}) == [2]
-        assert _write_on_cpus(report, tmp_path / "one.csv", {0}) == [1]
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
-
-
-def _write_on_cpus(report, path, cpus):
-    """report_to_csv as if the process could run on the given CPUs; the worker
-    counts it asked the pool helper for."""
-    import mmregret.engine as engine
-    ordered_map, workers = engine._ordered_map, []
-
-    def spy(fn, tasks, n):
-        workers.append(n)
-        return ordered_map(fn, tasks, n)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine.os, "sched_getaffinity", lambda pid: cpus)
-        mp.setattr(engine, "_ordered_map", spy)
-        report_to_csv(report, path)
-    return workers
+def test_full_size_es_report_matches_per_cell_writer(tmp_path):
+    """A real 251,001-row report: the benchmark's exact ES scan at n=145."""
+    report = max_regret_scan(ES, build_binary_grid(0.002), TrialDesign(per_arm_n=145))
+    assert len(report.grid) == 251_001
+    report_to_csv(report, tmp_path / "block.csv")
+    per_cell_report_to_csv(report, tmp_path / "cell.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
 @pytest.mark.parametrize("family", ["binary_trial", "prediction"])

@@ -3,7 +3,8 @@ from math import exp, lgamma, log
 import numpy as np
 import pytest
 
-from mmregret.mathutil import binom_pmf_vector
+from mmregret import EmpiricalSuccess, TrialDesign, ZTest, build_binary_grid, max_regret_scan
+from mmregret.mathutil import FMT17_WIDTH, _digits17, _fmt17_cells, binom_pmf_vector
 
 
 def _lgamma_pmf(n, k, p):
@@ -27,3 +28,83 @@ class TestBinomPmf:
         sd = np.sqrt(n * p * (1 - p))
         for k in {int(n * p), int(n * p - 3 * sd), int(n * p + 3 * sd)}:
             assert pmf[k] == pytest.approx(_lgamma_pmf(n, k, p), rel=1e-8)
+
+
+def _texts(values):
+    """The kernel's text of each value."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _fmt17_cells(values)]
+
+
+def _assert_formats_like_python(values):
+    values = np.asarray(values, dtype=np.float64)
+    want = [format(v, ".17g") for v in values.tolist()]
+    got = _texts(values)
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:5]
+
+
+def _uncertified(values):
+    """How many finite non-zero values the kernel sends to format()."""
+    values = np.abs(np.asarray(values, dtype=np.float64))
+    d, _ = _digits17(values[np.isfinite(values) & (values > 0)])
+    return int(np.sum(d == 0))
+
+
+class TestFmt17Kernel:
+    """The vectorised .17g text against format(v, ".17g"), byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_bit_patterns(self, seed):
+        # every sign, exponent and mantissa: NaN and inf patterns, subnormals
+        bits = np.random.default_rng(seed).integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+        _assert_formats_like_python(bits.view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([10.0 ** k for k in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, np.inf),
+                                 np.nextafter(powers, 0.0)])
+        _assert_formats_like_python(np.concatenate([values, -values]))
+
+    def test_exact_ties_fall_back(self):
+        # i/8 with odd i in [8e14, 8e15) has 18 significant digits ending in 5
+        i = np.random.default_rng(2).integers(4 * 10 ** 14, 4 * 10 ** 15, 20_000) * 2 + 1
+        ties = i / 8.0
+        assert _uncertified(ties) == len(ties)
+        _assert_formats_like_python(np.concatenate([ties, -ties]))
+
+    def test_dyadic_fractions(self):
+        i = np.random.default_rng(3).integers(1, 2 ** 53, 50_000)
+        _assert_formats_like_python(np.concatenate([i / 8.0, np.ldexp(i.astype(float), -60)]))
+
+    def test_subnormals_zeros_nan_payloads_and_infinities(self):
+        rng = np.random.default_rng(4)
+        mantissa = rng.integers(1, 2 ** 52, 5_000, dtype=np.uint64)
+        subnormal = mantissa.view(np.float64)
+        nan = (mantissa | np.uint64(0x7FF << 52)).view(np.float64)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            2.2250738585072014e-308, 2.225073858507201e-308,
+                            1.7976931348623157e308])
+        _assert_formats_like_python(np.concatenate([subnormal, -subnormal, nan, -nan,
+                                                    special, -special]))
+
+    def test_layout_boundaries(self):
+        # fixed notation for -4 <= X < 17, trailing zeros and points dropped
+        values = [1e-5, 1e-4, 0.00012, 0.5, 1.0, 9.5, 10.0, 12.5, 123456.75, 1e15, 1e16,
+                  1.5e16, 1e17, 1e100, 1.25e-100, 1e-310, 0.1, 1 / 3, 2 / 3, 100.0]
+        _assert_formats_like_python(np.concatenate([values, np.negative(values)]))
+
+    def test_writes_into_a_given_array(self):
+        values = np.array([0.25, -1e-7, np.nan])
+        out = np.zeros((2 * len(values), FMT17_WIDTH // 8), "<u8")[::2]
+        assert _fmt17_cells(values, out) is out
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in out] == \
+            ["0.25", "-9.9999999999999995e-08", "nan"]
+
+
+@pytest.mark.parametrize("rule", [EmpiricalSuccess(), ZTest()], ids=["es", "ztest"])
+def test_exact_n145_reports_need_no_fallback(rule):
+    """Every number of the exact reports at n=145, step 0.01 takes the fast path."""
+    report = max_regret_scan(rule, build_binary_grid(0.01), TrialDesign(per_arm_n=145))
+    columns = [report.grid.points, report.error_prob, report.expected_welfare,
+               report.regret, report.mc_stderr]
+    assert sum(_uncertified(c) for c in columns) == 0
