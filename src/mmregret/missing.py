@@ -165,8 +165,8 @@ def allocation_welfare(z_b: float, state: MissingDataState) -> float:
 
 def allocation_regret(z_b: float, state: MissingDataState) -> float:
     """Best-arm welfare minus allocation welfare."""
-    mu_a, mu_b = state.full_means
-    return max(mu_a, mu_b) - allocation_welfare(z_b, state)
+    welfare = allocation_welfare(z_b, state)  # checks full_means first
+    return max(state.full_means) - welfare
 
 
 def es_asymptotic_interval(

@@ -260,6 +260,11 @@ class TestWelfareAccounting:
         with pytest.raises(PreconditionError):
             allocation_welfare(0.5, s)
 
+    def test_regret_without_full_means_rejected(self):
+        s = MissingDataState(0.5, 0.5, 1.0, 1.0)
+        with pytest.raises(PreconditionError, match="full means"):
+            allocation_regret(0.5, s)
+
 
 def _reversed_state(gap_means):
     mu_a, mu_b = gap_means
