@@ -244,8 +244,9 @@ def _trial_report(rule, grid, design, method, seed, workers: int, first: int) ->
         _check_exact_trial(design)
     pmf, table = binom_pmf_matrix(n, grid.points), choice_table(rule, n)
     if method.mode == "exact":
-        # prob of choosing b for every (p_a, p_b) pair of grid probabilities
-        prob_b = (pmf @ table @ pmf.T)[grid.index_a, grid.index_b]
+        # prob of choosing b for every (p_a, p_b) pair of grid probabilities; the
+        # contraction's round-off can leave [0, 1] by ~1e-15, so it is clipped back
+        prob_b = np.clip((pmf @ table @ pmf.T)[grid.index_a, grid.index_b], 0.0, 1.0)
         se_b = np.zeros(len(grid))
     else:
         # workers get the table, not the rule: an OutcomeRule's callable need not pickle

@@ -303,8 +303,13 @@ class TestMaxRegretScan:
         assert coarse.max_regret <= fine.max_regret
 
     def test_exact_regret_nonnegative_everywhere(self):
-        report = max_regret_scan(ZTEST, build_binary_grid(0.1), TrialDesign(per_arm_n=25))
-        assert all(rec.regret >= 0.0 for rec in report.per_state)
+        # at n=145 the contraction's round-off alone pushed some values out of range
+        for rule, n, step in ((ZTEST, 25, 0.1), (ES, 145, 0.05), (ZTEST, 145, 0.05)):
+            report = max_regret_scan(rule, build_binary_grid(step), TrialDesign(per_arm_n=n))
+            err = report.error_prob[~np.isnan(report.error_prob)]
+            assert ((err >= 0.0) & (err <= 1.0)).all()
+            assert (report.regret >= 0.0).all()
+            assert (report.expected_welfare <= 1.0).all()
 
     def test_bound_dominance(self):
         for n in (10, 50, 145):
