@@ -167,9 +167,8 @@ def _digits17(ax: np.ndarray):
         whole, frac = _scaled(m[at], e[at], 16 - x[at])
         # y counts as in [10^16, 10^17) also within the margin of either end: there
         # the digits round to a power of ten whichever side y lies on
-        low = (whole < _E16) & ~((whole == _E16 - 1) & (frac > 1 - _TIE_MARGIN))
-        high = (whole >= _E17) & ~((whole == _E17) & (frac < _TIE_MARGIN))
-        miss = high.astype(np.int64) - low
+        miss = ((whole - (frac < _TIE_MARGIN) >= _E17).astype(np.int64)
+                - (whole + (frac > 1 - _TIE_MARGIN) < _E16))
         d[at] = np.where((miss == 0) & (np.abs(frac - 0.5) > _TIE_MARGIN),
                          whole + (frac > 0.5), 0)
         x[at] += miss
@@ -248,7 +247,8 @@ def _text_words(ax: np.ndarray, words: np.ndarray) -> np.ndarray:
     rest = d - lead * _E16
     high = rest // 10 ** 8
     low = rest - high * 10 ** 8
-    groups = [high // 10000, high % 10000, low // 10000, low % 10000]
+    g0, g2 = high // 10000, low // 10000
+    groups = [g0, high - 10000 * g0, g2, low - 10000 * g2]  # D1..D4, ..., D13..D16
     zeros = tab["zeros"][groups[3]]  # trailing zeros of D1..D16
     more = np.flatnonzero(zeros == 4)
     for g in groups[2::-1]:

@@ -64,6 +64,7 @@ class TestFmt17Kernel:
         values = np.concatenate([powers, np.nextafter(powers, np.inf),
                                  np.nextafter(powers, 0.0)])
         _assert_formats_like_python(np.concatenate([values, -values]))
+        assert _uncertified(powers) == 0  # log10 may miss X by one; the retry settles it
 
     def test_exact_ties_fall_back(self):
         # i/8 with odd i in [8e14, 8e15) has 18 significant digits ending in 5
