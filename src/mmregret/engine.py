@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pickle
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -135,14 +134,11 @@ def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
         int(np.argmax(regret)), method, seed)
 
 
-def _ordered_map(fn, tasks, workers: int):
-    """``fn(*task)`` for each task, yielded in order. With more than one worker the
-    tasks run in a pool of that many processes, at most two per worker submitted
-    ahead of the result yielded, so the results held in memory stay bounded."""
+def _ordered_map(fn, tasks, workers: int) -> list:
+    """``fn(*task)`` for each task, in order. With more than one worker the tasks
+    run in a pool of that many processes."""
     if workers == 1:
-        for task in tasks:
-            yield fn(*task)
-        return
+        return [fn(*task) for task in tasks]
     # imported here: loading the pool machinery costs every CLI start ~20 ms
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -154,13 +150,7 @@ def _ordered_map(fn, tasks, workers: int):
     # the parent may hold.
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        pending = deque()
-        for task in tasks:
-            pending.append(pool.submit(fn, *task))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
@@ -169,7 +159,7 @@ def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
     The pool gets one process per chunk: it starts all its processes at once."""
     size = -(-len(items) // workers)
     tasks = [(items[lo:lo + size], first + lo) for lo in range(0, len(items), size)]
-    return np.concatenate(list(_ordered_map(fn, tasks, len(tasks))), axis=-1)
+    return np.concatenate(_ordered_map(fn, tasks, len(tasks)), axis=-1)
 
 
 def _check_workers(workers: int) -> None:

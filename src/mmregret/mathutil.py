@@ -237,7 +237,7 @@ def _text_tables() -> dict[str, np.ndarray]:
             "dot": _words(np.where(j == 8 + s, ord("."), 0))}
 
 
-def _text_words(ax: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _text_words(ax: np.ndarray, words: np.ndarray) -> list[int]:
     """Write the unsigned templates of finite positive values into words, one row
     each; the rows whose rounding could not be certified are left out and
     returned."""
@@ -303,6 +303,5 @@ def _fmt17_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
         chars[rows, 0] = np.where(a == 0, _WORD0["zero"] | sign,
                                   np.where(a == np.inf, _WORD0["inf"] | sign, _WORD0["nan"]))
     for i in back:
-        text = format(float(v[i]), FMT17).encode()
-        chars[i] = np.frombuffer(text.ljust(FMT17_WIDTH, b"\0"), "<u8")
+        chars[i] = np.frombuffer(fmt17(v[i]).encode().ljust(FMT17_WIDTH, b"\0"), "<u8")
     return chars
