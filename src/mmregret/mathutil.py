@@ -206,9 +206,12 @@ def _words(rows: np.ndarray) -> np.ndarray:
 @cache
 def _text_tables() -> dict[str, np.ndarray]:
     """Lookup tables of template words, built on first use."""
-    k = np.arange(10000)
+    k = np.arange(10000, dtype=np.int16)  # small types: the transients count in peak RSS
     quads = np.zeros((10000, 8), np.uint8)  # "abcd" for abcd
-    quads[:, :4] = 48 + np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    zeros = np.zeros(10000, np.int64)  # trailing zeros of abcd
+    for i in range(4):
+        quads[:, i] = 48 + k // 10 ** (3 - i) % 10
+        zeros += k % 10 ** (i + 1) == 0
     x = np.arange(_X_MIN, _X_MAX + 1)
     mag = np.abs(x)
     fixed, small = (x >= -4) & (x < 17), (x >= -4) & (x < 0)
@@ -230,7 +233,7 @@ def _text_tables() -> dict[str, np.ndarray]:
     quads = _words(quads).ravel()
     return {"quads": quads, "quads_high": quads << 32, "word0": word0.ravel(),
             "word3": _words(by_x)[:, 3].copy(), "point": point,
-            "zeros": sum((k % 10 ** i == 0).astype(np.int64) for i in range(1, 5)),
+            "zeros": zeros,
             "shown1": shown[:, 1].copy(), "shown2": shown[:, 2].copy(),
             # a point after digit p: the bytes below it, and the point
             "below": _words(np.where(j < 8 + s, 255, 0)),
