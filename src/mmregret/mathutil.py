@@ -231,9 +231,8 @@ def _text_tables() -> dict[str, np.ndarray]:
     s = np.arange(18)[:, None]
     shown = _words(np.where((j >= 8) & (j < 24) & (j - 7 < s), 255, 0))  # D1..D(s-1)
     quads = _words(quads).ravel()
-    return {"quads": quads, "quads_high": quads << 32, "word0": word0.ravel(),
-            "word3": _words(by_x)[:, 3].copy(), "point": point,
-            "zeros": zeros,
+    return {"quads": quads, "quads_high": quads << 32, "zeros": zeros, "point": point,
+            "word0": word0.ravel(), "word3": _words(by_x)[:, 3].copy(),
             "shown1": shown[:, 1].copy(), "shown2": shown[:, 2].copy(),
             # a point after digit p: the bytes below it, and the point
             "below": _words(np.where(j < 8 + s, 255, 0)),
