@@ -51,7 +51,7 @@ def enumerate_trial(state: BinaryTrialState,
             yield TrialOutcome((i, j)), float(pmf_a[i] * pmf_b[j])
 
 
-def per_cell_report_to_csv(report, path):
+def _per_cell_report_to_csv(report, path):
     """Reference writer: every cell through format(v, ".17g"), one column at a
     time, with NaN left empty in the optional columns."""
     grid = report.grid

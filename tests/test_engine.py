@@ -33,7 +33,7 @@ from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _draw_histogram,
                              _mean_stderr, _trial_report, choice_table)
 from mmregret.mathutil import binom_pmf_vector
 from mmregret.states import StateGrid
-from reference import enumerate_trial, es_choose, per_cell_report_to_csv, ztest_choose
+from reference import _per_cell_report_to_csv, enumerate_trial, es_choose, ztest_choose
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -782,7 +782,7 @@ class TestBlockCsvWriter:
         report = _wild_report(_grid(family, rows, np.random.default_rng(seed)), seed)
         assert len(report.grid) == rows
         report_to_csv(report, tmp / "block.csv")
-        per_cell_report_to_csv(report, tmp / "cell.csv")
+        _per_cell_report_to_csv(report, tmp / "cell.csv")
         assert (tmp / "block.csv").read_bytes() == (tmp / "cell.csv").read_bytes()
 
 
@@ -791,7 +791,7 @@ def test_full_size_es_report_matches_per_cell_writer(tmp_path):
     report = max_regret_scan(ES, build_binary_grid(0.002), TrialDesign(per_arm_n=145))
     assert len(report.grid) == 251_001
     report_to_csv(report, tmp_path / "block.csv")
-    per_cell_report_to_csv(report, tmp_path / "cell.csv")
+    _per_cell_report_to_csv(report, tmp_path / "cell.csv")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
