@@ -294,7 +294,7 @@ def _fmt17_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     v = np.asarray(values, dtype=np.float64)
     ax = np.abs(v)
     finite = (ax > 0) & (ax < np.inf)  # also False for NaN
-    sign = (v.view("<u8") >> np.uint64(63)) * _SIGN
+    sign = (v.view(np.uint64) >> np.uint64(63)) * _SIGN
     chars = np.empty((len(v), 4), "<u8") if out is None else out
     back = _text_words(np.where(finite, ax, 1.0), chars) if finite.any() else []
     chars[:, 0] |= sign
