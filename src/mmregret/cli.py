@@ -237,9 +237,7 @@ def _wald_predictor(cfg) -> Predictor:
 
 def _wald_grid(cfg) -> states.StateGrid:
     family = cfg.get("family", "bernoulli")
-    support = tuple(_floats(cfg.get("support", "0,1")))
-    if len(support) != 2:
-        raise ConfigError("support must be 'y0,y1'")
+    support = _bounds(cfg.get("support", "0,1"), "support")
     miss = _coordinate(cfg, "miss")
     filters = dict(
         max_miss_rate=_number(cfg["max_miss"]) if "max_miss" in cfg else None,
@@ -297,14 +295,11 @@ def cmd_wald_mse(args) -> int:
 def cmd_alloc(args) -> int:
     bounds_a = _bounds(args.bounds_a, "--bounds-a")
     bounds_b = _bounds(args.bounds_b, "--bounds-b")
-    if args.mode == "population":
+    if args.mode in ("population", "known-p"):
         state = states.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
                                         bounds_a, bounds_b)
-        result = missing.mmr_alloc_population(state)
-    elif args.mode == "known-p":
-        state = states.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
-                                        bounds_a, bounds_b)
-        result = missing.mmr_alloc_known_p(state)
+        result = (missing.mmr_alloc_population if args.mode == "population"
+                  else missing.mmr_alloc_known_p)(state)
     elif args.mode == "sample":
         result = missing.mmr_alloc_sample(args.e_a, args.e_b, args.p_a, args.p_b,
                                           bounds_a, bounds_b)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pickle
 import sys
-from dataclasses import dataclass, field
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class RegretReport:
     argmax: int
     method: EvalMethod
     seed: SeedSpec | None = None
-    _records: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         columns = (self.error_prob, self.expected_welfare, self.regret, self.mc_stderr)
@@ -109,12 +108,9 @@ class RegretReport:
         """The StateRecord of state k, built without building the others."""
         return self._record(k, self.grid.state(k))
 
-    @property
+    @cached_property
     def per_state(self) -> tuple[StateRecord, ...]:
-        if self._records is None:
-            records = tuple(map(self._record, range(len(self.grid)), self.grid.states))
-            object.__setattr__(self, "_records", records)
-        return self._records
+        return tuple(map(self._record, range(len(self.grid)), self.grid.states))
 
     def _record(self, k: int, state) -> StateRecord:
         err, welfare = float(self.error_prob[k]), float(self.expected_welfare[k])
@@ -171,8 +167,6 @@ def _check_workers(workers: int) -> None:
 # two-arm binary trials
 
 def _check_exact_trial(design: TrialDesign) -> None:
-    if design.arms != 2 or design.outcome_range != 1.0:
-        raise PreconditionError("exact mode requires a two-arm binary design")
     if design.per_arm_n > _MAX_EXACT_TRIAL_N:
         raise PreconditionError("per-arm n too large for exact enumeration")
 
@@ -510,7 +504,7 @@ def exhaustive_mmr_oracle(
     Enumerates all 2^((n+1)^2) deterministic two-arm rules, so the per-arm
     sample size is capped at 3.
     """
-    if design.arms != 2 or design.per_arm_n > 3:
+    if design.per_arm_n > 3:
         raise PreconditionError("oracle limited to two arms and n <= 3 per arm")
     if grid.family != "binary_trial":
         raise PreconditionError("oracle needs a binary_trial grid")

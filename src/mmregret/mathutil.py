@@ -69,22 +69,16 @@ def binom_pmf_matrix(n: int, ps: np.ndarray) -> np.ndarray:
     return np.vstack([binom_pmf_vector(n, p) for p in ps])
 
 
-def norm_ppf(q: float) -> float:
-    """Inverse of the standard normal CDF."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile {q} outside (0, 1)")
-    # imported here, not at start-up: scans at the pinned alpha = 0.05 never call this
-    from statistics import NormalDist
-    return NormalDist().inv_cdf(q)
-
-
 def one_sided_critical_value(alpha: float) -> float:
-    """Upper critical value z_{1-alpha}; the 0.05 value is pinned to 1.6449."""
+    """Upper critical value z_{1-alpha}, the standard library's inverse normal CDF
+    at 1 - alpha; the 0.05 value is pinned to 1.6449."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1)")
     if alpha == 0.05:
         return Z_CRIT_05
-    return norm_ppf(1.0 - alpha)
+    # imported here, not at start-up: scans at the pinned alpha = 0.05 never call this
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(1.0 - alpha)
 
 
 FMT17 = ".17g"  # 17 significant digits, '.' decimal separator

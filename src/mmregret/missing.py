@@ -76,31 +76,26 @@ def mmr_alloc_population(state: MissingDataState) -> AllocationResult:
                           state.bounds_a, state.bounds_b)
 
 
-def mmr_alloc_known_p(state: MissingDataState) -> AllocationResult:
-    """Specialized allocation when both arms share bounds and the observability
-    score p = p_a + p_b is at most 1 (neither arm can dominate then)."""
+def _known_score_ratio(state: MissingDataState, p: float) -> float:
+    """The known-score allocation before any clamping, for an observability score
+    p: it needs common, non-degenerate outcome bounds and p at most 1."""
     if state.bounds_a != state.bounds_b:
         raise PreconditionError("known-score form needs common outcome bounds")
     y0, y1 = state.bounds_a
     if y0 == y1:
         raise PreconditionError("degenerate outcome support")
-    p = state.p_a + state.p_b
     if p > 1.0 + _EQ_TOL:
         raise PreconditionError(f"observability score {p} exceeds 1")
-    z = (state.e_b * state.p_b + y1 * (1.0 - state.p_b)
-         - state.e_a * state.p_a - y0 * (1.0 - state.p_a)) / ((y1 - y0) * (2.0 - p))
+    return (state.e_b * state.p_b + y1 * (1.0 - state.p_b)
+            - state.e_a * state.p_a - y0 * (1.0 - state.p_a)) / ((y1 - y0) * (2.0 - p))
+
+
+def mmr_alloc_known_p(state: MissingDataState) -> AllocationResult:
+    """Specialized allocation when both arms share bounds and the observability
+    score p = p_a + p_b is at most 1 (neither arm can dominate then)."""
+    z = _known_score_ratio(state, state.p_a + state.p_b)
     # no-dominance guarantee keeps z in [0, 1]; absorb float round-off only
-    z = min(1.0, max(0.0, float(z)))
-    return AllocationResult(z, "interior")
-
-
-def _check_sample_arm(arm: str, e: float, p: float, bounds: tuple[float, float]) -> None:
-    """An arm's observed share lies in [0, 1] and its sample mean within its bounds."""
-    y0, y1 = bounds
-    if not 0.0 <= p <= 1.0:  # the comparisons also reject NaN
-        raise PreconditionError(f"p_N{arm}={p} outside [0, 1]")
-    if not y0 <= e <= y1:
-        raise PreconditionError(f"e_N{arm}={e} outside bounds [{y0}, {y1}]")
+    return AllocationResult(min(1.0, max(0.0, float(z))), "interior")
 
 
 def mmr_alloc_sample(
@@ -111,17 +106,17 @@ def mmr_alloc_sample(
     bounds_a: tuple[float, float] = (0.0, 1.0),
     bounds_b: tuple[float, float] = (0.0, 1.0),
 ) -> AllocationResult:
-    """Plug-in allocation from sample analogs of (e_a, e_b, p_a, p_b).
+    """The as-if allocation: the population rule at the sample analogs of
+    (e_a, e_b, p_a, p_b), taken as if they were the population values.
 
     A conditional-mean estimate may be passed as None only when its arm had no
     observed outcomes; that case is rejected rather than imputed.
     """
-    for arm, e, p, bounds in (("a", e_na, p_na, bounds_a), ("b", e_nb, p_nb, bounds_b)):
+    for arm, e in (("a", e_na), ("b", e_nb)):
         if e is None:
             raise PreconditionError(
                 f"arm {arm} has no observed outcomes; its conditional mean is undefined")
-        _check_sample_arm(arm, e, p, bounds)
-    return _alloc_general(e_na, e_nb, p_na, p_nb, bounds_a, bounds_b)
+    return mmr_alloc_population(MissingDataState(e_na, e_nb, p_na, p_nb, bounds_a, bounds_b))
 
 
 def mmr_alloc_sample_known_p(
@@ -139,13 +134,8 @@ def mmr_alloc_sample_known_p(
     """
     if not 0.0 < known_p <= 1.0 + _EQ_TOL:
         raise PreconditionError(f"known observability score {known_p} outside (0, 1]")
-    y0, y1 = bounds
-    if y0 == y1:
-        raise PreconditionError("degenerate outcome support")
-    _check_sample_arm("a", e_na, p_na, bounds)
-    _check_sample_arm("b", e_nb, p_nb, bounds)
-    raw = (e_nb * p_nb + y1 * (1.0 - p_nb)
-           - e_na * p_na - y0 * (1.0 - p_na)) / ((y1 - y0) * (2.0 - known_p))
+    raw = _known_score_ratio(MissingDataState(e_na, e_nb, p_na, p_nb, bounds, bounds),
+                             known_p)
     if raw < 0.0:
         return AllocationResult(0.0, "interior", clamped=True, z_raw=float(raw))
     if raw > 1.0:

@@ -46,16 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Action:
-    """A chosen arm, a fractional allocation over arms, or a real prediction."""
+    """A chosen arm or a fractional allocation over arms."""
 
     arm: int | None = None
     allocation: tuple[float, ...] | None = None
-    prediction: float | None = None
 
     def __post_init__(self):
-        set_fields = sum(x is not None for x in (self.arm, self.allocation, self.prediction))
-        if set_fields != 1:
-            raise PreconditionError("exactly one of arm/allocation/prediction must be set")
+        if (self.arm is None) == (self.allocation is None):
+            raise PreconditionError("exactly one of arm/allocation must be set")
         if self.allocation is not None:
             if any(not 0.0 <= z <= 1.0 for z in self.allocation):
                 raise PreconditionError("allocation weights must lie in [0, 1]")
@@ -66,9 +64,7 @@ class Action:
         """Probability mass this action puts on the given arm."""
         if self.arm is not None:
             return 1.0 if self.arm == arm else 0.0
-        if self.allocation is not None:
-            return self.allocation[arm]
-        raise PreconditionError("prediction actions carry no arm mass")
+        return self.allocation[arm]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Sampling designs and seeded random substreams.
 
-Describes balanced trials and random-sample surveys with missingness, and
-derives each random stream from (master seed, state index, stream), so Monte
-Carlo scans are reproducible independent of execution order and worker count.
+Describes balanced two-arm binary trials and random-sample surveys with
+missingness, and derives each random stream from (master seed, state index,
+stream), so Monte Carlo scans are reproducible independent of execution order
+and worker count.
 """
 
 from __future__ import annotations
@@ -23,19 +24,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialDesign:
-    """Balanced K-arm trial, n subjects per arm, outcomes supported on [0, M]."""
+    """Balanced two-arm trial with binary outcomes, n subjects per arm. ``arms``
+    names the arm count for callers that spell it out; it must be 2."""
 
     arms: int = 2
     per_arm_n: int = 1
-    outcome_range: float = 1.0
 
     def __post_init__(self):
-        if self.arms < 2:
-            raise PreconditionError(f"need at least 2 arms, got {self.arms}")
+        if self.arms != 2:
+            raise PreconditionError(f"a trial design has 2 arms, got {self.arms}")
         if self.per_arm_n < 1:
             raise PreconditionError(f"need at least 1 subject per arm, got {self.per_arm_n}")
-        if self.outcome_range <= 0:
-            raise PreconditionError("outcome range must be positive")
 
 
 @dataclass(frozen=True)

@@ -189,11 +189,10 @@ class StateGrid:
         self._states = tuple(states)
         self._built: dict[int, object] = {}
         if family == "binary_trial":
-            pa = np.array([s.p_a for s in self._states], dtype=float)
-            pb = np.array([s.p_b for s in self._states], dtype=float)
-            points = np.unique(np.concatenate([pa, pb]))
-            self._set_columns(points=points, index_a=np.searchsorted(points, pa),
-                              index_b=np.searchsorted(points, pb))
+            points, index = _distinct([s.p_a for s in self._states]
+                                      + [s.p_b for s in self._states])
+            n = len(self._states)
+            self._set_columns(points=points, index_a=index[:n], index_b=index[n:])
         else:
             self._set_columns(**_prediction_columns(self._states))
 

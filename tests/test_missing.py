@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmregret import (
     MissingDataState,
@@ -105,6 +107,58 @@ class TestSampleAllocation:
     def test_mean_outside_its_bounds_rejected(self, e_a, e_b, bounds_b):
         with pytest.raises(PreconditionError, match="outside bounds"):
             mmr_alloc_sample(e_a, e_b, 0.5, 0.5, bounds_b=bounds_b)
+
+
+def _outcome(fn, *args):
+    """A rule's result with its float's bits, or the message of its PreconditionError."""
+    try:
+        r = fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+    return float(r.z_b).hex(), r.regime, r.clamped, r.z_raw
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _states(draw, common_bounds=False):
+    """(e_a, e_b, p_a, p_b, bounds_a, bounds_b) of a valid MissingDataState."""
+    def bounds():
+        y0 = draw(st.floats(-5.0, 5.0))
+        return y0, y0 + draw(st.floats(0.0, 5.0))
+
+    bounds_a = bounds()
+    bounds_b = bounds_a if common_bounds else bounds()
+    e_a, e_b = (y0 + draw(_UNIT) * (y1 - y0) for y0, y1 in (bounds_a, bounds_b))
+    return e_a, e_b, draw(_UNIT), draw(_UNIT), bounds_a, bounds_b
+
+
+class TestSampleRuleIsPopulationRule:
+    @given(_states())
+    @settings(max_examples=300, deadline=None)
+    def test_sample_equals_population_bit_for_bit(self, args):
+        assert _outcome(mmr_alloc_sample, *args) == \
+            _outcome(mmr_alloc_population, MissingDataState(*args))
+
+    @given(_states(common_bounds=True), _UNIT)
+    @settings(max_examples=300, deadline=None)
+    def test_known_score_pair_matches_formula(self, args, known_p):
+        # the ratio as written before the two rules shared it, in the same order
+        e_a, e_b, p_a, p_b, (y0, y1), _ = args
+
+        def ratio(p):
+            return (e_b * p_b + y1 * (1.0 - p_b)
+                    - e_a * p_a - y0 * (1.0 - p_a)) / ((y1 - y0) * (2.0 - p))
+
+        if y0 == y1:
+            return
+        if p_a + p_b <= 1.0:
+            z = mmr_alloc_known_p(MissingDataState(*args)).z_b
+            assert float(z).hex() == min(1.0, max(0.0, ratio(p_a + p_b))).hex()
+        if known_p > 0.0:
+            r = mmr_alloc_sample_known_p(e_a, e_b, p_a, p_b, known_p, (y0, y1))
+            assert float(r.z_raw if r.clamped else r.z_b).hex() == ratio(known_p).hex()
 
 
 class TestSampleKnownScoreAllocation:

@@ -25,7 +25,7 @@ from mmregret import (
     mean_table_predictor,
 )
 from mmregret.engine import _bernoulli_predictions, choice_table
-from mmregret.mathutil import binom_pmf_vector, norm_ppf
+from mmregret.mathutil import binom_pmf_vector, one_sided_critical_value
 from reference import es_choose, ztest_choose
 
 
@@ -85,12 +85,12 @@ class TestZtestChoose:
             reject = float(pmf @ table @ pmf)
             assert reject <= 0.055
 
-    def test_norm_ppf_accuracy(self):
-        # spot values from high-precision tables
-        assert norm_ppf(0.975) == pytest.approx(1.959963984540054, abs=1e-8)
-        assert norm_ppf(0.95) == pytest.approx(1.6448536269514722, abs=1e-8)
-        assert norm_ppf(0.5) == pytest.approx(0.0, abs=1e-12)
-        assert norm_ppf(0.001) == pytest.approx(-3.090232306167813, abs=1e-8)
+    def test_critical_value_accuracy(self):
+        # spot values from high-precision tables, at alphas other than the pinned 0.05
+        assert one_sided_critical_value(0.025) == pytest.approx(1.959963984540054, abs=1e-8)
+        assert one_sided_critical_value(1 - 0.95) == pytest.approx(1.6448536269514722, abs=1e-8)
+        assert one_sided_critical_value(0.5) == pytest.approx(0.0, abs=1e-12)
+        assert one_sided_critical_value(0.999) == pytest.approx(-3.090232306167813, abs=1e-8)
 
 
 class TestScalarMatchesTable:

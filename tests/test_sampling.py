@@ -63,6 +63,18 @@ class TestSubstreams:
             assert abs(freq - p) <= 4 * se + 1e-12
 
 
+class TestTrialDesign:
+    def test_two_arms_only(self):
+        assert TrialDesign(arms=2, per_arm_n=5) == TrialDesign(per_arm_n=5)
+        with pytest.raises(PreconditionError):  # so no Monte Carlo scan can be given one
+            max_regret_scan(DecisionRule("empirical_success"), build_binary_grid(0.5),
+                            TrialDesign(arms=3, per_arm_n=5), EvalMethod("monte_carlo", 1000))
+
+    def test_no_outcome_range(self):
+        with pytest.raises(TypeError):
+            TrialDesign(per_arm_n=5, outcome_range=7.0)
+
+
 class TestSurveyDesign:
     def test_fixed_n_zero_rejected(self):
         with pytest.raises(PreconditionError):

@@ -171,6 +171,13 @@ class TestColumnarBinaryGrid:
         assert grid.index_b.tolist() == lattice.index_b.tolist()
         assert grid.states == lattice.states
 
+    def test_grid_from_states_keeps_negative_zero(self):
+        from mmregret import StateGrid
+        grid = StateGrid("binary_trial", [BinaryTrialState(-0.0, 0.5),
+                                          BinaryTrialState(0.0, -0.0)])
+        assert [repr(p) for p in grid.p_a.tolist()] == ["-0.0", "0.0"]
+        assert [repr(p) for p in grid.p_b.tolist()] == ["0.5", "-0.0"]
+
 
 def _product_grid_states(family, obs, miss, rates, support, max_miss_rate=None,
                          min_missing_mean=None, max_missing_mean=None, max_mean_abs_diff=None):
