@@ -96,7 +96,12 @@ def cmd_medical(args) -> int:
 # scan
 
 def cmd_scan(args) -> int:
-    rule = EmpiricalSuccess() if args.rule == "es" else ZTest(args.alpha, args.status_quo)
+    # the z-test's flags default to None, so that ZTest's own defaults stand in for them
+    ztest = {k: v for k, v in (("alpha", args.alpha), ("status_quo", args.status_quo))
+             if v is not None}
+    if args.rule == "es" and ztest:
+        raise ConfigError("--alpha and --status-quo apply to --rule ztest only")
+    rule = EmpiricalSuccess() if args.rule == "es" else ZTest(**ztest)
     grid = states.build_binary_grid(args.step)
     design = TrialDesign(arms=2, per_arm_n=args.n)
     method, seed, workers, out = _run_settings(args, {}, "exact")
@@ -357,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="max-regret scan of a trial-choice rule")
     p.add_argument("--rule", choices=("es", "ztest"), required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--status-quo", type=int, default=0, choices=(0, 1))
+    p.add_argument("--alpha", type=float, help="z-test level (default 0.05)")
+    p.add_argument("--status-quo", type=int, choices=(0, 1),
+                   help="z-test status-quo arm (default 0)")
     p.add_argument("--n", type=int, required=True, help="subjects per arm")
     p.add_argument("--step", type=float, default=0.01, help="grid step")
     _global_flags(p, "exact")

@@ -45,6 +45,7 @@ __all__ = [
 
 _MAX_EXACT_TRIAL_N = 10000
 _MIN_MC_REPS = 1000
+_ORACLE_CHUNK_RULES = 4096  # deterministic rules scored per chunk by the oracle
 
 
 @dataclass(frozen=True)
@@ -510,23 +511,25 @@ def exhaustive_mmr_oracle(
         raise PreconditionError("oracle needs a binary_trial grid")
     n = design.per_arm_n
     m = (n + 1) ** 2
-    n_rules = 1 << m
 
     # outcome probabilities, states x outcomes
     pmf = binom_pmf_matrix(n, grid.points)
     probs = (pmf[grid.index_a][:, :, None] * pmf[grid.index_b][:, None, :]).reshape(-1, m)
-
-    # rule r chooses arm b on outcome o iff bit o of r is set
-    bits = ((np.arange(n_rules)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
-
-    prob_b = probs @ bits.T  # states x rules
     pa, pb = grid.p_a, grid.p_b
     gap = np.abs(pa - pb)
-    err = np.where(pa[:, None] > pb[:, None], prob_b, 1.0 - prob_b)
-    err[gap == 0] = 0.0
-    max_reg = (err * gap[:, None]).max(axis=0)
+
+    # rules are scored a chunk at a time, so no states x rules array holds them all
+    max_reg = np.empty(1 << m)
+    for lo in range(0, len(max_reg), _ORACLE_CHUNK_RULES):
+        # rule r chooses arm b on outcome o iff bit o of r is set
+        hi = min(lo + _ORACLE_CHUNK_RULES, len(max_reg))
+        bits = ((np.arange(lo, hi)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
+        prob_b = probs @ bits.T  # states x rules
+        err = np.where(pa[:, None] > pb[:, None], prob_b, 1.0 - prob_b)
+        err[gap == 0] = 0.0
+        max_reg[lo:hi] = (err * gap[:, None]).max(axis=0)
     best = int(np.argmin(max_reg))
-    table = bits[best].reshape(n + 1, n + 1)
+    table = ((best >> np.arange(m)) & 1).astype(float).reshape(n + 1, n + 1)
     return table, float(max_reg[best])
 
 

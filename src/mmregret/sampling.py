@@ -50,8 +50,9 @@ class SurveyDesign:
 
     mode="fixed_n": exactly n_observed outcomes are observed (the number of
     observed outcomes is fixed by design and the miss rate enters only through
-    estimation inputs). mode="random_miss": total_n records are drawn and each
-    is independently missing with the state's miss rate.
+    estimation inputs, known_miss_rate if given). mode="random_miss": total_n
+    records are drawn and each is independently missing with the state's miss
+    rate. A field the mode does not read must be left as None.
     """
 
     mode: str = "fixed_n"  # "fixed_n" | "random_miss"
@@ -63,11 +64,16 @@ class SurveyDesign:
         if self.mode == "fixed_n":
             if self.n_observed is None or self.n_observed < 1:
                 raise PreconditionError("fixed_n mode needs n_observed >= 1")
+            unread = {"total_n": self.total_n}
         elif self.mode == "random_miss":
             if self.total_n is None or self.total_n < 1:
                 raise PreconditionError("random_miss mode needs total_n >= 1")
+            unread = {"n_observed": self.n_observed, "known_miss_rate": self.known_miss_rate}
         else:
             raise PreconditionError(f"unknown survey mode {self.mode!r}")
+        for name, value in unread.items():
+            if value is not None:
+                raise PreconditionError(f"{self.mode} mode does not read {name}")
         if self.known_miss_rate is not None and not 0.0 <= self.known_miss_rate <= 1.0:
             raise PreconditionError("known miss rate outside [0, 1]")
 

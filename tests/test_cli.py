@@ -264,6 +264,11 @@ class TestRejectedInput:
     def test_non_finite_step_exits_3(self, capsys, step):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", step) == 3
 
+    @pytest.mark.parametrize("flags", [("--alpha", "7", "--status-quo", "1"), ("--alpha", "0.05"),
+                                       ("--status-quo", "0")])
+    def test_ztest_flag_on_es_scan_exits_2(self, capsys, flags):
+        assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5", *flags) == 2
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_scan_workers_below_one_exit_3(self, capsys, workers):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",

@@ -559,6 +559,18 @@ class TestOracle:
         with pytest.raises(PreconditionError):
             exhaustive_mmr_oracle(TrialDesign(per_arm_n=4), build_binary_grid(0.5))
 
+    def test_memory_stays_bounded_at_n3(self):
+        # 441 states x 65,536 rules: the whole states x rules array is 231 MB
+        import tracemalloc
+        grid = build_binary_grid(0.05)
+        tracemalloc.start()
+        try:
+            exhaustive_mmr_oracle(TrialDesign(per_arm_n=3), grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
 
 class TestReportCsv:
     def test_round_numbers_and_footer(self, tmp_path):

@@ -80,6 +80,15 @@ class TestSurveyDesign:
         with pytest.raises(PreconditionError):
             SurveyDesign("fixed_n", n_observed=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(mode="random_miss", total_n=10, known_miss_rate=0.0),
+        dict(mode="random_miss", total_n=10, n_observed=5),
+        dict(mode="fixed_n", n_observed=10, total_n=20)],
+        ids=["known_miss_rate_random_miss", "n_observed_random_miss", "total_n_fixed_n"])
+    def test_field_its_mode_does_not_read_rejected(self, kwargs):
+        with pytest.raises(PreconditionError, match="does not read"):
+            SurveyDesign(**kwargs)
+
 
 class TestParallelDeterminism:
     def test_worker_count_does_not_change_mc_scan(self):
