@@ -521,8 +521,8 @@ def exhaustive_mmr_oracle(
     # rules are scored a chunk at a time, so no states x rules array holds them all
     max_reg = np.empty(1 << m)
     for lo in range(0, len(max_reg), _ORACLE_CHUNK_RULES):
-        # rule r chooses arm b on outcome o iff bit o of r is set
         hi = min(lo + _ORACLE_CHUNK_RULES, len(max_reg))
+        # rule r chooses arm b on outcome o iff bit o of r is set
         bits = ((np.arange(lo, hi)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
         prob_b = probs @ bits.T  # states x rules
         err = np.where(pa[:, None] > pb[:, None], prob_b, 1.0 - prob_b)

@@ -144,7 +144,7 @@ class TestSampleRuleIsPopulationRule:
     @given(_states(common_bounds=True), _UNIT)
     @settings(max_examples=300, deadline=None)
     def test_known_score_pair_matches_formula(self, args, known_p):
-        # the ratio as written before the two rules shared it, in the same order
+        # the known-score formula, written out term by term in the order the rules evaluate it
         e_a, e_b, p_a, p_b, (y0, y1), _ = args
 
         def ratio(p):
