@@ -11,6 +11,7 @@ tiny trial designs.
 
 from __future__ import annotations
 
+import os
 import pickle
 import sys
 from dataclasses import dataclass
@@ -131,29 +132,76 @@ def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
         int(np.argmax(regret)), method, seed)
 
 
-def _ordered_map(fn, tasks, workers: int) -> list:
-    """``fn(*task)`` for each task, in order. With more than one worker the tasks
-    run in a pool of that many processes."""
-    if workers == 1:
-        return [fn(*task) for task in tasks]
-    # imported here: loading the pool machinery costs every CLI start ~20 ms
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _run_child(fn, task, fd: int, inherited) -> None:
+    """In a forked child: close the inherited pipe ends, pickle ``(True,
+    fn(*task))``, or ``(False, exception)``, to the pipe fd, and leave without
+    running the parent's exit handlers."""
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            payload = pickle.dumps((True, fn(*task)))
+        except BaseException as exc:  # interrupts too: the parent re-raises it
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:  # an exception that does not pickle: its type and text
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
-    # fork: a worker starts as a copy of this process, with nothing to import;
-    # forkserver (Linux's default from Python 3.14) and spawn workers import numpy
-    # first, ~0.3 s per pool. Forking is sound here: the pool forks its workers
-    # before it starts its own threads, and no worker calls BLAS, whose threads
-    # the parent may hold.
-    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+
+def _child_result(pid: int, fd: int):
+    """The result a child sent on the pipe fd; its exception is raised here."""
+    with os.fdopen(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if not data:
+        raise RuntimeError(f"worker process {pid} ended without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _ordered_map(fn, tasks, workers: int) -> list:
+    """``fn(*task)`` for each task, in order. With more than one worker on Linux,
+    every task after the first runs in a child forked for it, and the first in
+    this process; elsewhere all run in this process.
+
+    A child starts as a copy of this process, ``fn`` included, so nothing is
+    sent to it, and it pickles its result or exception back through a pipe.
+    Forking is sound here because no child calls BLAS, whose threads this
+    process may hold. Every child is reaped before this returns or raises.
+    """
+    if workers == 1 or sys.platform != "linux":
+        return [fn(*task) for task in tasks]
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for task in tasks[1:]:
+            fd_read, fd_write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the earlier children's pipes are not this child's
+                _run_child(fn, task, fd_write, [fd_read] + [fd for _, fd in children])
+            os.close(fd_write)
+            children.append((pid, fd_read))
+        first = fn(*tasks[0])
+        return [first] + [_child_result(pid, fd) for pid, fd in children]
+    except BaseException:
+        import signal  # here: the module costs every CLI start ~2 ms
+        for pid, _ in children:  # their results are lost: stop them rather than wait
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
 
 
 def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
     """``fn(chunk, index of its first item)`` over contiguous chunks of items, at
     most one chunk per worker process; the chunks' result columns, concatenated.
-    The pool gets one process per chunk: it starts all its processes at once."""
+    One process per chunk: this one runs the first, a forked child each other."""
     size = -(-len(items) // workers)
     tasks = [(items[lo:lo + size], first + lo) for lo in range(0, len(items), size)]
     return np.concatenate(_ordered_map(fn, tasks, len(tasks)), axis=-1)
@@ -174,14 +222,63 @@ def _check_exact_trial(design: TrialDesign) -> None:
 
 # The MC kernel draws a state's reps iid samples as a histogram of their
 # sufficient statistic (counts over its finite support, which have the iid
-# sample's law) and scores each support point once.
+# sample's law) and scores each support point once. For a trial that statistic
+# is arm a's count i and the value of the table at (i, j): the draws of arm b
+# are counted by the value they give, not by j.
 
-def _draw_histogram(rng, reps: int, pmf_a: np.ndarray, pmf_b: np.ndarray):
-    """Counts of reps iid draws of independent (i, j), i ~ pmf_a and j ~ pmf_b: the
-    occupied values ``rows`` of i, and one row of counts of j per occupied i."""
+_CLASS_BLOCK_CELLS = 1 << 16  # table cells per block of rows when classes are built
+_MAX_VALUE_CLASSES = 32  # more distinct values in a row: each outcome is its own class
+
+
+def _value_classes(table: np.ndarray, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, classes) of a choice table under the rows of pmf, the PMFs of arm b.
+
+    ``values[i, c]`` is the c-th smallest distinct value of table row i, padded
+    with the row's largest; ``classes[p, i, c]`` is the mass pmf[p] puts on the
+    outcomes j with ``table[i, j] == values[i, c]``, zero on a pad. Both are
+    built a block of rows at a time, so beyond them no array of the table's size
+    is made. A table with a row of more than _MAX_VALUE_CLASSES distinct values
+    gets one class per outcome instead: values is the table and classes a view
+    of pmf.
+    """
+    size = table.shape[0]
+    per = max(1, _CLASS_BLOCK_CELLS // size)
+    blocks = []  # per block of rows: their distinct values, padded, and how many
+    for lo in range(0, size, per):
+        s = np.sort(table[lo:lo + per], axis=1)
+        new = np.ones(s.shape, bool)
+        np.not_equal(s[:, 1:], s[:, :-1], out=new[:, 1:])
+        count = new.sum(axis=1)
+        if count.max() > _MAX_VALUE_CLASSES:
+            return table, np.broadcast_to(pmf[:, None, :], (len(pmf), size, size))
+        distinct = s[new]  # row after row
+        rank = np.arange(len(distinct)) - np.repeat(np.cumsum(count) - count, count)
+        values = np.repeat(s[:, -1:], count.max(), axis=1)
+        values[np.repeat(np.arange(len(s)), count), rank] = distinct
+        blocks.append((values, count))
+    values = np.empty((size, max(v.shape[1] for v, _ in blocks)))
+    classes = np.zeros((len(pmf), *values.shape))
+    for lo, (v, count) in zip(range(0, size, per), blocks):
+        rows = slice(lo, lo + len(v))
+        values[rows] = v[:, -1:]
+        values[rows, :v.shape[1]] = v
+        for c in range(v.shape[1]):
+            # einsum, not matmul: BLAS would add its buffers to a small scan's peak
+            # RSS, and einsum casts the boolean operand in buffers, not as a whole
+            mass = np.einsum("pj,ij->pi", pmf, table[rows] == v[:, c:c + 1])
+            mass[:, count <= c] = 0.0  # a pad, which repeats the row's largest value
+            # a class holding all of a row's mass can sum to 1 + 2^-52, and the
+            # sampler rejects a probability above 1
+            np.minimum(mass, 1.0, out=classes[:, rows, c])
+    return values, classes
+
+
+def _draw_histogram(rng, reps: int, pmf_a: np.ndarray, classes: np.ndarray):
+    """Counts of reps iid draws of (i, c), i ~ pmf_a and then c ~ classes[i]: the
+    occupied values ``rows`` of i, and one row of counts of c per occupied i."""
     h = rng.multinomial(reps, pmf_a)
     rows = np.flatnonzero(h)
-    return rows, rng.multinomial(h[rows], pmf_b)
+    return rows, rng.multinomial(h[rows], classes[rows])
 
 
 def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
@@ -200,15 +297,17 @@ def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
     return est, float(np.sqrt(var / reps))
 
 
-def _mc_choose_b(table, pmf, reps: int, seed: SeedSpec, pairs, first: int) -> np.ndarray:
+def _mc_choose_b(values, classes, pmf, reps: int, seed: SeedSpec, pairs,
+                 first: int) -> np.ndarray:
     """MC probability of choosing b and its standard error, one column per (row of
-    arm a, row of arm b) pair of pmf rows. Pair k draws from substream first + k;
-    a tied pair (the same row twice) is not drawn and gets zeros."""
+    arm a, row of arm b) pair of pmf rows, from _value_classes' values and
+    classes. Pair k draws from substream first + k; a tied pair (the same row
+    twice) is not drawn and gets zeros."""
     out = np.zeros((2, len(pairs)))
     for k, (i, j) in enumerate(pairs.tolist()):
         if i != j:
-            rows, counts = _draw_histogram(seed.rng(first + k, 0), reps, pmf[i], pmf[j])
-            out[:, k] = _mean_stderr(table[rows], counts, reps)
+            rows, counts = _draw_histogram(seed.rng(first + k, 0), reps, pmf[i], classes[j])
+            out[:, k] = _mean_stderr(values[rows], counts, reps)
     return out
 
 
@@ -234,8 +333,9 @@ def _trial_report(rule, grid, design, method, seed, workers: int, first: int) ->
         prob_b = np.clip((pmf @ table @ pmf.T)[grid.index_a, grid.index_b], 0.0, 1.0)
         se_b = np.zeros(len(grid))
     else:
-        # workers get the table, not the rule: an OutcomeRule's callable need not pickle
-        kernel = partial(_mc_choose_b, table, pmf, method.reps, seed or SeedSpec())
+        # built once, before any worker forks
+        values, classes = _value_classes(table, pmf)
+        kernel = partial(_mc_choose_b, values, classes, pmf, method.reps, seed or SeedSpec())
         prob_b, se_b = _map_chunks(kernel, np.column_stack([grid.index_a, grid.index_b]),
                                    workers, first)
     pa, pb = grid.p_a, grid.p_b
@@ -449,12 +549,6 @@ def _mse_report(rule, grid, design, method, seed, workers: int, first: int) -> R
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     if method.mode == "exact":
         return _report(grid, _exact_bernoulli_mse(rule, grid, design), method, seed)
-    if workers > 1:
-        try:  # workers get the predictor: fail here, not in a worker
-            pickle.dumps(rule)
-        except (pickle.PicklingError, AttributeError, TypeError):
-            raise PreconditionError("the predictor does not pickle, so it cannot be sent to "
-                                    "worker processes; use one worker") from None
     kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec())
     mse, stderr = _map_chunks(kernel, grid.states, workers, first)
     return _report(grid, mse, method, seed, mc_stderr=stderr)

@@ -11,7 +11,8 @@ the same bytes for a whole array with numpy operations: it scales each value
 by a power of ten held to about 105 bits, certifies the rounding to 17 digits,
 lays the digits out as ``%g`` does, and sends the few values whose rounding it
 cannot certify (ties and near-ties) to ``format`` itself. Its tables are built
-on first use, from integers.
+on first use, the power-of-ten table a row at a time as exponents need them,
+from integers.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def one_sided_critical_value(alpha: float) -> float:
     at 1 - alpha; the 0.05 value is pinned to 1.6449."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1)")
+    if 1.0 - alpha == 1.0:  # alpha below 2^-54: the critical value would be infinite
+        raise ValueError(f"alpha {alpha} has no finite critical value: 1 - alpha rounds to 1")
     if alpha == 0.05:
         return Z_CRIT_05
     # imported here, not at start-up: scans at the pinned alpha = 0.05 never call this
@@ -112,31 +115,47 @@ def _split(a):
     return high, a - high
 
 
+def _pow10_row(k: int) -> tuple[float, float, int]:
+    """(hi, lo, c) with hi + lo = 10^k 2^-c to within 2^-105 and hi in [1, 2), from
+    exact integers."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    e = num.bit_length() - den.bit_length()  # 10^k in [2^(e-1), 2^(e+1))
+    if (num << max(-e, 0)) < (den << max(e, 0)):
+        e -= 1
+    # r = 10^k 2^(110-e), rounded to an integer of 111 bits
+    num, den = num << max(110 - e, 0), den << max(e - 110, 0)
+    r = (2 * num + den) // (2 * den)
+    h = float(r)
+    return math.ldexp(h, -110), math.ldexp(float(r - int(h)), -110), e
+
+
 @cache
 def _pow10_table() -> tuple[np.ndarray, ...]:
     """Columns hi, lo, hi's two halves and c, one row per k in [_POW10_MIN,
-    _POW10_MAX], with hi + lo = 10^k 2^-c to within 2^-105 and hi in [1, 2).
-    Built from exact integers on first use."""
-    hi, lo, c = [], [], []
-    for k in range(_POW10_MIN, _POW10_MAX + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        e = num.bit_length() - den.bit_length()  # 10^k in [2^(e-1), 2^(e+1))
-        if (num << max(-e, 0)) < (den << max(e, 0)):
-            e -= 1
-        # r = 10^k 2^(110-e), rounded to an integer of 111 bits
-        num, den = num << max(110 - e, 0), den << max(e - 110, 0)
-        r = (2 * num + den) // (2 * den)
-        h = float(r)
-        hi.append(math.ldexp(h, -110))
-        lo.append(math.ldexp(float(r - int(h)), -110))
-        c.append(e)
-    hi = np.array(hi)
-    return (hi, np.array(lo), *_split(hi), np.array(c, dtype=np.intc))  # frexp's type
+    _POW10_MAX], and a column marking the rows built: _pow10 fills a row the
+    first time an exponent needs it."""
+    rows = _POW10_MAX - _POW10_MIN + 1
+    return (*np.zeros((4, rows)), np.zeros(rows, np.intc),  # frexp's type
+            np.zeros(rows, bool))
+
+
+def _pow10(k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """hi, lo, hi's two halves and c of _pow10_row for each k, building the rows
+    not yet built."""
+    *columns, built = _pow10_table()
+    index = k - _POW10_MIN
+    if not built[index].all():
+        hi, lo, hi_h, hi_l, c = columns
+        for i in set(index[~built[index]].tolist()):  # np.unique would load numpy.ma
+            hi[i], lo[i], c[i] = _pow10_row(i + _POW10_MIN)
+            hi_h[i], hi_l[i] = _split(hi[i])
+            built[i] = True
+    return tuple(col[index] for col in columns)
 
 
 def _scaled(m, e, k):
     """Integer part and fraction of m 2^e 10^k, for m in [0.5, 1) and results below 2^62."""
-    hi, lo, hi_h, hi_l, c = (col[k - _POW10_MIN] for col in _pow10_table())
+    hi, lo, hi_h, hi_l, c = _pow10(k)
     p = m * hi
     m_h, m_l = _split(m)
     t = (((m_h * hi_h - p) + m_h * hi_l + m_l * hi_h) + m_l * hi_l) + m * lo  # m*hi = p + err exactly

@@ -96,8 +96,10 @@ class ZTest(TrialRule):
     status_quo: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise PreconditionError("ztest needs alpha in (0, 1)")
+        try:
+            one_sided_critical_value(self.alpha)
+        except ValueError as exc:
+            raise PreconditionError(f"ztest: {exc}") from None
         if self.status_quo not in (0, 1):
             raise PreconditionError("status_quo arm must be 0 or 1")
 
@@ -157,9 +159,9 @@ class OutcomeRule(TrialRule):
 class Predictor:
     """A point predictor of the population mean: ``predict(statistic, n_obs, p1,
     support)`` of the sample ``statistic`` ("mean" or "median") of the observed
-    outcomes, their count and fraction p1 (each may be an array). A scan on more
-    than one worker sends it to the worker processes, where ``predict`` must
-    pickle: a module-level function or a ``functools.partial`` of one."""
+    outcomes, their count and fraction p1 (each may be an array). ``predict``
+    may be any callable: a scan's worker processes are forked copies of the
+    caller, so the predictor is never pickled."""
 
     statistic: str
     predict: Callable

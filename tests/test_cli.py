@@ -167,7 +167,7 @@ class TestWaldMse:
 
 
     def test_custom_predictor_csv_ignores_worker_count(self, capsys, tmp_path):
-        # the custom predictor is sent to the worker processes, so it must pickle
+        # a forked worker starts as a copy of this process, custom predictor included
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 1:0.9; 0:0.2; 0.5:0.4")
@@ -268,6 +268,12 @@ class TestRejectedInput:
                                        ("--status-quo", "0")])
     def test_ztest_flag_on_es_scan_exits_2(self, capsys, flags):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5", *flags) == 2
+
+    @pytest.mark.parametrize("alpha", ["1e-17", "5e-324", "5.5e-17"])
+    def test_ztest_alpha_without_finite_critical_value_exits_3(self, capsys, alpha):
+        # 1 - alpha rounds to 1, where the inverse normal CDF is infinite
+        assert run_err(capsys, "scan", "--rule", "ztest", "--alpha", alpha, "--n", "5",
+                       "--step", "0.5") == 3
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_scan_workers_below_one_exit_3(self, capsys, workers):

@@ -1,3 +1,5 @@
+import os
+import sys
 from functools import partial
 
 import numpy as np
@@ -29,9 +31,11 @@ from mmregret import (
     regret_bounds,
     report_to_csv,
 )
+import mmregret.engine as engine
 from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _draw_histogram, _mc_mse,
-                             _mean_stderr, _trial_report, choice_table)
-from mmregret.mathutil import binom_pmf_vector
+                             _mean_stderr, _trial_report, _value_classes, choice_table)
+from mmregret.mathutil import binom_pmf_matrix, binom_pmf_vector
+from mmregret.rules import Action, OutcomeRule, TableRule
 from mmregret.states import StateGrid
 from reference import _per_cell_report_to_csv, enumerate_trial, es_choose, ztest_choose
 
@@ -151,6 +155,89 @@ class TestExactVsMonteCarlo:
         assert rec.regret >= -4 * rec.mc_stderr
 
 
+def _lead_rule(o):
+    """A randomized rule for n < 50: the mass on b rises with b's lead, a distinct
+    value per lead."""
+    a, b = o.successes
+    x = 0.5 + (b - a) / 100
+    return Action(allocation=(1.0 - x, x))
+
+
+class TestValueClasses:
+    """The MC trial kernel draws each occupied row's counts by table value."""
+
+    @pytest.mark.parametrize("rule,k", [(ES, 3), (ZTEST, 2)])
+    def test_few_classes_and_their_mass(self, rule, k):
+        n, ps = 30, np.linspace(0.0, 1.0, 7)
+        table, pmf = choice_table(rule, n), binom_pmf_matrix(n, ps)
+        values, classes = _value_classes(table, pmf)
+        assert values.shape == (n + 1, k) and classes.shape == (len(ps), n + 1, k)
+        for i in range(n + 1):
+            distinct = np.unique(table[i])
+            assert values[i, :len(distinct)].tolist() == distinct.tolist()
+            for c, v in enumerate(distinct):
+                np.testing.assert_allclose(classes[:, i, c], pmf[:, table[i] == v].sum(axis=1),
+                                           rtol=0, atol=1e-15)
+            assert not classes[:, i, len(distinct):].any()  # pads hold no mass
+        assert (classes <= 1.0).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_blocks_give_the_whole_table_classes(self, n, levels, seed):
+        # a few levels per table, so rows have different numbers of values, and
+        # blocks of one row each, so blocks have different widths
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, levels + 1, (n + 1, n + 1)) / levels
+        pmf = binom_pmf_matrix(n, rng.random(3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CLASS_BLOCK_CELLS", 1)
+            values, classes = _value_classes(table, pmf)
+        whole = _value_classes(table, pmf)
+        # the class sums are matmuls, whose round-off may depend on the block's shape
+        assert np.array_equal(values, whole[0])
+        np.testing.assert_allclose(classes, whole[1], rtol=0, atol=1e-15)
+        # the classes partition each row: per (p, i), mass and mean of the table
+        np.testing.assert_allclose(classes.sum(axis=2), 1.0, atol=1e-14)
+        np.testing.assert_allclose((classes * values).sum(axis=2), pmf @ table.T, atol=1e-14)
+
+    def test_rows_of_many_values_get_one_class_per_outcome(self):
+        n = engine._MAX_VALUE_CLASSES + 1
+        table = np.random.default_rng(2).random((n + 1, n + 1))
+        pmf = binom_pmf_matrix(n, [0.2, 0.7])
+        values, classes = _value_classes(table, pmf)
+        assert values is table and classes.shape == (2, n + 1, n + 1)
+        assert all(np.array_equal(classes[p, i], pmf[p]) for p in (0, 1) for i in (0, n))
+
+    @pytest.mark.parametrize("n", [12, engine._MAX_VALUE_CLASSES + 8])
+    @pytest.mark.parametrize("kind", ["table", "outcome"])
+    def test_rules_of_distinct_row_values_within_four_stderr(self, kind, n):
+        # every row's values are distinct (K = n + 1): classes at n = 12, one class
+        # per outcome past _MAX_VALUE_CLASSES
+        if kind == "table":
+            rule = TableRule(np.random.default_rng(n).random((n + 1, n + 1)))
+        else:
+            rule = OutcomeRule(_lead_rule)
+        assert all(len(np.unique(row)) == n + 1 for row in rule.table(n))
+        grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=n)
+        exact = max_regret_scan(rule, grid, design)
+        mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", 20_000), SeedSpec(7))
+        # the 1e-12 floor covers states whose draws are certain (p = 0 or 1 on both
+        # arms), where the MC value is exact and its stderr 0
+        assert (np.abs(mc.regret - exact.regret) <= 4 * mc.mc_stderr + 1e-12).all()
+        assert (mc.mc_stderr > 0).sum() > len(grid) / 2
+
+    def test_z_scores_over_seeds_are_standard_normal(self):
+        # 200 seeds at one state: the z-scores against exact have mean 0 and
+        # variance 1, each within four of its standard errors
+        grid = StateGrid("binary_trial", (BinaryTrialState(0.53, 0.47),))
+        design, method = TrialDesign(per_arm_n=145), EvalMethod("monte_carlo", 5000)
+        exact = max_regret_scan(ES, grid, design).regret[0]
+        z = np.array([(r.regret[0] - exact) / r.mc_stderr[0] for r in
+                      (max_regret_scan(ES, grid, design, method, SeedSpec(s)) for s in range(200))])
+        assert abs(z.mean()) <= 4 / np.sqrt(200)
+        assert abs(z.var(ddof=1) - 1.0) <= 4 * np.sqrt(2 / 199)
+
+
 MEDIAN = DecisionRule("analog_predictor", {"loss": "absolute"})
 
 
@@ -167,8 +254,10 @@ def _beta_state(obs, miss, miss_rate, support):
 class TestHistogramMonteCarlo:
     def test_moments_equal_those_of_the_rebuilt_sample(self):
         n, reps = 20, 5000
+        # one class per outcome j of arm b: the same pmf for every row i
+        outcomes = np.broadcast_to(binom_pmf_vector(n, 0.6), (n + 1, n + 1))
         rows, counts = _draw_histogram(np.random.default_rng(5), reps,
-                                       binom_pmf_vector(n, 0.45), binom_pmf_vector(n, 0.6))
+                                       binom_pmf_vector(n, 0.45), outcomes)
         assert counts.sum() == reps and counts.shape == (len(rows), n + 1)
         values = choice_table(ES, n)[rows]
         sample = np.repeat(values.ravel(), counts.ravel())
@@ -629,18 +718,69 @@ class TestScanPreconditions:
         with pytest.raises(PreconditionError, match="not a predictor"):
             max_mse_scan(ES, grid, SurveyDesign("fixed_n", n_observed=5), method)
 
-    def test_predictor_that_does_not_pickle_needs_one_worker(self):
+
+def _fail_on(bad, task):
+    if task == bad:
+        raise PreconditionError(f"task {task} is bad")
+    return task
+
+
+def _no_child_left():
+    """True when this process has no child, waited for or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedWorkers:
+    """With more than one worker, _ordered_map forks a child per task after the
+    first and runs the first itself."""
+
+    pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+
+    def test_child_exception_reaches_the_parent_with_its_type(self):
+        assert engine._ordered_map(partial(_fail_on, 9), [(0,), (1,), (2,)], 3) == [0, 1, 2]
+        with pytest.raises(PreconditionError, match="task 2 is bad"):
+            engine._ordered_map(partial(_fail_on, 2), [(0,), (1,), (2,)], 3)
+        assert _no_child_left()
+
+    def test_children_are_reaped_when_the_parents_task_raises(self):
+        with pytest.raises(PreconditionError, match="task 0 is bad"):
+            engine._ordered_map(partial(_fail_on, 0), [(0,), (1,), (2,)], 3)
+        assert _no_child_left()
+
+    def test_no_child_is_left_after_a_two_worker_scan(self):
+        grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
+        method = EvalMethod("monte_carlo", 2000)
+        two = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=2)
+        assert _no_child_left()
+        assert two.per_state == max_regret_scan(ES, grid, design, method, SeedSpec(5)).per_state
+
+    def test_lambda_predictor_gives_the_same_columns_on_1_and_2_workers(self):
+        # a child starts as a copy of the parent, so the predictor is not pickled
         rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.5],
                                      miss_rates=[0.2])
         design, method = SurveyDesign("random_miss", total_n=6), EvalMethod("monte_carlo", 2000)
-        with pytest.raises(PreconditionError, match="does not pickle") as exc:
-            max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
-        assert len(str(exc.value).splitlines()) == 1
         one = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=1)
+        two = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
+        for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
+            assert np.array_equal(getattr(one, column), getattr(two, column), equal_nan=True)
         midpoint = max_mse_scan(DecisionRule("midpoint"), grid, design, method, SeedSpec(3),
                                 workers=2)
         assert one.regret.tolist() == midpoint.regret.tolist()
+
+    def test_off_linux_the_tasks_run_in_process(self):
+        def no_fork():
+            raise AssertionError("forked off Linux")
+
+        tasks = [(0,), (1,), (2,)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "platform", "darwin")
+            mp.setattr(os, "fork", no_fork)
+            assert engine._ordered_map(partial(_fail_on, 9), tasks, 3) == [0, 1, 2]
 
 
 def _rowwise_report_to_csv(report, path):

@@ -1,10 +1,12 @@
+from functools import cache
 from math import exp, lgamma, log
 
 import numpy as np
 import pytest
 
 from mmregret import EmpiricalSuccess, TrialDesign, ZTest, build_binary_grid, max_regret_scan
-from mmregret.mathutil import FMT17_WIDTH, _digits17, _fmt17_cells, binom_pmf_vector
+from mmregret import mathutil
+from mmregret.mathutil import FMT17_WIDTH, _digits17, _fmt17_cells, binom_pmf_vector, fmt17
 
 
 def _lgamma_pmf(n, k, p):
@@ -93,6 +95,23 @@ class TestFmt17Kernel:
         values = [1e-5, 1e-4, 0.00012, 0.5, 1.0, 9.5, 10.0, 12.5, 123456.75, 1e15, 1e16,
                   1.5e16, 1e17, 1e100, 1.25e-100, 1e-310, 0.1, 1 / 3, 2 / 3, 100.0]
         _assert_formats_like_python(np.concatenate([values, np.negative(values)]))
+
+    def test_power_table_rows_are_built_as_exponents_need_them(self):
+        # from an empty table: each value alone, then all at once, text for text
+        # with fmt17, and only the rows their exponents (and a retry's) need
+        values = [5e-324, 2.2e-308, 1e-5, 0.5, 1.7e308]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mathutil, "_pow10_table", cache(mathutil._pow10_table.__wrapped__))
+            for v in values:
+                assert _texts([v, -v]) == [fmt17(v), fmt17(-v)]
+            assert _texts(values) == [fmt17(v) for v in values]
+            built = mathutil._pow10_table()[-1]
+            assert 5 <= built.sum() <= 15
+            # a row built on demand is the row built from its integers
+            for k in np.flatnonzero(built) + mathutil._POW10_MIN:
+                hi, lo, hi_h, hi_l, c = mathutil._pow10(np.array([k]))
+                assert (hi[0], lo[0], c[0]) == mathutil._pow10_row(int(k))
+                assert (hi_h[0], hi_l[0]) == mathutil._split(hi[0])
 
     def test_writes_into_a_given_array(self):
         values = np.array([0.25, -1e-7, np.nan])

@@ -92,6 +92,18 @@ class TestZtestChoose:
         assert one_sided_critical_value(0.5) == pytest.approx(0.0, abs=1e-12)
         assert one_sided_critical_value(0.999) == pytest.approx(-3.090232306167813, abs=1e-8)
 
+    def test_finite_critical_value_down_to_the_smallest_alpha(self):
+        # the smallest alpha with 1 - alpha < 1 has a finite critical value; below it
+        # 1 - alpha rounds to 1 and the rule is rejected
+        smallest = 2.0 ** -54 * (1 + 2.0 ** -52)
+        assert np.isfinite(one_sided_critical_value(smallest))
+        assert np.isfinite(choice_table(ZTest(alpha=smallest), 3)).all()
+        for alpha in (2.0 ** -54, 1e-17, 5e-324):
+            with pytest.raises(ValueError, match="no finite critical value"):
+                one_sided_critical_value(alpha)
+            with pytest.raises(PreconditionError, match="no finite critical value"):
+                ZTest(alpha=alpha)
+
 
 class TestScalarMatchesTable:
     """The scalar rules of tests/reference.py check the tables every scan uses."""
