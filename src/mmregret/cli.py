@@ -30,9 +30,12 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
     # None marks a flag not given, so that a config value can stand in for it
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--reps", type=int,
-                        help="Monte Carlo replications per state (default 100000)")
+                        help="Monte Carlo replications per state (default 100000); "
+                             "--method exact rejects it")
     parser.add_argument("--workers", type=int,
-                        help="worker processes for Monte Carlo scans (default 1)")
+                        help="processes of a Monte Carlo scan (default 1); --method exact "
+                             "rejects it. A CSV of many rows is written on every CPU "
+                             "either way")
     parser.add_argument("--method", choices=("exact", "mc"),
                         help=f"evaluation method (default {method_default})")
     parser.add_argument("--out", help="CSV output path")
@@ -52,10 +55,16 @@ def _run_settings(args, cfg: dict[str, str], method_default: str):
     if name not in ("exact", "mc"):
         raise ConfigError(f"method must be 'exact' or 'mc', got {name!r}")
     reps = _setting(args, cfg, "reps", 100_000, _integer)
+    workers = _setting(args, cfg, "workers", 1, _integer)
+    # a config's reps and workers go with its method: --method overrides all three
+    if name == "exact" and any(getattr(args, key) is not None
+                               or (key in cfg and args.method is None)
+                               for key in ("reps", "workers")):
+        raise ConfigError("reps and workers apply to method mc only")
     method = (engine.EvalMethod("exact") if name == "exact"
               else engine.EvalMethod("monte_carlo", reps))
-    return (method, SeedSpec(_setting(args, cfg, "seed", 0, _integer)),
-            _setting(args, cfg, "workers", 1, _integer), _setting(args, cfg, "out", None))
+    return (method, SeedSpec(_setting(args, cfg, "seed", 0, _integer)), workers,
+            _setting(args, cfg, "out", None))
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,9 @@ def _ordered_map(fn, tasks, workers: int) -> list:
     A child starts as a copy of this process, ``fn`` included, so nothing is
     sent to it, and it pickles its result or exception back through a pipe.
     Forking is sound here because no child calls BLAS, whose threads this
-    process may hold. Every child is reaped before this returns or raises.
+    process may hold: the functions mapped here, the MC kernels and _csv_rows,
+    use numpy without matmul, random draws and file writes only. Every child
+    is reaped before this returns or raises.
     """
     if workers == 1 or sys.platform != "linux":
         return [fn(*task) for task in tasks]
@@ -631,6 +633,10 @@ def exhaustive_mmr_oracle(
 # CSV serialization
 
 _CSV_BLOCK_ROWS = 4096  # rows formatted per block; bounds the memory a block holds
+# fewest rows in a part of a CSV written by its own process. On 2 CPUs a second
+# part paid from about 13,000 rows of a trial report and 20,000 of a survey one;
+# the first split, at twice this, is past both
+_CSV_PART_ROWS = 16_384
 # each field's separator goes in the free bytes 29-30 of its template (word 3)
 _COMMA, _CRLF = np.uint64(ord(",") << 40), np.uint64((ord("\r") | ord("\n") << 8) << 40)
 
@@ -663,6 +669,40 @@ def _format_block(fields: np.ndarray) -> bytes:
     return fields.tobytes().translate(None, b"\0")
 
 
+def _csv_rows(texts, results, fh, lo: int, hi: int) -> None:
+    """Write the CSV lines of rows lo..hi-1 into fh, a block of _CSV_BLOCK_ROWS
+    rows at a time, and flush fh.
+
+    ``texts`` holds, per state coordinate, the templates of its distinct values
+    and the index column that picks each state's; ``results`` holds, per result
+    column, its values and whether NaN there is an empty field. It runs in a
+    forked child for every part after the first, so, as _ordered_map requires,
+    it calls no BLAS: only elementwise numpy and file writes.
+    """
+    fields = np.empty((min(hi - lo, _CSV_BLOCK_ROWS), len(texts) + len(results),
+                       FMT17_WIDTH // 8), "<u8")
+    for start in range(lo, hi, _CSV_BLOCK_ROWS):
+        block = fields[:min(_CSV_BLOCK_ROWS, hi - start)]
+        rows = slice(start, start + len(block))
+        for c, (chars, index) in enumerate(texts):
+            block[:, c] = chars[index[rows]]
+        for c, (values, optional) in enumerate(results, len(texts)):
+            _fmt17_cells(values[rows], block[:, c])
+            if optional:  # NaN marks no value: an empty field
+                block[np.isnan(values[rows]), c] = 0
+        fh.write(_format_block(block))
+    fh.flush()
+
+
+def _csv_parts(rows: int) -> int:
+    """The number of contiguous parts a CSV of this many rows is written in: one
+    per CPU this process may run on, each of at least _CSV_PART_ROWS rows, and
+    one off Linux."""
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _CSV_PART_ROWS))
+
+
 def report_to_csv(report: RegretReport, path) -> None:
     """One row per state plus a summary footer row, written a block of rows at a time.
 
@@ -672,6 +712,13 @@ def report_to_csv(report: RegretReport, path) -> None:
     state coordinates are formatted once. Lines end in CRLF, as the csv module
     writes them. No field needs CSV quoting: each is a number, an empty value
     or a fixed word.
+
+    A report of many rows on a machine of several CPUs is written in
+    _csv_parts contiguous parts of rows. This process writes the first into
+    the file; a child forked for each other part writes it into an anonymous
+    file in the same directory, which this process appends, in order, once
+    every child is reaped. A row's text does not depend on the part it is in,
+    so the bytes are the same on any number of CPUs.
     """
     state_names, coordinates = _coordinate_columns(report.grid)
     texts = [(_fmt17_cells(values), index) for values, index in coordinates]
@@ -685,17 +732,27 @@ def report_to_csv(report: RegretReport, path) -> None:
                f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
                f"seed={report.seed.master_seed if report.seed else ''}"]
     n = len(report.grid)
-    fields = np.empty((min(n, _CSV_BLOCK_ROWS), len(header), FMT17_WIDTH // 8), "<u8")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, n, _CSV_BLOCK_ROWS):
-            block = fields[:min(_CSV_BLOCK_ROWS, n - lo)]
-            rows = slice(lo, lo + len(block))
-            for c, (chars, index) in enumerate(texts):
-                block[:, c] = chars[index[rows]]
-            for c, (values, optional) in enumerate(results, len(texts)):
-                _fmt17_cells(values[rows], block[:, c])
-                if optional:  # NaN marks no value: an empty field
-                    block[np.isnan(values[rows]), c] = 0
-            fh.write(_format_block(block))
+        # a file that is not a regular one (a pipe, a device) gets no spill files
+        parts = _csv_parts(n) if os.path.isfile(path) else 1
+        if parts == 1:
+            _csv_rows(texts, results, fh, 0, n)
+        else:
+            # here, as signal in _ordered_map: tempfile and shutil would cost every
+            # CLI start ~5 ms, and only a split report needs them
+            import shutil
+            import tempfile
+            from contextlib import ExitStack
+            fh.flush()  # no byte of this file stays in the buffer the children copy
+            with ExitStack() as spills:
+                folder = os.path.dirname(os.path.abspath(path))
+                files = [fh] + [spills.enter_context(tempfile.TemporaryFile(dir=folder))
+                                for _ in range(parts - 1)]
+                bounds = [n * k // parts for k in range(parts + 1)]
+                _ordered_map(_csv_rows, [(texts, results, f, lo, hi) for f, lo, hi
+                                         in zip(files, bounds, bounds[1:])], parts)
+                for spill in files[1:]:
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, fh, 1 << 20)
         fh.write((",".join(summary) + "\r\n").encode())

@@ -309,10 +309,13 @@ def _fmt17_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     finite = (ax > 0) & (ax < np.inf)  # also False for NaN
     sign = (v.view(np.uint64) >> np.uint64(63)) * _SIGN
     chars = np.empty((len(v), 4), "<u8") if out is None else out
-    back = _text_words(np.where(finite, ax, 1.0), chars) if finite.any() else []
-    chars[:, 0] |= sign
-    rows = np.flatnonzero(~finite)
-    if rows.size:  # zeros, NaN and infinities
+    if finite.any():
+        back = _text_words(np.where(finite, ax, 1.0), chars)
+        chars[:, 0] |= sign
+        rows = np.flatnonzero(~finite)
+    else:  # as an exact report's stderr column: slices, no index arrays
+        back, rows = [], slice(None)
+    if not finite.all():  # zeros, NaN and infinities
         a, sign = ax[rows], sign[rows]
         chars[rows] = 0
         chars[rows, 0] = np.where(a == 0, _WORD0["zero"] | sign,

@@ -269,6 +269,34 @@ class TestRejectedInput:
     def test_ztest_flag_on_es_scan_exits_2(self, capsys, flags):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5", *flags) == 2
 
+    @pytest.mark.parametrize("flags", [("--reps", "5"), ("--workers", "7"),
+                                       ("--reps", "5", "--workers", "7")])
+    def test_mc_flag_on_exact_scan_exits_2(self, capsys, flags):
+        assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
+                       *flags) == 2
+        assert run_err(capsys, "scan", "--rule", "ztest", "--n", "5", "--step", "0.5",
+                       "--method", "exact", "--seed", "3", *flags) == 2
+
+    def test_seed_on_exact_scan_accepted(self, capsys):
+        # the summary row prints the seed, so an exact scan takes one
+        code, _ = run(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
+                      "--seed", "3")
+        assert code == 0
+
+    @pytest.mark.parametrize("key", ["reps", "workers"])
+    def test_mc_setting_on_exact_wald_exits_2(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG)
+        assert run_err(capsys, "wald-mse", "--config", str(cfg), f"--{key}", "2000") == 2
+        cfg.write_text(WALD_CFG + f"{key} = 2000\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
+        # a config's MC settings go with its method, and --method overrides both
+        cfg.write_text(WALD_CFG.replace("method = exact", f"method = mc\n{key} = 2000"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg), "--method", "exact",
+                       f"--{key}", "2000") == 2
+        assert main(["wald-mse", "--config", str(cfg), "--method", "exact"]) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("alpha", ["1e-17", "5e-324", "5.5e-17"])
     def test_ztest_alpha_without_finite_critical_value_exits_3(self, capsys, alpha):
         # 1 - alpha rounds to 1, where the inverse normal CDF is infinite
@@ -278,11 +306,11 @@ class TestRejectedInput:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_scan_workers_below_one_exit_3(self, capsys, workers):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
-                       "--workers", workers) == 3
+                       "--method", "mc", "--reps", "2000", "--workers", workers) == 3
 
     def test_wald_workers_below_one_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG)
+        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
 
     @pytest.mark.parametrize("text", [BETA_CFG, WALD_CFG.replace(

@@ -947,6 +947,127 @@ def test_full_size_es_report_matches_per_cell_writer(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
+def _boundary_report(rows, seed):
+    """A report of floats of every kind whose two rows at each boundary of 2, 3
+    and 4 equal parts hold -0.0 and, where a column may, no value (NaN)."""
+    rng = np.random.default_rng(seed)
+    points = np.array([0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.5, 1.0])
+    index_a, index_b = rng.integers(0, len(points), (2, rows))
+    grid = StateGrid._from_columns("binary_trial", points=points, index_a=index_a,
+                                   index_b=index_b)
+    err, welfare, regret, stderr = (_wild_column(rng, rows) for _ in range(4))
+    for parts in (2, 3, 4):
+        for k in range(1, parts):
+            edge = slice(rows * k // parts - 1, rows * k // parts + 1)
+            err[edge] = welfare[edge] = np.nan
+            regret[edge] = stderr[edge] = -0.0
+    return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
+                        EvalMethod("exact"), SeedSpec(seed))
+
+
+def _cpus(mp, count):
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_csv_parts_follow_the_cpus_and_the_threshold():
+    rows = engine._CSV_PART_ROWS
+    with pytest.MonkeyPatch.context() as mp:
+        _cpus(mp, 4)
+        assert [engine._csv_parts(r) for r in (1, 2 * rows - 1, 2 * rows, 3 * rows + 1,
+                                                100 * rows)] == [1, 1, 2, 3, 4]
+        mp.setattr(sys, "platform", "darwin")
+        assert engine._csv_parts(100 * rows) == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
+class TestCsvParts:
+    """A report's CSV written in k contiguous parts, one process each, has the
+    bytes of the CSV written in one."""
+
+    PART_ROWS = 1000  # small, so that part boundaries fall inside blocks and at their ends
+
+    @pytest.mark.parametrize("rows", [2 * PART_ROWS - 1, 2 * PART_ROWS, 2 * PART_ROWS + 1,
+                                      _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 1])
+    def test_bytes_are_the_same_on_any_cpu_count(self, tmp_path, rows):
+        report, parts = _boundary_report(rows, rows), []
+        ordered_map = engine._ordered_map
+
+        def spy(fn, tasks, workers):
+            parts.append(len(tasks))
+            return ordered_map(fn, tasks, workers)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CSV_PART_ROWS", self.PART_ROWS)
+            mp.setattr(engine, "_ordered_map", spy)
+            for cpus in (1, 2, 3, 4):
+                _cpus(mp, cpus)
+                report_to_csv(report, tmp_path / f"{cpus}.csv")
+        split = [min(cpus, rows // self.PART_ROWS) for cpus in (2, 3, 4)]
+        assert parts == [k for k in split if k > 1]
+        one = (tmp_path / "1.csv").read_bytes()
+        assert one.count(b"\r\n") == rows + 2
+        for cpus in (2, 3, 4):
+            assert (tmp_path / f"{cpus}.csv").read_bytes() == one
+        assert sorted(os.listdir(tmp_path)) == ["1.csv", "2.csv", "3.csv", "4.csv"]
+        assert _no_child_left()
+
+    def test_at_the_threshold_two_parts_match_the_per_cell_writer(self, tmp_path):
+        report = _boundary_report(2 * engine._CSV_PART_ROWS, 7)
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 2)
+            report_to_csv(report, tmp_path / "parts.csv")
+        _per_cell_report_to_csv(report, tmp_path / "cell.csv")
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
+
+    def test_a_pipe_gets_one_part_and_no_spill_file(self, tmp_path):
+        import threading
+        report, fifo, got = _boundary_report(4096, 3), tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+
+        def no_fork(fn, tasks, workers):
+            raise AssertionError("a pipe was written in parts")
+
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 2)
+            mp.setattr(engine, "_CSV_PART_ROWS", 1000)
+            mp.setattr(engine, "_ordered_map", no_fork)
+            report_to_csv(report, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        report_to_csv(report, tmp_path / "file.csv")
+        assert got == [(tmp_path / "file.csv").read_bytes()]
+
+    def test_a_childs_write_error_reaches_the_caller(self, tmp_path, capsys):
+        import errno
+        from mmregret.cli import main
+        write = engine._csv_rows
+
+        def full_disk(texts, results, fh, lo, hi):
+            if lo:  # every part but the first is a child's
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write(texts, results, fh, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 3)
+            mp.setattr(engine, "_CSV_PART_ROWS", 100)
+            mp.setattr(engine, "_csv_rows", full_disk)
+            with pytest.raises(OSError) as exc:
+                report_to_csv(_boundary_report(4096, 1), tmp_path / "report.csv")
+            assert exc.value.errno == errno.ENOSPC
+            assert _no_child_left()
+            # the 441 states of a 0.05 grid make 3 parts
+            assert main(["scan", "--rule", "es", "--n", "5", "--step", "0.05",
+                         "--out", str(tmp_path / "scan.csv")]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("i/o error: [Errno 28]")
+        assert len(err.strip().splitlines()) == 1
+        assert _no_child_left()
+        assert sorted(os.listdir(tmp_path)) == ["report.csv", "scan.csv"]
+
+
 @pytest.mark.parametrize("family", ["binary_trial", "prediction"])
 def test_mc_pool_gets_one_process_per_chunk(family):
     """An MC scan asks the pool helper for no more processes than it has chunks

@@ -120,6 +120,17 @@ class TestFmt17Kernel:
         assert [row.tobytes().replace(b"\0", b"").decode() for row in out] == \
             ["0.25", "-9.9999999999999995e-08", "nan"]
 
+    @pytest.mark.parametrize("block", [
+        np.zeros(4096), np.full(5, -0.0), np.full(3, np.nan), np.full(2, -np.nan),
+        np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, -np.nan, np.inf]), np.zeros(0)],
+        ids=["zeros", "negative_zeros", "nan", "negative_nan", "mixed", "empty"])
+    def test_block_without_a_finite_non_zero_value(self, block):
+        # the CSV writer reuses its block buffer, so stale bytes must not survive
+        out = np.full((len(block), FMT17_WIDTH // 8), 0x3939393939393939, "<u8")
+        assert _fmt17_cells(block, out) is out
+        assert [row.tobytes().replace(b"\0", b"").decode() for row in out] == \
+            [format(v, ".17g") for v in block.tolist()]
+
 
 @pytest.mark.parametrize("rule", [EmpiricalSuccess(), ZTest()], ids=["es", "ztest"])
 def test_exact_n145_reports_need_no_fallback(rule):
