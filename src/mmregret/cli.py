@@ -411,7 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Called without ``argv``, as the process entry point (``python -m
+    mmregret.cli`` and the ``mmregret`` script), it freezes the heap before the
+    command runs: the objects alive then, mostly numpy's and the package's
+    import-time graph, move to the garbage collector's permanent generation.
+    The final collections at interpreter exit, and any collection in a forked
+    worker, then skip them; atexit handlers, flushes and module teardown still
+    run. A caller that passes ``argv`` keeps its heap as it was.
+    """
     args = build_parser().parse_args(argv)
+    if argv is None:
+        import gc
+        gc.freeze()
     try:
         return args.func(args)
     except ConfigError as exc:

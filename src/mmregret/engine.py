@@ -173,8 +173,10 @@ def _ordered_map(fn, tasks, workers: int) -> list:
     sent to it, and it pickles its result or exception back through a pipe.
     Forking is sound here because no child calls BLAS, whose threads this
     process may hold: the functions mapped here, the MC kernels and _csv_rows,
-    use numpy without matmul, random draws and file writes only. Every child
-    is reaped before this returns or raises.
+    use numpy without matmul, random draws and file writes only. A child also
+    inherits the heap as this process froze it (``cli.main`` freezes it as the
+    process entry point), so its collections skip the frozen objects. Every
+    child is reaped before this returns or raises.
     """
     if workers == 1 or sys.platform != "linux":
         return [fn(*task) for task in tasks]

@@ -2,9 +2,9 @@
 17-significant-digit text of floats.
 
 Binomial probabilities are computed by a multiplicative recurrence (no
-factorials): in linear space while the probability of zero successes stays a
-normal double, in log space beyond that. The inverse normal CDF is the standard
-library's ``NormalDist.inv_cdf``.
+factorials), for many success probabilities at once: in linear space while
+the probability of zero successes stays a normal double, in log space beyond
+that. The inverse normal CDF is the standard library's ``NormalDist.inv_cdf``.
 
 ``fmt17`` formats one float with ``format(x, ".17g")``. ``_fmt17_cells`` gives
 the same bytes for a whole array with numpy operations: it scales each value
@@ -26,48 +26,51 @@ import numpy as np
 Z_CRIT_05 = 1.6449
 
 
-def binom_pmf_vector(n: int, p: float) -> np.ndarray:
-    """Return the full Binomial(n, p) PMF as an array of length n + 1.
+def binom_pmf_matrix(n: int, ps) -> np.ndarray:
+    """Binomial(n, p) PMFs, one row of length n + 1 for each p in ps.
 
-    Uses pmf[k+1] = pmf[k] * (n-k)/(k+1) * p/(1-p), run from whichever end
-    keeps the odds ratio below 1, then normalizes to kill drift. Where pmf[0]
-    would underflow (and the running product overflow), the recurrence is
-    summed in logs and scaled by its maximum before exponentiating.
+    Every row runs pmf[k+1] = pmf[k] * (n-k)/(k+1) * p/(1-p) as one cumprod
+    over the rows, from whichever end keeps the odds ratio below 1 (the row of
+    p > 0.5 is the reversed row of 1 - p), then is normalized to kill drift.
+    A row where pmf[0] would underflow (and the running product overflow) sums
+    the recurrence in logs and is scaled by its maximum before exponentiating.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    out = np.zeros(n + 1)
-    if p == 0.0:
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out[n] = 1.0
-        return out
-    if p <= 0.5:
-        ratio = p / (1.0 - p)
-        log0 = n * np.log1p(-p)
-        k = np.arange(n)
-        factors = (n - k) / (k + 1.0) * ratio
-        if log0 > -700.0:
-            out[0] = 1.0
-            out[1:] = np.cumprod(factors)
-            out *= np.exp(log0)
-        else:
-            out[1:] = np.cumsum(np.log(factors))
-            out = np.exp(out - out.max())
+    ps = np.asarray(ps, dtype=float)
+    inside = (ps >= 0.0) & (ps <= 1.0)  # False for NaN
+    if not inside.all():
+        raise ValueError(f"p={ps[~inside][0]} outside [0, 1]")
+    q = np.minimum(ps, 1.0 - ps)[:, None]
+    k = np.arange(n)
+    factors = (n - k) / (k + 1.0) * (q / (1.0 - q))
+    log0 = n * np.log1p(-q)
+    out = np.empty((len(ps), n + 1))
+    linear = log0[:, 0] > -700.0
+    if linear.all():  # the usual case, by slices: half the time of the masks for one row
+        out[:, 0] = 1.0
+        np.cumprod(factors, axis=1, out=out[:, 1:])
+        out *= np.exp(log0)
     else:
-        out = binom_pmf_vector(n, 1.0 - p)[::-1].copy()
-        return out
-    s = out.sum()
-    if s > 0:
-        out /= s
+        out[linear, 0] = 1.0
+        out[linear, 1:] = np.cumprod(factors[linear], axis=1)
+        out[linear] *= np.exp(log0[linear])
+        logs = np.zeros((len(ps) - linear.sum(), n + 1))
+        np.cumsum(np.log(factors[~linear]), axis=1, out=logs[:, 1:])
+        out[~linear] = np.exp(logs - logs.max(axis=1, keepdims=True))
+    out /= out.sum(axis=1, keepdims=True)  # > 0: a row holds out[0] > 0 or its maximum, 1
+    degenerate = q[:, 0] == 0.0  # p in {0, 1}, signed zeros included
+    if degenerate.any():
+        out[degenerate] = 0.0
+        out[degenerate, 0] = 1.0
+    flip = ps > 0.5
+    if flip.any():
+        out[flip] = out[flip, ::-1]
     return out
 
 
-def binom_pmf_matrix(n: int, ps: np.ndarray) -> np.ndarray:
-    """PMF vectors for many success probabilities, stacked as rows."""
-    ps = np.asarray(ps, dtype=float)
-    return np.vstack([binom_pmf_vector(n, p) for p in ps])
+def binom_pmf_vector(n: int, p: float) -> np.ndarray:
+    """Return the full Binomial(n, p) PMF as an array of length n + 1: the one
+    row of ``binom_pmf_matrix(n, [p])``."""
+    return binom_pmf_matrix(n, [p])[0]
 
 
 def one_sided_critical_value(alpha: float) -> float:

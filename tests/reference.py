@@ -1,8 +1,9 @@
-"""Independent references for the scans and the report CSV.
+"""Independent references for the scans, the binomial PMFs and the report CSV.
 
 The choice functions decide or weigh one outcome at a time, written without
 the tables, so tests can check ``rule.table(n)`` and the exact scans against
-them. The CSV writer formats one cell at a time with ``format``.
+them. The PMF runs its recurrence for one probability at a time. The CSV
+writer formats one cell at a time with ``format``.
 """
 
 from typing import Iterator
@@ -11,6 +12,42 @@ import numpy as np
 
 from mmregret import Action, BinaryTrialState, TrialDesign, TrialOutcome
 from mmregret.mathutil import binom_pmf_vector, one_sided_critical_value
+
+
+def binom_pmf_recurrence(n: int, p: float) -> np.ndarray:
+    """The Binomial(n, p) PMF of one p, by the recurrence that
+    ``binom_pmf_matrix`` runs over all its rows at once.
+
+    pmf[k+1] = pmf[k] * (n-k)/(k+1) * p/(1-p), run from whichever end keeps the
+    odds ratio below 1, then normalized. Where pmf[0] would underflow, the
+    recurrence is summed in logs and scaled by its maximum before exponentiating.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    out = np.zeros(n + 1)
+    if p == 0.0:
+        out[0] = 1.0
+        return out
+    if p == 1.0:
+        out[n] = 1.0
+        return out
+    if p > 0.5:
+        return binom_pmf_recurrence(n, 1.0 - p)[::-1].copy()
+    ratio = p / (1.0 - p)
+    log0 = n * np.log1p(-p)
+    k = np.arange(n)
+    factors = (n - k) / (k + 1.0) * ratio
+    if log0 > -700.0:
+        out[0] = 1.0
+        out[1:] = np.cumprod(factors)
+        out *= np.exp(log0)
+    else:
+        out[1:] = np.cumsum(np.log(factors))
+        out = np.exp(out - out.max())
+    s = out.sum()
+    if s > 0:
+        out /= s
+    return out
 
 
 def es_choose(outcome: TrialOutcome) -> Action:

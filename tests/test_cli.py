@@ -227,6 +227,39 @@ class TestOracle:
         assert code == 3
 
 
+# The process entry point: the module run as ``python -m mmregret.cli``, or the
+# console script's ``sys.exit(main())``, with an atexit hook whose value is the
+# last line of stderr. Both parse sys.argv themselves.
+ENTRIES = {
+    "module": 'runpy.run_module("mmregret.cli", run_name="__main__", alter_sys=True)',
+    "script": "from mmregret.cli import main; sys.exit(main())",
+}
+# modules no command needs at start-up, and an expression listing those loaded;
+# of the commands, Monte Carlo alone needs numpy.random
+UNNEEDED = ("concurrent.futures", "csv", "decimal", "fractions", "statistics", "signal",
+            "numpy.random")
+LOADED = f"[m for m in {UNNEEDED!r} if m in sys.modules]"
+
+
+def run_entry(argv, hook, entry="module"):
+    """(exit code, stdout, the hook's value at exit) of one process entry."""
+    code = "\n".join([
+        "import atexit, gc, runpy, sys",
+        f"atexit.register(lambda: print(repr({hook}), file=sys.stderr))",
+        f"sys.argv = ['mmregret'] + {list(argv)!r}",
+        ENTRIES[entry]])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return proc.returncode, proc.stdout, eval(proc.stderr.splitlines()[-1])
+
+
+def loaded_by_numpy():
+    """The modules of UNNEEDED that importing numpy loads by itself: numpy
+    before 2.0 imports numpy.random."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys, numpy; print({LOADED})"],
+                          capture_output=True, text=True, check=True)
+    return set(eval(proc.stdout))
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self):
         proc = subprocess.run([sys.executable, "-m", "mmregret.cli", "medical"],
@@ -234,14 +267,54 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "conventional" in proc.stdout
 
-    def test_start_up_leaves_the_process_pool_unloaded(self):
-        # the pool serves only MC scans on more than one worker and large CSVs;
-        # fractions, decimal and csv serve no command at all
-        modules = ["fractions", "decimal", "csv", "concurrent.futures.process"]
-        code = f"import sys, mmregret.cli; print([m for m in {modules} if m in sys.modules])"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_entry_point_freezes_the_heap(self, entry):
+        code, out, frozen = run_entry(["scan", "--rule", "es", "--n", "5", "--step", "0.5"],
+                                      "gc.get_freeze_count()", entry)
+        assert code == 0 and out.startswith("max_regret=")
+        assert frozen > 0
+
+    def test_in_process_main_leaves_the_heap_unfrozen(self, capsys):
+        import gc
+        before = gc.get_freeze_count()
+        assert main(["scan", "--rule", "es", "--n", "5", "--step", "0.5"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv", [
+        # 40,401 rows: written in parts, a forked process each, on 2 or more CPUs
+        ["scan", "--rule", "es", "--n", "20", "--step", "0.005"],
+        ["scan", "--rule", "es", "--n", "20", "--step", "0.05", "--method", "mc",
+         "--reps", "2000", "--workers", "2"]], ids=["exact_parts", "mc_workers2"])
+    def test_entry_point_writes_the_bytes_of_in_process_main(self, capsys, tmp_path, argv):
+        # a byte lost when the frozen process exits would show here
+        code, out, _ = run_entry(argv + ["--out", str(tmp_path / "entry.csv")], "None")
+        assert code == 0
+        assert main(argv + ["--out", str(tmp_path / "main.csv")]) == 0
+        assert capsys.readouterr().out == out
+        entry = (tmp_path / "entry.csv").read_bytes()
+        assert entry == (tmp_path / "main.csv").read_bytes()
+        assert b"\r\n#summary," in entry and entry.endswith(b"\r\n")
+
+    def test_importing_the_cli_loads_no_module_a_command_may_skip(self):
+        proc = subprocess.run([sys.executable, "-c", f"import sys, mmregret.cli; print({LOADED})"],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert set(eval(proc.stdout)) <= loaded_by_numpy()
+
+    @pytest.mark.parametrize("mc", [False, True], ids=["exact", "mc"])
+    def test_only_monte_carlo_loads_numpy_random(self, tmp_path, mc):
+        if "numpy.random" in loaded_by_numpy():
+            pytest.skip("this numpy imports numpy.random itself")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000")
+                       if mc else WALD_CFG)
+        method = ["--method", "mc", "--reps", "2000"] if mc else []
+        for argv in (["scan", "--rule", "es", "--n", "5", "--step", "0.1", *method],
+                     ["wald-mse", "--config", str(cfg)]):
+            code, _, modules = run_entry(argv, LOADED)
+            assert code == 0
+            assert modules == (["numpy.random"] if mc else [])
 
 
 def run_err(capsys, *argv):

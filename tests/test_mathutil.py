@@ -6,7 +6,10 @@ import pytest
 
 from mmregret import EmpiricalSuccess, TrialDesign, ZTest, build_binary_grid, max_regret_scan
 from mmregret import mathutil
-from mmregret.mathutil import FMT17_WIDTH, _digits17, _fmt17_cells, binom_pmf_vector, fmt17
+from mmregret.mathutil import (FMT17_WIDTH, _digits17, _fmt17_cells, binom_pmf_matrix,
+                               binom_pmf_vector, fmt17)
+from mmregret.states import _lattice
+from reference import binom_pmf_recurrence
 
 
 def _lgamma_pmf(n, k, p):
@@ -30,6 +33,32 @@ class TestBinomPmf:
         sd = np.sqrt(n * p * (1 - p))
         for k in {int(n * p), int(n * p - 3 * sd), int(n * p + 3 * sd)}:
             assert pmf[k] == pytest.approx(_lgamma_pmf(n, k, p), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 5, 25, 145, 2000, 10000])
+    def test_rows_are_the_recurrence_byte_for_byte(self, n):
+        # the lattices of the grids, and random p; n = 10000 puts p near 0.1 and
+        # beyond in the log-space branch, next to linear rows of the same matrix
+        lattices = [_lattice(step) for step in (0.002, 0.01, 0.05, 0.1, 1 / 3)]
+        per = max(1, (1 << 20) // (n + 1))  # rows per call: a few MB at most
+        for ps in lattices + [np.random.default_rng(n).random(3000)]:
+            for lo in range(0, len(ps), per):
+                rows = binom_pmf_matrix(n, ps[lo:lo + per])
+                want = np.array([binom_pmf_recurrence(n, p) for p in ps[lo:lo + per]])
+                assert rows.tobytes() == want.tobytes()
+
+    def test_vector_is_the_one_row_matrix(self):
+        for p in (0.0, -0.0, 0.3, 0.5, 0.7, 1.0):
+            got = binom_pmf_vector(20, p)
+            assert got.shape == (21,)
+            assert got.tobytes() == binom_pmf_recurrence(20, p).tobytes()
+        assert binom_pmf_matrix(7, []).shape == (0, 8)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_p_outside_the_unit_interval_is_rejected(self, p):
+        with pytest.raises(ValueError, match="outside"):
+            binom_pmf_vector(10, p)
+        with pytest.raises(ValueError, match="outside"):
+            binom_pmf_matrix(10, [0.2, p])
 
 
 def _texts(values):
