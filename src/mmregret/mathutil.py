@@ -45,17 +45,12 @@ def binom_pmf_matrix(n: int, ps) -> np.ndarray:
     log0 = n * np.log1p(-q)
     out = np.empty((len(ps), n + 1))
     linear = log0[:, 0] > -700.0
-    if linear.all():  # the usual case, by slices: half the time of the masks for one row
-        out[:, 0] = 1.0
-        np.cumprod(factors, axis=1, out=out[:, 1:])
-        out *= np.exp(log0)
-    else:
-        out[linear, 0] = 1.0
-        out[linear, 1:] = np.cumprod(factors[linear], axis=1)
-        out[linear] *= np.exp(log0[linear])
-        logs = np.zeros((len(ps) - linear.sum(), n + 1))
-        np.cumsum(np.log(factors[~linear]), axis=1, out=logs[:, 1:])
-        out[~linear] = np.exp(logs - logs.max(axis=1, keepdims=True))
+    out[linear, 0] = 1.0
+    out[linear, 1:] = np.cumprod(factors[linear], axis=1)
+    out[linear] *= np.exp(log0[linear])
+    logs = np.zeros((len(ps) - linear.sum(), n + 1))
+    np.cumsum(np.log(factors[~linear]), axis=1, out=logs[:, 1:])
+    out[~linear] = np.exp(logs - logs.max(axis=1, keepdims=True))
     out /= out.sum(axis=1, keepdims=True)  # > 0: a row holds out[0] > 0 or its maximum, 1
     degenerate = q[:, 0] == 0.0  # p in {0, 1}, signed zeros included
     if degenerate.any():

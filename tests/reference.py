@@ -11,7 +11,7 @@ from typing import Iterator
 import numpy as np
 
 from mmregret import Action, BinaryTrialState, TrialDesign, TrialOutcome
-from mmregret.mathutil import binom_pmf_vector, one_sided_critical_value
+from mmregret.mathutil import one_sided_critical_value
 
 
 def binom_pmf_recurrence(n: int, p: float) -> np.ndarray:
@@ -81,8 +81,8 @@ def enumerate_trial(state: BinaryTrialState,
                     design: TrialDesign) -> Iterator[tuple[TrialOutcome, float]]:
     """All (n+1)^2 outcomes of a two-arm binary trial with their probabilities."""
     n = design.per_arm_n
-    pmf_a = binom_pmf_vector(n, state.p_a)
-    pmf_b = binom_pmf_vector(n, state.p_b)
+    pmf_a = binom_pmf_recurrence(n, state.p_a)
+    pmf_b = binom_pmf_recurrence(n, state.p_b)
     for i in range(n + 1):
         for j in range(n + 1):
             yield TrialOutcome((i, j)), float(pmf_a[i] * pmf_b[j])
