@@ -284,10 +284,7 @@ def cmd_wald_mse(args) -> int:
     miss_known = cfg.get("miss_known", "true").lower()
     if miss_known not in ("true", "yes", "1", "false", "no", "0"):
         raise ConfigError(f"miss_known must be true or false, got {miss_known!r}")
-    if miss_known in ("true", "yes", "1"):
-        design = SurveyDesign(mode="fixed_n", n_observed=n)
-    else:
-        design = SurveyDesign(mode="random_miss", total_n=n)
+    design = SurveyDesign("fixed_n" if miss_known in ("true", "yes", "1") else "random_miss", n)
     method, seed, workers, out = _run_settings(args, cfg, "mc")
     report = engine.max_mse_scan(rule, grid, design, method, seed, workers)
     if out:

@@ -164,8 +164,8 @@ def _child_result(pid: int, fd: int):
     return value
 
 
-def _ordered_map(fn, tasks, workers: int) -> list:
-    """``fn(*task)`` for each task, in order. With more than one worker on Linux,
+def _ordered_map(fn, tasks) -> list:
+    """``fn(*task)`` for each task, in order. With more than one task on Linux,
     every task after the first runs in a child forked for it, and the first in
     this process; elsewhere all run in this process.
 
@@ -178,7 +178,7 @@ def _ordered_map(fn, tasks, workers: int) -> list:
     process entry point), so its collections skip the frozen objects. Every
     child is reaped before this returns or raises.
     """
-    if workers == 1 or sys.platform != "linux":
+    if len(tasks) < 2 or sys.platform != "linux":
         return [fn(*task) for task in tasks]
     children = []  # (pid, the read end of its pipe)
     try:
@@ -208,7 +208,7 @@ def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
     One process per chunk: this one runs the first, a forked child each other."""
     size = -(-len(items) // workers)
     tasks = [(items[lo:lo + size], first + lo) for lo in range(0, len(items), size)]
-    return np.concatenate(_ordered_map(fn, tasks, len(tasks)), axis=-1)
+    return np.concatenate(_ordered_map(fn, tasks), axis=-1)
 
 
 def _check_workers(workers: int) -> None:
@@ -458,36 +458,26 @@ def _bernoulli_predictions(rule: Predictor, k, n, p1, support):
     return rule.predict(stat, n, p1, support)
 
 
-def _known_p1(state: PredictionState, design: SurveyDesign) -> float:
-    if design.known_miss_rate is not None:
-        return 1.0 - design.known_miss_rate
-    return 1.0 - state.miss_rate
-
-
 _CONTRACTION_CELLS = 1 << 18  # squared errors held per chunk of states
 
 
 def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
     """Per-state MSE of a fixed-N Bernoulli survey, enumerating the success count:
-    one PMF per distinct theta_obs, one prediction vector per distinct observed
-    fraction p1, and one PMF-weighted sum of squared errors per state."""
+    one PMF per distinct theta_obs, one prediction vector per distinct miss rate
+    (the observed fraction p1 is 1 minus it), and one PMF-weighted sum of squared
+    errors per state."""
     if design.mode != "fixed_n" or grid.outcome != "bernoulli":
         raise PreconditionError(
             "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
-    n = design.n_observed
-    if design.known_miss_rate is None:
-        p1, index_p1 = 1.0 - grid.miss_rates, grid.index_rate
-    else:
-        p1, index_p1 = np.array([1.0 - design.known_miss_rate]), np.zeros(len(grid), int)
-    k = np.arange(n + 1)
-    preds = np.array([_bernoulli_predictions(rule, k, n, p, grid.support)
-                      for p in p1.tolist()])
+    n, k = design.n, np.arange(design.n + 1)
+    preds = np.array([_bernoulli_predictions(rule, k, n, p1, grid.support)
+                      for p1 in (1.0 - grid.miss_rates).tolist()])
     pmf, pop = binom_pmf_matrix(n, grid.obs_params), grid.population_mean
     mse = np.empty(len(grid))
     per = max(1, _CONTRACTION_CELLS // (n + 1))
     for lo in range(0, len(grid), per):
         rows = slice(lo, lo + per)
-        err2 = (preds[index_p1[rows]] - pop[rows, None]) ** 2
+        err2 = (preds[grid.index_rate[rows]] - pop[rows, None]) ** 2
         # a stack of (1 x n+1) @ (n+1 x 1) products: the same bits as one pmf @ err2 each
         mse[rows] = np.matmul(pmf[grid.index_obs[rows], None, :], err2[:, :, None])[:, 0, 0]
     return mse
@@ -511,12 +501,12 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
     y0, y1 = state.support
     dist, mid = state.dist_observed, 0.5 * (y0 + y1)
     if design.mode == "fixed_n":
-        n_obs, pmf_n = np.array([design.n_observed]), np.ones(1)
-        p1 = np.array([_known_p1(state, design)])
+        n_obs, pmf_n = np.array([design.n]), np.ones(1)
+        p1 = np.array([1.0 - state.miss_rate])
     else:
-        n_obs = np.arange(design.total_n + 1)
-        pmf_n = pmf(design.total_n, 1.0 - state.miss_rate)
-        p1 = n_obs / design.total_n
+        n_obs = np.arange(design.n + 1)
+        pmf_n = pmf(design.n, 1.0 - state.miss_rate)
+        p1 = n_obs / design.n
     median = rule.statistic == "median"
     h = rng.multinomial(reps, pmf_n)
     preds, counts = [], []
@@ -753,7 +743,7 @@ def report_to_csv(report: RegretReport, path) -> None:
                                 for _ in range(parts - 1)]
                 bounds = [n * k // parts for k in range(parts + 1)]
                 _ordered_map(_csv_rows, [(texts, results, f, lo, hi) for f, lo, hi
-                                         in zip(files, bounds, bounds[1:])], parts)
+                                         in zip(files, bounds, bounds[1:])])
                 for spill in files[1:]:
                     spill.seek(0)
                     shutil.copyfileobj(spill, fh, 1 << 20)

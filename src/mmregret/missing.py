@@ -31,19 +31,22 @@ _EQ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Fraction assigned to arm b, which branch produced it, and whether the
-    sample formula had to be clamped into [0, 1]."""
+    """Fraction assigned to arm b, which branch produced it, and, when the sample
+    formula had to be clamped into [0, 1], its value before clamping."""
 
     z_b: float
     regime: str  # "dominant_b" | "dominant_a" | "interior"
-    clamped: bool = False
-    z_raw: float | None = None  # pre-clamp value when clamping fired
+    z_raw: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.z_b <= 1.0:
             raise PreconditionError(f"allocation {self.z_b} outside [0, 1]")
         if self.regime not in ("dominant_b", "dominant_a", "interior"):
             raise PreconditionError(f"unknown regime {self.regime!r}")
+
+    @property
+    def clamped(self) -> bool:
+        return self.z_raw is not None
 
 
 def _alloc_general(e_a, e_b, p_a, p_b, bounds_a, bounds_b) -> AllocationResult:
@@ -137,9 +140,9 @@ def mmr_alloc_sample_known_p(
     raw = _known_score_ratio(MissingDataState(e_na, e_nb, p_na, p_nb, bounds, bounds),
                              known_p)
     if raw < 0.0:
-        return AllocationResult(0.0, "interior", clamped=True, z_raw=float(raw))
+        return AllocationResult(0.0, "interior", z_raw=float(raw))
     if raw > 1.0:
-        return AllocationResult(1.0, "interior", clamped=True, z_raw=float(raw))
+        return AllocationResult(1.0, "interior", z_raw=float(raw))
     return AllocationResult(float(raw), "interior")
 
 

@@ -8,6 +8,7 @@ and worker count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,16 @@ __all__ = [
 ]
 
 
+def _check_size(n, what: str) -> None:
+    """Reject a sample size that is not an integer of at least 1."""
+    try:
+        ok = operator.index(n) >= 1
+    except TypeError:  # a float, even 2.0, is no count
+        ok = False
+    if not ok:
+        raise PreconditionError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class TrialDesign:
     """Balanced two-arm trial with binary outcomes, n subjects per arm. ``arms``
@@ -33,8 +44,7 @@ class TrialDesign:
     def __post_init__(self):
         if self.arms != 2:
             raise PreconditionError(f"a trial design has 2 arms, got {self.arms}")
-        if self.per_arm_n < 1:
-            raise PreconditionError(f"need at least 1 subject per arm, got {self.per_arm_n}")
+        _check_size(self.per_arm_n, "a trial's per-arm n")
 
 
 @dataclass(frozen=True)
@@ -46,36 +56,21 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class SurveyDesign:
-    """Random-sample survey design.
+    """Random-sample survey design with one sample size n; the mode says what n counts.
 
-    mode="fixed_n": exactly n_observed outcomes are observed (the number of
-    observed outcomes is fixed by design and the miss rate enters only through
-    estimation inputs, known_miss_rate if given). mode="random_miss": total_n
+    mode="fixed_n": exactly n outcomes are observed, and the observed fraction a
+    predictor reads is 1 minus the state's miss rate. mode="random_miss": n
     records are drawn and each is independently missing with the state's miss
-    rate. A field the mode does not read must be left as None.
+    rate.
     """
 
-    mode: str = "fixed_n"  # "fixed_n" | "random_miss"
-    n_observed: int | None = None
-    total_n: int | None = None
-    known_miss_rate: float | None = None
+    mode: str  # "fixed_n" | "random_miss"
+    n: int
 
     def __post_init__(self):
-        if self.mode == "fixed_n":
-            if self.n_observed is None or self.n_observed < 1:
-                raise PreconditionError("fixed_n mode needs n_observed >= 1")
-            unread = {"total_n": self.total_n}
-        elif self.mode == "random_miss":
-            if self.total_n is None or self.total_n < 1:
-                raise PreconditionError("random_miss mode needs total_n >= 1")
-            unread = {"n_observed": self.n_observed, "known_miss_rate": self.known_miss_rate}
-        else:
+        if self.mode not in ("fixed_n", "random_miss"):
             raise PreconditionError(f"unknown survey mode {self.mode!r}")
-        for name, value in unread.items():
-            if value is not None:
-                raise PreconditionError(f"{self.mode} mode does not read {name}")
-        if self.known_miss_rate is not None and not 0.0 <= self.known_miss_rate <= 1.0:
-            raise PreconditionError("known miss rate outside [0, 1]")
+        _check_size(self.n, "a survey's n")
 
 
 @dataclass(frozen=True)

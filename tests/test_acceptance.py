@@ -115,7 +115,7 @@ def test_criterion_4_shrinkage_predictor_constant_risk():
     thetas = np.linspace(0.0, 1.0, 101)
     rule = DecisionRule("hodges_lehmann")
     for n in (1, 4, 16):
-        design = SurveyDesign("fixed_n", n_observed=n, known_miss_rate=0.0)
+        design = SurveyDesign("fixed_n", n)
         target = 1.0 / (4.0 * (np.sqrt(n) + 1.0) ** 2)
         mses = []
         for theta in thetas:
@@ -138,7 +138,7 @@ def test_criterion_5_midpoint_analytic_match():
         grid = build_prediction_grid("bernoulli", obs_params=thetas,
                                      miss_params=thetas, miss_rates=[miss])
         for n in (10, 100):
-            design = SurveyDesign("fixed_n", n_observed=n, known_miss_rate=miss)
+            design = SurveyDesign("fixed_n", n)
             target = midpoint_max_regret_formula(1.0 - miss, n)
             report = max_mse_scan(rule, grid, design,
                                   EvalMethod("monte_carlo", 100_000), SeedSpec(31))

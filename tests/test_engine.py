@@ -291,7 +291,7 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * pk * ((predict(k, m, total) if m else 0.5) - mu) ** 2
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss))
                     for k, pk in enumerate(_comb_pmf(m, theta_obs)))
-        mse, stderr = _mc_mse(rule, state, SurveyDesign("random_miss", total_n=total), 50_000,
+        mse, stderr = _mc_mse(rule, state, SurveyDesign("random_miss", total), 50_000,
                               SeedSpec(17).rng(3, 0), binom_pmf_vector)
         assert abs(mse - exact) <= 4 * stderr + 1e-12
 
@@ -313,7 +313,7 @@ class TestHistogramMonteCarlo:
                           + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
         mse, stderr = _mc_mse(DecisionRule("midpoint"), _beta_state(obs, miss_dist, miss, support),
-                              SurveyDesign("random_miss", total_n=total), 50_000,
+                              SurveyDesign("random_miss", total), 50_000,
                               SeedSpec(23).rng(1, 0), binom_pmf_vector)
         assert abs(mse - exact) <= 4 * stderr
 
@@ -327,7 +327,7 @@ class TestHistogramMonteCarlo:
         var_x = q / 4 - (q * (theta - 0.5)) ** 2
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
         mse, stderr = _mc_mse(DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
-                              SurveyDesign("random_miss", total_n=total), reps,
+                              SurveyDesign("random_miss", total), reps,
                               SeedSpec(29).rng(2, 0), binom_pmf_vector)
         assert np.isfinite(stderr) and stderr > 0
         assert abs(mse - exact) <= 4 * stderr
@@ -343,12 +343,12 @@ class TestHistogramMonteCarlo:
         monkeypatch.setattr(engine, "binom_pmf_vector", counting)
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.1, 0.5],
                                      miss_rates=[0.2, 0.4])
-        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", total_n=12),
+        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", 12),
                      EvalMethod("monte_carlo", 20_000), SeedSpec(5))
         assert len(calls) == len(set(calls)) > 2
 
-    @pytest.mark.parametrize("design", [SurveyDesign("random_miss", total_n=12),
-                                        SurveyDesign("fixed_n", n_observed=12)])
+    @pytest.mark.parametrize("design", [SurveyDesign("random_miss", 12),
+                                        SurveyDesign("fixed_n", 12)])
     def test_predictor_sees_only_means_that_occur(self, design):
         def strict(m, p1):  # not finite off the support of the observed mean
             m = np.asarray(m, dtype=float)
@@ -362,9 +362,9 @@ class TestHistogramMonteCarlo:
         assert np.isfinite(got[0]) and got == plain
 
     @pytest.mark.parametrize("family,params,design,predictor", [
-        ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", total_n=9), DecisionRule("midpoint")),
-        ("bernoulli", [0.2, 0.7], SurveyDesign("fixed_n", n_observed=9), MEDIAN),
-        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", total_n=9), MEDIAN)])
+        ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), DecisionRule("midpoint")),
+        ("bernoulli", [0.2, 0.7], SurveyDesign("fixed_n", 9), MEDIAN),
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN)])
     def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
                                      miss_rates=[0.1, 0.5])
@@ -451,9 +451,9 @@ class TestScalarIsOneStateScan:
             assert expected_welfare(*args, state_index=k) == rec.expected_welfare
 
     @pytest.mark.parametrize("method,design", [
-        (EvalMethod("exact"), SurveyDesign("fixed_n", n_observed=12)),
-        (EvalMethod("monte_carlo", 2000), SurveyDesign("fixed_n", n_observed=12)),
-        (EvalMethod("monte_carlo", 2000), SurveyDesign("random_miss", total_n=12))])
+        (EvalMethod("exact"), SurveyDesign("fixed_n", 12)),
+        (EvalMethod("monte_carlo", 2000), SurveyDesign("fixed_n", 12)),
+        (EvalMethod("monte_carlo", 2000), SurveyDesign("random_miss", 12))])
     def test_predictor_mse_equals_scan(self, method, design):
         grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.5, 0.8],
                                      miss_params=[0.0, 0.6], miss_rates=[0.2, 0.7])
@@ -489,7 +489,7 @@ def _bern_state(theta_obs, theta_miss, miss_rate):
 
 class TestPredictorMse:
     def test_hodges_lehmann_constant_risk(self):
-        design = SurveyDesign("fixed_n", n_observed=4, known_miss_rate=0.0)
+        design = SurveyDesign("fixed_n", 4)
         rule = DecisionRule("hodges_lehmann")
         expect = 1.0 / (4 * (np.sqrt(4) + 1) ** 2)
         for theta in np.linspace(0, 1, 11):
@@ -498,7 +498,7 @@ class TestPredictorMse:
             assert mse == pytest.approx(expect, abs=1e-9)
 
     def test_midpoint_no_missing_is_sample_mean_mse(self):
-        design = SurveyDesign("fixed_n", n_observed=8, known_miss_rate=0.0)
+        design = SurveyDesign("fixed_n", 8)
         rule = DecisionRule("midpoint")
         for theta in (0.2, 0.5, 0.9):
             mse = predictor_mse(rule, _bern_state(theta, theta, 0.0), design,
@@ -506,14 +506,14 @@ class TestPredictorMse:
             assert mse == pytest.approx(theta * (1 - theta) / 8, abs=1e-12)
 
     def test_degenerate_state_zero(self):
-        design = SurveyDesign("fixed_n", n_observed=5, known_miss_rate=0.0)
+        design = SurveyDesign("fixed_n", 5)
         mse = predictor_mse(DecisionRule("midpoint"), _bern_state(1.0, 1.0, 0.0),
                             design, EvalMethod("exact"))
         assert mse == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [26, 400, 5000])
     def test_exact_has_no_sample_size_cap(self, n):
-        design = SurveyDesign("fixed_n", n_observed=n, known_miss_rate=0.0)
+        design = SurveyDesign("fixed_n", n)
         for theta in (0.2, 0.5, 0.9):
             mse = predictor_mse(DecisionRule("midpoint"), _bern_state(theta, theta, 0.0),
                                 design, EvalMethod("exact"))
@@ -523,14 +523,14 @@ class TestPredictorMse:
         # the preconditions of an exact max_mse_scan, and no others
         beta = _beta_state((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
         with pytest.raises(PreconditionError):
-            predictor_mse(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", n_observed=5),
+            predictor_mse(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", 5),
                           EvalMethod("exact"))
         with pytest.raises(PreconditionError):
             predictor_mse(DecisionRule("midpoint"), _bern_state(0.5, 0.5, 0.2),
-                          SurveyDesign("random_miss", total_n=5), EvalMethod("exact"))
+                          SurveyDesign("random_miss", 5), EvalMethod("exact"))
 
     def test_mc_matches_exact(self):
-        design = SurveyDesign("fixed_n", n_observed=10, known_miss_rate=0.2)
+        design = SurveyDesign("fixed_n", 10)
         rule = DecisionRule("midpoint")
         s = _bern_state(0.5, 1.0, 0.2)
         exact = predictor_mse(rule, s, design, EvalMethod("exact"))
@@ -546,14 +546,14 @@ class TestMaxMseScan:
                                      miss_params=thetas, miss_rates=[0.2])
 
     def test_midpoint_known_miss_matches_formula_exact(self, bern_grid):
-        design = SurveyDesign("fixed_n", n_observed=10, known_miss_rate=0.2)
+        design = SurveyDesign("fixed_n", 10)
         report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design,
                               EvalMethod("exact"))
         assert report.max_regret == pytest.approx(
             midpoint_max_regret_formula(0.8, 10), abs=1e-9)
 
     def test_midpoint_known_miss_matches_formula_mc(self, bern_grid):
-        design = SurveyDesign("fixed_n", n_observed=10, known_miss_rate=0.2)
+        design = SurveyDesign("fixed_n", 10)
         report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design,
                               EvalMethod("monte_carlo", 50_000), SeedSpec(8))
         rec = next(r for r in report.per_state if r.state is report.argmax_state)
@@ -564,7 +564,7 @@ class TestMaxMseScan:
         thetas = list(np.linspace(0, 1, 11))
         grid = build_prediction_grid("bernoulli", obs_params=thetas,
                                      miss_params=thetas, miss_rates=[0.0])
-        design = SurveyDesign("fixed_n", n_observed=25, known_miss_rate=0.0)
+        design = SurveyDesign("fixed_n", 25)
         report = max_mse_scan(DecisionRule("midpoint"), grid, design, EvalMethod("exact"))
         assert report.max_regret == pytest.approx(0.01, abs=1e-9)
 
@@ -572,13 +572,13 @@ class TestMaxMseScan:
         thetas = [0.0, 0.5, 1.0]
         grid = build_prediction_grid("bernoulli", obs_params=thetas,
                                      miss_params=thetas, miss_rates=[1.0])
-        design = SurveyDesign("fixed_n", n_observed=5, known_miss_rate=1.0)
+        design = SurveyDesign("fixed_n", 5)
         report = max_mse_scan(DecisionRule("midpoint"), grid, design, EvalMethod("exact"))
         assert report.max_regret == pytest.approx(0.25, abs=1e-9)
 
     def test_restriction_never_raises_max(self):
         thetas = list(np.linspace(0, 1, 11))
-        design = SurveyDesign("fixed_n", n_observed=10, known_miss_rate=0.3)
+        design = SurveyDesign("fixed_n", 10)
         full = build_prediction_grid("bernoulli", obs_params=thetas,
                                      miss_params=thetas, miss_rates=[0.3])
         restricted = build_prediction_grid("bernoulli", obs_params=thetas,
@@ -590,25 +590,36 @@ class TestMaxMseScan:
                                  EvalMethod("exact")).max_regret
         assert restr_max <= full_max + 1e-15
 
+    @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), MEDIAN], ids=["midpoint", "median"])
+    def test_fixed_n_exact_and_mc_agree_at_every_miss_rate(self, rule):
+        # one grid, four miss rates: both paths read p1 = 1 - the state's miss rate
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.5, 0.9],
+                                     miss_params=[0.0, 0.4, 1.0], miss_rates=[0.0, 0.25, 0.6, 1.0])
+        design = SurveyDesign("fixed_n", 10)
+        exact = max_mse_scan(rule, grid, design, EvalMethod("exact"))
+        mc = max_mse_scan(rule, grid, design, EvalMethod("monte_carlo", 20_000), SeedSpec(19))
+        assert (np.abs(mc.regret - exact.regret) <= 4 * mc.mc_stderr + 1e-12).all()
+        assert (mc.mc_stderr > 0).sum() > len(grid) / 2
+
     @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), DecisionRule("hodges_lehmann"),
                                       DecisionRule("analog_predictor"), MEDIAN,
                                       DecisionRule("custom", {"mean_table": [(0, 0.2), (1, 0.9)]})],
                              ids=["midpoint", "hodges_lehmann", "mean", "median", "table"])
-    @pytest.mark.parametrize("n,known,support", [(7, None, (0.0, 1.0)), (7, 0.3, (-1.0, 2.5)),
-                                                 (200, None, (0.0, 1.0))])
-    def test_exact_equals_per_state_dot_product(self, rule, n, known, support):
+    # explicit ids, so that each case keeps the name the suite reports it by
+    @pytest.mark.parametrize("n,support", [(7, (0.0, 1.0)), (7, (-1.0, 2.5)), (200, (0.0, 1.0))],
+                             ids=["7-None-support0", "7-None-support1", "200-None-support2"])
+    def test_exact_equals_per_state_dot_product(self, rule, n, support):
         # the per-state arithmetic of the scan before it was columnar; at n = 200
         # the grid spans more than one chunk of the contraction
         from mmregret.engine import _bernoulli_predictions
         thetas = [0.0, 0.3, 0.3, 0.55, 1.0] if n == 7 else list(np.linspace(0, 1, 21))
         grid = build_prediction_grid("bernoulli", obs_params=thetas, miss_params=thetas[::-1],
                                      miss_rates=[0.0, 0.25, 0.6, 1.0], support=support)
-        design = SurveyDesign("fixed_n", n_observed=n, known_miss_rate=known)
+        design = SurveyDesign("fixed_n", n)
         report = max_mse_scan(rule, grid, design, EvalMethod("exact"))
         want = []
         for s in grid.states:
-            p1 = 1.0 - (s.miss_rate if known is None else known)
-            pred = _bernoulli_predictions(rule, np.arange(n + 1), n, p1, support)
+            pred = _bernoulli_predictions(rule, np.arange(n + 1), n, 1.0 - s.miss_rate, support)
             want.append(binom_pmf_vector(n, s.dist_observed.theta)
                         @ (pred - s.population_mean) ** 2)
         assert report.regret.tolist() == want
@@ -691,21 +702,21 @@ class TestScanPreconditions:
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError):
             max_mse_scan(DecisionRule("midpoint"), grid,
-                         SurveyDesign("fixed_n", n_observed=5), workers=workers)
+                         SurveyDesign("fixed_n", 5), workers=workers)
 
     def test_exact_scan_needs_bernoulli_outcomes(self):
         grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0)],
                                      miss_params=[(2.0, 5.0)], miss_rates=[0.2])
         with pytest.raises(PreconditionError):
             max_mse_scan(DecisionRule("midpoint"), grid,
-                         SurveyDesign("fixed_n", n_observed=5), EvalMethod("exact"))
+                         SurveyDesign("fixed_n", 5), EvalMethod("exact"))
 
     def test_exact_scan_needs_fixed_n_design(self):
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError):
             max_mse_scan(DecisionRule("midpoint"), grid,
-                         SurveyDesign("random_miss", total_n=5), EvalMethod("exact"))
+                         SurveyDesign("random_miss", 5), EvalMethod("exact"))
 
 
     @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
@@ -716,7 +727,7 @@ class TestScanPreconditions:
             max_regret_scan(DecisionRule("midpoint"), build_binary_grid(0.5),
                             TrialDesign(per_arm_n=2), method)
         with pytest.raises(PreconditionError, match="not a predictor"):
-            max_mse_scan(ES, grid, SurveyDesign("fixed_n", n_observed=5), method)
+            max_mse_scan(ES, grid, SurveyDesign("fixed_n", 5), method)
 
 
 def _fail_on(bad, task):
@@ -735,20 +746,20 @@ def _no_child_left():
 
 
 class TestForkedWorkers:
-    """With more than one worker, _ordered_map forks a child per task after the
+    """With more than one task, _ordered_map forks a child per task after the
     first and runs the first itself."""
 
     pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
 
     def test_child_exception_reaches_the_parent_with_its_type(self):
-        assert engine._ordered_map(partial(_fail_on, 9), [(0,), (1,), (2,)], 3) == [0, 1, 2]
+        assert engine._ordered_map(partial(_fail_on, 9), [(0,), (1,), (2,)]) == [0, 1, 2]
         with pytest.raises(PreconditionError, match="task 2 is bad"):
-            engine._ordered_map(partial(_fail_on, 2), [(0,), (1,), (2,)], 3)
+            engine._ordered_map(partial(_fail_on, 2), [(0,), (1,), (2,)])
         assert _no_child_left()
 
     def test_children_are_reaped_when_the_parents_task_raises(self):
         with pytest.raises(PreconditionError, match="task 0 is bad"):
-            engine._ordered_map(partial(_fail_on, 0), [(0,), (1,), (2,)], 3)
+            engine._ordered_map(partial(_fail_on, 0), [(0,), (1,), (2,)])
         assert _no_child_left()
 
     def test_no_child_is_left_after_a_two_worker_scan(self):
@@ -763,7 +774,7 @@ class TestForkedWorkers:
         rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.5],
                                      miss_rates=[0.2])
-        design, method = SurveyDesign("random_miss", total_n=6), EvalMethod("monte_carlo", 2000)
+        design, method = SurveyDesign("random_miss", 6), EvalMethod("monte_carlo", 2000)
         one = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=1)
         two = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
         for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
@@ -780,7 +791,7 @@ class TestForkedWorkers:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys, "platform", "darwin")
             mp.setattr(os, "fork", no_fork)
-            assert engine._ordered_map(partial(_fail_on, 9), tasks, 3) == [0, 1, 2]
+            assert engine._ordered_map(partial(_fail_on, 9), tasks) == [0, 1, 2]
 
 
 def _rowwise_report_to_csv(report, path):
@@ -834,10 +845,10 @@ class TestColumnarReport:
             build_prediction_grid("bernoulli", obs_params=list(np.linspace(0, 1, 11)),
                                   miss_params=list(np.linspace(0, 1, 11)),
                                   miss_rates=[0.2, 0.5]),
-            SurveyDesign("fixed_n", n_observed=10), EvalMethod("exact")),
+            SurveyDesign("fixed_n", 10), EvalMethod("exact")),
         "mc_beta_median": lambda: max_mse_scan(
             DecisionRule("analog_predictor", {"loss": "absolute"}), _beta_grid(),
-            SurveyDesign("fixed_n", n_observed=5), EvalMethod("monte_carlo", 1000),
+            SurveyDesign("fixed_n", 5), EvalMethod("monte_carlo", 1000),
             SeedSpec(3)),
         "more_rows_than_a_chunk": lambda: max_regret_scan(
             ES, build_binary_grid(0.01), TrialDesign(per_arm_n=20)),
@@ -993,9 +1004,9 @@ class TestCsvParts:
         report, parts = _boundary_report(rows, rows), []
         ordered_map = engine._ordered_map
 
-        def spy(fn, tasks, workers):
+        def spy(fn, tasks):
             parts.append(len(tasks))
-            return ordered_map(fn, tasks, workers)
+            return ordered_map(fn, tasks)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CSV_PART_ROWS", self.PART_ROWS)
@@ -1027,7 +1038,7 @@ class TestCsvParts:
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
 
-        def no_fork(fn, tasks, workers):
+        def no_fork(fn, tasks):
             raise AssertionError("a pipe was written in parts")
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1073,11 +1084,11 @@ def test_mc_pool_gets_one_process_per_chunk(family):
     """An MC scan asks the pool helper for no more processes than it has chunks
     of states, however many workers it is given."""
     import mmregret.engine as engine
-    ordered_map, counts = engine._ordered_map, []
+    counts = []
 
-    def spy(fn, tasks, n):
-        counts.append(n)
-        return ordered_map(fn, tasks, 1)  # in process: no real pool is started
+    def spy(fn, tasks):
+        counts.append(len(tasks))
+        return [fn(*task) for task in tasks]  # in process: no child is forked
 
     method = EvalMethod("monte_carlo", 1000)
     if family == "binary_trial":
@@ -1088,7 +1099,7 @@ def test_mc_pool_gets_one_process_per_chunk(family):
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
                                      miss_rates=[0.25])
         scan = partial(max_mse_scan, DecisionRule("midpoint"), grid,
-                       SurveyDesign("fixed_n", n_observed=5), method, SeedSpec(1))
+                       SurveyDesign("fixed_n", 5), method, SeedSpec(1))
     assert len(grid) == 4
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_ordered_map", spy)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -74,20 +76,31 @@ class TestTrialDesign:
         with pytest.raises(TypeError):
             TrialDesign(per_arm_n=5, outcome_range=7.0)
 
+    def test_non_integer_per_arm_n_rejected(self):
+        # numpy would fail later in the scan, on a float where it needs a count
+        with pytest.raises(PreconditionError, match="integer >= 1, got 2.5"):
+            TrialDesign(per_arm_n=2.5)
+
 
 class TestSurveyDesign:
     def test_fixed_n_zero_rejected(self):
         with pytest.raises(PreconditionError):
-            SurveyDesign("fixed_n", n_observed=0)
+            SurveyDesign("fixed_n", 0)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(mode="random_miss", total_n=10, known_miss_rate=0.0),
-        dict(mode="random_miss", total_n=10, n_observed=5),
-        dict(mode="fixed_n", n_observed=10, total_n=20)],
-        ids=["known_miss_rate_random_miss", "n_observed_random_miss", "total_n_fixed_n"])
-    def test_field_its_mode_does_not_read_rejected(self, kwargs):
-        with pytest.raises(PreconditionError, match="does not read"):
-            SurveyDesign(**kwargs)
+    @pytest.mark.parametrize("mode,n,match", [("fixed_N", 10, "unknown survey mode"),
+                                              ("random_miss", -1, "integer >= 1, got -1")],
+                             ids=["unknown_mode", "n_below_one"])
+    def test_bad_design_rejected(self, mode, n, match):
+        with pytest.raises(PreconditionError, match=match):
+            SurveyDesign(mode, n)
+
+    def test_n_must_be_an_integer(self):
+        assert SurveyDesign("random_miss", np.int64(4)).n == 4
+        with pytest.raises(PreconditionError, match="integer >= 1, got 2.5"):
+            SurveyDesign("fixed_n", 2.5)
+
+    def test_mode_and_n_are_its_only_fields(self):
+        assert [f.name for f in fields(SurveyDesign)] == ["mode", "n"]
 
 
 class TestParallelDeterminism:
