@@ -11,14 +11,10 @@ from .engine import (
     RegretBounds,
     RegretReport,
     StateRecord,
-    binary_regret,
-    error_probability,
     exhaustive_mmr_oracle,
-    expected_welfare,
     max_mse_scan,
     max_regret_scan,
     midpoint_max_regret_formula,
-    predictor_mse,
     regret_bounds,
     report_to_csv,
 )

@@ -3,8 +3,8 @@
 Evaluates a rule exactly where the sample space is enumerable (two-arm binary
 trials, Bernoulli surveys with a fixed observed count) and by seeded Monte
 Carlo otherwise. Each grid family has one evaluation path, a report builder
-over a grid; the scans call it on their grid and the scalar functions on a
-grid of one state. Also provides analytic maximum-regret bounds for the
+over a grid, which its scan calls; one state is evaluated as a scan of a grid
+that holds only it. Also provides analytic maximum-regret bounds for the
 empirical success rule and an exhaustive oracle over deterministic rules on
 tiny trial designs.
 """
@@ -24,19 +24,15 @@ from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_ve
                        fmt17)
 from .rules import Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign
-from .states import BinaryTrialState, PredictionState, StateGrid
+from .states import PredictionState, StateGrid
 
 __all__ = [
     "EvalMethod",
     "RegretBounds",
     "RegretReport",
     "StateRecord",
-    "error_probability",
-    "binary_regret",
-    "expected_welfare",
     "max_regret_scan",
     "regret_bounds",
-    "predictor_mse",
     "max_mse_scan",
     "midpoint_max_regret_formula",
     "exhaustive_mmr_oracle",
@@ -78,8 +74,8 @@ class RegretReport:
 
     NaN in ``error_prob`` or ``expected_welfare`` marks a state without that
     value: tied arms, and every state of an MSE scan. ``argmax`` is the index
-    of the first state of largest regret. ``per_state`` builds one
-    StateRecord per state on first access and caches them.
+    of the first state of largest regret. ``per_state`` builds the grid's
+    states and one StateRecord per state on first access, and caches them.
     """
 
     grid: StateGrid
@@ -108,17 +104,15 @@ class RegretReport:
 
     def record(self, k: int) -> StateRecord:
         """The StateRecord of state k, built without building the others."""
-        return self._record(k, self.grid.state(k))
+        err, welfare = float(self.error_prob[k]), float(self.expected_welfare[k])
+        return StateRecord(self.grid.state(k), None if err != err else err,  # NaN: no value
+                           None if welfare != welfare else welfare,
+                           float(self.regret[k]), float(self.mc_stderr[k]))
 
     @cached_property
     def per_state(self) -> tuple[StateRecord, ...]:
-        return tuple(map(self._record, range(len(self.grid)), self.grid.states))
-
-    def _record(self, k: int, state) -> StateRecord:
-        err, welfare = float(self.error_prob[k]), float(self.expected_welfare[k])
-        return StateRecord(state, None if err != err else err,  # NaN: no value
-                           None if welfare != welfare else welfare,
-                           float(self.regret[k]), float(self.mc_stderr[k]))
+        # the grid's states are built first, so that state(k) returns them
+        return tuple(map(self.record, range(len(self.grid.states))))
 
 
 def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
@@ -202,12 +196,18 @@ def _ordered_map(fn, tasks) -> list:
             os.waitpid(pid, 0)
 
 
-def _map_chunks(fn, items, workers: int, first: int) -> np.ndarray:
+def _cpus() -> int:
+    """The CPUs this process may run on, on Linux; 1 elsewhere, where
+    _ordered_map runs every task in this process."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _map_chunks(fn, items, workers: int) -> np.ndarray:
     """``fn(chunk, index of its first item)`` over contiguous chunks of items, at
-    most one chunk per worker process; the chunks' result columns, concatenated.
+    most one per worker and per CPU; the chunks' result columns, concatenated.
     One process per chunk: this one runs the first, a forked child each other."""
-    size = -(-len(items) // workers)
-    tasks = [(items[lo:lo + size], first + lo) for lo in range(0, len(items), size)]
+    size = -(-len(items) // min(workers, _cpus()))
+    tasks = [(items[lo:lo + size], lo) for lo in range(0, len(items), size)]
     return np.concatenate(_ordered_map(fn, tasks), axis=-1)
 
 
@@ -323,10 +323,9 @@ def choice_table(rule: TrialRule, n: int) -> np.ndarray:
     return rule.table(n)
 
 
-def _trial_report(rule, grid, design, method, seed, workers: int, first: int) -> RegretReport:
+def _trial_report(rule, grid, design, method, seed, workers: int) -> RegretReport:
     """Regret of a trial-choice rule in every state of a binary-trial grid. One PMF
-    per grid probability serves every state; MC state k draws from substream
-    first + k."""
+    per grid probability serves every state; MC state k draws from substream k."""
     n = design.per_arm_n
     if method.mode == "exact":
         _check_exact_trial(design)
@@ -341,7 +340,7 @@ def _trial_report(rule, grid, design, method, seed, workers: int, first: int) ->
         values, classes = _value_classes(table, pmf)
         kernel = partial(_mc_choose_b, values, classes, pmf, method.reps, seed or SeedSpec())
         prob_b, se_b = _map_chunks(kernel, np.column_stack([grid.index_a, grid.index_b]),
-                                   workers, first)
+                                   workers)
     pa, pb = grid.p_a, grid.p_b
     tie, gap = pa == pb, np.abs(pa - pb)
     err = np.where(pa > pb, prob_b, 1.0 - prob_b)
@@ -349,50 +348,6 @@ def _trial_report(rule, grid, design, method, seed, workers: int, first: int) ->
     err[tie] = np.nan
     reg[tie] = 0.0
     return _report(grid, reg, method, seed, err, np.maximum(pa, pb) - reg, se_b * gap)
-
-
-def _one_state(rule, state, design, method, seed, state_index) -> StateRecord:
-    grid = StateGrid("binary_trial", (state,))
-    return _trial_report(rule, grid, design, method, seed, 1, state_index).record(0)
-
-
-def error_probability(
-    rule: TrialRule,
-    state: BinaryTrialState,
-    design: TrialDesign,
-    method: EvalMethod = EvalMethod(),
-    seed: SeedSpec | None = None,
-    state_index: int = 0,
-) -> float | None:
-    """Probability the rule selects the inferior arm; None when the arms tie.
-
-    Fractional allocations contribute their mass on the inferior arm.
-    """
-    return _one_state(rule, state, design, method, seed, state_index).error_prob
-
-
-def binary_regret(
-    rule: TrialRule,
-    state: BinaryTrialState,
-    design: TrialDesign,
-    method: EvalMethod = EvalMethod(),
-    seed: SeedSpec | None = None,
-    state_index: int = 0,
-) -> float:
-    """Error probability times the welfare gap |p_a - p_b|."""
-    return _one_state(rule, state, design, method, seed, state_index).regret
-
-
-def expected_welfare(
-    rule: TrialRule,
-    state: BinaryTrialState,
-    design: TrialDesign,
-    method: EvalMethod = EvalMethod(),
-    seed: SeedSpec | None = None,
-    state_index: int = 0,
-) -> float:
-    """Best attainable welfare in the state minus the rule's regret."""
-    return _one_state(rule, state, design, method, seed, state_index).expected_welfare
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +365,7 @@ def max_regret_scan(
     if grid.family != "binary_trial":
         raise PreconditionError("max_regret_scan needs a binary_trial grid")
     _check_workers(workers)
-    return _trial_report(rule, grid, design, method, seed, workers, 0)
+    return _trial_report(rule, grid, design, method, seed, workers)
 
 
 @dataclass(frozen=True)
@@ -536,34 +491,16 @@ def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, first: int) 
                      for k, s in enumerate(states)]).T
 
 
-def _mse_report(rule, grid, design, method, seed, workers: int, first: int) -> RegretReport:
+def _mse_report(rule, grid, design, method, seed, workers: int) -> RegretReport:
     """MSE of a predictor in every state of a prediction grid (regret = MSE here);
-    MC state k draws from substream first + k."""
+    MC state k draws from substream k."""
     if not isinstance(rule, Predictor):
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     if method.mode == "exact":
         return _report(grid, _exact_bernoulli_mse(rule, grid, design), method, seed)
     kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec())
-    mse, stderr = _map_chunks(kernel, grid.states, workers, first)
+    mse, stderr = _map_chunks(kernel, grid.states, workers)
     return _report(grid, mse, method, seed, mc_stderr=stderr)
-
-
-def predictor_mse(
-    rule: Predictor,
-    state: PredictionState,
-    design: SurveyDesign,
-    method: EvalMethod = EvalMethod(),
-    seed: SeedSpec | None = None,
-    state_index: int = 0,
-) -> float:
-    """MSE of a predictor as an estimate of the population mean.
-
-    A one-state ``max_mse_scan``: exact mode enumerates the observed success
-    count and requires Bernoulli observed outcomes and a fixed-N design, at any
-    N; Monte Carlo handles the rest, drawing from substream ``state_index``.
-    """
-    grid = StateGrid("prediction", (state,))
-    return _mse_report(rule, grid, design, method, seed, 1, state_index).record(0).regret
 
 
 def max_mse_scan(
@@ -578,7 +515,7 @@ def max_mse_scan(
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
     _check_workers(workers)
-    return _mse_report(rule, grid, design, method, seed, workers, 0)
+    return _mse_report(rule, grid, design, method, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +624,9 @@ def _csv_rows(texts, results, fh, lo: int, hi: int) -> None:
 
 
 def _csv_parts(rows: int) -> int:
-    """The number of contiguous parts a CSV of this many rows is written in: one
-    per CPU this process may run on, each of at least _CSV_PART_ROWS rows, and
-    one off Linux."""
-    if sys.platform != "linux":
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _CSV_PART_ROWS))
+    """The number of contiguous parts a CSV of this many rows is written in: at
+    most one per CPU (see _cpus), each of at least _CSV_PART_ROWS rows."""
+    return max(1, min(_cpus(), rows // _CSV_PART_ROWS))
 
 
 def report_to_csv(report: RegretReport, path) -> None:

@@ -23,14 +23,14 @@ __all__ = [
 ]
 
 
-def _check_size(n, what: str) -> None:
-    """Reject a sample size that is not an integer of at least 1."""
+def _check_integer(n, what: str, least: int = 1) -> None:
+    """Reject a value that is not an integer of at least ``least``."""
     try:
-        ok = operator.index(n) >= 1
-    except TypeError:  # a float, even 2.0, is no count
+        ok = operator.index(n) >= least
+    except TypeError:  # a float, even 2.0, is no integer here
         ok = False
     if not ok:
-        raise PreconditionError(f"{what} must be an integer >= 1, got {n!r}")
+        raise PreconditionError(f"{what} must be an integer >= {least}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class TrialDesign:
     def __post_init__(self):
         if self.arms != 2:
             raise PreconditionError(f"a trial design has 2 arms, got {self.arms}")
-        _check_size(self.per_arm_n, "a trial's per-arm n")
+        _check_integer(self.per_arm_n, "a trial's per-arm n")
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class SurveyDesign:
     def __post_init__(self):
         if self.mode not in ("fixed_n", "random_miss"):
             raise PreconditionError(f"unknown survey mode {self.mode!r}")
-        _check_size(self.n, "a survey's n")
+        _check_integer(self.n, "a survey's n")
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,9 @@ class SeedSpec:
     """
 
     master_seed: int = 0
+
+    def __post_init__(self):
+        _check_integer(self.master_seed, "a seed", 0)
 
     def rng(self, state_index: int = 0, stream: int = 0) -> np.random.Generator:
         ss = np.random.SeedSequence(

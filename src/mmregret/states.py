@@ -169,7 +169,8 @@ class StateGrid:
 
     A grid is columnar: it holds the distinct values of each state coordinate
     and one index column per coordinate, giving each state's position among
-    those values. Its ``states`` tuple is built on first access and cached.
+    those values. Its ``states`` tuple is built on first access and cached;
+    until then ``state(k)`` builds an equal state k alone.
 
     * binary_trial -- ``points``, the distinct success probabilities in
       increasing order, indexed by ``index_a`` and ``index_b``.
@@ -187,7 +188,6 @@ class StateGrid:
             raise PreconditionError("empty state grid")
         self.family = family
         self._states = tuple(states)
-        self._built: dict[int, object] = {}
         if family == "binary_trial":
             points, index = _distinct([s.p_a for s in self._states]
                                       + [s.p_b for s in self._states])
@@ -200,7 +200,7 @@ class StateGrid:
     def _from_columns(cls, family: str, **columns) -> StateGrid:
         """A grid whose states are built only when asked for."""
         grid = cls.__new__(cls)
-        grid.family, grid._states, grid._built = family, None, {}
+        grid.family, grid._states = family, None
         grid._set_columns(**columns)
         return grid
 
@@ -245,28 +245,19 @@ class StateGrid:
     @property
     def states(self) -> tuple:
         if self._states is None:
-            built = self._build(slice(None))
-            for k, s in self._built.items():
-                built[k] = s
-            self._states = tuple(built)
+            self._states = tuple(self._build(slice(None)))
         return self._states
 
     def state(self, k: int):
-        """State k, the same object as ``states[k]``, without building the others."""
+        """State k: ``states[k]`` once ``states`` is built; before, an equal state
+        built from the columns, without building the others."""
         k = range(len(self))[k]
         if self._states is not None:
             return self._states[k]
-        if k not in self._built:
-            self._built[k] = self._build(slice(k, k + 1))[0]
-        return self._built[k]
+        return self._build(slice(k, k + 1))[0]
 
     def __len__(self) -> int:
-        if self._states is not None:
-            return len(self._states)
         return len(self.index_a if self.family == "binary_trial" else self.index_obs)
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from mmregret import (
     OutcomeDist,
     PredictionState,
     SeedSpec,
+    StateGrid,
     SurveyDesign,
     TrialDesign,
     asif_decide,
@@ -28,7 +29,6 @@ from mmregret import (
     max_mse_scan,
     max_regret_scan,
     midpoint_max_regret_formula,
-    predictor_mse,
     regret_bounds,
 )
 from mmregret.cli import medical_regrets
@@ -121,7 +121,8 @@ def test_criterion_4_shrinkage_predictor_constant_risk():
         for theta in thetas:
             state = PredictionState(OutcomeDist("bernoulli", theta=theta),
                                     OutcomeDist("bernoulli", theta=theta), 0.0)
-            mses.append(predictor_mse(rule, state, design, EvalMethod("exact")))
+            grid = StateGrid("prediction", [state])
+            mses.append(max_mse_scan(rule, grid, design, EvalMethod("exact")).record(0).regret)
         if max(mses) - min(mses) > 1e-9:
             failures.append(f"N={n}: risk varies by {max(mses) - min(mses):.2e}")
         if abs(max(mses) - target) > 1e-9:

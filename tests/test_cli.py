@@ -381,6 +381,17 @@ class TestRejectedInput:
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
                        "--method", "mc", "--reps", "2000", "--workers", workers) == 3
 
+    @pytest.mark.parametrize("method", [("--method", "mc", "--reps", "1000"), ()],
+                             ids=["mc", "exact"])
+    def test_scan_negative_seed_exits_3(self, capsys, method):
+        assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
+                       *method, "--seed", "-1") == 3
+
+    def test_wald_negative_seed_exits_3(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000\nseed = -1"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
     def test_wald_workers_below_one_exit_3(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))

@@ -18,22 +18,18 @@ from mmregret import (
     SeedSpec,
     SurveyDesign,
     TrialDesign,
-    binary_regret,
     build_binary_grid,
     build_prediction_grid,
-    error_probability,
     exhaustive_mmr_oracle,
-    expected_welfare,
     max_mse_scan,
     max_regret_scan,
     midpoint_max_regret_formula,
-    predictor_mse,
     regret_bounds,
     report_to_csv,
 )
 import mmregret.engine as engine
 from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _draw_histogram, _mc_mse,
-                             _mean_stderr, _trial_report, _value_classes, choice_table)
+                             _mean_stderr, _value_classes, choice_table)
 from mmregret.mathutil import binom_pmf_matrix, binom_pmf_vector
 from mmregret.rules import Action, OutcomeRule, TableRule
 from mmregret.states import StateGrid
@@ -56,17 +52,19 @@ class TestErrorProbability:
     def test_es_n1_hand_value(self):
         # P(0,1) = 0.16 plus half the tie mass 0.24 -> 0.40
         s = BinaryTrialState(0.6, 0.4)
-        err = error_probability(ES, s, TrialDesign(per_arm_n=1))
+        err = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).error_prob
         assert err == pytest.approx(0.40, abs=1e-12)
 
     def test_equal_probabilities_skipped(self):
         s = BinaryTrialState(0.3, 0.3)
-        assert error_probability(ES, s, TrialDesign(per_arm_n=5)) is None
-        assert binary_regret(ES, s, TrialDesign(per_arm_n=5)) == 0.0
+        rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5))
+        assert rec.error_prob is None
+        assert rec.regret == 0.0
 
     def test_degenerate_state(self):
         s = BinaryTrialState(1.0, 0.0)
-        assert error_probability(ES, s, TrialDesign(per_arm_n=3)) == pytest.approx(0.0)
+        err = _one_state_record(ES, s, TrialDesign(per_arm_n=3)).error_prob
+        assert err == pytest.approx(0.0)
 
     def test_matches_independent_brute_force(self):
         rng = np.random.default_rng(17)
@@ -75,10 +73,10 @@ class TestErrorProbability:
             if pa == pb:
                 continue
             s = BinaryTrialState(pa, pb)
-            got = error_probability(ES, s, TrialDesign(per_arm_n=4))
+            got = _one_state_record(ES, s, TrialDesign(per_arm_n=4)).error_prob
             want = _brute_force_error_prob(es_choose, s, 4)
             assert got == pytest.approx(want, abs=1e-12)
-            got = error_probability(ZTEST, s, TrialDesign(per_arm_n=4))
+            got = _one_state_record(ZTEST, s, TrialDesign(per_arm_n=4)).error_prob
             want = _brute_force_error_prob(
                 lambda o: ztest_choose(o, 4, 0.05, 0), s, 4)
             assert got == pytest.approx(want, abs=1e-12)
@@ -87,15 +85,18 @@ class TestErrorProbability:
 class TestRegretAndWelfare:
     def test_regret_product_form(self):
         s = BinaryTrialState(0.6, 0.4)
-        assert binary_regret(ES, s, TrialDesign(per_arm_n=1)) == pytest.approx(0.08, abs=1e-12)
+        reg = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).regret
+        assert reg == pytest.approx(0.08, abs=1e-12)
 
     def test_expected_welfare(self):
         s = BinaryTrialState(0.6, 0.4)
-        assert expected_welfare(ES, s, TrialDesign(per_arm_n=1)) == pytest.approx(0.52, abs=1e-12)
+        welfare = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).expected_welfare
+        assert welfare == pytest.approx(0.52, abs=1e-12)
 
     def test_welfare_at_equal_arms(self):
         s = BinaryTrialState(0.7, 0.7)
-        assert expected_welfare(ZTEST, s, TrialDesign(per_arm_n=10)) == pytest.approx(0.7)
+        welfare = _one_state_record(ZTEST, s, TrialDesign(per_arm_n=10)).expected_welfare
+        assert welfare == pytest.approx(0.7)
 
     def test_medical_arithmetic(self):
         # error prob 0.05 with welfares (1, 1/3) -> regret 1/30;
@@ -104,10 +105,14 @@ class TestRegretAndWelfare:
         assert 0.20 * (5 - 1) == pytest.approx(4 / 5, abs=1e-12)
 
 
-def _mc_trial_record(rule, state, design, method, seed, k):
-    """The MC record of one state drawn from substream k, with its standard error."""
-    grid = StateGrid("binary_trial", (state,))
-    return _trial_report(rule, grid, design, method, seed, 1, k).record(0)
+def _one_state_record(rule, state, design, method=EvalMethod(), seed=None):
+    """The record of one state: a scan of the grid that holds only that state, so
+    Monte Carlo draws from substream 0."""
+    if isinstance(state, BinaryTrialState):
+        report = max_regret_scan(rule, StateGrid("binary_trial", [state]), design, method, seed)
+    else:
+        report = max_mse_scan(rule, StateGrid("prediction", [state]), design, method, seed)
+    return report.record(0)
 
 
 class TestExactVsMonteCarlo:
@@ -119,8 +124,8 @@ class TestExactVsMonteCarlo:
             for k in range(20):
                 pa, pb = rng.random(2)
                 s = BinaryTrialState(pa, pb)
-                exact = binary_regret(rule, s, design)
-                rec = _mc_trial_record(rule, s, design, method, SeedSpec(99), k)
+                exact = _one_state_record(rule, s, design).regret
+                rec = _one_state_record(rule, s, design, method, SeedSpec(99))
                 # the 1e-6 floor covers states where the MC draw never errs
                 # (stderr 0) while the exact regret is a tiny positive number
                 assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-6
@@ -130,7 +135,7 @@ class TestExactVsMonteCarlo:
         design = TrialDesign(per_arm_n=30)
         stderrs = []
         for reps in (1000, 10_000, 100_000):
-            rec = _mc_trial_record(ES, s, design, EvalMethod("monte_carlo", reps), SeedSpec(3), 0)
+            rec = _one_state_record(ES, s, design, EvalMethod("monte_carlo", reps), SeedSpec(3))
             stderrs.append(rec.mc_stderr)
         for lo, hi in zip(stderrs[1:], stderrs[:-1]):
             ratio = hi / lo
@@ -144,14 +149,14 @@ class TestExactVsMonteCarlo:
         report = max_regret_scan(ES, StateGrid("binary_trial", states), design,
                                  EvalMethod("monte_carlo", 20_000), SeedSpec(6))
         for rec in report.per_state:
-            exact = binary_regret(ES, rec.state, design)
+            exact = _one_state_record(ES, rec.state, design).regret
             assert np.isfinite(exact) and exact > 0
             assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
 
     def test_mc_regret_within_noise_of_nonnegative(self):
         s = BinaryTrialState(0.5, 0.501)
-        rec = _mc_trial_record(ES, s, TrialDesign(per_arm_n=5), EvalMethod("monte_carlo", 5000),
-                               SeedSpec(1), 0)
+        rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5),
+                                EvalMethod("monte_carlo", 5000), SeedSpec(1))
         assert rec.regret >= -4 * rec.mc_stderr
 
 
@@ -365,10 +370,12 @@ class TestHistogramMonteCarlo:
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), DecisionRule("midpoint")),
         ("bernoulli", [0.2, 0.7], SurveyDesign("fixed_n", 9), MEDIAN),
         ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN)])
-    def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor):
+    def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor,
+                                                       monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
                                      miss_rates=[0.1, 0.5])
         method = EvalMethod("monte_carlo", 2000)
+        _cpus(monkeypatch, 3)  # so that three workers get three chunks
         one = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
         again = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
         two = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=2)
@@ -405,10 +412,11 @@ class TestMaxRegretScan:
             report = max_regret_scan(ES, build_binary_grid(0.05), TrialDesign(per_arm_n=n))
             assert report.max_regret <= regret_bounds(2, 1.0, n).bound_10
 
-    def test_callable_rule_runs_on_two_workers(self):
+    def test_callable_rule_runs_on_two_workers(self, monkeypatch):
         rule = DecisionRule("custom", {"apply_trial": lambda o: es_choose(o)})
         grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
         method = EvalMethod("monte_carlo", 2000)
+        _cpus(monkeypatch, 3)  # so that three workers get three chunks
         one = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=1)
         two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
         three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 9, 7
@@ -433,34 +441,6 @@ class TestMaxRegretScan:
         rule = DecisionRule("custom", {"trial_table": np.zeros(shape)})
         with pytest.raises(PreconditionError, match="trial table shape"):
             max_regret_scan(rule, build_binary_grid(0.5), TrialDesign(per_arm_n=12))
-
-
-class TestScalarIsOneStateScan:
-    """The scalar functions are one-state scans: state k of a scan and the scalar
-    call with state_index=k give the same floats."""
-
-    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
-    @pytest.mark.parametrize("rule", [ES, ZTEST])
-    def test_trial_scalars_equal_scan_records(self, rule, method):
-        grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=12)
-        report = max_regret_scan(rule, grid, design, method, SeedSpec(7))
-        for k in range(len(grid)):
-            rec, args = report.record(k), (rule, grid.state(k), design, method, SeedSpec(7))
-            assert error_probability(*args, state_index=k) == rec.error_prob
-            assert binary_regret(*args, state_index=k) == rec.regret
-            assert expected_welfare(*args, state_index=k) == rec.expected_welfare
-
-    @pytest.mark.parametrize("method,design", [
-        (EvalMethod("exact"), SurveyDesign("fixed_n", 12)),
-        (EvalMethod("monte_carlo", 2000), SurveyDesign("fixed_n", 12)),
-        (EvalMethod("monte_carlo", 2000), SurveyDesign("random_miss", 12))])
-    def test_predictor_mse_equals_scan(self, method, design):
-        grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.5, 0.8],
-                                     miss_params=[0.0, 0.6], miss_rates=[0.2, 0.7])
-        report = max_mse_scan(DecisionRule("hodges_lehmann"), grid, design, method, SeedSpec(7))
-        for k, state in enumerate(grid):
-            assert predictor_mse(DecisionRule("hodges_lehmann"), state, design, method,
-                                 SeedSpec(7), state_index=k) == report.regret[k]
 
 
 class TestRegretBounds:
@@ -493,48 +473,49 @@ class TestPredictorMse:
         rule = DecisionRule("hodges_lehmann")
         expect = 1.0 / (4 * (np.sqrt(4) + 1) ** 2)
         for theta in np.linspace(0, 1, 11):
-            mse = predictor_mse(rule, _bern_state(theta, theta, 0.0), design,
-                                EvalMethod("exact"))
+            mse = _one_state_record(rule, _bern_state(theta, theta, 0.0), design,
+                                    EvalMethod("exact")).regret
             assert mse == pytest.approx(expect, abs=1e-9)
 
     def test_midpoint_no_missing_is_sample_mean_mse(self):
         design = SurveyDesign("fixed_n", 8)
         rule = DecisionRule("midpoint")
         for theta in (0.2, 0.5, 0.9):
-            mse = predictor_mse(rule, _bern_state(theta, theta, 0.0), design,
-                                EvalMethod("exact"))
+            mse = _one_state_record(rule, _bern_state(theta, theta, 0.0), design,
+                                    EvalMethod("exact")).regret
             assert mse == pytest.approx(theta * (1 - theta) / 8, abs=1e-12)
 
     def test_degenerate_state_zero(self):
         design = SurveyDesign("fixed_n", 5)
-        mse = predictor_mse(DecisionRule("midpoint"), _bern_state(1.0, 1.0, 0.0),
-                            design, EvalMethod("exact"))
+        mse = _one_state_record(DecisionRule("midpoint"), _bern_state(1.0, 1.0, 0.0),
+                                design, EvalMethod("exact")).regret
         assert mse == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [26, 400, 5000])
     def test_exact_has_no_sample_size_cap(self, n):
         design = SurveyDesign("fixed_n", n)
         for theta in (0.2, 0.5, 0.9):
-            mse = predictor_mse(DecisionRule("midpoint"), _bern_state(theta, theta, 0.0),
-                                design, EvalMethod("exact"))
+            mse = _one_state_record(DecisionRule("midpoint"), _bern_state(theta, theta, 0.0),
+                                    design, EvalMethod("exact")).regret
             assert mse == pytest.approx(theta * (1 - theta) / n, rel=0, abs=1e-16)
 
     def test_exact_mode_guard(self):
         # the preconditions of an exact max_mse_scan, and no others
         beta = _beta_state((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
         with pytest.raises(PreconditionError):
-            predictor_mse(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", 5),
-                          EvalMethod("exact"))
+            _one_state_record(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", 5),
+                              EvalMethod("exact"))
         with pytest.raises(PreconditionError):
-            predictor_mse(DecisionRule("midpoint"), _bern_state(0.5, 0.5, 0.2),
-                          SurveyDesign("random_miss", 5), EvalMethod("exact"))
+            _one_state_record(DecisionRule("midpoint"), _bern_state(0.5, 0.5, 0.2),
+                              SurveyDesign("random_miss", 5), EvalMethod("exact"))
 
     def test_mc_matches_exact(self):
         design = SurveyDesign("fixed_n", 10)
         rule = DecisionRule("midpoint")
         s = _bern_state(0.5, 1.0, 0.2)
-        exact = predictor_mse(rule, s, design, EvalMethod("exact"))
-        mc = predictor_mse(rule, s, design, EvalMethod("monte_carlo", 100_000), SeedSpec(2))
+        exact = _one_state_record(rule, s, design, EvalMethod("exact")).regret
+        mc = _one_state_record(rule, s, design, EvalMethod("monte_carlo", 100_000),
+                               SeedSpec(2)).regret
         assert mc == pytest.approx(exact, abs=0.002)
 
 
@@ -872,9 +853,9 @@ class TestColumnarReport:
     @pytest.mark.parametrize("case", ["exact_es_ties", "mc_es", "exact_midpoint"])
     def test_argmax_record_is_the_argmax_state(self, case):
         report = self.CASES[case]()
-        state = report.argmax_state  # before per_state builds the others
+        state = report.argmax_state  # before per_state builds the others: an equal copy
         rec = report.per_state[report.argmax]
-        assert rec.state is state
+        assert rec.state == state
         assert rec.regret == report.max_regret
         assert report.record(report.argmax) == rec
         assert [r for r in report.per_state if r.state is report.argmax_state] == [rec]
@@ -1081,8 +1062,8 @@ class TestCsvParts:
 
 @pytest.mark.parametrize("family", ["binary_trial", "prediction"])
 def test_mc_pool_gets_one_process_per_chunk(family):
-    """An MC scan asks the pool helper for no more processes than it has chunks
-    of states, however many workers it is given."""
+    """An MC scan asks the pool helper for no more processes than it has states
+    or CPUs, however many workers it is given."""
     import mmregret.engine as engine
     counts = []
 
@@ -1102,7 +1083,11 @@ def test_mc_pool_gets_one_process_per_chunk(family):
                        SurveyDesign("fixed_n", 5), method, SeedSpec(1))
     assert len(grid) == 4
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "platform", "linux")
         mp.setattr(engine, "_ordered_map", spy)
-        many = scan(workers=10 ** 6)
-    assert counts == [4]
-    assert many.per_state == scan(workers=1).per_state
+        many = []
+        for cpus in (2, 8):
+            _cpus(mp, cpus)
+            many.append(scan(workers=10 ** 6).per_state)
+    assert counts == [2, 4]
+    assert many == [scan(workers=1).per_state] * 2

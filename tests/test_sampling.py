@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -42,6 +43,15 @@ class TestSubstreams:
         a = SeedSpec(42).rng(state_index=5, stream=9).binomial(20, [0.4, 0.7])
         b = SeedSpec(42).rng(state_index=5, stream=9).binomial(20, [0.4, 0.7])
         assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy rejects -1 only when a substream is made, and an exact scan makes none
+        with pytest.raises(PreconditionError, match="a seed must be an integer >= 0"):
+            SeedSpec(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SeedSpec(np.int64(0)).rng(1, 0).random() == SeedSpec(0).rng(1, 0).random()
 
     def test_different_streams_differ(self):
         draws = {tuple(SeedSpec(42).rng(0, k).binomial(200, [0.4, 0.7])) for k in range(8)}
@@ -104,7 +114,9 @@ class TestSurveyDesign:
 
 
 class TestParallelDeterminism:
-    def test_worker_count_does_not_change_mc_scan(self):
+    def test_worker_count_does_not_change_mc_scan(self, monkeypatch):
+        # three CPUs, so that three workers get three chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         rule = DecisionRule("empirical_success")
         grid = build_binary_grid(0.25)
         design = TrialDesign(per_arm_n=12)

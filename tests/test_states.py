@@ -22,7 +22,7 @@ class TestBinaryGrid:
     def test_step_half_gives_nine_states(self):
         grid = build_binary_grid(0.5)
         assert len(grid) == 9
-        assert {(s.p_a, s.p_b) for s in grid} == {
+        assert {(s.p_a, s.p_b) for s in grid.states} == {
             (a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)}
 
     def test_step_001_gives_101_squared(self):
@@ -51,7 +51,7 @@ class TestBinaryGrid:
     @given(st.sampled_from([0.5, 0.25, 0.2, 0.1, 0.05]))
     @settings(max_examples=10, deadline=None)
     def test_all_states_valid(self, step):
-        for s in build_binary_grid(step):
+        for s in build_binary_grid(step).states:
             assert 0.0 <= s.p_a <= 1.0 and 0.0 <= s.p_b <= 1.0
         states = build_binary_grid(step).states
         assert len(set((s.p_a, s.p_b) for s in states)) == len(states)
@@ -74,7 +74,7 @@ class TestPredictionGrid:
         grid = build_prediction_grid(
             "bernoulli", obs_params=[0.0, 0.5, 1.0], miss_params=[0.0, 0.5, 1.0],
             miss_rates=[0.1], min_missing_mean=0.5)
-        miss_thetas = {s.dist_missing.theta for s in grid}
+        miss_thetas = {s.dist_missing.theta for s in grid.states}
         assert miss_thetas == {0.5, 1.0}
 
     def test_empty_after_filter_rejected(self):
@@ -158,9 +158,9 @@ class TestColumnarBinaryGrid:
 
     def test_single_state_is_the_cached_one(self):
         grid = build_binary_grid(0.25)
-        s = grid.state(7)
-        assert grid.states[7] is s
-        assert grid.state(-1) is grid.states[-1]
+        s = grid.state(7)  # built alone: an equal state, not yet a cached one
+        assert grid.states[7] == s
+        assert grid.state(-1) is grid.states[-1]  # once built, the cached one
 
     def test_grid_from_states_derives_columns(self):
         from mmregret import StateGrid
@@ -247,7 +247,7 @@ class TestColumnarPredictionGrid:
         assert grid.index_obs.tolist() == [0, 0, 0, 0, 1, 1]
         s = grid.state(5)
         assert grid._states is None
-        assert grid.states[5] is s
+        assert grid.states[5] == s
         assert s == PredictionState(OutcomeDist("bernoulli", theta=0.9),
                                     OutcomeDist("bernoulli", theta=0.5), 0.2)
 
