@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_vector,
                        fmt17)
 from .rules import Predictor, TrialRule
-from .sampling import SeedSpec, SurveyDesign, TrialDesign
+from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
 from .states import PredictionState, StateGrid
 
 __all__ = [
@@ -40,8 +40,9 @@ __all__ = [
     "report_to_csv",
 ]
 
-_MAX_EXACT_TRIAL_N = 10000
+_MAX_TRIAL_N = 10000
 _MIN_MC_REPS = 1000
+_MAX_MC_REPS = (1 << 63) - 1  # numpy's samplers take a count as a signed 64-bit integer
 _ORACLE_CHUNK_RULES = 4096  # deterministic rules scored per chunk by the oracle
 
 
@@ -55,8 +56,8 @@ class EvalMethod:
     def __post_init__(self):
         if self.mode not in ("exact", "monte_carlo"):
             raise PreconditionError(f"unknown evaluation mode {self.mode!r}")
-        if self.mode == "monte_carlo" and self.reps < _MIN_MC_REPS:
-            raise PreconditionError(f"need at least {_MIN_MC_REPS} MC replications")
+        if self.mode == "monte_carlo":
+            _check_integer(self.reps, "MC replications", _MIN_MC_REPS, _MAX_MC_REPS)
 
 
 @dataclass(frozen=True)
@@ -202,26 +203,36 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _map_chunks(fn, items, workers: int) -> np.ndarray:
-    """``fn(chunk, index of its first item)`` over contiguous chunks of items, at
-    most one per worker and per CPU; the chunks' result columns, concatenated.
-    One process per chunk: this one runs the first, a forked child each other."""
-    size = -(-len(items) // min(workers, _cpus()))
-    tasks = [(items[lo:lo + size], lo) for lo in range(0, len(items), size)]
-    return np.concatenate(_ordered_map(fn, tasks), axis=-1)
+def _map_chunks(fn, items, workers: int | None) -> np.ndarray:
+    """``fn(chunk, its state indices)`` over K chunks of items, K the least of
+    the workers (every CPU when None), the CPUs and the items; the result
+    columns in item order. State k goes to chunk k mod K, which spreads a run
+    of costly neighbouring states over the chunks. One process per chunk: this
+    one runs the first, a forked child each other."""
+    cpus = _cpus()
+    count = min(cpus if workers is None else workers, cpus, len(items))
+    tasks = [(items[c::count], range(c, len(items), count)) for c in range(count)]
+    columns = _ordered_map(fn, tasks)
+    out = np.empty((len(columns[0]), len(items)))
+    for c, column in enumerate(columns):
+        out[:, c::count] = column
+    return out
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
         raise PreconditionError(f"workers={workers} must be at least 1")
 
 
 # ---------------------------------------------------------------------------
 # two-arm binary trials
 
-def _check_exact_trial(design: TrialDesign) -> None:
-    if design.per_arm_n > _MAX_EXACT_TRIAL_N:
-        raise PreconditionError("per-arm n too large for exact enumeration")
+def _check_trial_n(design: TrialDesign) -> None:
+    """Reject a per-arm n whose (n+1) x (n+1) choice table, which both methods
+    build, is too large."""
+    if design.per_arm_n > _MAX_TRIAL_N:
+        raise PreconditionError(
+            f"per-arm n={design.per_arm_n} above {_MAX_TRIAL_N}: the choice table is too large")
 
 
 # The MC kernel draws a state's reps iid samples as a histogram of their
@@ -302,15 +313,15 @@ def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
 
 
 def _mc_choose_b(values, classes, pmf, reps: int, seed: SeedSpec, pairs,
-                 first: int) -> np.ndarray:
+                 index) -> np.ndarray:
     """MC probability of choosing b and its standard error, one column per (row of
     arm a, row of arm b) pair of pmf rows, from _value_classes' values and
-    classes. Pair k draws from substream first + k; a tied pair (the same row
-    twice) is not drawn and gets zeros."""
+    classes. Pair k draws from the substream of its state index, index[k]; a tied
+    pair (the same row twice) is not drawn and gets zeros."""
     out = np.zeros((2, len(pairs)))
-    for k, (i, j) in enumerate(pairs.tolist()):
+    for k, ((i, j), state) in enumerate(zip(pairs.tolist(), index)):
         if i != j:
-            rows, counts = _draw_histogram(seed.rng(first + k, 0), reps, pmf[i], classes[j])
+            rows, counts = _draw_histogram(seed.rng(state, 0), reps, pmf[i], classes[j])
             out[:, k] = _mean_stderr(values[rows], counts, reps)
     return out
 
@@ -323,12 +334,11 @@ def choice_table(rule: TrialRule, n: int) -> np.ndarray:
     return rule.table(n)
 
 
-def _trial_report(rule, grid, design, method, seed, workers: int) -> RegretReport:
+def _trial_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
     """Regret of a trial-choice rule in every state of a binary-trial grid. One PMF
     per grid probability serves every state; MC state k draws from substream k."""
+    _check_trial_n(design)
     n = design.per_arm_n
-    if method.mode == "exact":
-        _check_exact_trial(design)
     pmf, table = binom_pmf_matrix(n, grid.points), choice_table(rule, n)
     if method.mode == "exact":
         # prob of choosing b for every (p_a, p_b) pair of grid probabilities; the
@@ -359,9 +369,11 @@ def max_regret_scan(
     design: TrialDesign,
     method: EvalMethod = EvalMethod(),
     seed: SeedSpec | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> RegretReport:
-    """Per-state regret of a trial-choice rule over a binary-trial grid."""
+    """Per-state regret of a trial-choice rule over a binary-trial grid. A Monte
+    Carlo scan runs on at most ``workers`` processes and CPUs, on every CPU the
+    process may use when ``workers`` is None; the result does not depend on it."""
     if grid.family != "binary_trial":
         raise PreconditionError("max_regret_scan needs a binary_trial grid")
     _check_workers(workers)
@@ -439,12 +451,22 @@ def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
 
 
 def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
-    """Median or mean of each of count samples of m Beta draws, 2^18 draws at a time."""
-    per, out = max(1, (1 << 18) // m), []
+    """Median or mean of each of count samples of m Beta draws, 2^18 draws at a time.
+
+    The median sorts each fresh block in place and averages its middle column or
+    columns as np.median does, so the bits are np.median's; np.median would copy
+    and partition the block, and its first call imports numpy.ma.
+    """
+    per, out = max(1, (1 << 18) // m), np.empty(count)
     for lo in range(0, count, per):
         b = rng.beta(dist.alpha, dist.beta, size=(min(per, count - lo), m))
-        out.append(np.median(b, axis=1) if median else b.mean(axis=1))
-    return np.concatenate(out)
+        rows = out[lo:lo + len(b)]
+        if median:
+            b.sort(axis=1)
+            rows[:] = b[:, m // 2] if m % 2 else (b[:, m // 2 - 1] + b[:, m // 2]) / 2
+        else:
+            rows[:] = b.mean(axis=1)
+    return out
 
 
 def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
@@ -483,15 +505,16 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
                         np.concatenate(counts), reps)
 
 
-def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, first: int) -> np.ndarray:
-    """MC MSE and its standard error, one column per state; state k draws from
-    substream first + k. Each distinct binomial PMF is computed once per chunk."""
+def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, index) -> np.ndarray:
+    """MC MSE and its standard error, one column per state; states[k] draws from
+    the substream of its state index, index[k]. Each distinct binomial PMF is
+    computed once per chunk."""
     pmf = cache(binom_pmf_vector)
-    return np.array([_mc_mse(rule, s, design, reps, seed.rng(first + k, 0), pmf)
-                     for k, s in enumerate(states)]).T
+    return np.array([_mc_mse(rule, s, design, reps, seed.rng(k, 0), pmf)
+                     for k, s in zip(index, states)]).T
 
 
-def _mse_report(rule, grid, design, method, seed, workers: int) -> RegretReport:
+def _mse_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
     """MSE of a predictor in every state of a prediction grid (regret = MSE here);
     MC state k draws from substream k."""
     if not isinstance(rule, Predictor):
@@ -509,9 +532,11 @@ def max_mse_scan(
     design: SurveyDesign,
     method: EvalMethod = EvalMethod(),
     seed: SeedSpec | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> RegretReport:
-    """Maximize predictor MSE over a prediction grid (regret = MSE here)."""
+    """Maximize predictor MSE over a prediction grid (regret = MSE here). A Monte
+    Carlo scan runs on at most ``workers`` processes and CPUs, on every CPU the
+    process may use when ``workers`` is None; the result does not depend on it."""
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
     _check_workers(workers)

@@ -23,14 +23,17 @@ __all__ = [
 ]
 
 
-def _check_integer(n, what: str, least: int = 1) -> None:
-    """Reject a value that is not an integer of at least ``least``."""
+def _check_integer(n, what: str, least: int = 1, most: int | None = None) -> None:
+    """Reject a value that is not an integer of at least ``least`` and, if
+    ``most`` is given, at most ``most``."""
     try:
-        ok = operator.index(n) >= least
+        value = operator.index(n)
     except TypeError:  # a float, even 2.0, is no integer here
-        ok = False
+        value = None
+    ok = value is not None and least <= value and (most is None or value <= most)
     if not ok:
-        raise PreconditionError(f"{what} must be an integer >= {least}, got {n!r}")
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise PreconditionError(f"{what} must be an integer {bound}, got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -235,9 +235,9 @@ ENTRIES = {
     "script": "from mmregret.cli import main; sys.exit(main())",
 }
 # modules no command needs at start-up, and an expression listing those loaded;
-# of the commands, Monte Carlo alone needs numpy.random
+# of the commands, Monte Carlo alone needs numpy.random. np.median imports numpy.ma
 UNNEEDED = ("concurrent.futures", "csv", "decimal", "fractions", "statistics", "signal",
-            "numpy.random")
+            "numpy.random", "numpy.ma")
 LOADED = f"[m for m in {UNNEEDED!r} if m in sys.modules]"
 
 
@@ -316,6 +316,16 @@ class TestConsoleScript:
             assert code == 0
             assert modules == (["numpy.random"] if mc else [])
 
+    def test_a_beta_median_scan_leaves_numpy_ma_unloaded(self, tmp_path):
+        if "numpy.ma" in loaded_by_numpy():
+            pytest.skip("this numpy imports numpy.ma itself")
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(BETA_CFG.replace("= midpoint", "= analog_median").replace(
+            "method = exact", "method = mc\nreps = 2000"))
+        code, _, modules = run_entry(["wald-mse", "--config", str(cfg)], LOADED)
+        assert code == 0
+        assert "numpy.ma" not in modules
+
 
 def run_err(capsys, *argv):
     """Exit code; a rejected input gives one line on stderr, no traceback, and
@@ -380,6 +390,23 @@ class TestRejectedInput:
     def test_scan_workers_below_one_exit_3(self, capsys, workers):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
                        "--method", "mc", "--reps", "2000", "--workers", workers) == 3
+
+    @pytest.mark.parametrize("reps", [str(1 << 63), "100000000000000000000"])
+    def test_reps_beyond_a_64_bit_count_exit_3(self, capsys, tmp_path, reps):
+        # numpy's samplers raised OverflowError on such a count
+        assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
+                       "--method", "mc", "--reps", reps) == 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("method = exact", f"method = mc\nreps = {reps}"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("method", [("--method", "mc", "--reps", "1000"), ()],
+                             ids=["mc", "exact"])
+    @pytest.mark.parametrize("n", ["10001", "100000000"])
+    def test_scan_n_above_the_table_cap_exits_3(self, capsys, method, n):
+        # an MC scan at n = 1e8 asked numpy for an 8.88 PiB choice table
+        assert run_err(capsys, "scan", "--rule", "es", "--n", n, "--step", "0.5",
+                       *method) == 3
 
     @pytest.mark.parametrize("method", [("--method", "mc", "--reps", "1000"), ()],
                              ids=["mc", "exact"])

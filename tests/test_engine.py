@@ -369,20 +369,39 @@ class TestHistogramMonteCarlo:
     @pytest.mark.parametrize("family,params,design,predictor", [
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), DecisionRule("midpoint")),
         ("bernoulli", [0.2, 0.7], SurveyDesign("fixed_n", 9), MEDIAN),
-        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN)])
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN),
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9),
+         DecisionRule("midpoint"))])
     def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor,
                                                        monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
                                      miss_rates=[0.1, 0.5])
         method = EvalMethod("monte_carlo", 2000)
-        _cpus(monkeypatch, 3)  # so that three workers get three chunks
         one = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
-        again = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
-        two = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=2)
-        # three workers split the 8 states into uneven chunks
-        three = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=3)
-        assert one.per_state == again.per_state == two.per_state == three.per_state
+        for cpus in (1, 2, 3, 4):  # on 3 CPUs the 8 states make uneven chunks
+            _cpus(monkeypatch, cpus)
+            for workers in (None, 1, 2, 3):
+                got = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers)
+                assert got.per_state == one.per_state
         assert all(r.mc_stderr > 0 for r in one.per_state)
+
+
+def _median_per_block(rng, dist, count, m):
+    """The Beta sample medians by np.median, over the blocks _beta_statistic draws."""
+    per, out = max(1, (1 << 18) // m), []
+    for lo in range(0, count, per):
+        out.append(np.median(rng.beta(dist.alpha, dist.beta, size=(min(per, count - lo), m)),
+                             axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("shape", [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0)])
+def test_sorted_block_median_has_the_bits_of_np_median(shape):
+    dist = OutcomeDist("beta", alpha=shape[0], beta=shape[1])
+    for m in range(1, 41):
+        count = 300 if m < 40 else 7000  # at m = 40, 7,000 samples span two blocks
+        got = engine._beta_statistic(SeedSpec(m).rng(), dist, count, m, True)
+        assert got.tobytes() == _median_per_block(SeedSpec(m).rng(), dist, count, m).tobytes()
 
 
 class TestMaxRegretScan:
@@ -419,7 +438,7 @@ class TestMaxRegretScan:
         _cpus(monkeypatch, 3)  # so that three workers get three chunks
         one = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=1)
         two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
-        three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 9, 7
+        three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 8, 8
         assert one.per_state == two.per_state == three.per_state
         # the callable's table is the ES table, so the draws give the ES report
         es = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
@@ -685,6 +704,30 @@ class TestScanPreconditions:
             max_mse_scan(DecisionRule("midpoint"), grid,
                          SurveyDesign("fixed_n", 5), workers=workers)
 
+    @pytest.mark.parametrize("reps", [999, 1 << 63, 10 ** 20, 2000.0])
+    def test_mc_reps_outside_a_sampler_count_rejected(self, reps):
+        with pytest.raises(PreconditionError):
+            EvalMethod("monte_carlo", reps)
+
+    def test_mc_reps_at_the_bounds_accepted(self):
+        assert EvalMethod("monte_carlo", np.int64(1000)).reps == 1000
+        top = EvalMethod("monte_carlo", (1 << 63) - 1)
+        report = max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=5), top,
+                                 SeedSpec(1))
+        assert np.isfinite(report.regret).all() and report.max_regret > 0
+
+    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
+                             ids=["exact", "mc"])
+    def test_trial_n_above_the_cap_rejected_before_any_table(self, method, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(engine, "binom_pmf_matrix", no_table)
+        monkeypatch.setattr(engine, "choice_table", no_table)
+        with pytest.raises(PreconditionError, match="per-arm n=10001 above 10000"):
+            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=10_001), method,
+                            SeedSpec(1))
+
     def test_exact_scan_needs_bernoulli_outcomes(self):
         grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0)],
                                      miss_params=[(2.0, 5.0)], miss_rates=[0.2])
@@ -743,12 +786,16 @@ class TestForkedWorkers:
             engine._ordered_map(partial(_fail_on, 0), [(0,), (1,), (2,)])
         assert _no_child_left()
 
-    def test_no_child_is_left_after_a_two_worker_scan(self):
+    def test_no_child_is_left_after_a_two_worker_scan(self, monkeypatch):
         grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
         method = EvalMethod("monte_carlo", 2000)
-        two = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=2)
-        assert _no_child_left()
-        assert two.per_state == max_regret_scan(ES, grid, design, method, SeedSpec(5)).per_state
+        one = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
+        for cpus in (1, 2, 3, 4):
+            _cpus(monkeypatch, cpus)
+            for workers in (None, 1, 2):
+                got = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers)
+                assert _no_child_left()
+                assert got.per_state == one.per_state
 
     def test_lambda_predictor_gives_the_same_columns_on_1_and_2_workers(self):
         # a child starts as a copy of the parent, so the predictor is not pickled
@@ -1063,31 +1110,33 @@ class TestCsvParts:
 @pytest.mark.parametrize("family", ["binary_trial", "prediction"])
 def test_mc_pool_gets_one_process_per_chunk(family):
     """An MC scan asks the pool helper for no more processes than it has states
-    or CPUs, however many workers it is given."""
+    or CPUs, however many workers it is given, and deals the states to them in
+    turn: each task holds its states' indices."""
     import mmregret.engine as engine
-    counts = []
+    indices = []
 
     def spy(fn, tasks):
-        counts.append(len(tasks))
+        indices.append([list(task[-1]) for task in tasks])
         return [fn(*task) for task in tasks]  # in process: no child is forked
 
     method = EvalMethod("monte_carlo", 1000)
     if family == "binary_trial":
-        grid = StateGrid("binary_trial", [BinaryTrialState(a, b)
-                                          for a in (0.2, 0.6) for b in (0.3, 0.7)])
+        grid = StateGrid("binary_trial", [BinaryTrialState(a, b) for a in (0.2, 0.6)
+                                          for b in (0.1, 0.3, 0.5, 0.7)])
         scan = partial(max_regret_scan, ES, grid, TrialDesign(per_arm_n=5), method, SeedSpec(1))
     else:
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
-                                     miss_rates=[0.25])
+                                     miss_rates=[0.25, 0.5])
         scan = partial(max_mse_scan, DecisionRule("midpoint"), grid,
                        SurveyDesign("fixed_n", 5), method, SeedSpec(1))
-    assert len(grid) == 4
+    assert len(grid) == 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "platform", "linux")
         mp.setattr(engine, "_ordered_map", spy)
         many = []
-        for cpus in (2, 8):
+        for cpus in (2, 16):
             _cpus(mp, cpus)
             many.append(scan(workers=10 ** 6).per_state)
-    assert counts == [2, 4]
-    assert many == [scan(workers=1).per_state] * 2
+            many.append(scan().per_state)
+    assert indices == [[[0, 2, 4, 6], [1, 3, 5, 7]]] * 2 + [[[k] for k in range(8)]] * 2
+    assert many == [scan(workers=1).per_state] * 4
