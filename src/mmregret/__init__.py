@@ -34,11 +34,9 @@ from .rules import (
     ANALOG_MEDIAN,
     HODGES_LEHMANN,
     MIDPOINT,
-    Action,
     AsIfDecision,
     DecisionRule,
     EmpiricalSuccess,
-    OutcomeRule,
     Predictor,
     TableRule,
     TrialRule,
@@ -52,7 +50,6 @@ from .sampling import (
     SeedSpec,
     SurveyDesign,
     TrialDesign,
-    TrialOutcome,
 )
 from .states import (
     BinaryTrialState,

@@ -16,8 +16,7 @@ import sys
 from . import engine, missing, states
 from .errors import ConfigError, PreconditionError
 from .mathutil import fmt17
-from .rules import (ANALOG_MEAN, ANALOG_MEDIAN, HODGES_LEHMANN, MIDPOINT, EmpiricalSuccess,
-                    Predictor, ZTest, mean_table_predictor)
+from .rules import RULES, DecisionRule, Predictor
 from .sampling import SeedSpec, SurveyDesign, TrialDesign
 
 EXIT_OK = 0
@@ -112,17 +111,17 @@ def cmd_scan(args) -> int:
              if v is not None}
     if args.rule == "es" and ztest:
         raise ConfigError("--alpha and --status-quo apply to --rule ztest only")
-    rule = EmpiricalSuccess() if args.rule == "es" else ZTest(**ztest)
+    rule = DecisionRule(args.rule, ztest)
     grid = states.build_binary_grid(args.step)
-    design = TrialDesign(arms=2, per_arm_n=args.n)
+    design = TrialDesign(per_arm_n=args.n)
     method, seed, workers, out = _run_settings(args, {}, "exact")
     report = engine.max_regret_scan(rule, grid, design, method, seed, workers)
     if out:
         engine.report_to_csv(report, out)
-    s = report.argmax_state
+    rec = report.record(report.argmax)
+    s = rec.state
     print(f"max_regret={fmt17(report.max_regret)}")
     print(f"argmax_state=(p_a={fmt17(s.p_a)}, p_b={fmt17(s.p_b)})")
-    rec = report.record(report.argmax)
     if rec.error_prob is not None:
         print(f"argmax_error_prob={fmt17(rec.error_prob)}")
     print(f"argmax_effect_size={fmt17(s.effect_size)}")
@@ -227,28 +226,31 @@ def _coordinate(cfg, name: str):
     raise ConfigError(f"config needs {name}_step or {name}_values")
 
 
-_PREDICTORS = {"midpoint": MIDPOINT, "hodges_lehmann": HODGES_LEHMANN,
-               "analog_mean": ANALOG_MEAN, "analog_median": ANALOG_MEDIAN}
-
-
 def _wald_predictor(cfg) -> Predictor:
+    """The config's predictor: a predictor of ``RULES`` that takes no parameter, or
+    ``custom``, the table of ``custom_table``."""
     name = cfg.get("predictor")
-    if name in _PREDICTORS:
-        return _PREDICTORS[name]
     if name == "custom":
-        if not cfg.get("custom_table"):
-            raise ConfigError("custom predictor needs custom_table")
-        rows = []
-        for chunk in cfg["custom_table"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            parts = chunk.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
-            rows.append((_number(parts[0]), _number(parts[1])))
-        return mean_table_predictor(rows)
-    raise ConfigError(f"unknown predictor {name!r}")
+        return DecisionRule("custom", {"mean_table": _custom_table(cfg)})
+    rule = DecisionRule(name) if name in RULES and not RULES[name][1] else None
+    if not isinstance(rule, Predictor):
+        raise ConfigError(f"unknown predictor {name!r}")
+    return rule
+
+
+def _custom_table(cfg) -> list[tuple[float, float]]:
+    if not cfg.get("custom_table"):
+        raise ConfigError("custom predictor needs custom_table")
+    rows = []
+    for chunk in cfg["custom_table"].split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.split(":")
+        if len(parts) != 2:
+            raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
+        rows.append((_number(parts[0]), _number(parts[1])))
+    return rows
 
 
 def _wald_grid(cfg) -> states.StateGrid:
@@ -335,10 +337,10 @@ def cmd_alloc(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
-    design = TrialDesign(arms=2, per_arm_n=args.n)
+    design = TrialDesign(per_arm_n=args.n)
     grid = states.build_binary_grid(args.step)
     table, oracle_max = engine.exhaustive_mmr_oracle(design, grid)
-    es_report = engine.max_regret_scan(EmpiricalSuccess(), grid, design,
+    es_report = engine.max_regret_scan(DecisionRule("es"), grid, design,
                                        engine.EvalMethod("exact"))
     print(f"oracle_max_regret={fmt17(oracle_max)}")
     print(f"es_max_regret={fmt17(es_report.max_regret)}")

@@ -24,7 +24,7 @@ from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_ve
                        fmt17)
 from .rules import Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
-from .states import PredictionState, StateGrid
+from .states import StateGrid
 
 __all__ = [
     "EvalMethod",
@@ -203,17 +203,17 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _map_chunks(fn, items, workers: int | None) -> np.ndarray:
-    """``fn(chunk, its state indices)`` over K chunks of items, K the least of
-    the workers (every CPU when None), the CPUs and the items; the result
-    columns in item order. State k goes to chunk k mod K, which spreads a run
-    of costly neighbouring states over the chunks. One process per chunk: this
-    one runs the first, a forked child each other."""
+def _map_chunks(fn, states: int, workers: int | None) -> np.ndarray:
+    """``fn(its state indices)`` over K chunks of the states 0..states-1, K the
+    least of the workers (every CPU when None), the CPUs and the states; the
+    result columns in state order. State k goes to chunk k mod K, which spreads
+    a run of costly neighbouring states over the chunks. One process per chunk:
+    this one runs the first, a forked child each other."""
     cpus = _cpus()
-    count = min(cpus if workers is None else workers, cpus, len(items))
-    tasks = [(items[c::count], range(c, len(items), count)) for c in range(count)]
+    count = min(cpus if workers is None else workers, cpus, states)
+    tasks = [(range(c, states, count),) for c in range(count)]
     columns = _ordered_map(fn, tasks)
-    out = np.empty((len(columns[0]), len(items)))
+    out = np.empty((len(columns[0]), states))
     for c, column in enumerate(columns):
         out[:, c::count] = column
     return out
@@ -312,17 +312,18 @@ def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
     return est, float(np.sqrt(var / reps))
 
 
-def _mc_choose_b(values, classes, pmf, reps: int, seed: SeedSpec, pairs,
+def _mc_choose_b(values, classes, pmf, reps: int, seed: SeedSpec, grid: StateGrid,
                  index) -> np.ndarray:
-    """MC probability of choosing b and its standard error, one column per (row of
-    arm a, row of arm b) pair of pmf rows, from _value_classes' values and
-    classes. Pair k draws from the substream of its state index, index[k]; a tied
-    pair (the same row twice) is not drawn and gets zeros."""
-    out = np.zeros((2, len(pairs)))
-    for k, ((i, j), state) in enumerate(zip(pairs.tolist(), index)):
+    """MC probability of choosing b and its standard error, one column per state
+    index of the binary-trial grid, from _value_classes' values and classes of the
+    grid's pmf rows. State k draws from substream k; a tied state (the same row
+    twice) is not drawn and gets zeros."""
+    out = np.zeros((2, len(index)))
+    pairs = zip(grid.index_a[index].tolist(), grid.index_b[index].tolist())
+    for c, (k, (i, j)) in enumerate(zip(index, pairs)):
         if i != j:
-            rows, counts = _draw_histogram(seed.rng(state, 0), reps, pmf[i], classes[j])
-            out[:, k] = _mean_stderr(values[rows], counts, reps)
+            rows, counts = _draw_histogram(seed.rng(k, 0), reps, pmf[i], classes[j])
+            out[:, c] = _mean_stderr(values[rows], counts, reps)
     return out
 
 
@@ -348,9 +349,9 @@ def _trial_report(rule, grid, design, method, seed, workers: int | None) -> Regr
     else:
         # built once, before any worker forks
         values, classes = _value_classes(table, pmf)
-        kernel = partial(_mc_choose_b, values, classes, pmf, method.reps, seed or SeedSpec())
-        prob_b, se_b = _map_chunks(kernel, np.column_stack([grid.index_a, grid.index_b]),
-                                   workers)
+        kernel = partial(_mc_choose_b, values, classes, pmf, method.reps, seed or SeedSpec(),
+                         grid)
+        prob_b, se_b = _map_chunks(kernel, len(grid), workers)
     pa, pb = grid.p_a, grid.p_b
     tie, gap = pa == pb, np.abs(pa - pb)
     err = np.where(pa > pb, prob_b, 1.0 - prob_b)
@@ -450,8 +451,9 @@ def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
     return mse
 
 
-def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
-    """Median or mean of each of count samples of m Beta draws, 2^18 draws at a time.
+def _beta_statistic(rng, shape, count: int, m: int, median: bool) -> np.ndarray:
+    """Median or mean of each of count samples of m Beta(alpha, beta) draws, shape
+    the pair (alpha, beta), 2^18 draws at a time.
 
     The median sorts each fresh block in place and averages its middle column or
     columns as np.median does, so the bits are np.median's; np.median would copy
@@ -459,7 +461,7 @@ def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
     """
     per, out = max(1, (1 << 18) // m), np.empty(count)
     for lo in range(0, count, per):
-        b = rng.beta(dist.alpha, dist.beta, size=(min(per, count - lo), m))
+        b = rng.beta(*shape, size=(min(per, count - lo), m))
         rows = out[lo:lo + len(b)]
         if median:
             b.sort(axis=1)
@@ -469,20 +471,22 @@ def _beta_statistic(rng, dist, count: int, m: int, median: bool) -> np.ndarray:
     return out
 
 
-def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
+def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, reps: int,
             rng, pmf) -> tuple[float, float]:
-    """MC MSE of a predictor in one state and its standard error. Per occupied n_obs,
-    a histogram of the successes for Bernoulli outcomes and blocks of Beta samples
-    otherwise. No observation predicts the support midpoint. ``pmf(n, p)`` is the
-    Binomial(n, p) PMF."""
-    y0, y1 = state.support
-    dist, mid = state.dist_observed, 0.5 * (y0 + y1)
+    """MC MSE of a predictor in state ``row`` of a prediction grid, whose population mean
+    is mu, and its standard error. Per occupied n_obs, a histogram of the successes
+    for Bernoulli outcomes and blocks of Beta samples otherwise. No observation
+    predicts the support midpoint. ``pmf(n, p)`` is the Binomial(n, p) PMF."""
+    y0, y1 = support = grid.support
+    mid = 0.5 * (y0 + y1)
+    param = grid.obs_params[grid.index_obs[row]].tolist()  # a theta, or (alpha, beta)
+    miss_rate = grid.miss_rates[grid.index_rate[row]].tolist()
     if design.mode == "fixed_n":
         n_obs, pmf_n = np.array([design.n]), np.ones(1)
-        p1 = np.array([1.0 - state.miss_rate])
+        p1 = np.array([1.0 - miss_rate])
     else:
         n_obs = np.arange(design.n + 1)
-        pmf_n = pmf(design.n, 1.0 - state.miss_rate)
+        pmf_n = pmf(design.n, 1.0 - miss_rate)
         p1 = n_obs / design.n
     median = rule.statistic == "median"
     h = rng.multinomial(reps, pmf_n)
@@ -491,27 +495,27 @@ def _mc_mse(rule, state: PredictionState, design: SurveyDesign, reps: int,
         m = n_obs[i]
         if m == 0:  # the midpoint predictor lands there anyway
             pred, count = mid, h[i:i + 1]
-        elif dist.family == "bernoulli":
-            c = _binomial_counts(rng, h[i], m, dist.theta, pmf)
+        elif grid.outcome == "bernoulli":
+            c = _binomial_counts(rng, h[i], m, param, pmf)
             k = np.flatnonzero(c)  # only successes that occur reach the predictor
-            pred, count = _bernoulli_predictions(rule, k, m, p1[i], state.support), c[k]
+            pred, count = _bernoulli_predictions(rule, k, m, p1[i], support), c[k]
         else:
-            stat = y0 + (y1 - y0) * _beta_statistic(rng, dist, h[i], m, median)
-            pred = rule.predict(stat, m, p1[i], state.support)
+            stat = y0 + (y1 - y0) * _beta_statistic(rng, param, h[i], m, median)
+            pred = rule.predict(stat, m, p1[i], support)
             count = np.ones(h[i])
         preds.append(np.broadcast_to(pred, count.shape))
         counts.append(count)
-    return _mean_stderr((np.concatenate(preds) - state.population_mean) ** 2,
-                        np.concatenate(counts), reps)
+    return _mean_stderr((np.concatenate(preds) - mu) ** 2, np.concatenate(counts), reps)
 
 
-def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, states, index) -> np.ndarray:
-    """MC MSE and its standard error, one column per state; states[k] draws from
-    the substream of its state index, index[k]. Each distinct binomial PMF is
-    computed once per chunk."""
-    pmf = cache(binom_pmf_vector)
-    return np.array([_mc_mse(rule, s, design, reps, seed.rng(k, 0), pmf)
-                     for k, s in zip(index, states)]).T
+def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid,
+                   index) -> np.ndarray:
+    """MC MSE and its standard error, one column per state index of the prediction
+    grid; state k draws from substream k. Each distinct binomial PMF is computed
+    once per chunk."""
+    pmf, mu = cache(binom_pmf_vector), grid.population_mean
+    return np.array([_mc_mse(rule, grid, k, mu[k], design, reps, seed.rng(k, 0), pmf)
+                     for k in index]).T
 
 
 def _mse_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
@@ -521,8 +525,8 @@ def _mse_report(rule, grid, design, method, seed, workers: int | None) -> Regret
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     if method.mode == "exact":
         return _report(grid, _exact_bernoulli_mse(rule, grid, design), method, seed)
-    kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec())
-    mse, stderr = _map_chunks(kernel, grid.states, workers)
+    kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec(), grid)
+    mse, stderr = _map_chunks(kernel, len(grid), workers)
     return _report(grid, mse, method, seed, mc_stderr=stderr)
 
 

@@ -5,9 +5,9 @@ z-test), point predictors for a bounded mean (Hodges-Lehmann shrinkage,
 midpoint of the sample-analog identification interval, plain sample analogs),
 and the generic criteria that decide as if a finite set estimate contained the
 true state. Scans evaluate rules as values: a trial rule (``EmpiricalSuccess``,
-``ZTest``, ``TableRule``, ``OutcomeRule``) through its choice table
-``rule.table(n)``, and a ``Predictor`` through the sample statistic it reads
-and its function of that statistic.
+``ZTest``, ``TableRule``) through its choice table ``rule.table(n)``, and a
+``Predictor`` through the sample statistic it reads and its function of that
+statistic. ``DecisionRule`` looks a rule up by name in ``RULES``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,13 @@ import numpy as np
 
 from .errors import PreconditionError
 from .mathutil import one_sided_critical_value
-from .sampling import TrialOutcome
 from .states import FiniteDecisionProblem
 
 __all__ = [
-    "Action",
     "TrialRule",
     "EmpiricalSuccess",
     "ZTest",
     "TableRule",
-    "OutcomeRule",
     "Predictor",
     "HODGES_LEHMANN",
     "MIDPOINT",
@@ -37,34 +34,12 @@ __all__ = [
     "ANALOG_MEDIAN",
     "mean_table_predictor",
     "mean_function_predictor",
+    "RULES",
     "DecisionRule",
     "AsIfDecision",
     "asif_decide",
     "asif_optimize",
 ]
-
-
-@dataclass(frozen=True)
-class Action:
-    """A chosen arm or a fractional allocation over arms."""
-
-    arm: int | None = None
-    allocation: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if (self.arm is None) == (self.allocation is None):
-            raise PreconditionError("exactly one of arm/allocation must be set")
-        if self.allocation is not None:
-            if any(not 0.0 <= z <= 1.0 for z in self.allocation):
-                raise PreconditionError("allocation weights must lie in [0, 1]")
-            if abs(sum(self.allocation) - 1.0) > 1e-12:
-                raise PreconditionError("allocation weights must sum to 1")
-
-    def mass_on(self, arm: int) -> float:
-        """Probability mass this action puts on the given arm."""
-        if self.arm is not None:
-            return 1.0 if self.arm == arm else 0.0
-        return self.allocation[arm]
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +112,6 @@ class TableRule(TrialRule):
 
 
 @dataclass(frozen=True)
-class OutcomeRule(TrialRule):
-    """A rule given as a function from a TrialOutcome to an Action."""
-
-    apply: Callable[[TrialOutcome], Action]
-
-    def __post_init__(self):
-        if not callable(self.apply):
-            raise PreconditionError("an outcome rule needs a callable")
-
-    def table(self, n: int) -> np.ndarray:
-        """The function evaluated on each of the (n+1)^2 outcomes."""
-        out = np.empty((n + 1, n + 1))
-        for a in range(n + 1):
-            for b in range(n + 1):
-                out[a, b] = self.apply(TrialOutcome((a, b))).mass_on(1)
-        return out
-
-
-@dataclass(frozen=True)
 class Predictor:
     """A point predictor of the population mean: ``predict(statistic, n_obs, p1,
     support)`` of the sample ``statistic`` ("mean" or "median") of the observed
@@ -224,36 +180,48 @@ def mean_function_predictor(fn: Callable) -> Predictor:
     return Predictor("mean", partial(_of_mean_and_fraction, fn))
 
 
-_CUSTOM = {"trial_table": TableRule, "apply_trial": OutcomeRule,
-           "mean_table": mean_table_predictor, "predict_mean": mean_function_predictor}
-_PARAMETERS = {"empirical_success": (), "ztest": ("alpha", "status_quo"), "hodges_lehmann": (),
-               "midpoint": (), "analog_predictor": ("loss",), "custom": tuple(_CUSTOM)}
+def _analog_predictor(loss: str = "square") -> Predictor:
+    if loss not in ("square", "absolute"):
+        raise PreconditionError("analog loss must be 'square' or 'absolute'")
+    return ANALOG_MEAN if loss == "square" else ANALOG_MEDIAN
+
+
+_CUSTOM = {"trial_table": TableRule, "mean_table": mean_table_predictor,
+           "predict_mean": mean_function_predictor}
+
+
+def _custom(**params) -> TrialRule | Predictor:
+    if len(params) != 1:
+        raise PreconditionError(f"a custom rule needs exactly one of {', '.join(_CUSTOM)}")
+    (key, value), = params.items()
+    return _CUSTOM[key](value)
+
+
+# every rule name: (the factory of its rule, the names of the factory's parameters)
+RULES = {
+    "empirical_success": (EmpiricalSuccess, ()),
+    "es": (EmpiricalSuccess, ()),
+    "ztest": (ZTest, ("alpha", "status_quo")),
+    "hodges_lehmann": (lambda: HODGES_LEHMANN, ()),
+    "midpoint": (lambda: MIDPOINT, ()),
+    "analog_mean": (lambda: ANALOG_MEAN, ()),
+    "analog_median": (lambda: ANALOG_MEDIAN, ()),
+    "analog_predictor": (_analog_predictor, ("loss",)),
+    "custom": (_custom, tuple(_CUSTOM)),
+}
 
 
 def DecisionRule(kind: str, params: dict | None = None) -> TrialRule | Predictor:
-    """The rule a kind string and its parameters name (see ``_PARAMETERS``); the
-    one map from kind strings to rules. Unknown kinds and parameter names raise
-    PreconditionError."""
-    if kind not in _PARAMETERS:
+    """The rule that ``RULES`` names ``kind``, built from its parameters. Unknown
+    kinds and parameter names raise PreconditionError."""
+    if kind not in RULES:
         raise PreconditionError(f"unknown rule kind {kind!r}")
+    factory, names = RULES[kind]
     params = dict(params or {})
-    unknown = sorted(set(params) - set(_PARAMETERS[kind]))
+    unknown = sorted(set(params) - set(names))
     if unknown:
         raise PreconditionError(f"rule kind {kind!r} has no parameter {unknown[0]!r}")
-    if kind == "ztest":
-        return ZTest(**params)
-    if kind == "analog_predictor":
-        loss = params.get("loss", "square")
-        if loss not in ("square", "absolute"):
-            raise PreconditionError("analog loss must be 'square' or 'absolute'")
-        return ANALOG_MEAN if loss == "square" else ANALOG_MEDIAN
-    if kind == "custom":
-        if len(params) != 1:
-            raise PreconditionError(f"a custom rule needs exactly one of {', '.join(_CUSTOM)}")
-        (key, value), = params.items()
-        return _CUSTOM[key](value)
-    return {"empirical_success": EmpiricalSuccess(), "hodges_lehmann": HODGES_LEHMANN,
-            "midpoint": MIDPOINT}[kind]
+    return factory(**params)
 
 
 @dataclass(frozen=True)

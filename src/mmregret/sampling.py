@@ -17,7 +17,6 @@ from .errors import PreconditionError
 
 __all__ = [
     "TrialDesign",
-    "TrialOutcome",
     "SurveyDesign",
     "SeedSpec",
 ]
@@ -48,13 +47,6 @@ class TrialDesign:
         if self.arms != 2:
             raise PreconditionError(f"a trial design has 2 arms, got {self.arms}")
         _check_integer(self.per_arm_n, "a trial's per-arm n")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Per-arm success counts from one trial realization."""
-
-    successes: tuple[int, ...]
 
 
 @dataclass(frozen=True)

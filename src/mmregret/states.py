@@ -35,6 +35,9 @@ __all__ = [
     "classify_dominance",
 ]
 
+# the most states a grid builder allocates; a binary grid of step 0.0005 has 4,004,001
+_MAX_GRID_STATES = 1 << 22
+
 
 @dataclass(frozen=True)
 class BinaryTrialState:
@@ -77,14 +80,6 @@ class OutcomeDist:
         else:
             raise PreconditionError(f"unknown outcome family {self.family!r}")
 
-    def mean(self, support: tuple[float, float]) -> float:
-        y0, y1 = support
-        if self.family == "bernoulli":
-            frac = self.theta
-        else:
-            frac = self.alpha / (self.alpha + self.beta)
-        return y0 + frac * (y1 - y0)
-
 
 @dataclass(frozen=True)
 class PredictionState:
@@ -105,19 +100,6 @@ class PredictionState:
             raise PreconditionError(f"support [{y0}, {y1}] is not finite")
         if self.dist_observed.family != self.dist_missing.family:
             raise PreconditionError("observed and missing outcome families must match")
-
-    @property
-    def observed_mean(self) -> float:
-        return self.dist_observed.mean(self.support)
-
-    @property
-    def missing_mean(self) -> float:
-        return self.dist_missing.mean(self.support)
-
-    @property
-    def population_mean(self) -> float:
-        """Mean of the full outcome distribution (observed and missing mixed)."""
-        return (1.0 - self.miss_rate) * self.observed_mean + self.miss_rate * self.missing_mean
 
 
 @dataclass(frozen=True)
@@ -222,8 +204,8 @@ class StateGrid:
 
     @property
     def population_mean(self) -> np.ndarray:
-        """Mean of the full outcome distribution, of every state (prediction grids);
-        the same floats as each state's ``population_mean``."""
+        """Mean of the full outcome distribution, observed and missing mixed, of
+        every state (prediction grids)."""
         rate = self.miss_rates[self.index_rate]
         observed = _outcome_mean(self.outcome, self.obs_params, self.support)[self.index_obs]
         missing = _outcome_mean(self.outcome, self.miss_params, self.support)[self.index_miss]
@@ -235,12 +217,11 @@ class StateGrid:
             pts = self.points.tolist()
             return [BinaryTrialState(pts[i], pts[j])
                     for i, j in zip(self.index_a[rows].tolist(), self.index_b[rows].tolist())]
-        obs = [_outcome(self.outcome, p) for p in self.obs_params.tolist()]
-        miss = [_outcome(self.outcome, p) for p in self.miss_params.tolist()]
-        rates = self.miss_rates.tolist()
-        return [PredictionState(obs[i], miss[j], rates[r], self.support)
-                for i, j, r in zip(self.index_obs[rows].tolist(), self.index_miss[rows].tolist(),
-                                   self.index_rate[rows].tolist())]
+        return [PredictionState(_outcome(self.outcome, obs), _outcome(self.outcome, miss), rate,
+                                self.support)
+                for obs, miss, rate in zip(self.obs_params[self.index_obs[rows]].tolist(),
+                                           self.miss_params[self.index_miss[rows]].tolist(),
+                                           self.miss_rates[self.index_rate[rows]].tolist())]
 
     @property
     def states(self) -> tuple:
@@ -286,7 +267,8 @@ def _params(dist: OutcomeDist):
 
 
 def _outcome_mean(family: str, params: np.ndarray, support) -> np.ndarray:
-    """``OutcomeDist.mean`` of each parameter (row), with the same arithmetic."""
+    """The mean, on the support, of the outcome of each parameter: a theta
+    (Bernoulli) or a row of shapes (Beta)."""
     y0, y1 = support
     frac = params if family == "bernoulli" else params[:, 0] / (params[:, 0] + params[:, 1])
     return y0 + frac * (y1 - y0)
@@ -331,10 +313,18 @@ class FiniteDecisionProblem:
                 raise PreconditionError(f"prior sums to {pr.sum()}, not 1")
 
 
+def _check_grid_size(count: float, what: str) -> None:
+    """Reject a grid of more than _MAX_GRID_STATES states, before it is allocated."""
+    if count > _MAX_GRID_STATES:
+        raise PreconditionError(
+            f"{what} gives {count:.4g} states, above the {_MAX_GRID_STATES} a grid may hold")
+
+
 def _lattice(step: float) -> np.ndarray:
     """Points {0, step, 2*step, ..., 1}; step must divide 1."""
     if not 0 < step <= 0.5:  # also rejects NaN
         raise PreconditionError(f"step {step} must lie in (0, 0.5]")
+    _check_grid_size(1.0 / step + 1.0, f"step {step}")  # 1/step may be inf
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise PreconditionError(f"step {step} does not divide 1")
@@ -344,6 +334,7 @@ def _lattice(step: float) -> np.ndarray:
 def build_binary_grid(step: float) -> StateGrid:
     """All (p_a, p_b) pairs on the square lattice with the given step, row-major."""
     pts = _lattice(step)
+    _check_grid_size(len(pts) ** 2, f"step {step}")
     idx = np.arange(len(pts))
     return StateGrid._from_columns("binary_trial", points=pts, index_a=np.repeat(idx, len(pts)),
                                    index_b=np.tile(idx, len(pts)))
@@ -373,6 +364,7 @@ def build_prediction_grid(
     coordinates = (obs_params, miss_params, miss_rates)
     if any(c is None or len(c) == 0 for c in coordinates):
         raise PreconditionError("all three coordinate grids must be non-empty")
+    _check_grid_size(math.prod(map(len, coordinates)), "the product of the coordinate grids")
     if any(r != r for r in (max_miss_rate, min_missing_mean, max_missing_mean,
                             max_mean_abs_diff)):  # NaN would filter nothing
         raise PreconditionError("a state-space restriction is NaN")

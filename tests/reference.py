@@ -1,8 +1,9 @@
-"""Independent references for the scans, the binomial PMFs and the report CSV.
+"""Independent references for the scans, the binomial PMFs, the state means and the
+report CSV.
 
-The choice functions decide or weigh one outcome at a time, written without
-the tables, so tests can check ``rule.table(n)`` and the exact scans against
-them. The PMF runs its recurrence for one probability at a time. The CSV
+The choice functions give the mass a rule puts on each arm for one outcome,
+its per-arm success counts. They are written without the tables, so tests can
+check ``rule.table(n)`` and the exact scans against them. The PMF runs its recurrence for one probability at a time. The CSV
 writer formats one cell at a time with ``format``.
 """
 
@@ -10,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from mmregret import Action, BinaryTrialState, TrialDesign, TrialOutcome
+from mmregret import BinaryTrialState, TrialDesign
 from mmregret.mathutil import one_sided_critical_value
 
 
@@ -50,42 +51,55 @@ def binom_pmf_recurrence(n: int, p: float) -> np.ndarray:
     return out
 
 
-def es_choose(outcome: TrialOutcome) -> Action:
-    """Empirical success: pick the arm with the highest count, splitting ties equally."""
-    counts = outcome.successes
-    top = max(counts)
-    winners = [t for t, c in enumerate(counts) if c == top]
-    if len(winners) == 1:
-        return Action(arm=winners[0])
-    share = 1.0 / len(winners)
-    return Action(allocation=tuple(share if t in winners else 0.0 for t in range(len(counts))))
+def es_choose(successes: tuple[int, ...]) -> tuple[float, ...]:
+    """Empirical success: the mass on each arm, all of it on the arm with the most
+    successes, split equally among tied arms."""
+    top = max(successes)
+    winners = [t for t, c in enumerate(successes) if c == top]
+    return tuple(1.0 / len(winners) if t in winners else 0.0 for t in range(len(successes)))
 
 
-def ztest_choose(outcome: TrialOutcome, n: int, alpha: float = 0.05,
-                 status_quo: int = 0) -> Action:
-    """One-sided two-sample z-test with pooled variance.
+def ztest_choose(successes: tuple[int, int], n: int, alpha: float = 0.05,
+                 status_quo: int = 0) -> tuple[float, float]:
+    """One-sided two-sample z-test with pooled variance: the mass on each arm.
 
     Picks the innovation arm iff z exceeds the upper critical value. A zero
     pooled standard error (pooled rate 0 or 1) keeps the status quo.
     """
     innovation = 1 - status_quo
-    p_hat = [c / n for c in outcome.successes]
-    pooled = (outcome.successes[0] + outcome.successes[1]) / (2.0 * n)
+    p_hat = [c / n for c in successes]
+    pooled = (successes[0] + successes[1]) / (2.0 * n)
     if pooled <= 0.0 or pooled >= 1.0:
-        return Action(arm=status_quo)
-    z = (p_hat[innovation] - p_hat[status_quo]) / np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
-    return Action(arm=innovation if z > one_sided_critical_value(alpha) else status_quo)
+        chosen = status_quo
+    else:
+        z = (p_hat[innovation] - p_hat[status_quo]) / np.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+        chosen = innovation if z > one_sided_critical_value(alpha) else status_quo
+    return (1.0 - chosen, float(chosen))
 
 
 def enumerate_trial(state: BinaryTrialState,
-                    design: TrialDesign) -> Iterator[tuple[TrialOutcome, float]]:
-    """All (n+1)^2 outcomes of a two-arm binary trial with their probabilities."""
+                    design: TrialDesign) -> Iterator[tuple[tuple[int, int], float]]:
+    """All (n+1)^2 outcomes (successes of arm a, of arm b) of a two-arm binary
+    trial with their probabilities."""
     n = design.per_arm_n
     pmf_a = binom_pmf_recurrence(n, state.p_a)
     pmf_b = binom_pmf_recurrence(n, state.p_b)
     for i in range(n + 1):
         for j in range(n + 1):
-            yield TrialOutcome((i, j)), float(pmf_a[i] * pmf_b[j])
+            yield (i, j), float(pmf_a[i] * pmf_b[j])
+
+
+def state_means(state) -> tuple[float, float, float]:
+    """The observed, missing and population means of one prediction state, each
+    from its own scalars, in the arithmetic the grid's ``population_mean`` runs."""
+    y0, y1 = state.support
+
+    def mean(dist):
+        frac = dist.theta if dist.family == "bernoulli" else dist.alpha / (dist.alpha + dist.beta)
+        return y0 + frac * (y1 - y0)
+
+    observed, missing = mean(state.dist_observed), mean(state.dist_missing)
+    return observed, missing, (1.0 - state.miss_rate) * observed + state.miss_rate * missing
 
 
 def _per_cell_report_to_csv(report, path):

@@ -1,9 +1,13 @@
+import collections
 import subprocess
 import sys
 
 import pytest
 
-from mmregret.cli import main, medical_regrets, parse_config
+from mmregret import (BinaryTrialState, DecisionRule, OutcomeDist, PredictionState, SeedSpec,
+                      SurveyDesign, TrialDesign, build_binary_grid, max_mse_scan,
+                      max_regret_scan, report_to_csv)
+from mmregret.cli import _wald_grid, main, medical_regrets, parse_config
 from mmregret.engine import midpoint_max_regret_formula
 from mmregret.errors import ConfigError
 
@@ -108,6 +112,10 @@ miss_known = true
 method = exact
 """
 
+BETA_CFG = WALD_CFG.replace("family = bernoulli", "family = beta").replace(
+    "theta_obs_step = 0.1\ntheta_miss_step = 0.1\n",
+    "beta_obs_shapes = 1,1; 2,5\nbeta_miss_shapes = 0.5,2\n")
+
 
 class TestWaldMse:
     def test_exact_matches_formula(self, capsys, tmp_path):
@@ -179,6 +187,84 @@ class TestWaldMse:
                           "--out", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestRuleNames:
+    """The command line builds its rules by name through DecisionRule."""
+
+    @pytest.mark.parametrize("name", ["es", "ztest"])
+    def test_scan_csv_is_that_of_the_named_rule(self, capsys, tmp_path, name):
+        cli, api = tmp_path / "cli.csv", tmp_path / "api.csv"
+        assert main(["scan", "--rule", name, "--n", "6", "--step", "0.1",
+                     "--out", str(cli)]) == 0
+        capsys.readouterr()
+        report_to_csv(max_regret_scan(DecisionRule(name), build_binary_grid(0.1),
+                                      TrialDesign(per_arm_n=6), seed=SeedSpec(0)), api)
+        assert cli.read_bytes() == api.read_bytes()
+
+    @pytest.mark.parametrize("name", ["midpoint", "hodges_lehmann", "analog_mean",
+                                      "analog_median", "custom"])
+    def test_wald_csv_is_that_of_the_named_predictor(self, capsys, tmp_path, name):
+        table = "\ncustom_table = 0:0.1; 1:0.8; 0.5:0.5" if name == "custom" else ""
+        cfg, cli, api = tmp_path / "run.cfg", tmp_path / "cli.csv", tmp_path / "api.csv"
+        cfg.write_text(WALD_CFG.replace("predictor = midpoint", f"predictor = {name}{table}"))
+        assert main(["wald-mse", "--config", str(cfg), "--out", str(cli)]) == 0
+        capsys.readouterr()
+        params = {"mean_table": [(0, 0.1), (1, 0.8), (0.5, 0.5)]} if name == "custom" else {}
+        report_to_csv(max_mse_scan(DecisionRule(name, params), _wald_grid(parse_config(cfg)),
+                                   SurveyDesign("fixed_n", 10), seed=SeedSpec(0)), api)
+        assert cli.read_bytes() == api.read_bytes()
+
+    @pytest.mark.parametrize("name", ["ztest", "es", "empirical_success", "analog_predictor",
+                                      "mean_table", "nearest"])
+    def test_wald_name_of_no_parameterless_predictor_exits_2(self, capsys, tmp_path, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("predictor = midpoint", f"predictor = {name}"))
+        assert main(["wald-mse", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown predictor {name!r}\n"
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The state objects built while the test runs, counted by class name."""
+    counts = collections.Counter()
+    for cls in (BinaryTrialState, PredictionState, OutcomeDist):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            counts[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+class TestStateObjects:
+    """A command builds one state, the argmax it prints, beyond the states that
+    build_prediction_grid checks: one per distinct miss rate, and one outcome
+    distribution per distinct parameter."""
+
+    @pytest.mark.parametrize("method", [(), ("--method", "mc", "--reps", "1000",
+                                             "--workers", "1")], ids=["exact", "mc"])
+    def test_scan(self, capsys, tmp_path, built, method):
+        assert main(["scan", "--rule", "es", "--n", "5", "--step", "0.1", *method,
+                     "--out", str(tmp_path / "scan.csv")]) == 0
+        capsys.readouterr()
+        assert built == {"BinaryTrialState": 1}
+
+    MC = "method = mc\nreps = 1000\nworkers = 1"
+
+    @pytest.mark.parametrize("text,rates,params", [
+        (WALD_CFG.replace("miss_values = 0.2", "miss_values = 0.2,0.5"), 2, 22),
+        (WALD_CFG.replace("method = exact", MC), 1, 22),
+        (WALD_CFG.replace("method = exact", MC).replace("known = true", "known = false"), 1, 22),
+        (BETA_CFG.replace("method = exact", MC), 1, 3),
+        (BETA_CFG.replace("method = exact", MC).replace("= midpoint", "= analog_median"), 1, 3)],
+        ids=["bernoulli_exact", "bernoulli_fixed_n", "bernoulli_random_miss", "beta_midpoint",
+             "beta_median"])
+    def test_wald_mse(self, capsys, tmp_path, built, text, rates, params):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["wald-mse", "--config", str(cfg), "--out", str(tmp_path / "mse.csv")]) == 0
+        capsys.readouterr()
+        assert built == {"PredictionState": rates + 1, "OutcomeDist": params + 2}
 
 
 class TestAlloc:
@@ -337,15 +423,34 @@ def run_err(capsys, *argv):
     return code
 
 
-BETA_CFG = WALD_CFG.replace("family = bernoulli", "family = beta").replace(
-    "theta_obs_step = 0.1\ntheta_miss_step = 0.1\n",
-    "beta_obs_shapes = 1,1; 2,5\nbeta_miss_shapes = 0.5,2\n")
-
-
 class TestRejectedInput:
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_exits_3(self, capsys, step):
         assert run_err(capsys, "scan", "--rule", "es", "--n", "5", "--step", step) == 3
+
+    # each grid is refused before it is allocated: numpy refused the first two
+    # with a traceback, and the last two ran out of memory
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--rule", "es", "--n", "5", "--step", "1e-300"),
+        ("scan", "--rule", "es", "--n", "5", "--step", "5e-324"),
+        ("scan", "--rule", "es", "--n", "5", "--step", "0.0001", "--method", "mc",
+         "--reps", "1000"),
+        ("oracle", "--n", "3", "--step", "1e-9")],
+        ids=["scan_1e-300", "scan_5e-324", "scan_mc_0.0001", "oracle_1e-9"])
+    def test_grid_beyond_the_state_bound_exits_3(self, capsys, argv):
+        assert run_err(capsys, *argv) == 3
+
+    @pytest.mark.parametrize("coordinates", [
+        "theta_obs_step = 1e-300\ntheta_miss_step = 0.1\nmiss_values = 0.2",
+        "theta_obs_step = 0.1\ntheta_miss_step = 0.1\nmiss_step = 1e-300",
+        # 1,001 x 1,001 x 5 states, each coordinate allowed alone
+        "theta_obs_step = 0.001\ntheta_miss_step = 0.001\nmiss_values = 0.1,0.2,0.3,0.4,0.5"],
+        ids=["theta_obs_step", "miss_step", "product"])
+    def test_wald_grid_beyond_the_state_bound_exits_3(self, capsys, tmp_path, coordinates):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace(
+            "theta_obs_step = 0.1\ntheta_miss_step = 0.1\nmiss_values = 0.2", coordinates))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
 
     @pytest.mark.parametrize("flags", [("--alpha", "7", "--status-quo", "1"), ("--alpha", "0.05"),
                                        ("--status-quo", "0")])

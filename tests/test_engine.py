@@ -31,9 +31,10 @@ import mmregret.engine as engine
 from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _draw_histogram, _mc_mse,
                              _mean_stderr, _value_classes, choice_table)
 from mmregret.mathutil import binom_pmf_matrix, binom_pmf_vector
-from mmregret.rules import Action, OutcomeRule, TableRule
+from mmregret.rules import TableRule
 from mmregret.states import StateGrid
-from reference import _per_cell_report_to_csv, enumerate_trial, es_choose, ztest_choose
+from reference import (_per_cell_report_to_csv, enumerate_trial, es_choose, state_means,
+                       ztest_choose)
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -44,7 +45,7 @@ def _brute_force_error_prob(rule_fn, state, n):
     inferior = 0 if state.p_a < state.p_b else 1
     total = 0.0
     for outcome, prob in enumerate_trial(state, TrialDesign(per_arm_n=n)):
-        total += prob * rule_fn(outcome).mass_on(inferior)
+        total += prob * rule_fn(outcome)[inferior]
     return total
 
 
@@ -160,12 +161,10 @@ class TestExactVsMonteCarlo:
         assert rec.regret >= -4 * rec.mc_stderr
 
 
-def _lead_rule(o):
-    """A randomized rule for n < 50: the mass on b rises with b's lead, a distinct
-    value per lead."""
-    a, b = o.successes
-    x = 0.5 + (b - a) / 100
-    return Action(allocation=(1.0 - x, x))
+def _lead_rule(n):
+    """A randomized rule for n < 50, given as a table of a function of the outcome:
+    the mass on b rises with b's lead, a distinct value per lead."""
+    return TableRule(np.fromfunction(lambda a, b: 0.5 + (b - a) / 100, (n + 1, n + 1)))
 
 
 class TestValueClasses:
@@ -221,7 +220,7 @@ class TestValueClasses:
         if kind == "table":
             rule = TableRule(np.random.default_rng(n).random((n + 1, n + 1)))
         else:
-            rule = OutcomeRule(_lead_rule)
+            rule = _lead_rule(n)
         assert all(len(np.unique(row)) == n + 1 for row in rule.table(n))
         grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=n)
         exact = max_regret_scan(rule, grid, design)
@@ -249,6 +248,12 @@ MEDIAN = DecisionRule("analog_predictor", {"loss": "absolute"})
 def _comb_pmf(n, p):
     from math import comb
     return [comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _mc_mse_of(rule, state, design, reps, rng):
+    """_mc_mse in one state, as state 0 of the grid that holds only it."""
+    grid = StateGrid("prediction", [state])
+    return _mc_mse(rule, grid, 0, grid.population_mean[0], design, reps, rng, binom_pmf_vector)
 
 
 def _beta_state(obs, miss, miss_rate, support):
@@ -296,8 +301,8 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * pk * ((predict(k, m, total) if m else 0.5) - mu) ** 2
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss))
                     for k, pk in enumerate(_comb_pmf(m, theta_obs)))
-        mse, stderr = _mc_mse(rule, state, SurveyDesign("random_miss", total), 50_000,
-                              SeedSpec(17).rng(3, 0), binom_pmf_vector)
+        mse, stderr = _mc_mse_of(rule, state, SurveyDesign("random_miss", total), 50_000,
+                                 SeedSpec(17).rng(3, 0))
         assert abs(mse - exact) <= 4 * stderr + 1e-12
 
     @pytest.mark.parametrize("obs,miss_dist,miss,support", [
@@ -317,9 +322,10 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * ((m / total) ** 2 * var_obs / max(m, 1)
                           + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
-        mse, stderr = _mc_mse(DecisionRule("midpoint"), _beta_state(obs, miss_dist, miss, support),
-                              SurveyDesign("random_miss", total), 50_000,
-                              SeedSpec(23).rng(1, 0), binom_pmf_vector)
+        mse, stderr = _mc_mse_of(DecisionRule("midpoint"),
+                                 _beta_state(obs, miss_dist, miss, support),
+                                 SurveyDesign("random_miss", total), 50_000,
+                                 SeedSpec(23).rng(1, 0))
         assert abs(mse - exact) <= 4 * stderr
 
     @pytest.mark.parametrize("total,reps", [(2000, 20_000), (20000, 2000)])
@@ -331,9 +337,9 @@ class TestHistogramMonteCarlo:
         mu = q * theta + miss * theta_miss
         var_x = q / 4 - (q * (theta - 0.5)) ** 2
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
-        mse, stderr = _mc_mse(DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
-                              SurveyDesign("random_miss", total), reps,
-                              SeedSpec(29).rng(2, 0), binom_pmf_vector)
+        mse, stderr = _mc_mse_of(DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
+                                 SurveyDesign("random_miss", total), reps,
+                                 SeedSpec(29).rng(2, 0))
         assert np.isfinite(stderr) and stderr > 0
         assert abs(mse - exact) <= 4 * stderr
 
@@ -360,10 +366,10 @@ class TestHistogramMonteCarlo:
             return np.where((m >= 0) & (m <= 1), m, np.nan)
 
         state = _bern_state(0.3, 0.6, 0.4)
-        got = _mc_mse(DecisionRule("custom", {"predict_mean": strict}), state, design, 5000,
-                      SeedSpec(4).rng(0, 0), binom_pmf_vector)
-        plain = _mc_mse(DecisionRule("analog_predictor"), state, design, 5000,
-                        SeedSpec(4).rng(0, 0), binom_pmf_vector)
+        got = _mc_mse_of(DecisionRule("custom", {"predict_mean": strict}), state, design, 5000,
+                         SeedSpec(4).rng(0, 0))
+        plain = _mc_mse_of(DecisionRule("analog_predictor"), state, design, 5000,
+                           SeedSpec(4).rng(0, 0))
         assert np.isfinite(got[0]) and got == plain
 
     @pytest.mark.parametrize("family,params,design,predictor", [
@@ -382,26 +388,30 @@ class TestHistogramMonteCarlo:
             _cpus(monkeypatch, cpus)
             for workers in (None, 1, 2, 3):
                 got = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers)
-                assert got.per_state == one.per_state
-        assert all(r.mc_stderr > 0 for r in one.per_state)
+                assert _column_bytes(got) == _column_bytes(one)
+        assert (one.mc_stderr > 0).all()
 
 
-def _median_per_block(rng, dist, count, m):
+def _column_bytes(report) -> list[bytes]:
+    """The bits of each result column of a report."""
+    return [getattr(report, c).tobytes()
+            for c in ("error_prob", "expected_welfare", "regret", "mc_stderr")]
+
+
+def _median_per_block(rng, shape, count, m):
     """The Beta sample medians by np.median, over the blocks _beta_statistic draws."""
     per, out = max(1, (1 << 18) // m), []
     for lo in range(0, count, per):
-        out.append(np.median(rng.beta(dist.alpha, dist.beta, size=(min(per, count - lo), m)),
-                             axis=1))
+        out.append(np.median(rng.beta(*shape, size=(min(per, count - lo), m)), axis=1))
     return np.concatenate(out)
 
 
 @pytest.mark.parametrize("shape", [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0)])
 def test_sorted_block_median_has_the_bits_of_np_median(shape):
-    dist = OutcomeDist("beta", alpha=shape[0], beta=shape[1])
     for m in range(1, 41):
         count = 300 if m < 40 else 7000  # at m = 40, 7,000 samples span two blocks
-        got = engine._beta_statistic(SeedSpec(m).rng(), dist, count, m, True)
-        assert got.tobytes() == _median_per_block(SeedSpec(m).rng(), dist, count, m).tobytes()
+        got = engine._beta_statistic(SeedSpec(m).rng(), shape, count, m, True)
+        assert got.tobytes() == _median_per_block(SeedSpec(m).rng(), shape, count, m).tobytes()
 
 
 class TestMaxRegretScan:
@@ -432,7 +442,9 @@ class TestMaxRegretScan:
             assert report.max_regret <= regret_bounds(2, 1.0, n).bound_10
 
     def test_callable_rule_runs_on_two_workers(self, monkeypatch):
-        rule = DecisionRule("custom", {"apply_trial": lambda o: es_choose(o)})
+        # a rule given by a function of the outcome is the table of that function
+        table = [[es_choose((i, j))[1] for j in range(13)] for i in range(13)]
+        rule = DecisionRule("custom", {"trial_table": table})
         grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
         method = EvalMethod("monte_carlo", 2000)
         _cpus(monkeypatch, 3)  # so that three workers get three chunks
@@ -440,7 +452,7 @@ class TestMaxRegretScan:
         two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
         three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 8, 8
         assert one.per_state == two.per_state == three.per_state
-        # the callable's table is the ES table, so the draws give the ES report
+        # the function's table is the ES table, so the draws give the ES report
         es = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
         assert one.per_state == es.per_state
 
@@ -621,7 +633,7 @@ class TestMaxMseScan:
         for s in grid.states:
             pred = _bernoulli_predictions(rule, np.arange(n + 1), n, 1.0 - s.miss_rate, support)
             want.append(binom_pmf_vector(n, s.dist_observed.theta)
-                        @ (pred - s.population_mean) ** 2)
+                        @ (pred - state_means(s)[2]) ** 2)
         assert report.regret.tolist() == want
 
 

@@ -13,11 +13,9 @@ from mmregret import (
     DecisionRule,
     EmpiricalSuccess,
     FiniteDecisionProblem,
-    OutcomeRule,
     PreconditionError,
     Predictor,
     TableRule,
-    TrialOutcome,
     ZTest,
     asif_decide,
     asif_optimize,
@@ -31,36 +29,34 @@ from reference import es_choose, ztest_choose
 
 class TestEsChoose:
     def test_strict_max(self):
-        assert es_choose(TrialOutcome((7, 4))).arm == 0
+        assert es_choose((7, 4)) == (1.0, 0.0)
         assert EmpiricalSuccess().table(11)[7, 4] == 0.0
 
     def test_two_way_tie(self):
-        action = es_choose(TrialOutcome((5, 5)))
-        assert action.allocation == (0.5, 0.5)
+        assert es_choose((5, 5)) == (0.5, 0.5)
         assert EmpiricalSuccess().table(5)[5, 5] == 0.5
 
     def test_three_arm_tie_among_top(self):
-        action = es_choose(TrialOutcome((2, 5, 5)))
-        assert action.allocation == (0.0, 0.5, 0.5)
+        assert es_choose((2, 5, 5)) == (0.0, 0.5, 0.5)
 
     @given(st.lists(st.integers(0, 30), min_size=2, max_size=5),
            st.integers(1, 5), st.integers(0, 10))
     @settings(max_examples=100, deadline=None)
     def test_argmax_invariance_under_increasing_transform(self, counts, scale, shift):
         # any strictly increasing transform applied uniformly preserves the choice
-        base = es_choose(TrialOutcome(tuple(counts)))
-        transformed = es_choose(TrialOutcome(tuple(scale * c + shift for c in counts)))
+        base = es_choose(tuple(counts))
+        transformed = es_choose(tuple(scale * c + shift for c in counts))
         assert base == transformed
 
 
 class TestZtestChoose:
     def test_equal_counts_keep_status_quo(self):
-        assert ztest_choose(TrialOutcome((40, 40)), n=100).arm == 0
+        assert ztest_choose((40, 40), n=100) == (1.0, 0.0)
         assert ZTest().table(100)[40, 40] == 0.0
 
     def test_hand_computed_rejection(self):
         # n=145, counts (70, 90): z ~ 2.36 > 1.6449, so the innovation wins
-        assert ztest_choose(TrialOutcome((70, 90)), n=145, status_quo=0).arm == 1
+        assert ztest_choose((70, 90), n=145, status_quo=0) == (0.0, 1.0)
         assert ZTest(status_quo=0).table(145)[70, 90] == 1.0
         p1, p2 = 70 / 145, 90 / 145
         pooled = 160 / 290
@@ -68,12 +64,12 @@ class TestZtestChoose:
         assert z == pytest.approx(2.36, abs=0.02)
 
     def test_zero_pooled_se_keeps_status_quo(self):
-        assert ztest_choose(TrialOutcome((0, 0)), n=50).arm == 0
-        assert ztest_choose(TrialOutcome((50, 50)), n=50).arm == 0
+        assert ztest_choose((0, 0), n=50) == (1.0, 0.0)
+        assert ztest_choose((50, 50), n=50) == (1.0, 0.0)
         assert ZTest().table(50)[0, 0] == ZTest().table(50)[50, 50] == 0.0
 
     def test_status_quo_b(self):
-        assert ztest_choose(TrialOutcome((90, 70)), n=145, status_quo=1).arm == 0
+        assert ztest_choose((90, 70), n=145, status_quo=1) == (1.0, 0.0)
         assert ZTest(status_quo=1).table(145)[90, 70] == 0.0
 
     def test_exact_size_at_null_states(self):
@@ -115,9 +111,8 @@ class TestScalarMatchesTable:
         es = choice_table(DecisionRule("empirical_success"), n)
         for i in range(n + 1):
             for j in range(n + 1):
-                outcome = TrialOutcome((i, j))
-                assert ztest[i, j] == ztest_choose(outcome, n, alpha, status_quo).mass_on(1)
-                assert es[i, j] == es_choose(outcome).mass_on(1)
+                assert ztest[i, j] == ztest_choose((i, j), n, alpha, status_quo)[1]
+                assert es[i, j] == es_choose((i, j))[1]
 
     def test_non_trial_rule_rejected(self):
         with pytest.raises(PreconditionError):
@@ -138,9 +133,11 @@ class TestRuleValues:
         assert DecisionRule("hodges_lehmann") is HODGES_LEHMANN
         assert DecisionRule("analog_predictor") is ANALOG_MEAN
         assert DecisionRule("analog_predictor", {"loss": "absolute"}) is ANALOG_MEDIAN
+        assert DecisionRule("es") == EmpiricalSuccess()
+        assert DecisionRule("analog_mean") is ANALOG_MEAN
+        assert DecisionRule("analog_median") is ANALOG_MEDIAN
         table = DecisionRule("custom", {"trial_table": np.eye(3)})
         assert isinstance(table, TableRule) and table.table(2).tolist() == np.eye(3).tolist()
-        assert isinstance(DecisionRule("custom", {"apply_trial": es_choose}), OutcomeRule)
 
     @pytest.mark.parametrize("kind,params", [
         ("ztest", {"alpha": 0.05, "status_qou": 1}),
@@ -149,7 +146,8 @@ class TestRuleValues:
         ("custom", {"mean_tabel": [(0, 0), (1, 1)]}),
         ("custom", {"predict_means": lambda m, p1: m}),
         ("empirical_success", {"alpha": 0.05}),
-        ("midpoint", {"loss": "square"})])
+        ("midpoint", {"loss": "square"}),
+        ("custom", {"apply_trial": lambda outcome: 0.5})])
     def test_unknown_parameter_name_rejected(self, kind, params):
         with pytest.raises(PreconditionError, match="has no parameter"):
             DecisionRule(kind, params)
@@ -169,7 +167,7 @@ class TestRuleValues:
         lambda: Predictor("mean", 0.5),
         lambda: TableRule([[0.5, 1.5], [0.0, 0.0]]),
         lambda: TableRule([[np.nan]]),
-        lambda: OutcomeRule(None),
+        lambda: DecisionRule("custom", {"trial_table": [[0.5, np.nan], [0.0, 1.0]]}),
         lambda: mean_function_predictor(0.5),
         lambda: mean_table_predictor([]),
         lambda: mean_table_predictor([(0, np.nan), (1, 1)]),

@@ -16,6 +16,8 @@ from mmregret import (
     build_prediction_grid,
     classify_dominance,
 )
+from mmregret import states
+from reference import state_means
 
 
 class TestBinaryGrid:
@@ -190,14 +192,15 @@ def _product_grid_states(family, obs, miss, rates, support, max_miss_rate=None,
     out = []
     for po, pm, mr in itertools.product(obs, miss, rates):
         s = PredictionState(dist(po), dist(pm), float(mr), support)
+        observed_mean, missing_mean, _ = state_means(s)
         if max_miss_rate is not None and s.miss_rate > max_miss_rate:
             continue
-        if min_missing_mean is not None and s.missing_mean < min_missing_mean:
+        if min_missing_mean is not None and missing_mean < min_missing_mean:
             continue
-        if max_missing_mean is not None and s.missing_mean > max_missing_mean:
+        if max_missing_mean is not None and missing_mean > max_missing_mean:
             continue
         if max_mean_abs_diff is not None and \
-                abs(s.observed_mean - s.missing_mean) > max_mean_abs_diff:
+                abs(observed_mean - missing_mean) > max_mean_abs_diff:
             continue
         out.append(s)
     return out
@@ -232,7 +235,7 @@ class TestColumnarPredictionGrid:
         # repr tells -0.0 from 0.0, so order, duplicates and signs are all kept
         assert [repr(grid.state(k)) for k in range(len(grid))] == [repr(s) for s in want]
         assert [repr(s) for s in grid.states] == [repr(s) for s in want]
-        assert grid.population_mean.tolist() == [s.population_mean for s in want]
+        assert grid.population_mean.tolist() == [state_means(s)[2] for s in want]
         # columns derived from the states hold the same coordinates, bit for bit
         derived = StateGrid("prediction", want)
         for values, index in (("obs_params", "index_obs"), ("miss_params", "index_miss"),
@@ -289,3 +292,35 @@ class TestColumnarPredictionGrid:
         for mixed in ((bern, beta), (bern, wide)):
             with pytest.raises(PreconditionError, match="one outcome family and one support"):
                 StateGrid("prediction", mixed)
+
+
+class TestGridSizeBound:
+    """A grid builder refuses a grid of more than _MAX_GRID_STATES states before
+    it allocates one."""
+
+    def test_the_bound_allows_step_0_0005(self):
+        # 2,001 points a side: the 4,004,001 states of a binary grid of step 0.0005
+        assert 2001 ** 2 <= states._MAX_GRID_STATES
+
+    def test_lattice_points(self, monkeypatch):
+        monkeypatch.setattr(states, "_MAX_GRID_STATES", 5)
+        assert len(states._lattice(0.25)) == 5
+        with pytest.raises(PreconditionError, match="gives 6 states"):
+            states._lattice(0.2)
+        with pytest.raises(PreconditionError, match="gives inf states"):
+            states._lattice(5e-324)  # 1/step overflows to inf
+
+    def test_binary_grid_states(self, monkeypatch):
+        monkeypatch.setattr(states, "_MAX_GRID_STATES", 25)
+        assert len(build_binary_grid(0.25)) == 25
+        with pytest.raises(PreconditionError, match="gives 36 states"):
+            build_binary_grid(0.2)
+
+    def test_prediction_grid_counts_the_product_before_restrictions(self, monkeypatch):
+        monkeypatch.setattr(states, "_MAX_GRID_STATES", 12)
+        coords = dict(obs_params=[0.5, 0.5], miss_params=[0.1, 0.9])
+        assert len(build_prediction_grid("bernoulli", miss_rates=[0.1, 0.2, 0.3],
+                                         **coords)) == 12
+        with pytest.raises(PreconditionError, match="gives 16 states"):
+            build_prediction_grid("bernoulli", miss_rates=[0.1, 0.2, 0.3, 0.4],
+                                  max_miss_rate=0.15, **coords)
