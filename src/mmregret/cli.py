@@ -10,10 +10,17 @@ Exit codes: 0 success, 2 config error, 3 precondition violation, 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import sys
 
-from . import engine, missing, states
+if __name__ == "__main__":
+    # no collection walks the import graph below: main() freezes it, then
+    # enables the collector
+    gc.disable()
+
+import argparse
+
+from . import engine, states
 from .errors import ConfigError, PreconditionError
 from .mathutil import fmt17
 from .rules import RULES, DecisionRule, Predictor
@@ -239,10 +246,8 @@ def _wald_predictor(cfg) -> Predictor:
 
 
 def _custom_table(cfg) -> list[tuple[float, float]]:
-    if not cfg.get("custom_table"):
-        raise ConfigError("custom predictor needs custom_table")
     rows = []
-    for chunk in cfg["custom_table"].split(";"):
+    for chunk in cfg.get("custom_table", "").split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -250,6 +255,8 @@ def _custom_table(cfg) -> list[tuple[float, float]]:
         if len(parts) != 2:
             raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
         rows.append((_number(parts[0]), _number(parts[1])))
+    if not rows:
+        raise ConfigError("custom predictor needs custom_table")
     return rows
 
 
@@ -308,11 +315,12 @@ def cmd_wald_mse(args) -> int:
 # alloc
 
 def cmd_alloc(args) -> int:
+    from . import missing  # here: no other command needs it
     bounds_a = _bounds(args.bounds_a, "--bounds-a")
     bounds_b = _bounds(args.bounds_b, "--bounds-b")
     if args.mode in ("population", "known-p"):
-        state = states.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
-                                        bounds_a, bounds_b)
+        state = missing.MissingDataState(args.e_a, args.e_b, args.p_a, args.p_b,
+                                         bounds_a, bounds_b)
         result = (missing.mmr_alloc_population if args.mode == "population"
                   else missing.mmr_alloc_known_p)(state)
     elif args.mode == "sample":
@@ -415,17 +423,19 @@ def main(argv=None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
     Called without ``argv``, as the process entry point (``python -m
-    mmregret.cli`` and the ``mmregret`` script), it freezes the heap before the
-    command runs: the objects alive then, mostly numpy's and the package's
-    import-time graph, move to the garbage collector's permanent generation.
-    The final collections at interpreter exit, and any collection in a forked
-    worker, then skip them; atexit handlers, flushes and module teardown still
-    run. A caller that passes ``argv`` keeps its heap as it was.
+    mmregret.cli`` and the ``mmregret`` script), it first freezes the heap and
+    enables the garbage collector: the objects alive then, mostly numpy's and
+    the package's import-time graph, move to the collector's permanent
+    generation. The final collections at interpreter exit, and any collection
+    in a forked worker, then skip them; atexit handlers, flushes and module
+    teardown still run. Run as ``__main__``, this module disables the collector
+    before its imports, so no collection walks that graph before it is frozen.
+    A caller that passes ``argv`` keeps its heap as it was.
     """
-    args = build_parser().parse_args(argv)
     if argv is None:
-        import gc
         gc.freeze()
+        gc.enable()
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

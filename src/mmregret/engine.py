@@ -12,7 +12,6 @@ tiny trial designs.
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -119,10 +118,12 @@ class RegretReport:
 def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
             mc_stderr=None) -> RegretReport:
     """A report over the grid; columns left out hold no value (NaN) or zero stderr."""
-    missing = np.full(len(grid), np.nan)
+    if error_prob is None or expected_welfare is None:
+        missing = np.full(len(grid), np.nan)
+        error_prob = missing if error_prob is None else error_prob
+        expected_welfare = missing if expected_welfare is None else expected_welfare
     return RegretReport(
-        grid, missing if error_prob is None else error_prob,
-        missing if expected_welfare is None else expected_welfare, regret,
+        grid, error_prob, expected_welfare, regret,
         np.zeros(len(grid)) if mc_stderr is None else mc_stderr,
         int(np.argmax(regret)), method, seed)
 
@@ -132,6 +133,7 @@ def _run_child(fn, task, fd: int, inherited) -> None:
     fn(*task))``, or ``(False, exception)``, to the pipe fd, and leave without
     running the parent's exit handlers."""
     try:
+        import pickle  # here and in _child_result: only a forked map needs it
         for other in inherited:
             os.close(other)
         try:
@@ -149,6 +151,7 @@ def _run_child(fn, task, fd: int, inherited) -> None:
 
 def _child_result(pid: int, fd: int):
     """The result a child sent on the pipe fd; its exception is raised here."""
+    import pickle
     with os.fdopen(fd, "rb", closefd=False) as pipe:
         data = pipe.read()
     if not data:
@@ -344,21 +347,31 @@ def _trial_report(rule, grid, design, method, seed, workers: int | None) -> Regr
     if method.mode == "exact":
         # prob of choosing b for every (p_a, p_b) pair of grid probabilities; the
         # contraction's round-off can leave [0, 1] by ~1e-15, so it is clipped back
-        prob_b = np.clip((pmf @ table @ pmf.T)[grid.index_a, grid.index_b], 0.0, 1.0)
-        se_b = np.zeros(len(grid))
+        prob_b = (pmf @ table @ pmf.T)[grid.index_a, grid.index_b]
+        np.clip(prob_b, 0.0, 1.0, out=prob_b)
+        se_b = None  # zero stderr, and zero times any gap
     else:
         # built once, before any worker forks
         values, classes = _value_classes(table, pmf)
         kernel = partial(_mc_choose_b, values, classes, pmf, method.reps, seed or SeedSpec(),
                          grid)
         prob_b, se_b = _map_chunks(kernel, len(grid), workers)
+    # each state-length column is computed in the buffer of one it replaces, so
+    # that at most four coexist: prob_b becomes err, the gap reg, pa the welfare
     pa, pb = grid.p_a, grid.p_b
-    tie, gap = pa == pb, np.abs(pa - pb)
-    err = np.where(pa > pb, prob_b, 1.0 - prob_b)
-    reg = err * gap
+    tie = pa == pb
+    # the error is choosing b where a is better, and a elsewhere
+    err = np.subtract(1.0, prob_b, out=prob_b, where=pa <= pb)
+    gap = pa - pb
+    np.abs(gap, out=gap)
+    welfare = np.maximum(pa, pb, out=pa)
+    if se_b is not None:
+        se_b *= gap
+    reg = np.multiply(err, gap, out=gap)
     err[tie] = np.nan
     reg[tie] = 0.0
-    return _report(grid, reg, method, seed, err, np.maximum(pa, pb) - reg, se_b * gap)
+    welfare -= reg
+    return _report(grid, reg, method, seed, err, welfare, se_b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["PreconditionError", "ConfigError"]
+
 
 class PreconditionError(ValueError):
     """An operation was called with inputs violating its stated preconditions."""

@@ -1,10 +1,13 @@
 """Closed-form minimax-regret treatment allocation with missing outcome data.
 
-Implements the population allocation rule over all feasible missing-outcome
-distributions, its specialization when the observability score is known, the
-plug-in sample analogs of both, fractional-allocation welfare accounting, and
-the asymptotic regret interval for the empirical success rule when random
-treatment selection is only a model.
+Every rule here takes a ``MissingDataState``: the conditional-on-observed
+means, observability probabilities and per-arm outcome bounds of two
+treatments. Implements the population allocation rule over all feasible
+missing-outcome distributions, its specialization when the observability
+score is known, the plug-in sample analogs of both, fractional-allocation
+welfare accounting, and the asymptotic regret interval for the empirical
+success rule when random treatment selection is only a model. Of the
+commands, only ``alloc`` imports this module.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import PreconditionError
-from .states import MissingDataState
 
 __all__ = [
+    "MissingDataState",
     "AllocationResult",
     "mmr_alloc_population",
     "mmr_alloc_known_p",
@@ -27,6 +30,50 @@ __all__ = [
 ]
 
 _EQ_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class MissingDataState:
+    """Observable features of a two-treatment population with missing outcomes.
+
+    e_a, e_b are the means of outcomes conditional on being observed; p_a, p_b
+    the probabilities an outcome is observed; bounds the per-arm outcome
+    supports. full_means, when present, are the complete (observed plus
+    missing) means, needed only for welfare accounting and asymptotic
+    classification.
+    """
+
+    e_a: float
+    e_b: float
+    p_a: float
+    p_b: float
+    bounds_a: tuple[float, float] = (0.0, 1.0)
+    bounds_b: tuple[float, float] = (0.0, 1.0)
+    full_means: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
+            if not 0.0 <= p <= 1.0:
+                raise PreconditionError(f"{name}={p} outside [0, 1]")
+        for arm, e, (y0, y1) in (("a", self.e_a, self.bounds_a),
+                                 ("b", self.e_b, self.bounds_b)):
+            if not y0 <= y1:
+                raise PreconditionError(f"arm {arm} bounds [{y0}, {y1}] inverted")
+            if not y0 <= e <= y1:
+                raise PreconditionError(f"e_{arm}={e} outside bounds [{y0}, {y1}]")
+        if self.full_means is not None:
+            for arm, mu, e, p, (y0, y1) in (
+                    ("a", self.full_means[0], self.e_a, self.p_a, self.bounds_a),
+                    ("b", self.full_means[1], self.e_b, self.p_b, self.bounds_b)):
+                if not y0 <= mu <= y1:
+                    raise PreconditionError(f"full mean of arm {arm} outside bounds")
+                # mu = e*p + m*(1-p) for some feasible missing-outcome mean m
+                lo = e * p + y0 * (1.0 - p)
+                hi = e * p + y1 * (1.0 - p)
+                if not lo - 1e-12 <= mu <= hi + 1e-12:
+                    raise PreconditionError(
+                        f"full mean {mu} of arm {arm} inconsistent with "
+                        f"(e={e}, p={p}) and bounds [{y0}, {y1}]")
 
 
 @dataclass(frozen=True)

@@ -2,25 +2,24 @@
 
 Covers treatment-choice rules for two-arm trials (empirical success, one-sided
 z-test), point predictors for a bounded mean (Hodges-Lehmann shrinkage,
-midpoint of the sample-analog identification interval, plain sample analogs),
-and the generic criteria that decide as if a finite set estimate contained the
-true state. Scans evaluate rules as values: a trial rule (``EmpiricalSuccess``,
-``ZTest``, ``TableRule``) through its choice table ``rule.table(n)``, and a
-``Predictor`` through the sample statistic it reads and its function of that
-statistic. ``DecisionRule`` looks a rule up by name in ``RULES``.
+midpoint of the sample-analog identification interval, plain sample analogs).
+Scans evaluate rules as values: a trial rule (``EmpiricalSuccess``, ``ZTest``,
+``TableRule``) through its choice table ``rule.table(n)``, and a ``Predictor``
+through the sample statistic it reads and its function of that statistic.
+``DecisionRule`` looks a rule up by name in ``RULES``. The criteria that decide
+as if a finite set estimate contained the true state are in ``asif``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
 from .mathutil import one_sided_critical_value
-from .states import FiniteDecisionProblem
 
 __all__ = [
     "TrialRule",
@@ -36,9 +35,6 @@ __all__ = [
     "mean_function_predictor",
     "RULES",
     "DecisionRule",
-    "AsIfDecision",
-    "asif_decide",
-    "asif_optimize",
 ]
 
 
@@ -222,74 +218,3 @@ def DecisionRule(kind: str, params: dict | None = None) -> TrialRule | Predictor
     if unknown:
         raise PreconditionError(f"rule kind {kind!r} has no parameter {unknown[0]!r}")
     return factory(**params)
-
-
-@dataclass(frozen=True)
-class AsIfDecision:
-    """Result of a criterion applied over a set estimate."""
-
-    action: str
-    index: int
-    value: float
-    tied: tuple[str, ...] = ()
-
-    @property
-    def is_tie(self) -> bool:
-        return len(self.tied) > 1
-
-
-def asif_decide(
-    problem: FiniteDecisionProblem,
-    set_estimate: Sequence[str],
-    criterion: str,
-) -> AsIfDecision:
-    """Act as if the true state lies in the set estimate.
-
-    bayes maximizes prior-weighted average welfare over the set, maximin the
-    worst-case welfare, minimax_regret minimizes worst-case regret. Ties break
-    to the lowest action index and are reported.
-    """
-    if len(set_estimate) == 0:
-        raise PreconditionError("set estimate is empty")
-    try:
-        idx = [problem.states.index(s) for s in set_estimate]
-    except ValueError as exc:
-        raise PreconditionError(f"set estimate contains unknown state: {exc}") from exc
-    w = problem.welfare[:, idx]
-
-    if criterion == "bayes":
-        if problem.prior is None:
-            raise PreconditionError("bayes criterion needs prior weights")
-        pr = problem.prior[idx]
-        total = pr.sum()
-        if total <= 0:
-            raise PreconditionError("prior puts no mass on the set estimate")
-        scores = w @ (pr / total)
-        best = float(scores.max())
-        tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
-    elif criterion == "maximin":
-        scores = w.min(axis=1)
-        best = float(scores.max())
-        tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
-    elif criterion == "minimax_regret":
-        regret = w.max(axis=0, keepdims=True) - w
-        scores = regret.max(axis=1)
-        best = float(scores.min())
-        tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
-    else:
-        raise PreconditionError(f"unknown criterion {criterion!r}")
-
-    winner = int(tied[0])
-    return AsIfDecision(
-        action=problem.actions[winner],
-        index=winner,
-        value=best,
-        tied=tuple(problem.actions[i] for i in tied),
-    )
-
-
-def asif_optimize(problem: FiniteDecisionProblem, point_estimate_state: str) -> AsIfDecision:
-    """Optimize welfare as if the point estimate were the true state."""
-    if point_estimate_state not in problem.states:
-        raise PreconditionError(f"unknown state {point_estimate_state!r}")
-    return asif_decide(problem, [point_estimate_state], "minimax_regret")

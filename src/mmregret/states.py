@@ -7,10 +7,10 @@ Scans run over finite grids of states of two families:
 * prediction    -- outcome distribution given observed, outcome distribution
   given missing, and a miss rate, on a bounded outcome support.
 
-A ``MissingDataState`` (conditional-on-observed means, observability
-probabilities and per-arm outcome bounds for two treatments) is the single
-state the allocation rules take. Types are immutable value objects; builders
-are pure and deterministic.
+States are immutable value objects; builders are pure and deterministic.
+The state the allocation rules take, ``MissingDataState``, lives beside them
+in ``missing``, and finite decision problems in ``asif``: no scan reads
+either.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ __all__ = [
     "BinaryTrialState",
     "OutcomeDist",
     "PredictionState",
-    "MissingDataState",
     "StateGrid",
-    "FiniteDecisionProblem",
     "build_binary_grid",
     "build_prediction_grid",
-    "classify_dominance",
 ]
 
 # the most states a grid builder allocates; a binary grid of step 0.0005 has 4,004,001
@@ -100,50 +97,6 @@ class PredictionState:
             raise PreconditionError(f"support [{y0}, {y1}] is not finite")
         if self.dist_observed.family != self.dist_missing.family:
             raise PreconditionError("observed and missing outcome families must match")
-
-
-@dataclass(frozen=True)
-class MissingDataState:
-    """Observable features of a two-treatment population with missing outcomes.
-
-    e_a, e_b are the means of outcomes conditional on being observed; p_a, p_b
-    the probabilities an outcome is observed; bounds the per-arm outcome
-    supports. full_means, when present, are the complete (observed plus
-    missing) means, needed only for welfare accounting and asymptotic
-    classification.
-    """
-
-    e_a: float
-    e_b: float
-    p_a: float
-    p_b: float
-    bounds_a: tuple[float, float] = (0.0, 1.0)
-    bounds_b: tuple[float, float] = (0.0, 1.0)
-    full_means: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not 0.0 <= p <= 1.0:
-                raise PreconditionError(f"{name}={p} outside [0, 1]")
-        for arm, e, (y0, y1) in (("a", self.e_a, self.bounds_a),
-                                 ("b", self.e_b, self.bounds_b)):
-            if not y0 <= y1:
-                raise PreconditionError(f"arm {arm} bounds [{y0}, {y1}] inverted")
-            if not y0 <= e <= y1:
-                raise PreconditionError(f"e_{arm}={e} outside bounds [{y0}, {y1}]")
-        if self.full_means is not None:
-            for arm, mu, e, p, (y0, y1) in (
-                    ("a", self.full_means[0], self.e_a, self.p_a, self.bounds_a),
-                    ("b", self.full_means[1], self.e_b, self.p_b, self.bounds_b)):
-                if not y0 <= mu <= y1:
-                    raise PreconditionError(f"full mean of arm {arm} outside bounds")
-                # mu = e*p + m*(1-p) for some feasible missing-outcome mean m
-                lo = e * p + y0 * (1.0 - p)
-                hi = e * p + y1 * (1.0 - p)
-                if not lo - 1e-12 <= mu <= hi + 1e-12:
-                    raise PreconditionError(
-                        f"full mean {mu} of arm {arm} inconsistent with "
-                        f"(e={e}, p={p}) and bounds [{y0}, {y1}]")
 
 
 class StateGrid:
@@ -287,32 +240,6 @@ def _prediction_columns(states: Sequence[PredictionState]) -> dict:
                 index_rate=index_rate)
 
 
-@dataclass(frozen=True)
-class FiniteDecisionProblem:
-    """Finite actions x finite states with a welfare matrix w(action, state)."""
-
-    actions: tuple[str, ...]
-    states: tuple[str, ...]
-    welfare: np.ndarray  # shape (|actions|, |states|)
-    prior: np.ndarray | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.welfare, dtype=float)
-        object.__setattr__(self, "welfare", w)
-        if w.shape != (len(self.actions), len(self.states)):
-            raise PreconditionError(
-                f"welfare shape {w.shape} != ({len(self.actions)}, {len(self.states)})")
-        if self.prior is not None:
-            pr = np.asarray(self.prior, dtype=float)
-            object.__setattr__(self, "prior", pr)
-            if pr.shape != (len(self.states),):
-                raise PreconditionError("prior length must match number of states")
-            if np.any(pr < 0):
-                raise PreconditionError("prior weights must be nonnegative")
-            if abs(pr.sum() - 1.0) > 1e-12:
-                raise PreconditionError(f"prior sums to {pr.sum()}, not 1")
-
-
 def _check_grid_size(count: float, what: str) -> None:
     """Reject a grid of more than _MAX_GRID_STATES states, before it is allocated."""
     if count > _MAX_GRID_STATES:
@@ -394,22 +321,3 @@ def build_prediction_grid(
     return StateGrid._from_columns(
         "prediction", outcome=family, support=support, obs_params=obs, miss_params=miss,
         miss_rates=rates, index_obs=i_obs[o], index_miss=i_miss[m], index_rate=i_rate[r])
-
-
-def classify_dominance(problem: FiniteDecisionProblem) -> dict[str, list[str]]:
-    """Split actions into weakly dominated and undominated sets.
-
-    Action c is weakly dominated iff some d is at least as good in every state
-    and strictly better in at least one.
-    """
-    w = problem.welfare
-    dominated = []
-    for i in range(len(problem.actions)):
-        for j in range(len(problem.actions)):
-            if i == j:
-                continue
-            if np.all(w[j] >= w[i]) and np.any(w[j] > w[i]):
-                dominated.append(problem.actions[i])
-                break
-    undominated = [a for a in problem.actions if a not in dominated]
-    return {"dominated": dominated, "undominated": undominated}

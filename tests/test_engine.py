@@ -441,6 +441,20 @@ class TestMaxRegretScan:
             report = max_regret_scan(ES, build_binary_grid(0.05), TrialDesign(per_arm_n=n))
             assert report.max_regret <= regret_bounds(2, 1.0, n).bound_10
 
+    def test_exact_scan_memory_per_state(self):
+        # the report keeps four float columns, 32 B per state; the scan's working
+        # columns reuse their buffers, so that at most four coexist (44 B per state
+        # measured; the scan that kept every column apart peaked at 84 B)
+        import tracemalloc
+        grid = build_binary_grid(0.002)
+        tracemalloc.start()
+        try:
+            max_regret_scan(ES, grid, TrialDesign(per_arm_n=145))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(grid) < 48
+
     def test_callable_rule_runs_on_two_workers(self, monkeypatch):
         # a rule given by a function of the outcome is the table of that function
         table = [[es_choose((i, j))[1] for j in range(13)] for i in range(13)]
