@@ -51,3 +51,12 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+
+
+def _script() -> int:
+    """The ``mmregret`` console script: cli.main() with the collector off while the
+    cli imports, so no collection walks the import graph that main() freezes."""
+    import gc
+    gc.disable()
+    from .cli import main
+    return main()

@@ -429,8 +429,9 @@ def main(argv=None) -> int:
     generation. The final collections at interpreter exit, and any collection
     in a forked worker, then skip them; atexit handlers, flushes and module
     teardown still run. Run as ``__main__``, this module disables the collector
-    before its imports, so no collection walks that graph before it is frozen.
-    A caller that passes ``argv`` keeps its heap as it was.
+    before its imports, and the script, ``mmregret._script``, before it imports
+    this module, so no collection walks that graph before it is frozen. A
+    caller that passes ``argv`` keeps its heap as it was.
     """
     if argv is None:
         gc.freeze()

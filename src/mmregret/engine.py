@@ -223,8 +223,8 @@ def _map_chunks(fn, states: int, workers: int | None) -> np.ndarray:
 
 
 def _check_workers(workers: int | None) -> None:
-    if workers is not None and workers < 1:
-        raise PreconditionError(f"workers={workers} must be at least 1")
+    if workers is not None:
+        _check_integer(workers, "workers", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,67 +236,6 @@ def _check_trial_n(design: TrialDesign) -> None:
     if design.per_arm_n > _MAX_TRIAL_N:
         raise PreconditionError(
             f"per-arm n={design.per_arm_n} above {_MAX_TRIAL_N}: the choice table is too large")
-
-
-# The MC kernel draws a state's reps iid samples as a histogram of their
-# sufficient statistic (counts over its finite support, which have the iid
-# sample's law) and scores each support point once. For a trial that statistic
-# is arm a's count i and the value of the table at (i, j): the draws of arm b
-# are counted by the value they give, not by j.
-
-_CLASS_BLOCK_CELLS = 1 << 16  # table cells per block of rows when classes are built
-_MAX_VALUE_CLASSES = 32  # more distinct values in a row: each outcome is its own class
-
-
-def _value_classes(table: np.ndarray, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, classes) of a choice table under the rows of pmf, the PMFs of arm b.
-
-    ``values[i, c]`` is the c-th smallest distinct value of table row i, padded
-    with the row's largest; ``classes[p, i, c]`` is the mass pmf[p] puts on the
-    outcomes j with ``table[i, j] == values[i, c]``, zero on a pad. Both are
-    built a block of rows at a time, so beyond them no array of the table's size
-    is made. A table with a row of more than _MAX_VALUE_CLASSES distinct values
-    gets one class per outcome instead: values is the table and classes a view
-    of pmf.
-    """
-    size = table.shape[0]
-    per = max(1, _CLASS_BLOCK_CELLS // size)
-    blocks = []  # per block of rows: their distinct values, padded, and how many
-    for lo in range(0, size, per):
-        s = np.sort(table[lo:lo + per], axis=1)
-        new = np.ones(s.shape, bool)
-        np.not_equal(s[:, 1:], s[:, :-1], out=new[:, 1:])
-        count = new.sum(axis=1)
-        if count.max() > _MAX_VALUE_CLASSES:
-            return table, np.broadcast_to(pmf[:, None, :], (len(pmf), size, size))
-        distinct = s[new]  # row after row
-        rank = np.arange(len(distinct)) - np.repeat(np.cumsum(count) - count, count)
-        values = np.repeat(s[:, -1:], count.max(), axis=1)
-        values[np.repeat(np.arange(len(s)), count), rank] = distinct
-        blocks.append((values, count))
-    values = np.empty((size, max(v.shape[1] for v, _ in blocks)))
-    classes = np.zeros((len(pmf), *values.shape))
-    for lo, (v, count) in zip(range(0, size, per), blocks):
-        rows = slice(lo, lo + len(v))
-        values[rows] = v[:, -1:]
-        values[rows, :v.shape[1]] = v
-        for c in range(v.shape[1]):
-            # einsum, not matmul: BLAS would add its buffers to a small scan's peak
-            # RSS, and einsum casts the boolean operand in buffers, not as a whole
-            mass = np.einsum("pj,ij->pi", pmf, table[rows] == v[:, c:c + 1])
-            mass[:, count <= c] = 0.0  # a pad, which repeats the row's largest value
-            # a class holding all of a row's mass can sum to 1 + 2^-52, and the
-            # sampler rejects a probability above 1
-            np.minimum(mass, 1.0, out=classes[:, rows, c])
-    return values, classes
-
-
-def _draw_histogram(rng, reps: int, pmf_a: np.ndarray, classes: np.ndarray):
-    """Counts of reps iid draws of (i, c), i ~ pmf_a and then c ~ classes[i]: the
-    occupied values ``rows`` of i, and one row of counts of c per occupied i."""
-    h = rng.multinomial(reps, pmf_a)
-    rows = np.flatnonzero(h)
-    return rows, rng.multinomial(h[rows], classes[rows])
 
 
 def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
@@ -315,18 +254,18 @@ def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
     return est, float(np.sqrt(var / reps))
 
 
-def _mc_choose_b(values, classes, pmf, reps: int, seed: SeedSpec, grid: StateGrid,
-                 index) -> np.ndarray:
+def _mc_choose_b(half, pmf, reps: int, seed: SeedSpec, grid: StateGrid, index) -> np.ndarray:
     """MC probability of choosing b and its standard error, one column per state
-    index of the binary-trial grid, from _value_classes' values and classes of the
-    grid's pmf rows. State k draws from substream k; a tied state (the same row
-    twice) is not drawn and gets zeros."""
+    index of the binary-trial grid. State k draws arm b's count reps times from
+    substream k and scores count j by ``half[i, j]``, arm a summed out; a tied
+    state (the same row twice) is not drawn and gets zeros."""
     out = np.zeros((2, len(index)))
     pairs = zip(grid.index_a[index].tolist(), grid.index_b[index].tolist())
     for c, (k, (i, j)) in enumerate(zip(index, pairs)):
         if i != j:
-            rows, counts = _draw_histogram(seed.rng(k, 0), reps, pmf[i], classes[j])
-            out[:, c] = _mean_stderr(values[rows], counts, reps)
+            h = seed.rng(k, 0).multinomial(reps, pmf[j])
+            rows = np.flatnonzero(h)
+            out[:, c] = _mean_stderr(half[i, rows], h[rows], reps)
     return out
 
 
@@ -345,17 +284,17 @@ def _trial_report(rule, grid, design, method, seed, workers: int | None) -> Regr
     n = design.per_arm_n
     pmf, table = binom_pmf_matrix(n, grid.points), choice_table(rule, n)
     if method.mode == "exact":
-        # prob of choosing b for every (p_a, p_b) pair of grid probabilities; the
-        # contraction's round-off can leave [0, 1] by ~1e-15, so it is clipped back
+        # prob of choosing b for every (p_a, p_b) pair of grid probabilities
         prob_b = (pmf @ table @ pmf.T)[grid.index_a, grid.index_b]
-        np.clip(prob_b, 0.0, 1.0, out=prob_b)
         se_b = None  # zero stderr, and zero times any gap
     else:
-        # built once, before any worker forks
-        values, classes = _value_classes(table, pmf)
-        kernel = partial(_mc_choose_b, values, classes, pmf, method.reps, seed or SeedSpec(),
-                         grid)
+        # the mass on b at (p_a, j), built once, before any worker forks, by einsum:
+        # a fixed summation order, not BLAS, so the scores do not follow the thread count
+        half = np.einsum("pi,ij->pj", pmf, table)
+        kernel = partial(_mc_choose_b, half, pmf, method.reps, seed or SeedSpec(), grid)
         prob_b, se_b = _map_chunks(kernel, len(grid), workers)
+    # the contraction's round-off, or a sum of PMF mass, can leave [0, 1] by ~1e-15
+    np.clip(prob_b, 0.0, 1.0, out=prob_b)
     # each state-length column is computed in the buffer of one it replaces, so
     # that at most four coexist: prob_b becomes err, the gap reg, pa the welfare
     pa, pb = grid.p_a, grid.p_b

@@ -3,8 +3,9 @@ report CSV.
 
 The choice functions give the mass a rule puts on each arm for one outcome,
 its per-arm success counts. They are written without the tables, so tests can
-check ``rule.table(n)`` and the exact scans against them. The PMF runs its recurrence for one probability at a time. The CSV
-writer formats one cell at a time with ``format``.
+check ``rule.table(n)`` and the exact scans against them. The PMF runs its
+recurrence for one probability at a time. The trial MC draws both arms iid.
+The CSV writer formats one cell at a time with ``format``.
 """
 
 from typing import Iterator
@@ -87,6 +88,15 @@ def enumerate_trial(state: BinaryTrialState,
     for i in range(n + 1):
         for j in range(n + 1):
             yield (i, j), float(pmf_a[i] * pmf_b[j])
+
+
+def iid_trial_mc(table: np.ndarray, n: int, p_a: float, p_b: float, reps: int,
+                 rng: np.random.Generator) -> tuple[float, float]:
+    """Plain MC of the mass a trial rule puts on arm b in state (p_a, p_b), and its
+    standard error (ddof=1): reps iid draws of both arms' success counts, each
+    scored by the rule's table at n."""
+    values = table[rng.binomial(n, p_a, size=reps), rng.binomial(n, p_b, size=reps)]
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(reps))
 
 
 def state_means(state) -> tuple[float, float, float]:

@@ -314,11 +314,11 @@ class TestOracle:
 
 
 # The process entry point: the module run as ``python -m mmregret.cli``, or the
-# console script's ``sys.exit(main())``, with an atexit hook whose value is the
+# console script's ``sys.exit(_script())``, with an atexit hook whose value is the
 # last line of stderr. Both parse sys.argv themselves.
 ENTRIES = {
     "module": 'runpy.run_module("mmregret.cli", run_name="__main__", alter_sys=True)',
-    "script": "from mmregret.cli import main; sys.exit(main())",
+    "script": "from mmregret import _script; sys.exit(_script())",
 }
 # modules no command needs at start-up, and an expression listing those loaded;
 # of the commands, Monte Carlo alone needs numpy.random, and alloc alone
@@ -328,12 +328,14 @@ UNNEEDED = ("concurrent.futures", "csv", "decimal", "fractions", "statistics", "
 LOADED = f"[m for m in {UNNEEDED!r} if m in sys.modules]"
 
 
-def run_entry(argv, hook, entry="module"):
-    """(exit code, stdout, the hook's value at exit) of one process entry."""
+def run_entry(argv, hook, entry="module", prelude=()):
+    """(exit code, stdout, the hook's value at exit) of one process entry, run
+    after the lines of prelude."""
     code = "\n".join([
         "import atexit, gc, runpy, sys",
         f"atexit.register(lambda: print(repr({hook}), file=sys.stderr))",
         f"sys.argv = ['mmregret'] + {list(argv)!r}",
+        *prelude,
         ENTRIES[entry]])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     return proc.returncode, proc.stdout, eval(proc.stderr.splitlines()[-1])
@@ -362,6 +364,17 @@ class TestConsoleScript:
                                         "(gc.isenabled(), gc.get_freeze_count() > 0)", entry)
         assert code == 0 and out.startswith("max_regret=")
         assert gc_state == (True, True)
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_entry_point_collects_at_most_once_before_freezing(self, entry):
+        # the collections started before gc.freeze is called: the collector is
+        # off while the cli and numpy import
+        prelude = ["starts, seen, freeze = [], [], gc.freeze",
+                   "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))",
+                   "gc.freeze = lambda: (seen.append(sum(starts)), freeze())[-1]"]
+        code, _, seen = run_entry(["medical"], "seen", entry, prelude)
+        assert code == 0
+        assert len(seen) == 1 and seen[0] <= 1
 
     def test_in_process_main_leaves_the_heap_unfrozen(self, capsys):
         import gc

@@ -28,13 +28,13 @@ from mmregret import (
     report_to_csv,
 )
 import mmregret.engine as engine
-from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _draw_histogram, _mc_mse,
-                             _mean_stderr, _value_classes, choice_table)
-from mmregret.mathutil import binom_pmf_matrix, binom_pmf_vector
+from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _mc_mse, _mean_stderr,
+                             choice_table)
+from mmregret.mathutil import binom_pmf_vector
 from mmregret.rules import TableRule
 from mmregret.states import StateGrid
-from reference import (_per_cell_report_to_csv, enumerate_trial, es_choose, state_means,
-                       ztest_choose)
+from reference import (_per_cell_report_to_csv, enumerate_trial, es_choose, iid_trial_mc,
+                       state_means, ztest_choose)
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -168,55 +168,12 @@ def _lead_rule(n):
 
 
 class TestValueClasses:
-    """The MC trial kernel draws each occupied row's counts by table value."""
+    """The MC trial kernel against exact values and plain iid MC."""
 
-    @pytest.mark.parametrize("rule,k", [(ES, 3), (ZTEST, 2)])
-    def test_few_classes_and_their_mass(self, rule, k):
-        n, ps = 30, np.linspace(0.0, 1.0, 7)
-        table, pmf = choice_table(rule, n), binom_pmf_matrix(n, ps)
-        values, classes = _value_classes(table, pmf)
-        assert values.shape == (n + 1, k) and classes.shape == (len(ps), n + 1, k)
-        for i in range(n + 1):
-            distinct = np.unique(table[i])
-            assert values[i, :len(distinct)].tolist() == distinct.tolist()
-            for c, v in enumerate(distinct):
-                np.testing.assert_allclose(classes[:, i, c], pmf[:, table[i] == v].sum(axis=1),
-                                           rtol=0, atol=1e-15)
-            assert not classes[:, i, len(distinct):].any()  # pads hold no mass
-        assert (classes <= 1.0).all()
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-    def test_blocks_give_the_whole_table_classes(self, n, levels, seed):
-        # a few levels per table, so rows have different numbers of values, and
-        # blocks of one row each, so blocks have different widths
-        rng = np.random.default_rng(seed)
-        table = rng.integers(0, levels + 1, (n + 1, n + 1)) / levels
-        pmf = binom_pmf_matrix(n, rng.random(3))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CLASS_BLOCK_CELLS", 1)
-            values, classes = _value_classes(table, pmf)
-        whole = _value_classes(table, pmf)
-        # the class sums are matmuls, whose round-off may depend on the block's shape
-        assert np.array_equal(values, whole[0])
-        np.testing.assert_allclose(classes, whole[1], rtol=0, atol=1e-15)
-        # the classes partition each row: per (p, i), mass and mean of the table
-        np.testing.assert_allclose(classes.sum(axis=2), 1.0, atol=1e-14)
-        np.testing.assert_allclose((classes * values).sum(axis=2), pmf @ table.T, atol=1e-14)
-
-    def test_rows_of_many_values_get_one_class_per_outcome(self):
-        n = engine._MAX_VALUE_CLASSES + 1
-        table = np.random.default_rng(2).random((n + 1, n + 1))
-        pmf = binom_pmf_matrix(n, [0.2, 0.7])
-        values, classes = _value_classes(table, pmf)
-        assert values is table and classes.shape == (2, n + 1, n + 1)
-        assert all(np.array_equal(classes[p, i], pmf[p]) for p in (0, 1) for i in (0, n))
-
-    @pytest.mark.parametrize("n", [12, engine._MAX_VALUE_CLASSES + 8])
+    @pytest.mark.parametrize("n", [12, 40])
     @pytest.mark.parametrize("kind", ["table", "outcome"])
     def test_rules_of_distinct_row_values_within_four_stderr(self, kind, n):
-        # every row's values are distinct (K = n + 1): classes at n = 12, one class
-        # per outcome past _MAX_VALUE_CLASSES
+        # every row's values are distinct: n + 1 of them
         if kind == "table":
             rule = TableRule(np.random.default_rng(n).random((n + 1, n + 1)))
         else:
@@ -225,10 +182,33 @@ class TestValueClasses:
         grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=n)
         exact = max_regret_scan(rule, grid, design)
         mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", 20_000), SeedSpec(7))
-        # the 1e-12 floor covers states whose draws are certain (p = 0 or 1 on both
-        # arms), where the MC value is exact and its stderr 0
+        # the 1e-12 floor covers states whose draws of arm b are certain (p_b = 0 or
+        # 1), where the MC value is exact and its stderr 0
         assert (np.abs(mc.regret - exact.regret) <= 4 * mc.mc_stderr + 1e-12).all()
         assert (mc.mc_stderr > 0).sum() > len(grid) / 2
+
+    @pytest.mark.parametrize("kind", ["es", "table"])
+    def test_agrees_with_iid_reference_and_exact_at_no_larger_stderr(self, kind):
+        # the reference draws both arms iid and shares nothing with the scan's
+        # kernel; summing arm a out can only lower the variance
+        n, reps = 20, 20_000
+        rule = ES if kind == "es" else TableRule(np.random.default_rng(3).random((n + 1, n + 1)))
+        table = choice_table(rule, n)
+        assert kind == "es" or all(len(np.unique(row)) == n + 1 for row in table)
+        states = [(0.53, 0.47), (0.3, 0.6), (0.8, 0.65), (0.1, 0.15)]
+        grid = StateGrid("binary_trial", tuple(BinaryTrialState(*s) for s in states))
+        design = TrialDesign(per_arm_n=n)
+        exact = max_regret_scan(rule, grid, design).regret
+        mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", reps), SeedSpec(9))
+        for k, (p_a, p_b) in enumerate(states):
+            gap = abs(p_a - p_b)
+            prob_b, se_b = iid_trial_mc(table, n, p_a, p_b, reps, np.random.default_rng(k))
+            ref = gap * (prob_b if p_a > p_b else 1.0 - prob_b)
+            se_ref, se_mc = gap * se_b, mc.mc_stderr[k]
+            assert abs(mc.regret[k] - ref) <= 4 * np.hypot(se_mc, se_ref)
+            assert abs(mc.regret[k] - exact[k]) <= 4 * se_mc
+            assert abs(ref - exact[k]) <= 4 * se_ref
+            assert 0 < se_mc <= 1.05 * se_ref
 
     def test_z_scores_over_seeds_are_standard_normal(self):
         # 200 seeds at one state: the z-scores against exact have mean 0 and
@@ -262,19 +242,6 @@ def _beta_state(obs, miss, miss_rate, support):
 
 
 class TestHistogramMonteCarlo:
-    def test_moments_equal_those_of_the_rebuilt_sample(self):
-        n, reps = 20, 5000
-        # one class per outcome j of arm b: the same pmf for every row i
-        outcomes = np.broadcast_to(binom_pmf_vector(n, 0.6), (n + 1, n + 1))
-        rows, counts = _draw_histogram(np.random.default_rng(5), reps,
-                                       binom_pmf_vector(n, 0.45), outcomes)
-        assert counts.sum() == reps and counts.shape == (len(rows), n + 1)
-        values = choice_table(ES, n)[rows]
-        sample = np.repeat(values.ravel(), counts.ravel())
-        est, stderr = _mean_stderr(values, counts, reps)
-        assert est == pytest.approx(sample.mean(), rel=1e-12)
-        assert stderr == pytest.approx(sample.std(ddof=1) / np.sqrt(reps), rel=1e-12)
-
     @pytest.mark.parametrize("count,m", [(5000, 20), (21, 20), (20, 20), (3000, 20000)])
     def test_binomial_counts_have_the_binomial_mean(self, count, m):
         # one multinomial draw when count > m, count binomial draws otherwise
@@ -727,6 +694,17 @@ class TestScanPreconditions:
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError):
+            max_mse_scan(DecisionRule("midpoint"), grid,
+                         SurveyDesign("fixed_n", 5), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, "2"])
+    def test_worker_count_not_an_integer_rejected(self, workers):
+        with pytest.raises(PreconditionError, match="workers must be an integer"):
+            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=2),
+                            workers=workers)
+        grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                     miss_rates=[0.2])
+        with pytest.raises(PreconditionError, match="workers must be an integer"):
             max_mse_scan(DecisionRule("midpoint"), grid,
                          SurveyDesign("fixed_n", 5), workers=workers)
 
