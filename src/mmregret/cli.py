@@ -112,6 +112,12 @@ def cmd_medical(args) -> int:
 # ---------------------------------------------------------------------------
 # scan
 
+def _argmax_coordinates(report) -> list[float]:
+    """The argmax state's coordinates, read from the grid's columns in CSV column order."""
+    _, columns = engine._coordinate_columns(report.grid)
+    return [values[index[report.argmax]].item() for values, index in columns]
+
+
 def cmd_scan(args) -> int:
     # the z-test's flags default to None, so that ZTest's own defaults stand in for them
     ztest = {k: v for k, v in (("alpha", args.alpha), ("status_quo", args.status_quo))
@@ -125,13 +131,13 @@ def cmd_scan(args) -> int:
     report = engine.max_regret_scan(rule, grid, design, method, seed, workers)
     if out:
         engine.report_to_csv(report, out)
-    rec = report.record(report.argmax)
-    s = rec.state
+    p_a, p_b = _argmax_coordinates(report)
+    error_prob = report.record(report.argmax).error_prob
     print(f"max_regret={fmt17(report.max_regret)}")
-    print(f"argmax_state=(p_a={fmt17(s.p_a)}, p_b={fmt17(s.p_b)})")
-    if rec.error_prob is not None:
-        print(f"argmax_error_prob={fmt17(rec.error_prob)}")
-    print(f"argmax_effect_size={fmt17(s.effect_size)}")
+    print(f"argmax_state=(p_a={fmt17(p_a)}, p_b={fmt17(p_b)})")
+    if error_prob is not None:  # off the diagonal
+        print(f"argmax_error_prob={fmt17(error_prob)}")
+    print(f"argmax_effect_size={fmt17(p_b - p_a)}")
     return EXIT_OK
 
 
@@ -300,14 +306,13 @@ def cmd_wald_mse(args) -> int:
     report = engine.max_mse_scan(rule, grid, design, method, seed, workers)
     if out:
         engine.report_to_csv(report, out)
-    s = report.argmax_state
+    *params, miss_rate = map(fmt17, _argmax_coordinates(report))
     print(f"max_mse={fmt17(report.max_regret)}")
-    desc = (f"theta_obs={fmt17(s.dist_observed.theta)}, "
-            f"theta_miss={fmt17(s.dist_missing.theta)}"
-            if s.dist_observed.family == "bernoulli" else
-            f"obs=Beta({fmt17(s.dist_observed.alpha)},{fmt17(s.dist_observed.beta)}), "
-            f"miss=Beta({fmt17(s.dist_missing.alpha)},{fmt17(s.dist_missing.beta)})")
-    print(f"argmax_state=({desc}, miss_rate={fmt17(s.miss_rate)})")
+    if grid.outcome == "bernoulli":
+        desc = "theta_obs={}, theta_miss={}".format(*params)
+    else:
+        desc = "obs=Beta({},{}), miss=Beta({},{})".format(*params)
+    print(f"argmax_state=({desc}, miss_rate={miss_rate})")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_ve
                        fmt17)
 from .rules import Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
-from .states import StateGrid
+from .states import _MAX_GRID_STATES, StateGrid
 
 __all__ = [
     "EvalMethod",
@@ -61,7 +61,6 @@ class EvalMethod:
 
 @dataclass(frozen=True)
 class StateRecord:
-    state: object
     error_prob: float | None
     expected_welfare: float | None
     regret: float
@@ -70,12 +69,13 @@ class StateRecord:
 
 @dataclass(frozen=True, eq=False)
 class RegretReport:
-    """Per-state results of a scan, as columns aligned with the grid's states.
+    """Per-state results of a scan, as columns aligned with the grid's rows.
 
     NaN in ``error_prob`` or ``expected_welfare`` marks a state without that
     value: tied arms, and every state of an MSE scan. ``argmax`` is the index
-    of the first state of largest regret. ``per_state`` builds the grid's
-    states and one StateRecord per state on first access, and caches them.
+    of the first state of largest regret; its coordinates are the grid's
+    columns read at that index. ``per_state`` builds one StateRecord per state
+    on first access, and caches them.
     """
 
     grid: StateGrid
@@ -98,21 +98,16 @@ class RegretReport:
     def max_regret(self) -> float:
         return float(self.regret[self.argmax])
 
-    @property
-    def argmax_state(self):
-        return self.grid.state(self.argmax)
-
     def record(self, k: int) -> StateRecord:
         """The StateRecord of state k, built without building the others."""
         err, welfare = float(self.error_prob[k]), float(self.expected_welfare[k])
-        return StateRecord(self.grid.state(k), None if err != err else err,  # NaN: no value
+        return StateRecord(None if err != err else err,  # NaN: no value
                            None if welfare != welfare else welfare,
                            float(self.regret[k]), float(self.mc_stderr[k]))
 
     @cached_property
     def per_state(self) -> tuple[StateRecord, ...]:
-        # the grid's states are built first, so that state(k) returns them
-        return tuple(map(self.record, range(len(self.grid.states))))
+        return tuple(map(self.record, range(len(self.grid))))
 
 
 def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
@@ -496,6 +491,12 @@ def max_mse_scan(
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
     _check_workers(workers)
+    # the scan's arrays of n+1 entries, one per distinct observed parameter and one
+    # per distinct miss rate (PMFs, predictions), hold at most 32 MB of floats
+    entries = (design.n + 1) * (len(grid.obs_params) + len(grid.miss_rates))
+    if entries > _MAX_GRID_STATES:
+        raise PreconditionError(f"survey n={design.n} gives {entries:.4g} PMF and prediction "
+                                f"entries, above the {_MAX_GRID_STATES} a scan may hold")
     return _mse_report(rule, grid, design, method, seed, workers)
 
 

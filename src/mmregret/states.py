@@ -7,96 +7,25 @@ Scans run over finite grids of states of two families:
 * prediction    -- outcome distribution given observed, outcome distribution
   given missing, and a miss rate, on a bounded outcome support.
 
-States are immutable value objects; builders are pure and deterministic.
-The state the allocation rules take, ``MissingDataState``, lives beside them
-in ``missing``, and finite decision problems in ``asif``: no scan reads
-either.
+A state is one row of a grid's columns; no state object exists. Builders are
+pure and deterministic and check every coordinate they are given. The state
+the allocation rules take, ``MissingDataState``, lives beside them in
+``missing``, and finite decision problems in ``asif``: no scan reads either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = [
-    "BinaryTrialState",
-    "OutcomeDist",
-    "PredictionState",
-    "StateGrid",
-    "build_binary_grid",
-    "build_prediction_grid",
-]
+__all__ = ["StateGrid", "build_binary_grid", "build_pairs_grid", "build_prediction_grid"]
 
 # the most states a grid builder allocates; a binary grid of step 0.0005 has 4,004,001
 _MAX_GRID_STATES = 1 << 22
-
-
-@dataclass(frozen=True)
-class BinaryTrialState:
-    """Success probabilities of two treatment arms; welfare w(t) = p_t."""
-
-    p_a: float
-    p_b: float
-
-    def __post_init__(self):
-        for name, v in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not 0.0 <= v <= 1.0:
-                raise PreconditionError(f"{name}={v} outside [0, 1]")
-
-    @property
-    def effect_size(self) -> float:
-        return self.p_b - self.p_a
-
-
-@dataclass(frozen=True)
-class OutcomeDist:
-    """Bernoulli(theta) or Beta(alpha, beta), rescaled to a bounded support.
-
-    A Bernoulli outcome puts mass on the support endpoints; a Beta outcome is
-    the standard Beta stretched onto [y0, y1].
-    """
-
-    family: str  # "bernoulli" | "beta"
-    theta: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.family == "bernoulli":
-            if self.theta is None or not 0.0 <= self.theta <= 1.0:
-                raise PreconditionError(f"bernoulli theta={self.theta} outside [0, 1]")
-        elif self.family == "beta":
-            if self.alpha is None or self.beta is None or self.alpha <= 0 or self.beta <= 0:
-                raise PreconditionError(
-                    f"beta shapes ({self.alpha}, {self.beta}) must be positive")
-        else:
-            raise PreconditionError(f"unknown outcome family {self.family!r}")
-
-
-@dataclass(frozen=True)
-class PredictionState:
-    """Outcome-given-observed, outcome-given-missing, and a miss rate."""
-
-    dist_observed: OutcomeDist
-    dist_missing: OutcomeDist
-    miss_rate: float
-    support: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        if not 0.0 <= self.miss_rate <= 1.0:
-            raise PreconditionError(f"miss_rate={self.miss_rate} outside [0, 1]")
-        y0, y1 = self.support
-        if not y0 < y1:
-            raise PreconditionError(f"support [{y0}, {y1}] is degenerate")
-        if not (math.isfinite(y0) and math.isfinite(y1)):
-            raise PreconditionError(f"support [{y0}, {y1}] is not finite")
-        if self.dist_observed.family != self.dist_missing.family:
-            raise PreconditionError("observed and missing outcome families must match")
 
 
 class StateGrid:
@@ -104,8 +33,8 @@ class StateGrid:
 
     A grid is columnar: it holds the distinct values of each state coordinate
     and one index column per coordinate, giving each state's position among
-    those values. Its ``states`` tuple is built on first access and cached;
-    until then ``state(k)`` builds an equal state k alone.
+    those values. State k is row k of the index columns. The builders make
+    grids; the constructor takes the columns as they are, read-only.
 
     * binary_trial -- ``points``, the distinct success probabilities in
       increasing order, indexed by ``index_a`` and ``index_b``.
@@ -116,30 +45,10 @@ class StateGrid:
       ``index_obs``, ``index_miss`` and ``index_rate``.
     """
 
-    def __init__(self, family: str, states: Sequence):
+    def __init__(self, family: str, **columns):
         if family not in ("binary_trial", "prediction"):
             raise PreconditionError(f"unknown grid family {family!r}")
-        if len(states) == 0:
-            raise PreconditionError("empty state grid")
         self.family = family
-        self._states = tuple(states)
-        if family == "binary_trial":
-            points, index = _distinct([s.p_a for s in self._states]
-                                      + [s.p_b for s in self._states])
-            n = len(self._states)
-            self._set_columns(points=points, index_a=index[:n], index_b=index[n:])
-        else:
-            self._set_columns(**_prediction_columns(self._states))
-
-    @classmethod
-    def _from_columns(cls, family: str, **columns) -> StateGrid:
-        """A grid whose states are built only when asked for."""
-        grid = cls.__new__(cls)
-        grid.family, grid._states = family, None
-        grid._set_columns(**columns)
-        return grid
-
-    def _set_columns(self, **columns) -> None:
         for name, col in columns.items():
             if isinstance(col, np.ndarray):
                 col.flags.writeable = False
@@ -164,32 +73,6 @@ class StateGrid:
         missing = _outcome_mean(self.outcome, self.miss_params, self.support)[self.index_miss]
         return (1.0 - rate) * observed + rate * missing
 
-    def _build(self, rows) -> list:
-        """The states at the given rows, built from the columns."""
-        if self.family == "binary_trial":
-            pts = self.points.tolist()
-            return [BinaryTrialState(pts[i], pts[j])
-                    for i, j in zip(self.index_a[rows].tolist(), self.index_b[rows].tolist())]
-        return [PredictionState(_outcome(self.outcome, obs), _outcome(self.outcome, miss), rate,
-                                self.support)
-                for obs, miss, rate in zip(self.obs_params[self.index_obs[rows]].tolist(),
-                                           self.miss_params[self.index_miss[rows]].tolist(),
-                                           self.miss_rates[self.index_rate[rows]].tolist())]
-
-    @property
-    def states(self) -> tuple:
-        if self._states is None:
-            self._states = tuple(self._build(slice(None)))
-        return self._states
-
-    def state(self, k: int):
-        """State k: ``states[k]`` once ``states`` is built; before, an equal state
-        built from the columns, without building the others."""
-        k = range(len(self))[k]
-        if self._states is not None:
-            return self._states[k]
-        return self._build(slice(k, k + 1))[0]
-
     def __len__(self) -> int:
         return len(self.index_a if self.family == "binary_trial" else self.index_obs)
 
@@ -205,20 +88,6 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(bits).view(float), inverse.reshape(-1)
 
 
-def _outcome(family: str, param) -> OutcomeDist:
-    """The outcome distribution of a theta (Bernoulli) or an (alpha, beta) pair (Beta)."""
-    if family == "bernoulli":
-        return OutcomeDist("bernoulli", theta=float(param))
-    if family == "beta":
-        a, b = param
-        return OutcomeDist("beta", alpha=float(a), beta=float(b))
-    raise PreconditionError(f"unknown family {family!r}")
-
-
-def _params(dist: OutcomeDist):
-    return dist.theta if dist.family == "bernoulli" else (dist.alpha, dist.beta)
-
-
 def _outcome_mean(family: str, params: np.ndarray, support) -> np.ndarray:
     """The mean, on the support, of the outcome of each parameter: a theta
     (Bernoulli) or a row of shapes (Beta)."""
@@ -227,17 +96,41 @@ def _outcome_mean(family: str, params: np.ndarray, support) -> np.ndarray:
     return y0 + frac * (y1 - y0)
 
 
-def _prediction_columns(states: Sequence[PredictionState]) -> dict:
-    """The columns of a prediction grid holding the given states, in their order."""
-    outcome, support = states[0].dist_observed.family, states[0].support
-    if any(s.dist_observed.family != outcome or s.support != support for s in states):
-        raise PreconditionError("a prediction grid needs one outcome family and one support")
-    obs, index_obs = _distinct([_params(s.dist_observed) for s in states])
-    miss, index_miss = _distinct([_params(s.dist_missing) for s in states])
-    rates, index_rate = _distinct([s.miss_rate for s in states])
-    return dict(outcome=outcome, support=support, obs_params=obs, miss_params=miss,
-                miss_rates=rates, index_obs=index_obs, index_miss=index_miss,
-                index_rate=index_rate)
+def _in_unit(values: np.ndarray) -> np.ndarray:
+    """Whether each value lies in [0, 1]; NaN does not."""
+    return (values >= 0.0) & (values <= 1.0)
+
+
+def _reject_first(ok: np.ndarray, message) -> None:
+    """Raise PreconditionError(message(k)) at the first flat position k where ok is False."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise PreconditionError(message(int(bad[0])))
+
+
+def _check_prediction_coordinates(family: str, obs: np.ndarray, miss: np.ndarray,
+                                  rates: np.ndarray, support: tuple) -> None:
+    """Check the distinct outcome parameters, the distinct miss rates and the support."""
+    shape = {"bernoulli": (), "beta": (2,)}.get(family)
+    if shape is None:
+        raise PreconditionError(f"unknown family {family!r}")
+    if obs.shape[1:] != shape or miss.shape[1:] != shape:
+        raise PreconditionError(f"{family} outcome parameters must be "
+                                f"{'(alpha, beta) pairs' if shape else 'thetas'}")
+    params = np.concatenate([obs, miss])
+    if family == "bernoulli":
+        _reject_first(_in_unit(params),
+                      lambda k: f"bernoulli theta={params[k].item()} outside [0, 1]")
+    else:
+        _reject_first((np.isfinite(params) & (params > 0)).all(axis=1),
+                      lambda k: "beta shapes ({}, {}) must be finite and positive".format(
+                          *params[k].tolist()))
+    _reject_first(_in_unit(rates), lambda k: f"miss_rate={rates[k].item()} outside [0, 1]")
+    y0, y1 = support
+    if not y0 < y1:
+        raise PreconditionError(f"support [{y0}, {y1}] is degenerate")
+    if not (math.isfinite(y0) and math.isfinite(y1)):
+        raise PreconditionError(f"support [{y0}, {y1}] is not finite")
 
 
 def _check_grid_size(count: float, what: str) -> None:
@@ -263,8 +156,24 @@ def build_binary_grid(step: float) -> StateGrid:
     pts = _lattice(step)
     _check_grid_size(len(pts) ** 2, f"step {step}")
     idx = np.arange(len(pts))
-    return StateGrid._from_columns("binary_trial", points=pts, index_a=np.repeat(idx, len(pts)),
-                                   index_b=np.tile(idx, len(pts)))
+    return StateGrid("binary_trial", points=pts, index_a=np.repeat(idx, len(pts)),
+                     index_b=np.tile(idx, len(pts)))
+
+
+def build_pairs_grid(pairs: Sequence[tuple[float, float]]) -> StateGrid:
+    """The (p_a, p_b) pairs given, in their order, duplicates kept.
+
+    Each probability must lie in [0, 1]. Probabilities are told apart by their
+    bits, so a -0.0 keeps its sign.
+    """
+    values = np.asarray(pairs, dtype=float)
+    if len(values) == 0 or values.shape != (len(values), 2):
+        raise PreconditionError("a binary-trial grid needs one or more (p_a, p_b) pairs")
+    _reject_first(_in_unit(values),
+                  lambda k: f"{('p_a', 'p_b')[k % 2]}={values.flat[k].item()} outside [0, 1]")
+    points, index = _distinct(values.T.reshape(-1))  # every p_a, then every p_b
+    return StateGrid("binary_trial", points=points, index_a=index[:len(values)],
+                     index_b=index[len(values):])
 
 
 def build_prediction_grid(
@@ -296,12 +205,8 @@ def build_prediction_grid(
                             max_mean_abs_diff)):  # NaN would filter nothing
         raise PreconditionError("a state-space restriction is NaN")
     (obs, i_obs), (miss, i_miss), (rates, i_rate) = map(_distinct, coordinates)
-    # one distribution per distinct parameter, and one state per distinct miss
-    # rate, run the checks a state runs on its coordinates
-    dists = [_outcome(family, p) for p in obs.tolist() + miss.tolist()]
     support = tuple(support)
-    for rate in rates.tolist():
-        PredictionState(dists[0], dists[-1], rate, support)
+    _check_prediction_coordinates(family, obs, miss, rates, support)
 
     # keep[o, m, r]: whether state (obs_params[o], miss_params[m], miss_rates[r]) stays
     obs_mean = _outcome_mean(family, obs, support)[i_obs]
@@ -318,6 +223,6 @@ def build_prediction_grid(
     o, m, r = np.nonzero(keep)  # in row-major order, which is the product's
     if len(o) == 0:
         raise PreconditionError("prediction grid is empty after filtering")
-    return StateGrid._from_columns(
+    return StateGrid(
         "prediction", outcome=family, support=support, obs_params=obs, miss_params=miss,
         miss_rates=rates, index_obs=i_obs[o], index_miss=i_miss[m], index_rate=i_rate[r])

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from mmregret import BinaryTrialState, TrialDesign
+from mmregret import TrialDesign
 from mmregret.mathutil import one_sided_critical_value
 
 
@@ -78,13 +78,13 @@ def ztest_choose(successes: tuple[int, int], n: int, alpha: float = 0.05,
     return (1.0 - chosen, float(chosen))
 
 
-def enumerate_trial(state: BinaryTrialState,
+def enumerate_trial(p_a: float, p_b: float,
                     design: TrialDesign) -> Iterator[tuple[tuple[int, int], float]]:
     """All (n+1)^2 outcomes (successes of arm a, of arm b) of a two-arm binary
-    trial with their probabilities."""
+    trial in state (p_a, p_b) with their probabilities."""
     n = design.per_arm_n
-    pmf_a = binom_pmf_recurrence(n, state.p_a)
-    pmf_b = binom_pmf_recurrence(n, state.p_b)
+    pmf_a = binom_pmf_recurrence(n, p_a)
+    pmf_b = binom_pmf_recurrence(n, p_b)
     for i in range(n + 1):
         for j in range(n + 1):
             yield (i, j), float(pmf_a[i] * pmf_b[j])
@@ -99,17 +99,19 @@ def iid_trial_mc(table: np.ndarray, n: int, p_a: float, p_b: float, reps: int,
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(reps))
 
 
-def state_means(state) -> tuple[float, float, float]:
-    """The observed, missing and population means of one prediction state, each
+def state_means(family: str, obs, miss, miss_rate: float,
+                support=(0.0, 1.0)) -> tuple[float, float, float]:
+    """The observed, missing and population means of one prediction state, its
+    outcome parameters a theta (Bernoulli) or an (alpha, beta) pair (Beta), each
     from its own scalars, in the arithmetic the grid's ``population_mean`` runs."""
-    y0, y1 = state.support
+    y0, y1 = support
 
-    def mean(dist):
-        frac = dist.theta if dist.family == "bernoulli" else dist.alpha / (dist.alpha + dist.beta)
+    def mean(param):
+        frac = param if family == "bernoulli" else param[0] / (param[0] + param[1])
         return y0 + frac * (y1 - y0)
 
-    observed, missing = mean(state.dist_observed), mean(state.dist_missing)
-    return observed, missing, (1.0 - state.miss_rate) * observed + state.miss_rate * missing
+    observed, missing = mean(obs), mean(miss)
+    return observed, missing, (1.0 - miss_rate) * observed + miss_rate * missing
 
 
 def _per_cell_report_to_csv(report, path):

@@ -10,15 +10,11 @@ import numpy as np
 import pytest
 
 from mmregret import (
-    BinaryTrialState,
     DecisionRule,
     EvalMethod,
     FiniteDecisionProblem,
     MissingDataState,
-    OutcomeDist,
-    PredictionState,
     SeedSpec,
-    StateGrid,
     SurveyDesign,
     TrialDesign,
     asif_decide,
@@ -67,8 +63,8 @@ def test_criterion_2_es_vs_ztest_n145():
     es = max_regret_scan(ES, grid, design)
     if not abs(es.max_regret - 0.010) <= 0.002:
         failures.append(f"ES max regret {es.max_regret:.6f} not 0.010+-0.002")
-    es_rec = next(r for r in es.per_state if r.state is es.argmax_state)
-    es_eff = abs(es.argmax_state.p_b - es.argmax_state.p_a)
+    es_rec = es.record(es.argmax)
+    es_eff = abs(es.grid.p_b[es.argmax] - es.grid.p_a[es.argmax])
     if not abs(es_eff - 0.03) <= 0.01 + 1e-12:
         failures.append(f"ES argmax |effect| {es_eff:.4f} not 0.03+-0.01")
     if not abs(es_rec.error_prob - 0.35) <= 0.05:
@@ -78,8 +74,8 @@ def test_criterion_2_es_vs_ztest_n145():
     zt = max_regret_scan(ZTEST, grid, design)
     if not abs(zt.max_regret - 0.050) <= 0.005:
         failures.append(f"z-test max regret {zt.max_regret:.6f} not 0.050+-0.005")
-    zt_rec = next(r for r in zt.per_state if r.state is zt.argmax_state)
-    zt_eff = abs(zt.argmax_state.p_b - zt.argmax_state.p_a)
+    zt_rec = zt.record(zt.argmax)
+    zt_eff = abs(zt.grid.p_b[zt.argmax] - zt.grid.p_a[zt.argmax])
     if not abs(zt_eff - 0.08) <= 0.01 + 1e-12:
         failures.append(f"z-test argmax |effect| {zt_eff:.4f} not 0.08+-0.01")
     if not abs(zt_rec.error_prob - 0.60) <= 0.05:
@@ -119,9 +115,8 @@ def test_criterion_4_shrinkage_predictor_constant_risk():
         target = 1.0 / (4.0 * (np.sqrt(n) + 1.0) ** 2)
         mses = []
         for theta in thetas:
-            state = PredictionState(OutcomeDist("bernoulli", theta=theta),
-                                    OutcomeDist("bernoulli", theta=theta), 0.0)
-            grid = StateGrid("prediction", [state])
+            grid = build_prediction_grid("bernoulli", obs_params=[theta],
+                                         miss_params=[theta], miss_rates=[0.0])
             mses.append(max_mse_scan(rule, grid, design, EvalMethod("exact")).record(0).regret)
         if max(mses) - min(mses) > 1e-9:
             failures.append(f"N={n}: risk varies by {max(mses) - min(mses):.2e}")
@@ -143,8 +138,7 @@ def test_criterion_5_midpoint_analytic_match():
             target = midpoint_max_regret_formula(1.0 - miss, n)
             report = max_mse_scan(rule, grid, design,
                                   EvalMethod("monte_carlo", 100_000), SeedSpec(31))
-            rec = next(r for r in report.per_state
-                       if r.state is report.argmax_state)
+            rec = report.record(report.argmax)
             tol = 4.0 * rec.mc_stderr + 1e-12
             if abs(report.max_regret - target) > tol:
                 failures.append(

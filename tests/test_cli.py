@@ -1,12 +1,11 @@
-import collections
+import re
 import subprocess
 import sys
 
 import pytest
 
-from mmregret import (BinaryTrialState, DecisionRule, OutcomeDist, PredictionState, SeedSpec,
-                      SurveyDesign, TrialDesign, build_binary_grid, max_mse_scan,
-                      max_regret_scan, report_to_csv)
+from mmregret import (DecisionRule, SeedSpec, SurveyDesign, TrialDesign, build_binary_grid,
+                      max_mse_scan, max_regret_scan, report_to_csv)
 from mmregret.cli import _wald_grid, main, medical_regrets, parse_config
 from mmregret.engine import midpoint_max_regret_formula
 from mmregret.errors import ConfigError
@@ -224,47 +223,49 @@ class TestRuleNames:
         assert capsys.readouterr().err == f"config error: unknown predictor {name!r}\n"
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """The state objects built while the test runs, counted by class name."""
-    counts = collections.Counter()
-    for cls in (BinaryTrialState, PredictionState, OutcomeDist):
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
-            counts[name] += 1
-            check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    return counts
+def _printed_argmax(out: str) -> list[str]:
+    """The numbers of the printed ``argmax_state=(...)`` line, in order."""
+    tokens = re.split(r"[(), =]+", grab(out, "argmax_state"))
+    return [t for t in tokens if re.fullmatch(r"-?(\d[\d.]*(e[-+]\d+)?|nan|inf)", t)]
+
+
+def _footer_argmax(csv_path) -> list[str]:
+    """The values of the ``argmax=`` field of a report CSV's summary row, in order."""
+    summary = csv_path.read_text().splitlines()[-1].split(",")
+    return dict(field.split("=", 1) for field in summary[1:])["argmax"].split("|")
 
 
 class TestStateObjects:
-    """A command builds one state, the argmax it prints, beyond the states that
-    build_prediction_grid checks: one per distinct miss rate, and one outcome
-    distribution per distinct parameter."""
+    """The argmax state a command prints holds, in order, the coordinates that
+    the CSV summary row's ``argmax=`` field names."""
 
     @pytest.mark.parametrize("method", [(), ("--method", "mc", "--reps", "1000",
                                              "--workers", "1")], ids=["exact", "mc"])
-    def test_scan(self, capsys, tmp_path, built, method):
+    def test_scan(self, capsys, tmp_path, method):
+        csv_path = tmp_path / "scan.csv"
         assert main(["scan", "--rule", "es", "--n", "5", "--step", "0.1", *method,
-                     "--out", str(tmp_path / "scan.csv")]) == 0
-        capsys.readouterr()
-        assert built == {"BinaryTrialState": 1}
+                     "--out", str(csv_path)]) == 0
+        printed = _printed_argmax(capsys.readouterr().out)
+        assert len(printed) == 2
+        assert printed == _footer_argmax(csv_path)
 
     MC = "method = mc\nreps = 1000\nworkers = 1"
 
-    @pytest.mark.parametrize("text,rates,params", [
-        (WALD_CFG.replace("miss_values = 0.2", "miss_values = 0.2,0.5"), 2, 22),
-        (WALD_CFG.replace("method = exact", MC), 1, 22),
-        (WALD_CFG.replace("method = exact", MC).replace("known = true", "known = false"), 1, 22),
-        (BETA_CFG.replace("method = exact", MC), 1, 3),
-        (BETA_CFG.replace("method = exact", MC).replace("= midpoint", "= analog_median"), 1, 3)],
+    @pytest.mark.parametrize("text,coordinates", [
+        (WALD_CFG.replace("miss_values = 0.2", "miss_values = 0.2,0.5"), 3),
+        (WALD_CFG.replace("method = exact", MC), 3),
+        (WALD_CFG.replace("method = exact", MC).replace("known = true", "known = false"), 3),
+        (BETA_CFG.replace("method = exact", MC), 5),
+        (BETA_CFG.replace("method = exact", MC).replace("= midpoint", "= analog_median"), 5)],
         ids=["bernoulli_exact", "bernoulli_fixed_n", "bernoulli_random_miss", "beta_midpoint",
              "beta_median"])
-    def test_wald_mse(self, capsys, tmp_path, built, text, rates, params):
-        cfg = tmp_path / "run.cfg"
+    def test_wald_mse(self, capsys, tmp_path, text, coordinates):
+        cfg, csv_path = tmp_path / "run.cfg", tmp_path / "mse.csv"
         cfg.write_text(text)
-        assert main(["wald-mse", "--config", str(cfg), "--out", str(tmp_path / "mse.csv")]) == 0
-        capsys.readouterr()
-        assert built == {"PredictionState": rates + 1, "OutcomeDist": params + 2}
+        assert main(["wald-mse", "--config", str(cfg), "--out", str(csv_path)]) == 0
+        printed = _printed_argmax(capsys.readouterr().out)
+        assert len(printed) == coordinates
+        assert printed == _footer_argmax(csv_path)
 
 
 class TestAlloc:
@@ -622,6 +623,22 @@ class TestRejectedInput:
     def test_non_finite_support_exits_3(self, capsys, tmp_path, support):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG + f"support = {support}\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("shape", ["nan", "inf"])
+    def test_non_finite_beta_shape_exits_3(self, capsys, tmp_path, shape):
+        # a NaN shape printed max_mse=nan and exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BETA_CFG.replace("method = exact", "method = mc\nreps = 1000").replace(
+            "beta_obs_shapes = 1,1; 2,5", f"beta_obs_shapes = {shape},1"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_wald_n_beyond_the_memory_bound_exits_3(self, capsys, tmp_path, method):
+        # an exact run at n = 1e8 was killed for want of memory
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("n = 10", "n = 100000000").replace(
+            "method = exact", f"method = {method}"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
 
     @pytest.mark.parametrize("key", ["theta_obs_values", "theta_miss_values", "miss_values"])

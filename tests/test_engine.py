@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 from functools import partial
@@ -8,17 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmregret import (
-    BinaryTrialState,
     DecisionRule,
     EvalMethod,
-    OutcomeDist,
-    PredictionState,
     PreconditionError,
     RegretReport,
     SeedSpec,
     SurveyDesign,
     TrialDesign,
     build_binary_grid,
+    build_pairs_grid,
     build_prediction_grid,
     exhaustive_mmr_oracle,
     max_mse_scan,
@@ -40,11 +39,11 @@ ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
 
 
-def _brute_force_error_prob(rule_fn, state, n):
+def _brute_force_error_prob(rule_fn, p_a, p_b, n):
     """Independent oracle: loop all outcomes, accumulate mass on inferior arm."""
-    inferior = 0 if state.p_a < state.p_b else 1
+    inferior = 0 if p_a < p_b else 1
     total = 0.0
-    for outcome, prob in enumerate_trial(state, TrialDesign(per_arm_n=n)):
+    for outcome, prob in enumerate_trial(p_a, p_b, TrialDesign(per_arm_n=n)):
         total += prob * rule_fn(outcome)[inferior]
     return total
 
@@ -52,18 +51,18 @@ def _brute_force_error_prob(rule_fn, state, n):
 class TestErrorProbability:
     def test_es_n1_hand_value(self):
         # P(0,1) = 0.16 plus half the tie mass 0.24 -> 0.40
-        s = BinaryTrialState(0.6, 0.4)
+        s = build_pairs_grid([(0.6, 0.4)])
         err = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).error_prob
         assert err == pytest.approx(0.40, abs=1e-12)
 
     def test_equal_probabilities_skipped(self):
-        s = BinaryTrialState(0.3, 0.3)
+        s = build_pairs_grid([(0.3, 0.3)])
         rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5))
         assert rec.error_prob is None
         assert rec.regret == 0.0
 
     def test_degenerate_state(self):
-        s = BinaryTrialState(1.0, 0.0)
+        s = build_pairs_grid([(1.0, 0.0)])
         err = _one_state_record(ES, s, TrialDesign(per_arm_n=3)).error_prob
         assert err == pytest.approx(0.0)
 
@@ -73,29 +72,29 @@ class TestErrorProbability:
             pa, pb = rng.random(2)
             if pa == pb:
                 continue
-            s = BinaryTrialState(pa, pb)
+            s = build_pairs_grid([(pa, pb)])
             got = _one_state_record(ES, s, TrialDesign(per_arm_n=4)).error_prob
-            want = _brute_force_error_prob(es_choose, s, 4)
+            want = _brute_force_error_prob(es_choose, pa, pb, 4)
             assert got == pytest.approx(want, abs=1e-12)
             got = _one_state_record(ZTEST, s, TrialDesign(per_arm_n=4)).error_prob
             want = _brute_force_error_prob(
-                lambda o: ztest_choose(o, 4, 0.05, 0), s, 4)
+                lambda o: ztest_choose(o, 4, 0.05, 0), pa, pb, 4)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestRegretAndWelfare:
     def test_regret_product_form(self):
-        s = BinaryTrialState(0.6, 0.4)
+        s = build_pairs_grid([(0.6, 0.4)])
         reg = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).regret
         assert reg == pytest.approx(0.08, abs=1e-12)
 
     def test_expected_welfare(self):
-        s = BinaryTrialState(0.6, 0.4)
+        s = build_pairs_grid([(0.6, 0.4)])
         welfare = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).expected_welfare
         assert welfare == pytest.approx(0.52, abs=1e-12)
 
     def test_welfare_at_equal_arms(self):
-        s = BinaryTrialState(0.7, 0.7)
+        s = build_pairs_grid([(0.7, 0.7)])
         welfare = _one_state_record(ZTEST, s, TrialDesign(per_arm_n=10)).expected_welfare
         assert welfare == pytest.approx(0.7)
 
@@ -106,14 +105,12 @@ class TestRegretAndWelfare:
         assert 0.20 * (5 - 1) == pytest.approx(4 / 5, abs=1e-12)
 
 
-def _one_state_record(rule, state, design, method=EvalMethod(), seed=None):
+def _one_state_record(rule, grid, design, method=EvalMethod(), seed=None):
     """The record of one state: a scan of the grid that holds only that state, so
     Monte Carlo draws from substream 0."""
-    if isinstance(state, BinaryTrialState):
-        report = max_regret_scan(rule, StateGrid("binary_trial", [state]), design, method, seed)
-    else:
-        report = max_mse_scan(rule, StateGrid("prediction", [state]), design, method, seed)
-    return report.record(0)
+    assert len(grid) == 1
+    scan = max_regret_scan if grid.family == "binary_trial" else max_mse_scan
+    return scan(rule, grid, design, method, seed).record(0)
 
 
 class TestExactVsMonteCarlo:
@@ -124,7 +121,7 @@ class TestExactVsMonteCarlo:
         for rule in (ES, ZTEST):
             for k in range(20):
                 pa, pb = rng.random(2)
-                s = BinaryTrialState(pa, pb)
+                s = build_pairs_grid([(pa, pb)])
                 exact = _one_state_record(rule, s, design).regret
                 rec = _one_state_record(rule, s, design, method, SeedSpec(99))
                 # the 1e-6 floor covers states where the MC draw never errs
@@ -132,7 +129,7 @@ class TestExactVsMonteCarlo:
                 assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-6
 
     def test_stderr_scales_as_inverse_sqrt_reps(self):
-        s = BinaryTrialState(0.55, 0.45)
+        s = build_pairs_grid([(0.55, 0.45)])
         design = TrialDesign(per_arm_n=30)
         stderrs = []
         for reps in (1000, 10_000, 100_000):
@@ -146,16 +143,16 @@ class TestExactVsMonteCarlo:
         # n = 2000 is past the n at which a linear-space binomial PMF at p = 0.5
         # overflows; exact enumeration still runs there
         design = TrialDesign(per_arm_n=2000)
-        states = [BinaryTrialState(0.5, 0.52), BinaryTrialState(0.31, 0.3)]
-        report = max_regret_scan(ES, StateGrid("binary_trial", states), design,
+        pairs = [(0.5, 0.52), (0.31, 0.3)]
+        report = max_regret_scan(ES, build_pairs_grid(pairs), design,
                                  EvalMethod("monte_carlo", 20_000), SeedSpec(6))
-        for rec in report.per_state:
-            exact = _one_state_record(ES, rec.state, design).regret
+        for pair, rec in zip(pairs, report.per_state):
+            exact = _one_state_record(ES, build_pairs_grid([pair]), design).regret
             assert np.isfinite(exact) and exact > 0
             assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
 
     def test_mc_regret_within_noise_of_nonnegative(self):
-        s = BinaryTrialState(0.5, 0.501)
+        s = build_pairs_grid([(0.5, 0.501)])
         rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5),
                                 EvalMethod("monte_carlo", 5000), SeedSpec(1))
         assert rec.regret >= -4 * rec.mc_stderr
@@ -196,7 +193,7 @@ class TestValueClasses:
         table = choice_table(rule, n)
         assert kind == "es" or all(len(np.unique(row)) == n + 1 for row in table)
         states = [(0.53, 0.47), (0.3, 0.6), (0.8, 0.65), (0.1, 0.15)]
-        grid = StateGrid("binary_trial", tuple(BinaryTrialState(*s) for s in states))
+        grid = build_pairs_grid(states)
         design = TrialDesign(per_arm_n=n)
         exact = max_regret_scan(rule, grid, design).regret
         mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", reps), SeedSpec(9))
@@ -213,7 +210,7 @@ class TestValueClasses:
     def test_z_scores_over_seeds_are_standard_normal(self):
         # 200 seeds at one state: the z-scores against exact have mean 0 and
         # variance 1, each within four of its standard errors
-        grid = StateGrid("binary_trial", (BinaryTrialState(0.53, 0.47),))
+        grid = build_pairs_grid([(0.53, 0.47)])
         design, method = TrialDesign(per_arm_n=145), EvalMethod("monte_carlo", 5000)
         exact = max_regret_scan(ES, grid, design).regret[0]
         z = np.array([(r.regret[0] - exact) / r.mc_stderr[0] for r in
@@ -230,15 +227,16 @@ def _comb_pmf(n, p):
     return [comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
 
 
-def _mc_mse_of(rule, state, design, reps, rng):
-    """_mc_mse in one state, as state 0 of the grid that holds only it."""
-    grid = StateGrid("prediction", [state])
+def _mc_mse_of(rule, grid, design, reps, rng):
+    """_mc_mse in the one state of the grid."""
+    assert len(grid) == 1
     return _mc_mse(rule, grid, 0, grid.population_mean[0], design, reps, rng, binom_pmf_vector)
 
 
-def _beta_state(obs, miss, miss_rate, support):
-    return PredictionState(OutcomeDist("beta", alpha=obs[0], beta=obs[1]),
-                           OutcomeDist("beta", alpha=miss[0], beta=miss[1]), miss_rate, support)
+def _beta_state_grid(obs, miss, miss_rate, support):
+    """The grid of one Beta survey state: shapes obs and miss, and a miss rate."""
+    return build_prediction_grid("beta", obs_params=[obs], miss_params=[miss],
+                                 miss_rates=[miss_rate], support=support)
 
 
 class TestHistogramMonteCarlo:
@@ -261,7 +259,7 @@ class TestHistogramMonteCarlo:
     def test_bernoulli_random_miss_matches_enumeration(self, rule, predict, theta_obs,
                                                        theta_miss, miss):
         total = 6
-        state = _bern_state(theta_obs, theta_miss, miss)
+        state = _bern_state_grid(theta_obs, theta_miss, miss)
         mu = (1 - miss) * theta_obs + miss * theta_miss
         # n_obs ~ Bin(N, 1 - miss), then k | n_obs ~ Bin(n_obs, theta_obs); no
         # observation predicts the support midpoint
@@ -290,7 +288,7 @@ class TestHistogramMonteCarlo:
                           + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
                     for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
         mse, stderr = _mc_mse_of(DecisionRule("midpoint"),
-                                 _beta_state(obs, miss_dist, miss, support),
+                                 _beta_state_grid(obs, miss_dist, miss, support),
                                  SurveyDesign("random_miss", total), 50_000,
                                  SeedSpec(23).rng(1, 0))
         assert abs(mse - exact) <= 4 * stderr
@@ -304,7 +302,7 @@ class TestHistogramMonteCarlo:
         mu = q * theta + miss * theta_miss
         var_x = q / 4 - (q * (theta - 0.5)) ** 2
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
-        mse, stderr = _mc_mse_of(DecisionRule("midpoint"), _bern_state(theta, theta_miss, miss),
+        mse, stderr = _mc_mse_of(DecisionRule("midpoint"), _bern_state_grid(theta, theta_miss, miss),
                                  SurveyDesign("random_miss", total), reps,
                                  SeedSpec(29).rng(2, 0))
         assert np.isfinite(stderr) and stderr > 0
@@ -332,7 +330,7 @@ class TestHistogramMonteCarlo:
             m = np.asarray(m, dtype=float)
             return np.where((m >= 0) & (m <= 1), m, np.nan)
 
-        state = _bern_state(0.3, 0.6, 0.4)
+        state = _bern_state_grid(0.3, 0.6, 0.4)
         got = _mc_mse_of(DecisionRule("custom", {"predict_mean": strict}), state, design, 5000,
                          SeedSpec(4).rng(0, 0))
         plain = _mc_mse_of(DecisionRule("analog_predictor"), state, design, 5000,
@@ -383,8 +381,7 @@ def test_sorted_block_median_has_the_bits_of_np_median(shape):
 
 class TestMaxRegretScan:
     def test_diagonal_grid_zero_regret(self):
-        diag = StateGrid("binary_trial",
-                         tuple(BinaryTrialState(p, p) for p in (0.0, 0.5, 1.0)))
+        diag = build_pairs_grid([(p, p) for p in (0.0, 0.5, 1.0)])
         report = max_regret_scan(ES, diag, TrialDesign(per_arm_n=10))
         assert report.max_regret == 0.0
 
@@ -474,9 +471,10 @@ class TestRegretBounds:
             regret_bounds(1, 1.0, 10)
 
 
-def _bern_state(theta_obs, theta_miss, miss_rate):
-    return PredictionState(OutcomeDist("bernoulli", theta=theta_obs),
-                           OutcomeDist("bernoulli", theta=theta_miss), miss_rate)
+def _bern_state_grid(theta_obs, theta_miss, miss_rate):
+    """The grid of one Bernoulli survey state."""
+    return build_prediction_grid("bernoulli", obs_params=[theta_obs], miss_params=[theta_miss],
+                                 miss_rates=[miss_rate])
 
 
 class TestPredictorMse:
@@ -485,7 +483,7 @@ class TestPredictorMse:
         rule = DecisionRule("hodges_lehmann")
         expect = 1.0 / (4 * (np.sqrt(4) + 1) ** 2)
         for theta in np.linspace(0, 1, 11):
-            mse = _one_state_record(rule, _bern_state(theta, theta, 0.0), design,
+            mse = _one_state_record(rule, _bern_state_grid(theta, theta, 0.0), design,
                                     EvalMethod("exact")).regret
             assert mse == pytest.approx(expect, abs=1e-9)
 
@@ -493,13 +491,13 @@ class TestPredictorMse:
         design = SurveyDesign("fixed_n", 8)
         rule = DecisionRule("midpoint")
         for theta in (0.2, 0.5, 0.9):
-            mse = _one_state_record(rule, _bern_state(theta, theta, 0.0), design,
+            mse = _one_state_record(rule, _bern_state_grid(theta, theta, 0.0), design,
                                     EvalMethod("exact")).regret
             assert mse == pytest.approx(theta * (1 - theta) / 8, abs=1e-12)
 
     def test_degenerate_state_zero(self):
         design = SurveyDesign("fixed_n", 5)
-        mse = _one_state_record(DecisionRule("midpoint"), _bern_state(1.0, 1.0, 0.0),
+        mse = _one_state_record(DecisionRule("midpoint"), _bern_state_grid(1.0, 1.0, 0.0),
                                 design, EvalMethod("exact")).regret
         assert mse == pytest.approx(0.0, abs=1e-12)
 
@@ -507,24 +505,24 @@ class TestPredictorMse:
     def test_exact_has_no_sample_size_cap(self, n):
         design = SurveyDesign("fixed_n", n)
         for theta in (0.2, 0.5, 0.9):
-            mse = _one_state_record(DecisionRule("midpoint"), _bern_state(theta, theta, 0.0),
+            mse = _one_state_record(DecisionRule("midpoint"), _bern_state_grid(theta, theta, 0.0),
                                     design, EvalMethod("exact")).regret
             assert mse == pytest.approx(theta * (1 - theta) / n, rel=0, abs=1e-16)
 
     def test_exact_mode_guard(self):
         # the preconditions of an exact max_mse_scan, and no others
-        beta = _beta_state((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
+        beta = _beta_state_grid((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
         with pytest.raises(PreconditionError):
             _one_state_record(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", 5),
                               EvalMethod("exact"))
         with pytest.raises(PreconditionError):
-            _one_state_record(DecisionRule("midpoint"), _bern_state(0.5, 0.5, 0.2),
+            _one_state_record(DecisionRule("midpoint"), _bern_state_grid(0.5, 0.5, 0.2),
                               SurveyDesign("random_miss", 5), EvalMethod("exact"))
 
     def test_mc_matches_exact(self):
         design = SurveyDesign("fixed_n", 10)
         rule = DecisionRule("midpoint")
-        s = _bern_state(0.5, 1.0, 0.2)
+        s = _bern_state_grid(0.5, 1.0, 0.2)
         exact = _one_state_record(rule, s, design, EvalMethod("exact")).regret
         mc = _one_state_record(rule, s, design, EvalMethod("monte_carlo", 100_000),
                                SeedSpec(2)).regret
@@ -549,7 +547,7 @@ class TestMaxMseScan:
         design = SurveyDesign("fixed_n", 10)
         report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design,
                               EvalMethod("monte_carlo", 50_000), SeedSpec(8))
-        rec = next(r for r in report.per_state if r.state is report.argmax_state)
+        rec = report.record(report.argmax)
         assert abs(report.max_regret - midpoint_max_regret_formula(0.8, 10)) \
             <= 4 * rec.mc_stderr
 
@@ -605,16 +603,17 @@ class TestMaxMseScan:
         # the per-state arithmetic of the scan before it was columnar; at n = 200
         # the grid spans more than one chunk of the contraction
         from mmregret.engine import _bernoulli_predictions
-        thetas = [0.0, 0.3, 0.3, 0.55, 1.0] if n == 7 else list(np.linspace(0, 1, 21))
+        thetas = [0.0, 0.3, 0.3, 0.55, 1.0] if n == 7 else np.linspace(0, 1, 21).tolist()
+        rates = [0.0, 0.25, 0.6, 1.0]
         grid = build_prediction_grid("bernoulli", obs_params=thetas, miss_params=thetas[::-1],
-                                     miss_rates=[0.0, 0.25, 0.6, 1.0], support=support)
+                                     miss_rates=rates, support=support)
         design = SurveyDesign("fixed_n", n)
         report = max_mse_scan(rule, grid, design, EvalMethod("exact"))
         want = []
-        for s in grid.states:
-            pred = _bernoulli_predictions(rule, np.arange(n + 1), n, 1.0 - s.miss_rate, support)
-            want.append(binom_pmf_vector(n, s.dist_observed.theta)
-                        @ (pred - state_means(s)[2]) ** 2)
+        for obs, miss, rate in itertools.product(thetas, thetas[::-1], rates):
+            pred = _bernoulli_predictions(rule, np.arange(n + 1), n, 1.0 - rate, support)
+            mean = state_means("bernoulli", obs, miss, rate, support)[2]
+            want.append(binom_pmf_vector(n, obs) @ (pred - mean) ** 2)
         assert report.regret.tolist() == want
 
 
@@ -631,7 +630,7 @@ class TestMidpointFormula:
 
 class TestOracle:
     def test_single_state_grid(self):
-        grid = StateGrid("binary_trial", (BinaryTrialState(0.2, 0.8),))
+        grid = build_pairs_grid([(0.2, 0.8)])
         _, max_reg = exhaustive_mmr_oracle(TrialDesign(per_arm_n=1), grid)
         assert max_reg == pytest.approx(0.0, abs=1e-12)
 
@@ -732,6 +731,36 @@ class TestScanPreconditions:
             max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=10_001), method,
                             SeedSpec(1))
 
+    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
+                             ids=["exact", "mc"])
+    def test_survey_n_beyond_the_memory_bound_rejected_before_any_pmf(self, method,
+                                                                      monkeypatch):
+        calls = []
+
+        def spy(fn):
+            def recorded(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return recorded
+
+        for name in ("binom_pmf_matrix", "binom_pmf_vector"):
+            monkeypatch.setattr(engine, name, spy(getattr(engine, name)))
+        # two distinct observed thetas and one miss rate: 3 (n + 1) entries
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7, 0.2],
+                                     miss_params=[0.5], miss_rates=[0.2])
+        scan = partial(max_mse_scan, DecisionRule("midpoint"), grid, method=method,
+                       seed=SeedSpec(1))
+        with pytest.raises(PreconditionError, match="survey n=100000000 gives 3e\\+08"):
+            scan(SurveyDesign("fixed_n", 100_000_000))
+        assert calls == []
+        monkeypatch.setattr(engine, "_MAX_GRID_STATES", 30)
+        for design in (SurveyDesign("fixed_n", 10), SurveyDesign("random_miss", 10)):
+            with pytest.raises(PreconditionError, match="above the 30"):
+                scan(design)
+        assert calls == []
+        scan(SurveyDesign("fixed_n", 9))  # 30 entries: at the bound
+        assert calls
+
     def test_exact_scan_needs_bernoulli_outcomes(self):
         grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0)],
                                      miss_params=[(2.0, 5.0)], miss_rates=[0.2])
@@ -827,32 +856,40 @@ class TestForkedWorkers:
 
 
 def _rowwise_report_to_csv(report, path):
-    """Reference writer: one csv.writer row per StateRecord, every cell through fmt17."""
+    """Reference writer: one csv.writer row per StateRecord, its coordinates read
+    from the grid's columns one state at a time, every cell through fmt17."""
     import csv
     from mmregret.mathutil import fmt17
 
-    def coords(state):
-        if isinstance(state, BinaryTrialState):
-            return ["p_a", "p_b"], [fmt17(state.p_a), fmt17(state.p_b)]
-        do, dm = state.dist_observed, state.dist_missing
-        if do.family == "bernoulli":
-            return (["theta_obs", "theta_miss", "miss_rate"],
-                    [fmt17(do.theta), fmt17(dm.theta), fmt17(state.miss_rate)])
-        return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
-                [fmt17(do.alpha), fmt17(do.beta), fmt17(dm.alpha), fmt17(dm.beta),
-                 fmt17(state.miss_rate)])
+    g = report.grid
+    if g.family == "binary_trial":
+        names = ["p_a", "p_b"]
 
-    names, _ = coords(report.per_state[0].state)
+        def coords(k):
+            return [g.points[g.index_a[k]], g.points[g.index_b[k]]]
+    elif g.outcome == "bernoulli":
+        names = ["theta_obs", "theta_miss", "miss_rate"]
+
+        def coords(k):
+            return [g.obs_params[g.index_obs[k]], g.miss_params[g.index_miss[k]],
+                    g.miss_rates[g.index_rate[k]]]
+    else:
+        names = ["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"]
+
+        def coords(k):
+            return [*g.obs_params[g.index_obs[k]], *g.miss_params[g.index_miss[k]],
+                    g.miss_rates[g.index_rate[k]]]
+
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(names + ["error_prob", "expected_welfare", "regret", "mc_stderr"])
-        for rec in report.per_state:
-            wr.writerow(coords(rec.state)[1] + [
+        for k, rec in enumerate(report.per_state):
+            wr.writerow([fmt17(v) for v in coords(k)] + [
                 "" if rec.error_prob is None else fmt17(rec.error_prob),
                 "" if rec.expected_welfare is None else fmt17(rec.expected_welfare),
                 fmt17(rec.regret), fmt17(rec.mc_stderr)])
         wr.writerow(["#summary", f"max_regret={fmt17(report.max_regret)}",
-                     "argmax=" + "|".join(coords(report.argmax_state)[1]),
+                     "argmax=" + "|".join(map(fmt17, coords(report.argmax))),
                      f"method={report.method.mode}",
                      f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
                      f"seed={report.seed.master_seed if report.seed else ''}"])
@@ -904,12 +941,12 @@ class TestColumnarReport:
     @pytest.mark.parametrize("case", ["exact_es_ties", "mc_es", "exact_midpoint"])
     def test_argmax_record_is_the_argmax_state(self, case):
         report = self.CASES[case]()
-        state = report.argmax_state  # before per_state builds the others: an equal copy
-        rec = report.per_state[report.argmax]
-        assert rec.state == state
+        rec = report.record(report.argmax)  # before per_state builds the others
+        assert rec == report.per_state[report.argmax]
         assert rec.regret == report.max_regret
-        assert report.record(report.argmax) == rec
-        assert [r for r in report.per_state if r.state is report.argmax_state] == [rec]
+        # the first state of largest regret
+        first = next(k for k, r in enumerate(report.per_state) if r.regret == report.max_regret)
+        assert first == report.argmax
 
     def test_inconsistent_max_rejected(self):
         from dataclasses import replace
@@ -950,8 +987,7 @@ def _grid(family, rows, rng):
     if family == "binary_trial":
         points = [0.0, -0.0, 5e-324, 1e-310, 0.1, 1 / 3, 0.5, 0.7, 1.0]
         pick = rng.integers(0, len(points), (rows, 2)).tolist()
-        return StateGrid("binary_trial", [BinaryTrialState(points[i], points[j])
-                                          for i, j in pick])
+        return build_pairs_grid([(points[i], points[j]) for i, j in pick])
     miss = 2 - rows % 2  # obs x miss parameters x one miss rate
     obs, rates = rows // miss, [rng.choice([0.0, 0.2, 1 / 3, 1.0])]
     if family == "bernoulli":
@@ -996,8 +1032,7 @@ def _boundary_report(rows, seed):
     rng = np.random.default_rng(seed)
     points = np.array([0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.5, 1.0])
     index_a, index_b = rng.integers(0, len(points), (2, rows))
-    grid = StateGrid._from_columns("binary_trial", points=points, index_a=index_a,
-                                   index_b=index_b)
+    grid = StateGrid("binary_trial", points=points, index_a=index_a, index_b=index_b)
     err, welfare, regret, stderr = (_wild_column(rng, rows) for _ in range(4))
     for parts in (2, 3, 4):
         for k in range(1, parts):
@@ -1125,8 +1160,7 @@ def test_mc_pool_gets_one_process_per_chunk(family):
 
     method = EvalMethod("monte_carlo", 1000)
     if family == "binary_trial":
-        grid = StateGrid("binary_trial", [BinaryTrialState(a, b) for a in (0.2, 0.6)
-                                          for b in (0.1, 0.3, 0.5, 0.7)])
+        grid = build_pairs_grid([(a, b) for a in (0.2, 0.6) for b in (0.1, 0.3, 0.5, 0.7)])
         scan = partial(max_regret_scan, ES, grid, TrialDesign(per_arm_n=5), method, SeedSpec(1))
     else:
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],

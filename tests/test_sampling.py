@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mmregret import (
-    BinaryTrialState,
     DecisionRule,
     EvalMethod,
     PreconditionError,
@@ -20,18 +19,18 @@ from reference import enumerate_trial
 
 class TestEnumerateTrial:
     def test_n1_symmetric(self):
-        pairs = dict(enumerate_trial(BinaryTrialState(0.5, 0.5), TrialDesign(per_arm_n=1)))
+        pairs = dict(enumerate_trial(0.5, 0.5, TrialDesign(per_arm_n=1)))
         assert all(abs(p - 0.25) < 1e-12 for p in pairs.values())
 
     def test_n1_hand_product(self):
-        pairs = dict(enumerate_trial(BinaryTrialState(0.6, 0.4), TrialDesign(per_arm_n=1)))
+        pairs = dict(enumerate_trial(0.6, 0.4, TrialDesign(per_arm_n=1)))
         assert pairs[(1, 0)] == pytest.approx(0.36, abs=1e-12)
         assert pairs[(0, 1)] == pytest.approx(0.16, abs=1e-12)
         assert pairs[(0, 0)] == pytest.approx(0.24, abs=1e-12)
         assert pairs[(1, 1)] == pytest.approx(0.24, abs=1e-12)
 
     def test_completeness(self):
-        pairs = list(enumerate_trial(BinaryTrialState(0.3, 0.8), TrialDesign(per_arm_n=2)))
+        pairs = list(enumerate_trial(0.3, 0.8, TrialDesign(per_arm_n=2)))
         assert len(pairs) == 9
         assert sum(p for _, p in pairs) == pytest.approx(1.0, abs=1e-10)
 
@@ -58,13 +57,13 @@ class TestSubstreams:
     def test_simulation_matches_enumeration(self):
         # empirical frequencies within 4 standard errors of exact probabilities
         d = TrialDesign(per_arm_n=3)
-        s = BinaryTrialState(0.35, 0.7)
-        exact = dict(enumerate_trial(s, d))
+        p_a, p_b = 0.35, 0.7
+        exact = dict(enumerate_trial(p_a, p_b, d))
         reps = 100_000
         counts = {}
         rng = SeedSpec(11).rng(0, 0)
-        ca = rng.binomial(3, s.p_a, size=reps)
-        cb = rng.binomial(3, s.p_b, size=reps)
+        ca = rng.binomial(3, p_a, size=reps)
+        cb = rng.binomial(3, p_b, size=reps)
         for a, b in zip(ca, cb):
             counts[(a, b)] = counts.get((a, b), 0) + 1
         for outcome, p in exact.items():

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmregret import (
-    BinaryTrialState,
     FiniteDecisionProblem,
-    OutcomeDist,
-    PredictionState,
     PreconditionError,
-    StateGrid,
     build_binary_grid,
+    build_pairs_grid,
     build_prediction_grid,
     classify_dominance,
 )
@@ -24,7 +21,7 @@ class TestBinaryGrid:
     def test_step_half_gives_nine_states(self):
         grid = build_binary_grid(0.5)
         assert len(grid) == 9
-        assert {(s.p_a, s.p_b) for s in grid.states} == {
+        assert set(_pairs(grid)) == {
             (a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)}
 
     def test_step_001_gives_101_squared(self):
@@ -42,21 +39,21 @@ class TestBinaryGrid:
     def test_rebuild_is_identical(self):
         a = build_binary_grid(0.1)
         b = build_binary_grid(0.1)
-        assert a.states == b.states
+        assert _pairs(a) == _pairs(b)
 
     def test_row_major_order(self):
-        grid = build_binary_grid(0.5)
-        assert (grid.states[0].p_a, grid.states[0].p_b) == (0.0, 0.0)
-        assert (grid.states[1].p_a, grid.states[1].p_b) == (0.0, 0.5)
-        assert (grid.states[3].p_a, grid.states[3].p_b) == (0.5, 0.0)
+        pairs = _pairs(build_binary_grid(0.5))
+        assert pairs[0] == (0.0, 0.0)
+        assert pairs[1] == (0.0, 0.5)
+        assert pairs[3] == (0.5, 0.0)
 
     @given(st.sampled_from([0.5, 0.25, 0.2, 0.1, 0.05]))
     @settings(max_examples=10, deadline=None)
     def test_all_states_valid(self, step):
-        for s in build_binary_grid(step).states:
-            assert 0.0 <= s.p_a <= 1.0 and 0.0 <= s.p_b <= 1.0
-        states = build_binary_grid(step).states
-        assert len(set((s.p_a, s.p_b) for s in states)) == len(states)
+        pairs = _pairs(build_binary_grid(step))
+        for p_a, p_b in pairs:
+            assert 0.0 <= p_a <= 1.0 and 0.0 <= p_b <= 1.0
+        assert len(set(pairs)) == len(pairs)
 
 
 class TestPredictionGrid:
@@ -76,7 +73,7 @@ class TestPredictionGrid:
         grid = build_prediction_grid(
             "bernoulli", obs_params=[0.0, 0.5, 1.0], miss_params=[0.0, 0.5, 1.0],
             miss_rates=[0.1], min_missing_mean=0.5)
-        miss_thetas = {s.dist_missing.theta for s in grid.states}
+        miss_thetas = set(grid.miss_params[grid.index_miss].tolist())
         assert miss_thetas == {0.5, 1.0}
 
     def test_empty_after_filter_rejected(self):
@@ -99,10 +96,22 @@ class TestPredictionGrid:
                 "beta", obs_params=[(0.0, 1.0)], miss_params=[(1.0, 1.0)],
                 miss_rates=[0.1])
 
+    @pytest.mark.parametrize("shape", [float("nan"), float("inf")])
+    def test_non_finite_beta_shapes_rejected(self, shape):
+        # nan <= 0 is False, so a check for positive shapes alone let NaN through
+        for obs, miss in (((shape, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, shape))):
+            with pytest.raises(PreconditionError, match="must be finite and positive"):
+                build_prediction_grid("beta", obs_params=[obs], miss_params=[miss],
+                                      miss_rates=[0.1])
+
     def test_family_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
-            PredictionState(OutcomeDist("bernoulli", theta=0.5),
-                            OutcomeDist("beta", alpha=1, beta=1), 0.1)
+        # thetas where Beta shapes are due, and shapes where thetas are
+        with pytest.raises(PreconditionError, match="must be \\(alpha, beta\\) pairs"):
+            build_prediction_grid("beta", obs_params=[(1.0, 1.0)], miss_params=[0.5],
+                                  miss_rates=[0.1])
+        with pytest.raises(PreconditionError, match="must be thetas"):
+            build_prediction_grid("bernoulli", obs_params=[(1.0, 1.0)], miss_params=[0.5],
+                                  miss_rates=[0.1])
 
 
 def _brute_force_dominated(w):
@@ -147,53 +156,49 @@ class TestInvariants:
             FiniteDecisionProblem(("a",), ("s",), [[1.0]], prior=[0.5])
 
     def test_state_bounds_rejected(self):
-        with pytest.raises(PreconditionError):
-            BinaryTrialState(1.2, 0.5)
+        with pytest.raises(PreconditionError, match="p_a=1.2 outside"):
+            build_pairs_grid([(1.2, 0.5)])
+        with pytest.raises(PreconditionError, match="p_b=nan outside"):
+            build_pairs_grid([(0.5, 0.5), (0.5, float("nan"))])
 
 
 class TestColumnarBinaryGrid:
     def test_states_built_from_columns(self):
         grid = build_binary_grid(0.5)
         assert grid.points.tolist() == [0.0, 0.5, 1.0]
-        assert list(zip(grid.p_a.tolist(), grid.p_b.tolist())) == \
-            [(s.p_a, s.p_b) for s in grid.states]
-
-    def test_single_state_is_the_cached_one(self):
-        grid = build_binary_grid(0.25)
-        s = grid.state(7)  # built alone: an equal state, not yet a cached one
-        assert grid.states[7] == s
-        assert grid.state(-1) is grid.states[-1]  # once built, the cached one
+        assert _pairs(grid) == [(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
 
     def test_grid_from_states_derives_columns(self):
-        from mmregret import StateGrid
         lattice = build_binary_grid(0.5)
-        grid = StateGrid("binary_trial", lattice.states)
+        grid = build_pairs_grid(_pairs(lattice))
         assert grid.points.tolist() == lattice.points.tolist()
         assert grid.index_a.tolist() == lattice.index_a.tolist()
         assert grid.index_b.tolist() == lattice.index_b.tolist()
-        assert grid.states == lattice.states
 
     def test_grid_from_states_keeps_negative_zero(self):
-        from mmregret import StateGrid
-        grid = StateGrid("binary_trial", [BinaryTrialState(-0.0, 0.5),
-                                          BinaryTrialState(0.0, -0.0)])
+        grid = build_pairs_grid([(-0.0, 0.5), (0.0, -0.0)])
         assert [repr(p) for p in grid.p_a.tolist()] == ["-0.0", "0.0"]
         assert [repr(p) for p in grid.p_b.tolist()] == ["0.5", "-0.0"]
+
+    @pytest.mark.parametrize("pairs", [[], [(0.5, 0.5, 0.5)], [0.5, 0.5]])
+    def test_pairs_grid_needs_pairs(self, pairs):
+        with pytest.raises(PreconditionError):
+            build_pairs_grid(pairs)
+
+
+def _pairs(grid) -> list[tuple[float, float]]:
+    """The (p_a, p_b) pair of every state of a binary-trial grid, in order."""
+    return list(zip(grid.p_a.tolist(), grid.p_b.tolist()))
 
 
 def _product_grid_states(family, obs, miss, rates, support, max_miss_rate=None,
                          min_missing_mean=None, max_missing_mean=None, max_mean_abs_diff=None):
-    """The prediction grid's states as itertools.product plus predicate filters makes them."""
-    def dist(p):
-        if family == "bernoulli":
-            return OutcomeDist("bernoulli", theta=float(p))
-        return OutcomeDist("beta", alpha=float(p[0]), beta=float(p[1]))
-
+    """The prediction grid's states, as (obs, miss, miss_rate) triples, as
+    itertools.product plus predicate filters makes them."""
     out = []
     for po, pm, mr in itertools.product(obs, miss, rates):
-        s = PredictionState(dist(po), dist(pm), float(mr), support)
-        observed_mean, missing_mean, _ = state_means(s)
-        if max_miss_rate is not None and s.miss_rate > max_miss_rate:
+        observed_mean, missing_mean, _ = state_means(family, po, pm, mr, support)
+        if max_miss_rate is not None and mr > max_miss_rate:
             continue
         if min_missing_mean is not None and missing_mean < min_missing_mean:
             continue
@@ -202,7 +207,7 @@ def _product_grid_states(family, obs, miss, rates, support, max_miss_rate=None,
         if max_mean_abs_diff is not None and \
                 abs(observed_mean - missing_mean) > max_mean_abs_diff:
             continue
-        out.append(s)
+        out.append((po, pm, mr))
     return out
 
 
@@ -232,27 +237,25 @@ class TestColumnarPredictionGrid:
         grid = build_prediction_grid(family, obs_params=obs, miss_params=miss,
                                      miss_rates=rates, support=support, **restrictions)
         assert len(grid) == len(want)
-        # repr tells -0.0 from 0.0, so order, duplicates and signs are all kept
-        assert [repr(grid.state(k)) for k in range(len(grid))] == [repr(s) for s in want]
-        assert [repr(s) for s in grid.states] == [repr(s) for s in want]
-        assert grid.population_mean.tolist() == [state_means(s)[2] for s in want]
-        # columns derived from the states hold the same coordinates, bit for bit
-        derived = StateGrid("prediction", want)
-        for values, index in (("obs_params", "index_obs"), ("miss_params", "index_miss"),
-                              ("miss_rates", "index_rate")):
-            got, built = (getattr(g, values)[getattr(g, index)] for g in (derived, grid))
-            assert got.view(np.int64).tolist() == built.view(np.int64).tolist()
+        # the columns read at each state hold its coordinates bit for bit, which
+        # tells -0.0 from 0.0, so order, duplicates and signs are all kept
+        for c, (values, index) in enumerate((("obs_params", "index_obs"),
+                                             ("miss_params", "index_miss"),
+                                             ("miss_rates", "index_rate"))):
+            got = getattr(grid, values)[getattr(grid, index)]
+            coordinate = np.array([s[c] for s in want], dtype=float)
+            assert got.view(np.int64).tolist() == coordinate.view(np.int64).tolist()
+        assert grid.population_mean.tolist() == [state_means(family, *s, support)[2]
+                                                 for s in want]
 
     def test_states_built_on_demand(self):
         grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.1, 0.9],
                                      miss_params=[0.5], miss_rates=[0.0, 0.2])
         assert grid.obs_params.tolist() == [0.1, 0.9]
         assert grid.index_obs.tolist() == [0, 0, 0, 0, 1, 1]
-        s = grid.state(5)
-        assert grid._states is None
-        assert grid.states[5] == s
-        assert s == PredictionState(OutcomeDist("bernoulli", theta=0.9),
-                                    OutcomeDist("bernoulli", theta=0.5), 0.2)
+        # state 5 is row 5 of the index columns
+        assert (grid.obs_params[grid.index_obs[5]], grid.miss_params[grid.index_miss[5]],
+                grid.miss_rates[grid.index_rate[5]]) == (0.9, 0.5, 0.2)
 
     @pytest.mark.parametrize("empty", ["obs_params", "miss_params", "miss_rates"])
     def test_empty_coordinate_list_rejected_as_such(self, empty):
@@ -265,9 +268,6 @@ class TestColumnarPredictionGrid:
         with pytest.raises(PreconditionError, match="not finite"):
             build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                   miss_rates=[0.1], support=support)
-        with pytest.raises(PreconditionError, match="not finite"):
-            PredictionState(OutcomeDist("bernoulli", theta=0.5),
-                            OutcomeDist("bernoulli", theta=0.5), 0.1, support)
 
     @pytest.mark.parametrize("kwargs", [
         dict(obs_params=[0.5, 1.5], miss_params=[0.5], miss_rates=[0.1]),
@@ -282,16 +282,6 @@ class TestColumnarPredictionGrid:
         with pytest.raises(PreconditionError, match="unknown family"):
             build_prediction_grid("gauss", obs_params=[0.5], miss_params=[0.5],
                                   miss_rates=[0.1])
-
-    def test_mixed_grid_from_states_rejected(self):
-        bern = PredictionState(OutcomeDist("bernoulli", theta=0.5),
-                               OutcomeDist("bernoulli", theta=0.5), 0.1)
-        beta = PredictionState(OutcomeDist("beta", alpha=1, beta=1),
-                               OutcomeDist("beta", alpha=1, beta=1), 0.1)
-        wide = PredictionState(bern.dist_observed, bern.dist_missing, 0.1, (0.0, 2.0))
-        for mixed in ((bern, beta), (bern, wide)):
-            with pytest.raises(PreconditionError, match="one outcome family and one support"):
-                StateGrid("prediction", mixed)
 
 
 class TestGridSizeBound:
