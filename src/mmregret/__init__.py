@@ -29,7 +29,7 @@ _SUBMODULE_OF = {name: module for module, names in (
                "EmpiricalSuccess", "Predictor", "TableRule", "TrialRule", "ZTest",
                "mean_function_predictor", "mean_table_predictor")),
     ("sampling", ("SeedSpec", "SurveyDesign", "TrialDesign")),
-    ("states", ("StateGrid", "build_binary_grid", "build_pairs_grid", "build_prediction_grid")),
+    ("states", ("StateGrid", "build_binary_grid", "build_product_grid", "build_prediction_grid")),
 ) for name in names}
 _SUBMODULES = frozenset(_SUBMODULE_OF.values()) | {"cli", "mathutil"}
 

@@ -115,7 +115,7 @@ def cmd_medical(args) -> int:
 def _argmax_coordinates(report) -> list[float]:
     """The argmax state's coordinates, read from the grid's columns in CSV column order."""
     _, columns = engine._coordinate_columns(report.grid)
-    return [values[index[report.argmax]].item() for values, index in columns]
+    return [values[position(report.argmax)].item() for values, position in columns]
 
 
 def cmd_scan(args) -> int:
@@ -132,10 +132,10 @@ def cmd_scan(args) -> int:
     if out:
         engine.report_to_csv(report, out)
     p_a, p_b = _argmax_coordinates(report)
-    error_prob = report.record(report.argmax).error_prob
+    error_prob = report.error_prob[report.argmax].item()  # NaN at a tie
     print(f"max_regret={fmt17(report.max_regret)}")
     print(f"argmax_state=(p_a={fmt17(p_a)}, p_b={fmt17(p_b)})")
-    if error_prob is not None:  # off the diagonal
+    if error_prob == error_prob:  # off the diagonal
         print(f"argmax_error_prob={fmt17(error_prob)}")
     print(f"argmax_effect_size={fmt17(p_b - p_a)}")
     return EXIT_OK

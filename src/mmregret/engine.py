@@ -110,19 +110,6 @@ class RegretReport:
         return tuple(map(self.record, range(len(self.grid))))
 
 
-def _report(grid, regret, method, seed, error_prob=None, expected_welfare=None,
-            mc_stderr=None) -> RegretReport:
-    """A report over the grid; columns left out hold no value (NaN) or zero stderr."""
-    if error_prob is None or expected_welfare is None:
-        missing = np.full(len(grid), np.nan)
-        error_prob = missing if error_prob is None else error_prob
-        expected_welfare = missing if expected_welfare is None else expected_welfare
-    return RegretReport(
-        grid, error_prob, expected_welfare, regret,
-        np.zeros(len(grid)) if mc_stderr is None else mc_stderr,
-        int(np.argmax(regret)), method, seed)
-
-
 def _run_child(fn, task, fd: int, inherited) -> None:
     """In a forked child: close the inherited pipe ends, pickle ``(True,
     fn(*task))``, or ``(False, exception)``, to the pipe fd, and leave without
@@ -242,25 +229,40 @@ def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
     return np.bincount(rng.binomial(m, theta, size=count), minlength=m + 1)
 
 
-def _mean_stderr(values, counts, reps: int) -> tuple[float, float]:
-    """Mean and standard error (ddof=1) of reps draws given as values and their counts."""
-    est = float(np.sum(counts * values) / reps)
-    var = np.sum(counts * (values - est) ** 2) / (reps - 1)
-    return est, float(np.sqrt(var / reps))
+def _moments(values, counts, n: int) -> tuple:
+    """Count, mean and sum of squared deviations of n draws given as values and counts."""
+    mean = np.sum(counts * values) / n
+    return n, mean, np.sum(counts * (values - mean) ** 2)
 
 
-def _mc_choose_b(half, pmf, reps: int, seed: SeedSpec, grid: StateGrid, index) -> np.ndarray:
+def _merge(a, b) -> tuple:
+    """The moments of a's and b's draws together (Chan et al., 1979); a may be None."""
+    if a is None:
+        return b
+    n, delta = a[0] + b[0], b[1] - a[1]
+    return n, a[1] + delta * (b[0] / n), a[2] + b[2] + delta * delta * (a[0] * b[0] / n)
+
+
+def _estimate(moments) -> tuple[float, float]:
+    """Mean and standard error (ddof=1) of the draws of the moments."""
+    n, mean, m2 = moments
+    return float(mean), float(np.sqrt(m2 / (n - 1) / n))
+
+
+def _mc_choose_b(half, pmf_b, reps: int, seed: SeedSpec, grid: StateGrid, index) -> np.ndarray:
     """MC probability of choosing b and its standard error, one column per state
-    index of the binary-trial grid. State k draws arm b's count reps times from
-    substream k and scores count j by ``half[i, j]``, arm a summed out; a tied
-    state (the same row twice) is not drawn and gets zeros."""
+    index of the binary-trial grid. State k, (i, j) = divmod(k, B) on the grid's
+    axes, draws arm b's count reps times from substream k and scores count c by
+    ``half[i, c]``, arm a summed out; a tied state (p_a == p_b) is not drawn and
+    gets zeros."""
     out = np.zeros((2, len(index)))
-    pairs = zip(grid.index_a[index].tolist(), grid.index_b[index].tolist())
-    for c, (k, (i, j)) in enumerate(zip(index, pairs)):
-        if i != j:
-            h = seed.rng(k, 0).multinomial(reps, pmf[j])
+    p_a, p_b = grid.points_a.tolist(), grid.points_b.tolist()
+    for c, k in enumerate(index):
+        i, j = divmod(k, len(p_b))
+        if p_a[i] != p_b[j]:
+            h = seed.rng(k, 0).multinomial(reps, pmf_b[j])
             rows = np.flatnonzero(h)
-            out[:, c] = _mean_stderr(half[i, rows], h[rows], reps)
+            out[:, c] = _estimate(_moments(half[i, rows], h[rows], reps))
     return out
 
 
@@ -273,39 +275,43 @@ def choice_table(rule: TrialRule, n: int) -> np.ndarray:
 
 
 def _trial_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
-    """Regret of a trial-choice rule in every state of a binary-trial grid. One PMF
-    per grid probability serves every state; MC state k draws from substream k."""
+    """Regret of a trial-choice rule in every state of a binary-trial grid, worked out
+    on the A x B product of its axes, whose views are the report's columns. One PMF
+    per axis probability serves every state; MC state k draws from substream k."""
     _check_trial_n(design)
     n = design.per_arm_n
-    pmf, table = binom_pmf_matrix(n, grid.points), choice_table(rule, n)
+    pmf_a, table = binom_pmf_matrix(n, grid.points_a), choice_table(rule, n)
+    pmf_b = pmf_a if grid.points_b is grid.points_a else binom_pmf_matrix(n, grid.points_b)
     if method.mode == "exact":
-        # prob of choosing b for every (p_a, p_b) pair of grid probabilities
-        prob_b = (pmf @ table @ pmf.T)[grid.index_a, grid.index_b]
+        # prob of choosing b in state (points_a[i], points_b[j]), at [i, j]
+        prob_b = pmf_a @ table @ pmf_b.T
         se_b = None  # zero stderr, and zero times any gap
     else:
         # the mass on b at (p_a, j), built once, before any worker forks, by einsum:
         # a fixed summation order, not BLAS, so the scores do not follow the thread count
-        half = np.einsum("pi,ij->pj", pmf, table)
-        kernel = partial(_mc_choose_b, half, pmf, method.reps, seed or SeedSpec(), grid)
-        prob_b, se_b = _map_chunks(kernel, len(grid), workers)
+        half = np.einsum("pi,ij->pj", pmf_a, table)
+        kernel = partial(_mc_choose_b, half, pmf_b, method.reps, seed or SeedSpec(), grid)
+        prob_b, se_b = _map_chunks(kernel, len(grid), workers).reshape(2, len(pmf_a), len(pmf_b))
     # the contraction's round-off, or a sum of PMF mass, can leave [0, 1] by ~1e-15
     np.clip(prob_b, 0.0, 1.0, out=prob_b)
-    # each state-length column is computed in the buffer of one it replaces, so
-    # that at most four coexist: prob_b becomes err, the gap reg, pa the welfare
-    pa, pb = grid.p_a, grid.p_b
-    tie = pa == pb
+    # each A x B array is computed in the buffer of one it replaces, so that at
+    # most three coexist: prob_b becomes err, the gap reg
+    pa, pb = grid.points_a[:, None], grid.points_b
     # the error is choosing b where a is better, and a elsewhere
     err = np.subtract(1.0, prob_b, out=prob_b, where=pa <= pb)
     gap = pa - pb
     np.abs(gap, out=gap)
-    welfare = np.maximum(pa, pb, out=pa)
+    welfare = np.maximum(pa, pb)
     if se_b is not None:
         se_b *= gap
     reg = np.multiply(err, gap, out=gap)
+    tie = pa == pb
     err[tie] = np.nan
     reg[tie] = 0.0
     welfare -= reg
-    return _report(grid, reg, method, seed, err, welfare, se_b)
+    se = np.zeros(len(grid)) if se_b is None else se_b.ravel()
+    return RegretReport(grid, err.ravel(), welfare.ravel(), reg.ravel(), se,
+                        int(np.argmax(reg)), method, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +404,22 @@ def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
     return mse
 
 
-def _beta_statistic(rng, shape, count: int, m: int, median: bool) -> np.ndarray:
-    """Median or mean of each of count samples of m Beta(alpha, beta) draws, shape
-    the pair (alpha, beta), 2^18 draws at a time.
+def _beta_statistic(rng, shape, count: int, m: int, median: bool):
+    """Yield the median or mean of each of count samples of m Beta(alpha, beta)
+    draws, shape the pair (alpha, beta), a block of 2^18 draws at a time.
 
     The median sorts each fresh block in place and averages its middle column or
     columns as np.median does, so the bits are np.median's; np.median would copy
     and partition the block, and its first call imports numpy.ma.
     """
-    per, out = max(1, (1 << 18) // m), np.empty(count)
+    per = max(1, (1 << 18) // m)
     for lo in range(0, count, per):
         b = rng.beta(*shape, size=(min(per, count - lo), m))
-        rows = out[lo:lo + len(b)]
         if median:
             b.sort(axis=1)
-            rows[:] = b[:, m // 2] if m % 2 else (b[:, m // 2 - 1] + b[:, m // 2]) / 2
+            yield b[:, m // 2] if m % 2 else (b[:, m // 2 - 1] + b[:, m // 2]) / 2
         else:
-            rows[:] = b.mean(axis=1)
-    return out
+            yield b.mean(axis=1)
 
 
 def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, reps: int,
@@ -423,7 +427,9 @@ def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, re
     """MC MSE of a predictor in state ``row`` of a prediction grid, whose population mean
     is mu, and its standard error. Per occupied n_obs, a histogram of the successes
     for Bernoulli outcomes and blocks of Beta samples otherwise. No observation
-    predicts the support midpoint. ``pmf(n, p)`` is the Binomial(n, p) PMF."""
+    predicts the support midpoint. ``pmf(n, p)`` is the Binomial(n, p) PMF. Each
+    block of Beta samples, then the histogram, is reduced to _moments of its squared
+    errors, merged in that order, so memory does not grow with reps."""
     y0, y1 = support = grid.support
     mid = 0.5 * (y0 + y1)
     param = grid.obs_params[grid.index_obs[row]].tolist()  # a theta, or (alpha, beta)
@@ -437,7 +443,7 @@ def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, re
         p1 = n_obs / design.n
     median = rule.statistic == "median"
     h = rng.multinomial(reps, pmf_n)
-    preds, counts = [], []
+    preds, counts, moments = [], [], None
     for i in np.flatnonzero(h):
         m = n_obs[i]
         if m == 0:  # the midpoint predictor lands there anyway
@@ -447,12 +453,17 @@ def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, re
             k = np.flatnonzero(c)  # only successes that occur reach the predictor
             pred, count = _bernoulli_predictions(rule, k, m, p1[i], support), c[k]
         else:
-            stat = y0 + (y1 - y0) * _beta_statistic(rng, param, h[i], m, median)
-            pred = rule.predict(stat, m, p1[i], support)
-            count = np.ones(h[i])
+            for stat in _beta_statistic(rng, param, h[i], m, median):
+                pred = rule.predict(y0 + (y1 - y0) * stat, m, p1[i], support)
+                err2 = np.broadcast_to((pred - mu) ** 2, stat.shape)
+                moments = _merge(moments, _moments(err2, 1, len(stat)))
+            continue
         preds.append(np.broadcast_to(pred, count.shape))
         counts.append(count)
-    return _mean_stderr((np.concatenate(preds) - mu) ** 2, np.concatenate(counts), reps)
+    if preds:
+        counts = np.concatenate(counts)
+        moments = _merge(moments, _moments((np.concatenate(preds) - mu) ** 2, counts, counts.sum()))
+    return _estimate(moments)
 
 
 def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid,
@@ -471,10 +482,12 @@ def _mse_report(rule, grid, design, method, seed, workers: int | None) -> Regret
     if not isinstance(rule, Predictor):
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     if method.mode == "exact":
-        return _report(grid, _exact_bernoulli_mse(rule, grid, design), method, seed)
-    kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec(), grid)
-    mse, stderr = _map_chunks(kernel, len(grid), workers)
-    return _report(grid, mse, method, seed, mc_stderr=stderr)
+        mse, stderr = _exact_bernoulli_mse(rule, grid, design), np.zeros(len(grid))
+    else:
+        kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec(), grid)
+        mse, stderr = _map_chunks(kernel, len(grid), workers)
+    no_value = np.full(len(grid), np.nan)  # an MSE scan has no error prob or welfare
+    return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), method, seed)
 
 
 def max_mse_scan(
@@ -519,11 +532,11 @@ def exhaustive_mmr_oracle(
     n = design.per_arm_n
     m = (n + 1) ** 2
 
-    # outcome probabilities, states x outcomes
-    pmf = binom_pmf_matrix(n, grid.points)
-    probs = (pmf[grid.index_a][:, :, None] * pmf[grid.index_b][:, None, :]).reshape(-1, m)
-    pa, pb = grid.p_a, grid.p_b
-    gap = np.abs(pa - pb)
+    # outcome probabilities, states x outcomes: the outer product of the axes' PMFs
+    pmf_a, pmf_b = binom_pmf_matrix(n, grid.points_a), binom_pmf_matrix(n, grid.points_b)
+    probs = (pmf_a[:, None, :, None] * pmf_b[None, :, None, :]).reshape(-1, m)
+    pa, pb = grid.points_a[:, None], grid.points_b
+    a_better, gap = (pa > pb).ravel(), np.abs(pa - pb).ravel()
 
     # rules are scored a chunk at a time, so no states x rules array holds them all
     max_reg = np.empty(1 << m)
@@ -532,7 +545,7 @@ def exhaustive_mmr_oracle(
         # rule r chooses arm b on outcome o iff bit o of r is set
         bits = ((np.arange(lo, hi)[:, None] >> np.arange(m)[None, :]) & 1).astype(float)
         prob_b = probs @ bits.T  # states x rules
-        err = np.where(pa[:, None] > pb[:, None], prob_b, 1.0 - prob_b)
+        err = np.where(a_better[:, None], prob_b, 1.0 - prob_b)
         err[gap == 0] = 0.0
         max_reg[lo:hi] = (err * gap[:, None]).max(axis=0)
     best = int(np.argmin(max_reg))
@@ -552,19 +565,21 @@ _CSV_PART_ROWS = 16_384
 _COMMA, _CRLF = np.uint64(ord(",") << 40), np.uint64((ord("\r") | ord("\n") << 8) << 40)
 
 
-def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]]]:
-    """The report CSV's state coordinate names and, per coordinate, its distinct
-    values with the index column that picks each state's value."""
+def _coordinate_columns(grid: StateGrid) -> tuple[list[str], list[tuple]]:
+    """The report CSV's state coordinate names and, per coordinate, its values with
+    a function from row numbers (an int or an array) to the rows' positions in them."""
     if grid.family == "binary_trial":
-        return ["p_a", "p_b"], [(grid.points, grid.index_a), (grid.points, grid.index_b)]
-    rate = (grid.miss_rates, grid.index_rate)
+        b = len(grid.points_b)  # state k is (points_a[k // b], points_b[k % b])
+        return ["p_a", "p_b"], [(grid.points_a, lambda k: k // b),
+                                (grid.points_b, lambda k: k % b)]
+    at_obs, at_miss = grid.index_obs.__getitem__, grid.index_miss.__getitem__
+    rate = (grid.miss_rates, grid.index_rate.__getitem__)
     obs, miss = grid.obs_params, grid.miss_params
     if grid.outcome == "bernoulli":
-        return (["theta_obs", "theta_miss", "miss_rate"],
-                [(obs, grid.index_obs), (miss, grid.index_miss), rate])
+        return ["theta_obs", "theta_miss", "miss_rate"], [(obs, at_obs), (miss, at_miss), rate]
     return (["alpha_obs", "beta_obs", "alpha_miss", "beta_miss", "miss_rate"],
-            [(obs[:, 0], grid.index_obs), (obs[:, 1], grid.index_obs),
-             (miss[:, 0], grid.index_miss), (miss[:, 1], grid.index_miss), rate])
+            [(obs[:, 0], at_obs), (obs[:, 1], at_obs), (miss[:, 0], at_miss),
+             (miss[:, 1], at_miss), rate])
 
 
 def _format_block(fields: np.ndarray) -> bytes:
@@ -584,9 +599,9 @@ def _csv_rows(texts, results, fh, lo: int, hi: int) -> None:
     """Write the CSV lines of rows lo..hi-1 into fh, a block of _CSV_BLOCK_ROWS
     rows at a time, and flush fh.
 
-    ``texts`` holds, per state coordinate, the templates of its distinct values
-    and the index column that picks each state's; ``results`` holds, per result
-    column, its values and whether NaN there is an empty field. It runs in a
+    ``texts`` holds, per state coordinate, the templates of its values and the
+    function that gives each row's position among them; ``results`` holds, per
+    result column, its values and whether NaN there is an empty field. It runs in a
     forked child for every part after the first, so, as _ordered_map requires,
     it calls no BLAS: only elementwise numpy and file writes.
     """
@@ -594,13 +609,13 @@ def _csv_rows(texts, results, fh, lo: int, hi: int) -> None:
                        FMT17_WIDTH // 8), "<u8")
     for start in range(lo, hi, _CSV_BLOCK_ROWS):
         block = fields[:min(_CSV_BLOCK_ROWS, hi - start)]
-        rows = slice(start, start + len(block))
-        for c, (chars, index) in enumerate(texts):
-            block[:, c] = chars[index[rows]]
+        stop = start + len(block)
+        for c, (chars, position) in enumerate(texts):
+            block[:, c] = chars[position(np.arange(start, stop))]
         for c, (values, optional) in enumerate(results, len(texts)):
-            _fmt17_cells(values[rows], block[:, c])
+            _fmt17_cells(values[start:stop], block[:, c])
             if optional:  # NaN marks no value: an empty field
-                block[np.isnan(values[rows]), c] = 0
+                block[np.isnan(values[start:stop]), c] = 0
         fh.write(_format_block(block))
     fh.flush()
 
@@ -616,10 +631,10 @@ def report_to_csv(report: RegretReport, path) -> None:
 
     Each number is ``format(v, ".17g")``, byte for byte: mathutil._fmt17_cells
     formats a block's result columns with numpy operations, and falls back to
-    ``format`` for the rare values whose rounding it cannot certify. Distinct
-    state coordinates are formatted once. Lines end in CRLF, as the csv module
-    writes them. No field needs CSV quoting: each is a number, an empty value
-    or a fixed word.
+    ``format`` for the rare values whose rounding it cannot certify. Each
+    coordinate's values are formatted once, not once per row. Lines end in
+    CRLF, as the csv module writes them. No field needs CSV quoting: each is a
+    number, an empty value or a fixed word.
 
     A report of many rows on a machine of several CPUs is written in
     _csv_parts contiguous parts of rows. This process writes the first into
@@ -629,13 +644,13 @@ def report_to_csv(report: RegretReport, path) -> None:
     so the bytes are the same on any number of CPUs.
     """
     state_names, coordinates = _coordinate_columns(report.grid)
-    texts = [(_fmt17_cells(values), index) for values, index in coordinates]
+    texts = [(_fmt17_cells(values), position) for values, position in coordinates]
     results = [(report.error_prob, True), (report.expected_welfare, True),
                (report.regret, False), (report.mc_stderr, False)]
     header = state_names + ["error_prob", "expected_welfare", "regret", "mc_stderr"]
     summary = ["#summary", f"max_regret={fmt17(report.max_regret)}",
-               "argmax=" + "|".join(fmt17(values[index[report.argmax]])
-                                    for values, index in coordinates),
+               "argmax=" + "|".join(fmt17(values[position(report.argmax)])
+                                    for values, position in coordinates),
                f"method={report.method.mode}",
                f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
                f"seed={report.seed.master_seed if report.seed else ''}"]

@@ -2,8 +2,8 @@
 
 Scans run over finite grids of states of two families:
 
-* binary_trial  -- a pair of arm success probabilities (p_a, p_b); welfare of
-  an arm is its success probability.
+* binary_trial  -- a pair of arm success probabilities (p_a, p_b), welfare of
+  an arm its success probability; a grid is a p_a axis times a p_b axis.
 * prediction    -- outcome distribution given observed, outcome distribution
   given missing, and a miss rate, on a bounded outcome support.
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-__all__ = ["StateGrid", "build_binary_grid", "build_pairs_grid", "build_prediction_grid"]
+__all__ = ["StateGrid", "build_binary_grid", "build_product_grid", "build_prediction_grid"]
 
 # the most states a grid builder allocates; a binary grid of step 0.0005 has 4,004,001
 _MAX_GRID_STATES = 1 << 22
@@ -31,18 +31,18 @@ _MAX_GRID_STATES = 1 << 22
 class StateGrid:
     """A finite, ordered discretization of one state-space family.
 
-    A grid is columnar: it holds the distinct values of each state coordinate
-    and one index column per coordinate, giving each state's position among
-    those values. State k is row k of the index columns. The builders make
-    grids; the constructor takes the columns as they are, read-only.
+    A grid is columnar. The builders make grids; the constructor takes the
+    columns as they are, read-only.
 
-    * binary_trial -- ``points``, the distinct success probabilities in
-      increasing order, indexed by ``index_a`` and ``index_b``.
-    * prediction -- one outcome family (``outcome``) and one ``support``;
-      ``obs_params`` and ``miss_params`` hold the distinct parameters of the
-      outcome given observed and given missing (thetas, or rows of Beta
-      shapes), ``miss_rates`` the distinct miss rates, indexed by
-      ``index_obs``, ``index_miss`` and ``index_rate``.
+    * binary_trial -- the product, row-major, of two axes: ``points_a`` and
+      ``points_b``, arm a's and arm b's success probabilities as given. State k
+      is (points_a[k // B], points_b[k % B]), B = len(points_b).
+    * prediction -- a filtered product, with an index column per coordinate:
+      one outcome family (``outcome``) and one ``support``; ``obs_params`` and
+      ``miss_params`` hold the distinct parameters of the outcome given observed
+      and given missing (thetas, or rows of Beta shapes), ``miss_rates`` the
+      distinct miss rates, indexed by ``index_obs``, ``index_miss`` and
+      ``index_rate``. State k is row k of the index columns.
     """
 
     def __init__(self, family: str, **columns):
@@ -55,16 +55,6 @@ class StateGrid:
             setattr(self, name, col)
 
     @property
-    def p_a(self) -> np.ndarray:
-        """Arm-a success probability of every state (binary-trial grids)."""
-        return self.points[self.index_a]
-
-    @property
-    def p_b(self) -> np.ndarray:
-        """Arm-b success probability of every state (binary-trial grids)."""
-        return self.points[self.index_b]
-
-    @property
     def population_mean(self) -> np.ndarray:
         """Mean of the full outcome distribution, observed and missing mixed, of
         every state (prediction grids)."""
@@ -74,7 +64,8 @@ class StateGrid:
         return (1.0 - rate) * observed + rate * missing
 
     def __len__(self) -> int:
-        return len(self.index_a if self.family == "binary_trial" else self.index_obs)
+        binary = self.family == "binary_trial"
+        return len(self.points_a) * len(self.points_b) if binary else len(self.index_obs)
 
 
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
@@ -155,25 +146,19 @@ def build_binary_grid(step: float) -> StateGrid:
     """All (p_a, p_b) pairs on the square lattice with the given step, row-major."""
     pts = _lattice(step)
     _check_grid_size(len(pts) ** 2, f"step {step}")
-    idx = np.arange(len(pts))
-    return StateGrid("binary_trial", points=pts, index_a=np.repeat(idx, len(pts)),
-                     index_b=np.tile(idx, len(pts)))
+    return StateGrid("binary_trial", points_a=pts, points_b=pts)
 
 
-def build_pairs_grid(pairs: Sequence[tuple[float, float]]) -> StateGrid:
-    """The (p_a, p_b) pairs given, in their order, duplicates kept.
-
-    Each probability must lie in [0, 1]. Probabilities are told apart by their
-    bits, so a -0.0 keeps its sign.
-    """
-    values = np.asarray(pairs, dtype=float)
-    if len(values) == 0 or values.shape != (len(values), 2):
-        raise PreconditionError("a binary-trial grid needs one or more (p_a, p_b) pairs")
-    _reject_first(_in_unit(values),
-                  lambda k: f"{('p_a', 'p_b')[k % 2]}={values.flat[k].item()} outside [0, 1]")
-    points, index = _distinct(values.T.reshape(-1))  # every p_a, then every p_b
-    return StateGrid("binary_trial", points=points, index_a=index[:len(values)],
-                     index_b=index[len(values):])
+def build_product_grid(p_a_values: Sequence[float], p_b_values: Sequence[float]) -> StateGrid:
+    """Every (p_a, p_b) pair of the values given, row-major, duplicates and a -0.0
+    kept; each must lie in [0, 1]. ``build_product_grid([a], [b])`` is one state."""
+    axes = [np.array(values, dtype=float) for values in (p_a_values, p_b_values)]
+    if any(axis.ndim != 1 or len(axis) == 0 for axis in axes):
+        raise PreconditionError("a binary-trial grid needs one or more p_a and p_b values")
+    _check_grid_size(len(axes[0]) * len(axes[1]), "the p_a and p_b values")
+    for name, axis in zip(("p_a", "p_b"), axes):
+        _reject_first(_in_unit(axis), lambda k: f"{name}={axis[k].item()} outside [0, 1]")
+    return StateGrid("binary_trial", points_a=axes[0], points_b=axes[1])
 
 
 def build_prediction_grid(

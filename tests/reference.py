@@ -119,8 +119,9 @@ def _per_cell_report_to_csv(report, path):
     time, with NaN left empty in the optional columns."""
     grid = report.grid
     if grid.family == "binary_trial":
-        names = ["p_a", "p_b"]
-        coords = [grid.points[grid.index_a], grid.points[grid.index_b]]
+        names = ["p_a", "p_b"]  # the product of the axes, row-major
+        coords = [np.repeat(grid.points_a, len(grid.points_b)),
+                  np.tile(grid.points_b, len(grid.points_a))]
     elif grid.outcome == "bernoulli":
         names = ["theta_obs", "theta_miss", "miss_rate"]
         coords = [grid.obs_params[grid.index_obs], grid.miss_params[grid.index_miss],

@@ -55,6 +55,12 @@ def test_criterion_1_two_hypothesis_regret_table():
             failures)
 
 
+def _argmax_effect(report) -> float:
+    """|p_b - p_a| at the argmax state of a binary-trial report."""
+    i, j = divmod(report.argmax, len(report.grid.points_b))
+    return abs(report.grid.points_b[j] - report.grid.points_a[i])
+
+
 def test_criterion_2_es_vs_ztest_n145():
     design = TrialDesign(per_arm_n=145)
     grid = build_binary_grid(0.01)
@@ -64,7 +70,7 @@ def test_criterion_2_es_vs_ztest_n145():
     if not abs(es.max_regret - 0.010) <= 0.002:
         failures.append(f"ES max regret {es.max_regret:.6f} not 0.010+-0.002")
     es_rec = es.record(es.argmax)
-    es_eff = abs(es.grid.p_b[es.argmax] - es.grid.p_a[es.argmax])
+    es_eff = _argmax_effect(es)
     if not abs(es_eff - 0.03) <= 0.01 + 1e-12:
         failures.append(f"ES argmax |effect| {es_eff:.4f} not 0.03+-0.01")
     if not abs(es_rec.error_prob - 0.35) <= 0.05:
@@ -75,7 +81,7 @@ def test_criterion_2_es_vs_ztest_n145():
     if not abs(zt.max_regret - 0.050) <= 0.005:
         failures.append(f"z-test max regret {zt.max_regret:.6f} not 0.050+-0.005")
     zt_rec = zt.record(zt.argmax)
-    zt_eff = abs(zt.grid.p_b[zt.argmax] - zt.grid.p_a[zt.argmax])
+    zt_eff = _argmax_effect(zt)
     if not abs(zt_eff - 0.08) <= 0.01 + 1e-12:
         failures.append(f"z-test argmax |effect| {zt_eff:.4f} not 0.08+-0.01")
     if not abs(zt_rec.error_prob - 0.60) <= 0.05:

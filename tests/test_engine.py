@@ -17,8 +17,8 @@ from mmregret import (
     SurveyDesign,
     TrialDesign,
     build_binary_grid,
-    build_pairs_grid,
     build_prediction_grid,
+    build_product_grid,
     exhaustive_mmr_oracle,
     max_mse_scan,
     max_regret_scan,
@@ -27,11 +27,9 @@ from mmregret import (
     report_to_csv,
 )
 import mmregret.engine as engine
-from mmregret.engine import (_CSV_BLOCK_ROWS, _binomial_counts, _mc_mse, _mean_stderr,
-                             choice_table)
+from mmregret.engine import _CSV_BLOCK_ROWS, _binomial_counts, _mc_mse, choice_table
 from mmregret.mathutil import binom_pmf_vector
 from mmregret.rules import TableRule
-from mmregret.states import StateGrid
 from reference import (_per_cell_report_to_csv, enumerate_trial, es_choose, iid_trial_mc,
                        state_means, ztest_choose)
 
@@ -51,18 +49,18 @@ def _brute_force_error_prob(rule_fn, p_a, p_b, n):
 class TestErrorProbability:
     def test_es_n1_hand_value(self):
         # P(0,1) = 0.16 plus half the tie mass 0.24 -> 0.40
-        s = build_pairs_grid([(0.6, 0.4)])
+        s = build_product_grid([0.6], [0.4])
         err = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).error_prob
         assert err == pytest.approx(0.40, abs=1e-12)
 
     def test_equal_probabilities_skipped(self):
-        s = build_pairs_grid([(0.3, 0.3)])
+        s = build_product_grid([0.3], [0.3])
         rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5))
         assert rec.error_prob is None
         assert rec.regret == 0.0
 
     def test_degenerate_state(self):
-        s = build_pairs_grid([(1.0, 0.0)])
+        s = build_product_grid([1.0], [0.0])
         err = _one_state_record(ES, s, TrialDesign(per_arm_n=3)).error_prob
         assert err == pytest.approx(0.0)
 
@@ -72,7 +70,7 @@ class TestErrorProbability:
             pa, pb = rng.random(2)
             if pa == pb:
                 continue
-            s = build_pairs_grid([(pa, pb)])
+            s = build_product_grid([pa], [pb])
             got = _one_state_record(ES, s, TrialDesign(per_arm_n=4)).error_prob
             want = _brute_force_error_prob(es_choose, pa, pb, 4)
             assert got == pytest.approx(want, abs=1e-12)
@@ -84,17 +82,17 @@ class TestErrorProbability:
 
 class TestRegretAndWelfare:
     def test_regret_product_form(self):
-        s = build_pairs_grid([(0.6, 0.4)])
+        s = build_product_grid([0.6], [0.4])
         reg = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).regret
         assert reg == pytest.approx(0.08, abs=1e-12)
 
     def test_expected_welfare(self):
-        s = build_pairs_grid([(0.6, 0.4)])
+        s = build_product_grid([0.6], [0.4])
         welfare = _one_state_record(ES, s, TrialDesign(per_arm_n=1)).expected_welfare
         assert welfare == pytest.approx(0.52, abs=1e-12)
 
     def test_welfare_at_equal_arms(self):
-        s = build_pairs_grid([(0.7, 0.7)])
+        s = build_product_grid([0.7], [0.7])
         welfare = _one_state_record(ZTEST, s, TrialDesign(per_arm_n=10)).expected_welfare
         assert welfare == pytest.approx(0.7)
 
@@ -121,7 +119,7 @@ class TestExactVsMonteCarlo:
         for rule in (ES, ZTEST):
             for k in range(20):
                 pa, pb = rng.random(2)
-                s = build_pairs_grid([(pa, pb)])
+                s = build_product_grid([pa], [pb])
                 exact = _one_state_record(rule, s, design).regret
                 rec = _one_state_record(rule, s, design, method, SeedSpec(99))
                 # the 1e-6 floor covers states where the MC draw never errs
@@ -129,7 +127,7 @@ class TestExactVsMonteCarlo:
                 assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-6
 
     def test_stderr_scales_as_inverse_sqrt_reps(self):
-        s = build_pairs_grid([(0.55, 0.45)])
+        s = build_product_grid([0.55], [0.45])
         design = TrialDesign(per_arm_n=30)
         stderrs = []
         for reps in (1000, 10_000, 100_000):
@@ -143,16 +141,16 @@ class TestExactVsMonteCarlo:
         # n = 2000 is past the n at which a linear-space binomial PMF at p = 0.5
         # overflows; exact enumeration still runs there
         design = TrialDesign(per_arm_n=2000)
-        pairs = [(0.5, 0.52), (0.31, 0.3)]
-        report = max_regret_scan(ES, build_pairs_grid(pairs), design,
+        p_a, p_b = [0.5, 0.51], [0.52, 0.49]  # no state whose regret MC cannot see
+        report = max_regret_scan(ES, build_product_grid(p_a, p_b), design,
                                  EvalMethod("monte_carlo", 20_000), SeedSpec(6))
-        for pair, rec in zip(pairs, report.per_state):
-            exact = _one_state_record(ES, build_pairs_grid([pair]), design).regret
+        for (a, b), rec in zip(itertools.product(p_a, p_b), report.per_state):
+            exact = _one_state_record(ES, build_product_grid([a], [b]), design).regret
             assert np.isfinite(exact) and exact > 0
             assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
 
     def test_mc_regret_within_noise_of_nonnegative(self):
-        s = build_pairs_grid([(0.5, 0.501)])
+        s = build_product_grid([0.5], [0.501])
         rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5),
                                 EvalMethod("monte_carlo", 5000), SeedSpec(1))
         assert rec.regret >= -4 * rec.mc_stderr
@@ -192,12 +190,12 @@ class TestValueClasses:
         rule = ES if kind == "es" else TableRule(np.random.default_rng(3).random((n + 1, n + 1)))
         table = choice_table(rule, n)
         assert kind == "es" or all(len(np.unique(row)) == n + 1 for row in table)
-        states = [(0.53, 0.47), (0.3, 0.6), (0.8, 0.65), (0.1, 0.15)]
-        grid = build_pairs_grid(states)
+        axes = [0.53, 0.3, 0.8], [0.47, 0.6, 0.65]  # gaps of 0.06 to 0.35
+        grid = build_product_grid(*axes)
         design = TrialDesign(per_arm_n=n)
         exact = max_regret_scan(rule, grid, design).regret
         mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", reps), SeedSpec(9))
-        for k, (p_a, p_b) in enumerate(states):
+        for k, (p_a, p_b) in enumerate(itertools.product(*axes)):
             gap = abs(p_a - p_b)
             prob_b, se_b = iid_trial_mc(table, n, p_a, p_b, reps, np.random.default_rng(k))
             ref = gap * (prob_b if p_a > p_b else 1.0 - prob_b)
@@ -210,7 +208,7 @@ class TestValueClasses:
     def test_z_scores_over_seeds_are_standard_normal(self):
         # 200 seeds at one state: the z-scores against exact have mean 0 and
         # variance 1, each within four of its standard errors
-        grid = build_pairs_grid([(0.53, 0.47)])
+        grid = build_product_grid([0.53], [0.47])
         design, method = TrialDesign(per_arm_n=145), EvalMethod("monte_carlo", 5000)
         exact = max_regret_scan(ES, grid, design).regret[0]
         z = np.array([(r.regret[0] - exact) / r.mc_stderr[0] for r in
@@ -375,15 +373,92 @@ def _median_per_block(rng, shape, count, m):
 def test_sorted_block_median_has_the_bits_of_np_median(shape):
     for m in range(1, 41):
         count = 300 if m < 40 else 7000  # at m = 40, 7,000 samples span two blocks
-        got = engine._beta_statistic(SeedSpec(m).rng(), shape, count, m, True)
+        got = np.concatenate(list(engine._beta_statistic(SeedSpec(m).rng(), shape, count, m,
+                                                         True)))
         assert got.tobytes() == _median_per_block(SeedSpec(m).rng(), shape, count, m).tobytes()
+
+
+_AXIS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.5, 1.0]),
+                           st.floats(0.0, 1.0)), min_size=1, max_size=6)
+
+
+def _state_rows(report, folder) -> list[bytes]:
+    """The state rows of the report's CSV."""
+    report_to_csv(report, folder / "report.csv")
+    return (folder / "report.csv").read_bytes().split(b"\r\n")[1:-2]
+
+
+class TestProductGridOrder:
+    """State k of a product grid is (p_a[k // B], p_b[k % B]), B = len(p_b): its
+    row of an exact report is the row of the one-state grid of that pair."""
+
+    @given(p_a=_AXIS, p_b=_AXIS, n=st.integers(1, 40),
+           rule=st.sampled_from(["always_a", "es", "ztest"]))
+    @settings(max_examples=40, deadline=None)
+    def test_each_state_is_its_one_state_grid(self, tmp_path_factory, p_a, p_b, n, rule):
+        folder = tmp_path_factory.mktemp("order")
+        rule = {"es": ES, "ztest": ZTEST}.get(rule) or TableRule(np.zeros((n + 1, n + 1)))
+        design = TrialDesign(per_arm_n=n)
+        report = max_regret_scan(rule, build_product_grid(p_a, p_b), design)
+        rows = _state_rows(report, folder)
+        assert len(rows) == len(p_a) * len(p_b)
+        for k, row in enumerate(rows):
+            one = max_regret_scan(rule, build_product_grid([p_a[k // len(p_b)]],
+                                                           [p_b[k % len(p_b)]]), design)
+            (one_row,) = _state_rows(one, folder)
+            if isinstance(rule, TableRule):
+                # no mass on b: the contraction is 0 in any order, so every
+                # column has the bits of the one-state grid's
+                assert row == one_row
+                continue
+            # BLAS sums a one-row contraction in another order than a larger
+            # one, so the results agree to round-off, and the rest bit for bit
+            assert row.split(b",")[:2] == one_row.split(b",")[:2]
+            for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
+                got, want = getattr(report, column)[k], getattr(one, column)[0]
+                assert np.isnan(got) == np.isnan(want)
+                assert abs(got - want) <= 1e-13 or np.isnan(got)
+
+
+@given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_merged_block_moments_match_the_two_pass_moments(sizes, seed):
+    # blocks merged in order against one pass over all the draws: the sums run in
+    # another order, so they agree to round-off
+    values = np.random.default_rng(seed).random(sum(sizes)) ** 2
+    merged, lo = None, 0
+    for size in sizes:
+        merged = engine._merge(merged, engine._moments(values[lo:lo + size], 1, size))
+        lo += size
+    n, mean, m2 = engine._moments(values, 1, len(values))
+    assert merged[0] == n
+    assert merged[1] == pytest.approx(mean, rel=1e-12)
+    assert merged[2] == pytest.approx(m2, rel=1e-12, abs=1e-15)
+
+
+def test_beta_mc_memory_does_not_grow_with_reps():
+    # 10^6 samples of 10 draws: each block of 2^18 draws is reduced to its count,
+    # mean and sum of squared deviations before the next is drawn
+    import tracemalloc
+    grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0)], miss_params=[(0.5, 2.0)],
+                                 miss_rates=[0.2])
+    tracemalloc.start()
+    try:
+        report = max_mse_scan(DecisionRule("analog_median"), grid, SurveyDesign("fixed_n", 10),
+                              EvalMethod("monte_carlo", 10 ** 6), SeedSpec(1), workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.mc_stderr[0] > 0
+    assert peak < 8 << 20
 
 
 class TestMaxRegretScan:
     def test_diagonal_grid_zero_regret(self):
-        diag = build_pairs_grid([(p, p) for p in (0.0, 0.5, 1.0)])
-        report = max_regret_scan(ES, diag, TrialDesign(per_arm_n=10))
-        assert report.max_regret == 0.0
+        for p in (0.0, 0.5, 1.0):
+            diag = build_product_grid([p], [p])
+            assert max_regret_scan(ES, diag, TrialDesign(per_arm_n=10)).max_regret == 0.0
 
     def test_subgrid_max_below_full_grid_max(self):
         design = TrialDesign(per_arm_n=145)
@@ -630,7 +705,7 @@ class TestMidpointFormula:
 
 class TestOracle:
     def test_single_state_grid(self):
-        grid = build_pairs_grid([(0.2, 0.8)])
+        grid = build_product_grid([0.2], [0.8])
         _, max_reg = exhaustive_mmr_oracle(TrialDesign(per_arm_n=1), grid)
         assert max_reg == pytest.approx(0.0, abs=1e-12)
 
@@ -866,7 +941,8 @@ def _rowwise_report_to_csv(report, path):
         names = ["p_a", "p_b"]
 
         def coords(k):
-            return [g.points[g.index_a[k]], g.points[g.index_b[k]]]
+            i, j = divmod(k, len(g.points_b))
+            return [g.points_a[i], g.points_b[j]]
     elif g.outcome == "bernoulli":
         names = ["theta_obs", "theta_miss", "miss_rate"]
 
@@ -984,11 +1060,11 @@ def _wild_report(grid, seed):
 
 def _grid(family, rows, rng):
     """A grid of the family with the given number of rows."""
+    b = 2 - rows % 2  # rows // b x b states
     if family == "binary_trial":
         points = [0.0, -0.0, 5e-324, 1e-310, 0.1, 1 / 3, 0.5, 0.7, 1.0]
-        pick = rng.integers(0, len(points), (rows, 2)).tolist()
-        return build_pairs_grid([(points[i], points[j]) for i, j in pick])
-    miss = 2 - rows % 2  # obs x miss parameters x one miss rate
+        return build_product_grid(rng.choice(points, rows // b), rng.choice(points, b))
+    miss = b  # obs x miss parameters x one miss rate
     obs, rates = rows // miss, [rng.choice([0.0, 0.2, 1 / 3, 1.0])]
     if family == "bernoulli":
         return build_prediction_grid("bernoulli", obs_params=list(rng.random(obs)),
@@ -1027,18 +1103,19 @@ def test_full_size_es_report_matches_per_cell_writer(tmp_path):
 
 
 def _boundary_report(rows, seed):
-    """A report of floats of every kind whose two rows at each boundary of 2, 3
-    and 4 equal parts hold -0.0 and, where a column may, no value (NaN)."""
+    """A report over a rows x 1 binary-trial grid, of floats of every kind, whose
+    two rows at each boundary of 2, 3 and 4 equal parts hold p_a = -0.0, -0.0
+    and, where a column may, no value (NaN)."""
     rng = np.random.default_rng(seed)
     points = np.array([0.0, -0.0, 5e-324, 0.1, 1 / 3, 0.5, 1.0])
-    index_a, index_b = rng.integers(0, len(points), (2, rows))
-    grid = StateGrid("binary_trial", points=points, index_a=index_a, index_b=index_b)
+    p_a = rng.choice(points, rows)
     err, welfare, regret, stderr = (_wild_column(rng, rows) for _ in range(4))
     for parts in (2, 3, 4):
         for k in range(1, parts):
             edge = slice(rows * k // parts - 1, rows * k // parts + 1)
             err[edge] = welfare[edge] = np.nan
-            regret[edge] = stderr[edge] = -0.0
+            p_a[edge] = regret[edge] = stderr[edge] = -0.0
+    grid = build_product_grid(p_a, [rng.choice(points)])
     return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
                         EvalMethod("exact"), SeedSpec(seed))
 
@@ -1160,7 +1237,7 @@ def test_mc_pool_gets_one_process_per_chunk(family):
 
     method = EvalMethod("monte_carlo", 1000)
     if family == "binary_trial":
-        grid = build_pairs_grid([(a, b) for a in (0.2, 0.6) for b in (0.1, 0.3, 0.5, 0.7)])
+        grid = build_product_grid([0.2, 0.6], [0.1, 0.3, 0.5, 0.7])
         scan = partial(max_regret_scan, ES, grid, TrialDesign(per_arm_n=5), method, SeedSpec(1))
     else:
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],

@@ -165,6 +165,6 @@ class TestFmt17Kernel:
 def test_exact_n145_reports_need_no_fallback(rule):
     """Every number of the exact reports at n=145, step 0.01 takes the fast path."""
     report = max_regret_scan(rule, build_binary_grid(0.01), TrialDesign(per_arm_n=145))
-    columns = [report.grid.points, report.error_prob, report.expected_welfare,
+    columns = [report.grid.points_a, report.error_prob, report.expected_welfare,
                report.regret, report.mc_stderr]
     assert sum(_uncertified(c) for c in columns) == 0

@@ -9,8 +9,8 @@ from mmregret import (
     FiniteDecisionProblem,
     PreconditionError,
     build_binary_grid,
-    build_pairs_grid,
     build_prediction_grid,
+    build_product_grid,
     classify_dominance,
 )
 from mmregret import states
@@ -157,38 +157,57 @@ class TestInvariants:
 
     def test_state_bounds_rejected(self):
         with pytest.raises(PreconditionError, match="p_a=1.2 outside"):
-            build_pairs_grid([(1.2, 0.5)])
+            build_product_grid([1.2], [0.5])
         with pytest.raises(PreconditionError, match="p_b=nan outside"):
-            build_pairs_grid([(0.5, 0.5), (0.5, float("nan"))])
+            build_product_grid([0.5], [0.5, float("nan")])
 
 
 class TestColumnarBinaryGrid:
     def test_states_built_from_columns(self):
         grid = build_binary_grid(0.5)
-        assert grid.points.tolist() == [0.0, 0.5, 1.0]
+        assert grid.points_a is grid.points_b  # the lattice's axes are one array
+        assert grid.points_a.tolist() == [0.0, 0.5, 1.0]
         assert _pairs(grid) == [(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
 
     def test_grid_from_states_derives_columns(self):
+        # the product grid of the lattice's axes is the lattice
         lattice = build_binary_grid(0.5)
-        grid = build_pairs_grid(_pairs(lattice))
-        assert grid.points.tolist() == lattice.points.tolist()
-        assert grid.index_a.tolist() == lattice.index_a.tolist()
-        assert grid.index_b.tolist() == lattice.index_b.tolist()
+        grid = build_product_grid(lattice.points_a.tolist(), lattice.points_b.tolist())
+        assert grid.points_a.tolist() == grid.points_b.tolist() == lattice.points_a.tolist()
+        assert _pairs(grid) == _pairs(lattice)
 
     def test_grid_from_states_keeps_negative_zero(self):
-        grid = build_pairs_grid([(-0.0, 0.5), (0.0, -0.0)])
-        assert [repr(p) for p in grid.p_a.tolist()] == ["-0.0", "0.0"]
-        assert [repr(p) for p in grid.p_b.tolist()] == ["0.5", "-0.0"]
+        # and duplicates: the axes are the values given, in order
+        grid = build_product_grid([-0.0, 0.0, -0.0], [0.5, -0.0])
+        assert [repr(p) for p in grid.points_a.tolist()] == ["-0.0", "0.0", "-0.0"]
+        assert [repr(p) for p in grid.points_b.tolist()] == ["0.5", "-0.0"]
+        assert len(grid) == 6
 
-    @pytest.mark.parametrize("pairs", [[], [(0.5, 0.5, 0.5)], [0.5, 0.5]])
-    def test_pairs_grid_needs_pairs(self, pairs):
-        with pytest.raises(PreconditionError):
-            build_pairs_grid(pairs)
+    @pytest.mark.parametrize("axes", [([], [0.5]), ([0.5], []), ([[0.5, 0.5]], [0.5])])
+    def test_product_grid_needs_two_axes(self, axes):
+        with pytest.raises(PreconditionError, match="one or more p_a and p_b values"):
+            build_product_grid(*axes)
+
+    def test_product_grid_copies_its_values(self):
+        values = np.array([0.1, 0.2])
+        grid = build_product_grid(values, values)
+        values[0] = 0.9
+        assert values.flags.writeable
+        assert grid.points_a.tolist() == grid.points_b.tolist() == [0.1, 0.2]
+
+    def test_lattice_grid_holds_only_its_axes(self):
+        # 4,004,001 states in under 64 KB: no column has a row per state
+        grid = build_binary_grid(0.0005)
+        assert len(grid) == 2001 ** 2
+        assert sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray)) < 1 << 16
 
 
 def _pairs(grid) -> list[tuple[float, float]]:
-    """The (p_a, p_b) pair of every state of a binary-trial grid, in order."""
-    return list(zip(grid.p_a.tolist(), grid.p_b.tolist()))
+    """The (p_a, p_b) pair of every state of a binary-trial grid, in order: state
+    k is (points_a[k // B], points_b[k % B])."""
+    b = len(grid.points_b)
+    return [(grid.points_a[k // b].item(), grid.points_b[k % b].item())
+            for k in range(len(grid))]
 
 
 def _product_grid_states(family, obs, miss, rates, support, max_miss_rate=None,
@@ -305,6 +324,12 @@ class TestGridSizeBound:
         assert len(build_binary_grid(0.25)) == 25
         with pytest.raises(PreconditionError, match="gives 36 states"):
             build_binary_grid(0.2)
+
+    def test_product_grid_states(self, monkeypatch):
+        monkeypatch.setattr(states, "_MAX_GRID_STATES", 6)
+        assert len(build_product_grid([0.1] * 2, [0.2] * 3)) == 6
+        with pytest.raises(PreconditionError, match="gives 8 states"):
+            build_product_grid([0.1] * 2, [0.2] * 4)
 
     def test_prediction_grid_counts_the_product_before_restrictions(self, monkeypatch):
         monkeypatch.setattr(states, "_MAX_GRID_STATES", 12)
