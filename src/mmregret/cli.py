@@ -37,7 +37,8 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--reps", type=int,
                         help="Monte Carlo replications per state, 1000 to 2^63 - 1 "
-                             "(default 100000); --method exact rejects it")
+                             "(default 100000); --method exact rejects it, and a "
+                             "wald-mse scan that runs exact draws none")
     parser.add_argument("--workers", type=int,
                         help="most processes of a Monte Carlo scan, at most one per CPU "
                              "(default: every CPU the process may use); states are dealt "
@@ -45,7 +46,9 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
                              "--method exact rejects it. A CSV of many rows is written "
                              "on every CPU either way")
     parser.add_argument("--method", choices=("exact", "mc"),
-                        help=f"evaluation method (default {method_default})")
+                        help=f"evaluation method (default {method_default}); wald-mse "
+                             "runs an exact path wherever one exists, under mc too, and "
+                             "prints the method that ran")
     parser.add_argument("--out", help="CSV output path")
 
 
@@ -232,6 +235,8 @@ def _pairs(text: str) -> list[tuple[float, float]]:
 
 def _coordinate(cfg, name: str):
     """A grid coordinate's values: the list ``{name}_values`` or the lattice ``{name}_step``."""
+    if f"{name}_values" in cfg and f"{name}_step" in cfg:
+        raise ConfigError(f"give one of {name}_values and {name}_step, not both")
     if f"{name}_values" in cfg:
         return _floats(cfg[f"{name}_values"])
     if f"{name}_step" in cfg:
@@ -248,6 +253,8 @@ def _wald_predictor(cfg) -> Predictor:
     rule = DecisionRule(name) if name in RULES and not RULES[name][1] else None
     if not isinstance(rule, Predictor):
         raise ConfigError(f"unknown predictor {name!r}")
+    if "custom_table" in cfg:
+        raise ConfigError("custom_table applies to predictor = custom only")
     return rule
 
 
@@ -266,8 +273,21 @@ def _custom_table(cfg) -> list[tuple[float, float]]:
     return rows
 
 
+# the outcome parameter keys of each family; the other family's keys are rejected
+_FAMILY_KEYS = {
+    "bernoulli": ("theta_obs_step", "theta_obs_values", "theta_miss_step", "theta_miss_values"),
+    "beta": ("beta_obs_shapes", "beta_miss_shapes"),
+}
+
+
 def _wald_grid(cfg) -> states.StateGrid:
     family = cfg.get("family", "bernoulli")
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown family {family!r}")
+    for other in set(_FAMILY_KEYS) - {family}:
+        stray = [key for key in _FAMILY_KEYS[other] if key in cfg]
+        if stray:
+            raise ConfigError(f"{stray[0]} applies to family = {other} only")
     support = _bounds(cfg.get("support", "0,1"), "support")
     miss = _coordinate(cfg, "miss")
     filters = dict(
@@ -279,13 +299,11 @@ def _wald_grid(cfg) -> states.StateGrid:
     if family == "bernoulli":
         obs = _coordinate(cfg, "theta_obs")
         mis = _coordinate(cfg, "theta_miss")
-    elif family == "beta":
+    else:
         if "beta_obs_shapes" not in cfg or "beta_miss_shapes" not in cfg:
             raise ConfigError("beta family needs beta_obs_shapes and beta_miss_shapes")
         obs = _pairs(cfg["beta_obs_shapes"])
         mis = _pairs(cfg["beta_miss_shapes"])
-    else:
-        raise ConfigError(f"unknown family {family!r}")
     return states.build_prediction_grid(
         family, obs_params=obs, miss_params=mis, miss_rates=miss,
         support=support, **filters)
@@ -313,6 +331,7 @@ def cmd_wald_mse(args) -> int:
     else:
         desc = "obs=Beta({},{}), miss=Beta({},{})".format(*params)
     print(f"argmax_state=({desc}, miss_rate={miss_rate})")
+    print(f"method={report.method.mode}")
     return EXIT_OK
 
 

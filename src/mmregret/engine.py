@@ -1,10 +1,11 @@
 """Evaluation engine: state-dependent error probability, regret, and MSE.
 
 Evaluates a rule exactly where the sample space is enumerable (two-arm binary
-trials, Bernoulli surveys with a fixed observed count) and by seeded Monte
-Carlo otherwise. Each grid family has one evaluation path, a report builder
-over a grid, which its scan calls; one state is evaluated as a scan of a grid
-that holds only it. Also provides analytic maximum-regret bounds for the
+trials, Bernoulli surveys with a fixed observed count) or a closed form exists
+(surveys read through a predictor affine in the observed mean), and by seeded
+Monte Carlo otherwise. Each grid family has one report builder over a grid,
+which its scan calls; one state is evaluated as a scan of a grid that holds
+only it. Also provides analytic maximum-regret bounds for the
 empirical success rule and an exhaustive oracle over deterministic rules on
 tiny trial designs.
 """
@@ -21,9 +22,9 @@ import numpy as np
 from .errors import PreconditionError
 from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_vector,
                        fmt17)
-from .rules import Predictor, TrialRule
+from .rules import _AFFINE, Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
-from .states import _MAX_GRID_STATES, StateGrid
+from .states import _MAX_GRID_STATES, StateGrid, _outcome_mean
 
 __all__ = [
     "EvalMethod",
@@ -387,9 +388,6 @@ def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
     one PMF per distinct theta_obs, one prediction vector per distinct miss rate
     (the observed fraction p1 is 1 minus it), and one PMF-weighted sum of squared
     errors per state."""
-    if design.mode != "fixed_n" or grid.outcome != "bernoulli":
-        raise PreconditionError(
-            "exact MSE needs a fixed-N design with Bernoulli observed outcomes")
     n, k = design.n, np.arange(design.n + 1)
     preds = np.array([_bernoulli_predictions(rule, k, n, p1, grid.support)
                       for p1 in (1.0 - grid.miss_rates).tolist()])
@@ -401,6 +399,51 @@ def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
         err2 = (preds[grid.index_rate[rows]] - pop[rows, None]) ** 2
         # a stack of (1 x n+1) @ (n+1 x 1) products: the same bits as one pmf @ err2 each
         mse[rows] = np.matmul(pmf[grid.index_obs[rows], None, :], err2[:, :, None])[:, 0, 0]
+    return mse
+
+
+def _affine_terms(rule: Predictor, mean, var, n_obs, p1, support) -> tuple:
+    """The prediction at the expected observed mean, and the variance of the
+    prediction, b^2 var / n_obs: b is the predictor's slope in the observed mean
+    and var the variance of one observed outcome."""
+    y0, y1 = support
+    rise = rule.predict(y1, n_obs, p1, support) - rule.predict(y0, n_obs, p1, support)
+    return rule.predict(mean, n_obs, p1, support), (rise / (y1 - y0)) ** 2 * var / n_obs
+
+
+def _affine_mse(rule: Predictor, grid: StateGrid, design: SurveyDesign) -> np.ndarray:
+    """Per-state MSE of a predictor affine in the observed mean, in closed form.
+
+    Given n >= 1 observed outcomes of mean E and variance var each, the prediction
+    is f(E) + b (mean - E), so its MSE about the population mean mu is (f(E) - mu)^2
+    + b^2 var / n. Under fixed_n, n is N and p1 is 1 minus the miss rate; under
+    random_miss, n ~ Bin(N, 1 - miss rate), p1 = n / N, and n = 0 predicts the
+    support midpoint. One prediction and variance per distinct observed parameter
+    and n, one PMF per distinct miss rate, and one PMF-weighted sum per state.
+    """
+    y0, y1 = support = grid.support
+    obs, rate, mu = grid.index_obs, grid.index_rate, grid.population_mean
+    mean = _outcome_mean(grid.outcome, grid.obs_params, support)
+    if grid.outcome == "bernoulli":
+        var = grid.obs_params * (1.0 - grid.obs_params)
+    else:
+        a, b = grid.obs_params.T
+        var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+    var = var * (y1 - y0) ** 2
+    total = design.n
+    if design.mode == "fixed_n":
+        pred, spread = _affine_terms(rule, mean[obs], var[obs], total,
+                                     1.0 - grid.miss_rates[rate], support)
+        return (pred - mu) ** 2 + spread
+    n = np.arange(1, total + 1)
+    pred, spread = _affine_terms(rule, mean[:, None], var[:, None], n, n / total, support)
+    pmf = binom_pmf_matrix(total, 1.0 - grid.miss_rates)
+    mse = pmf[rate, 0] * (0.5 * (y0 + y1) - mu) ** 2
+    per = max(1, _CONTRACTION_CELLS // total)
+    for lo in range(0, len(grid), per):
+        rows = slice(lo, lo + per)
+        err2 = (pred[obs[rows]] - mu[rows, None]) ** 2 + spread[obs[rows]]
+        mse[rows] += np.matmul(pmf[rate[rows], None, 1:], err2[:, :, None])[:, 0, 0]
     return mse
 
 
@@ -477,12 +520,25 @@ def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid,
 
 
 def _mse_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
-    """MSE of a predictor in every state of a prediction grid (regret = MSE here);
-    MC state k draws from substream k."""
+    """MSE of a predictor in every state of a prediction grid (regret = MSE here).
+
+    The input picks the path, whatever the method: a Bernoulli survey of fixed N
+    enumerates the success count, any other survey read through an affine
+    predictor takes the closed form, and the report's method is exact. Only a
+    nonlinear predictor under random_miss or on Beta outcomes has no exact path:
+    it draws by Monte Carlo, state k from substream k, and an exact method is
+    rejected there.
+    """
     if not isinstance(rule, Predictor):
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
-    if method.mode == "exact":
-        mse, stderr = _exact_bernoulli_mse(rule, grid, design), np.zeros(len(grid))
+    stderr = np.zeros(len(grid))
+    if grid.outcome == "bernoulli" and design.mode == "fixed_n":
+        mse, method = _exact_bernoulli_mse(rule, grid, design), EvalMethod("exact")
+    elif rule in _AFFINE:
+        mse, method = _affine_mse(rule, grid, design), EvalMethod("exact")
+    elif method.mode == "exact":
+        raise PreconditionError("exact MSE needs Bernoulli outcomes with a fixed N, or a "
+                                "predictor affine in the observed mean")
     else:
         kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec(), grid)
         mse, stderr = _map_chunks(kernel, len(grid), workers)
@@ -498,9 +554,11 @@ def max_mse_scan(
     seed: SeedSpec | None = None,
     workers: int | None = None,
 ) -> RegretReport:
-    """Maximize predictor MSE over a prediction grid (regret = MSE here). A Monte
-    Carlo scan runs on at most ``workers`` processes and CPUs, on every CPU the
-    process may use when ``workers`` is None; the result does not depend on it."""
+    """Maximize predictor MSE over a prediction grid (regret = MSE here). The scan
+    is exact wherever an exact path exists, for either method (see _mse_report),
+    and the report says which method ran. A Monte Carlo scan runs on at most
+    ``workers`` processes and CPUs, on every CPU the process may use when
+    ``workers`` is None; the result does not depend on it."""
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
     _check_workers(workers)

@@ -155,6 +155,9 @@ HODGES_LEHMANN = Predictor("mean", _hodges_lehmann)
 MIDPOINT = Predictor("mean", _midpoint)
 ANALOG_MEAN = Predictor("mean", _sample_statistic)  # the sample analog under square loss
 ANALOG_MEDIAN = Predictor("median", _sample_statistic)  # and under absolute loss
+# the predictors affine in the observed mean at every count, fraction and support,
+# whose survey MSE the engine takes in closed form
+_AFFINE = (HODGES_LEHMANN, MIDPOINT, ANALOG_MEAN)
 
 
 def mean_table_predictor(rows) -> Predictor:

@@ -4,10 +4,12 @@ report CSV.
 The choice functions give the mass a rule puts on each arm for one outcome,
 its per-arm success counts. They are written without the tables, so tests can
 check ``rule.table(n)`` and the exact scans against them. The PMF runs its
-recurrence for one probability at a time. The trial MC draws both arms iid.
-The CSV writer formats one cell at a time with ``format``.
+recurrence for one probability at a time, or takes ``math.comb`` products. The
+trial MC draws both arms iid. The survey MSE sums over every observed count and
+success count. The CSV writer formats one cell at a time with ``format``.
 """
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -50,6 +52,11 @@ def binom_pmf_recurrence(n: int, p: float) -> np.ndarray:
     if s > 0:
         out /= s
     return out
+
+
+def comb_pmf(n: int, p: float) -> list[float]:
+    """The Binomial(n, p) PMF as math.comb(n, k) p^k (1 - p)^(n - k), k = 0..n."""
+    return [math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) for k in range(n + 1)]
 
 
 def es_choose(successes: tuple[int, ...]) -> tuple[float, ...]:
@@ -112,6 +119,38 @@ def state_means(family: str, obs, miss, miss_rate: float,
 
     observed, missing = mean(obs), mean(miss)
     return observed, missing, (1.0 - miss_rate) * observed + miss_rate * missing
+
+
+def bernoulli_survey_mse(rule, theta_obs: float, theta_miss: float, miss_rate: float,
+                         design, support=(0.0, 1.0)) -> float:
+    """MSE of a predictor in one Bernoulli survey state, by a double sum of
+    ``comb_pmf`` weights over the observed count n and the success count k.
+
+    Under fixed_n, n is N and p1 is 1 minus the miss rate; under random_miss,
+    n ~ Bin(N, 1 - miss rate) and p1 = n / N. Given n, k ~ Bin(n, theta_obs) and
+    the statistic is the sample mean or median of k values y1 and n - k values
+    y0; n = 0 predicts the support midpoint. Each prediction is one scalar call.
+    """
+    y0, y1 = support
+    mid = 0.5 * (y0 + y1)
+    mu = state_means("bernoulli", theta_obs, theta_miss, miss_rate, support)[2]
+    total = design.n
+    if design.mode == "fixed_n":
+        counts = [(total, 1.0, 1.0 - miss_rate)]
+    else:
+        counts = [(n, pn, n / total) for n, pn in enumerate(comb_pmf(total, 1.0 - miss_rate))]
+    terms = []
+    for n, pn, p1 in counts:
+        if n == 0:
+            terms.append(pn * (mid - mu) ** 2)
+            continue
+        for k, pk in enumerate(comb_pmf(n, theta_obs)):
+            if rule.statistic == "mean":
+                stat = y0 + k / n * (y1 - y0)
+            else:
+                stat = y1 if 2 * k > n else y0 if 2 * k < n else mid
+            terms.append(pn * pk * (float(rule.predict(stat, n, p1, support)) - mu) ** 2)
+    return math.fsum(terms)
 
 
 def _per_cell_report_to_csv(report, path):

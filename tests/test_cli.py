@@ -114,6 +114,12 @@ method = exact
 BETA_CFG = WALD_CFG.replace("family = bernoulli", "family = beta").replace(
     "theta_obs_step = 0.1\ntheta_miss_step = 0.1\n",
     "beta_obs_shapes = 1,1; 2,5\nbeta_miss_shapes = 0.5,2\n")
+# MC requests: the first two have an exact path, which they run; the median on
+# Beta outcomes has none, and draws
+RANDOM_MISS_MC = WALD_CFG.replace("known = true", "known = false").replace(
+    "method = exact", "method = mc\nreps = 2000")
+BETA_MC = BETA_CFG.replace("method = exact", "method = mc\nreps = 2000")
+BETA_MEDIAN_MC = BETA_MC.replace("= midpoint", "= analog_median")
 
 
 class TestWaldMse:
@@ -159,9 +165,8 @@ class TestWaldMse:
         assert code == 2
 
     def test_mc_runs_are_byte_identical(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG.replace("method = exact",
-                                        "method = mc\nreps = 2000\nseed = 7"))
+        cfg = tmp_path / "run.cfg"  # the median under random_miss draws
+        cfg.write_text(RANDOM_MISS_MC.replace("= midpoint", "= analog_median") + "seed = 7\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         outs = []
         for path in (a, b):
@@ -179,13 +184,35 @@ class TestWaldMse:
         cfg.write_text(WALD_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 1:0.9; 0:0.2; 0.5:0.4")
                        .replace("method = exact", "method = mc\nreps = 2000\nseed = 5")
-                       .replace("miss_values = 0.2", "miss_values = 0.2,0.5"))
+                       .replace("miss_values = 0.2", "miss_values = 0.2,0.5")
+                       .replace("known = true", "known = false"))  # so that it draws
         paths = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
         for workers, path in zip(("1", "2"), paths):
             code, _ = run(capsys, "wald-mse", "--config", str(cfg), "--workers", workers,
                           "--out", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("text", [RANDOM_MISS_MC, BETA_MC], ids=["random_miss", "beta"])
+    def test_mc_request_with_an_exact_path_runs_it_and_says_so(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        outs = []
+        for method in ("mc", "exact"):
+            code, out = run(capsys, "wald-mse", "--config", str(cfg), "--method", method,
+                            "--seed", "11", "--out", str(tmp_path / f"{method}.csv"))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] and grab(outs[0], "method") == "exact"
+        csv = (tmp_path / "mc.csv").read_bytes()
+        assert csv == (tmp_path / "exact.csv").read_bytes()
+        assert csv.endswith(b",method=exact,reps=0,seed=11\r\n")
+
+    def test_mc_request_without_an_exact_path_draws(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BETA_MEDIAN_MC)
+        code, out = run(capsys, "wald-mse", "--config", str(cfg))
+        assert code == 0 and grab(out, "method") == "monte_carlo"
 
 
 class TestRuleNames:
@@ -407,17 +434,28 @@ class TestConsoleScript:
 
     @pytest.mark.parametrize("mc", [False, True], ids=["exact", "mc"])
     def test_only_monte_carlo_loads_numpy_random(self, tmp_path, mc):
+        # an MC request that has an exact path runs it: it loads no numpy.random and
+        # forks no worker. Only a scan that draws loads numpy.random
         if "numpy.random" in loaded_by_numpy():
             pytest.skip("this numpy imports numpy.random itself")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000")
-                       if mc else WALD_CFG)
-        method = ["--method", "mc", "--reps", "2000"] if mc else []
-        for argv in (["scan", "--rule", "es", "--n", "5", "--step", "0.1", *method],
-                     ["wald-mse", "--config", str(cfg)]):
-            code, _, modules = run_entry(argv, LOADED)
+        scan = ["scan", "--rule", "es", "--n", "5", "--step", "0.1"]
+        cases = [(scan, False), (WALD_CFG, False)]
+        if mc:
+            cases = [(scan + ["--method", "mc", "--reps", "2000"], True), (RANDOM_MISS_MC, False),
+                     (BETA_MC, False), (BETA_MEDIAN_MC, True)]
+        prelude = ["import os", "forks, fork = [], os.fork",
+                   "os.fork = lambda: (forks.append(1), fork())[-1]"]
+        for k, (argv, draws) in enumerate(cases):
+            if isinstance(argv, str):
+                cfg = tmp_path / f"run{k}.cfg"
+                cfg.write_text(argv)
+                argv = ["wald-mse", "--config", str(cfg)]
+            code, _, (modules, forks) = run_entry(argv, f"({LOADED}, len(forks))", "module",
+                                                  prelude)
             assert code == 0
-            assert modules == (["numpy.random"] if mc else [])
+            assert modules == (["numpy.random"] if draws else [])
+            if not draws:
+                assert forks == 0
 
     def test_a_beta_median_scan_leaves_numpy_ma_unloaded(self, tmp_path):
         if "numpy.ma" in loaded_by_numpy():
@@ -546,11 +584,12 @@ class TestRejectedInput:
         cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
 
+    # the median has no exact path on Beta outcomes or under random_miss
     @pytest.mark.parametrize("text", [BETA_CFG, WALD_CFG.replace(
         "miss_known = true", "miss_known = false")], ids=["beta", "random_miss"])
     def test_exact_wald_outside_exact_mode_exits_3(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text.replace("= midpoint", "= analog_median"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
 
     def test_bounds_non_integer_n_exits_2(self, capsys):
@@ -613,11 +652,26 @@ class TestRejectedInput:
         ("true", 0), ("TRUE", 0), ("yes", 0), ("1", 0),
         ("false", 3), ("False", 3), ("no", 3), ("0", 3)])
     def test_miss_known_spellings(self, capsys, tmp_path, value, code):
-        # exact mode runs only the known-miss (fixed-N) design; the other exits 3
+        # the median is exact only under the known-miss (fixed-N) design; the other exits 3
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG.replace("miss_known = true", f"miss_known = {value}"))
+        cfg.write_text(WALD_CFG.replace("miss_known = true", f"miss_known = {value}")
+                       .replace("= midpoint", "= analog_median"))
         assert main(["wald-mse", "--config", str(cfg)]) == code
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text,key", [
+        (WALD_CFG, "theta_obs_values = 0.5"), (WALD_CFG, "theta_miss_values = 0.5"),
+        (WALD_CFG, "miss_step = 0.5"), (WALD_CFG, "beta_obs_shapes = 1,1"),
+        (WALD_CFG, "beta_miss_shapes = 1,1"), (BETA_CFG, "theta_obs_step = 0.1"),
+        (BETA_CFG, "theta_miss_values = 0.5"), (WALD_CFG, "custom_table = 0:0.1; 1:0.9")],
+        ids=["theta_obs_values_beside_step", "theta_miss_values_beside_step",
+             "miss_step_beside_values", "beta_obs_shapes_bernoulli", "beta_miss_shapes_bernoulli",
+             "theta_obs_step_beta", "theta_miss_values_beta", "custom_table_not_custom"])
+    def test_config_key_that_no_path_reads_exits_2(self, capsys, tmp_path, text, key):
+        # each was ignored, and the run exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + key + "\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
 
     @pytest.mark.parametrize("support", ["0,inf", "-inf,1"])
     def test_non_finite_support_exits_3(self, capsys, tmp_path, support):

@@ -30,8 +30,8 @@ import mmregret.engine as engine
 from mmregret.engine import _CSV_BLOCK_ROWS, _binomial_counts, _mc_mse, choice_table
 from mmregret.mathutil import binom_pmf_vector
 from mmregret.rules import TableRule
-from reference import (_per_cell_report_to_csv, enumerate_trial, es_choose, iid_trial_mc,
-                       state_means, ztest_choose)
+from reference import (_per_cell_report_to_csv, bernoulli_survey_mse, comb_pmf, enumerate_trial,
+                       es_choose, iid_trial_mc, state_means, ztest_choose)
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -218,11 +218,8 @@ class TestValueClasses:
 
 
 MEDIAN = DecisionRule("analog_predictor", {"loss": "absolute"})
-
-
-def _comb_pmf(n, p):
-    from math import comb
-    return [comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+AFFINE_IDS = ["midpoint", "hodges_lehmann", "analog_mean"]
+AFFINE = [DecisionRule(name) for name in AFFINE_IDS]
 
 
 def _mc_mse_of(rule, grid, design, reps, rng):
@@ -262,8 +259,8 @@ class TestHistogramMonteCarlo:
         # n_obs ~ Bin(N, 1 - miss), then k | n_obs ~ Bin(n_obs, theta_obs); no
         # observation predicts the support midpoint
         exact = sum(pm * pk * ((predict(k, m, total) if m else 0.5) - mu) ** 2
-                    for m, pm in enumerate(_comb_pmf(total, 1 - miss))
-                    for k, pk in enumerate(_comb_pmf(m, theta_obs)))
+                    for m, pm in enumerate(comb_pmf(total, 1 - miss))
+                    for k, pk in enumerate(comb_pmf(m, theta_obs)))
         mse, stderr = _mc_mse_of(rule, state, SurveyDesign("random_miss", total), 50_000,
                                  SeedSpec(17).rng(3, 0))
         assert abs(mse - exact) <= 4 * stderr + 1e-12
@@ -284,7 +281,7 @@ class TestHistogramMonteCarlo:
         # variance is (m/N)^2 var/m, its bias (m/N) mu_obs + (1 - m/N) c - mu
         exact = sum(pm * ((m / total) ** 2 * var_obs / max(m, 1)
                           + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
-                    for m, pm in enumerate(_comb_pmf(total, 1 - miss)))
+                    for m, pm in enumerate(comb_pmf(total, 1 - miss)))
         mse, stderr = _mc_mse_of(DecisionRule("midpoint"),
                                  _beta_state_grid(obs, miss_dist, miss, support),
                                  SurveyDesign("random_miss", total), 50_000,
@@ -317,7 +314,8 @@ class TestHistogramMonteCarlo:
         monkeypatch.setattr(engine, "binom_pmf_vector", counting)
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.1, 0.5],
                                      miss_rates=[0.2, 0.4])
-        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", 12),
+        # the median has no exact path under random_miss, so the scan draws
+        max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 12),
                      EvalMethod("monte_carlo", 20_000), SeedSpec(5))
         assert len(calls) == len(set(calls)) > 2
 
@@ -335,12 +333,14 @@ class TestHistogramMonteCarlo:
                            SeedSpec(4).rng(0, 0))
         assert np.isfinite(got[0]) and got == plain
 
+    # each case has no exact path, so it draws: a nonlinear predictor under
+    # random_miss or on Beta outcomes
     @pytest.mark.parametrize("family,params,design,predictor", [
-        ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), DecisionRule("midpoint")),
-        ("bernoulli", [0.2, 0.7], SurveyDesign("fixed_n", 9), MEDIAN),
+        ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), MEDIAN),
+        ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9),
+         DecisionRule("custom", {"mean_table": [(0, 0.1), (0.5, 0.6), (1, 0.8)]})),
         ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN),
-        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9),
-         DecisionRule("midpoint"))])
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("fixed_n", 9), MEDIAN)])
     def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor,
                                                        monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
@@ -585,23 +585,25 @@ class TestPredictorMse:
             assert mse == pytest.approx(theta * (1 - theta) / n, rel=0, abs=1e-16)
 
     def test_exact_mode_guard(self):
-        # the preconditions of an exact max_mse_scan, and no others
+        # a nonlinear predictor has an exact path only for Bernoulli outcomes and a
+        # fixed N; the affine midpoint has one everywhere
         beta = _beta_state_grid((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
-        with pytest.raises(PreconditionError):
-            _one_state_record(DecisionRule("midpoint"), beta, SurveyDesign("fixed_n", 5),
-                              EvalMethod("exact"))
-        with pytest.raises(PreconditionError):
-            _one_state_record(DecisionRule("midpoint"), _bern_state_grid(0.5, 0.5, 0.2),
-                              SurveyDesign("random_miss", 5), EvalMethod("exact"))
+        bernoulli, random_miss = _bern_state_grid(0.5, 0.5, 0.2), SurveyDesign("random_miss", 5)
+        for grid, design in ((beta, SurveyDesign("fixed_n", 5)), (bernoulli, random_miss)):
+            with pytest.raises(PreconditionError):
+                _one_state_record(MEDIAN, grid, design, EvalMethod("exact"))
+            _one_state_record(DecisionRule("midpoint"), grid, design, EvalMethod("exact"))
+        _one_state_record(MEDIAN, bernoulli, SurveyDesign("fixed_n", 5), EvalMethod("exact"))
 
     def test_mc_matches_exact(self):
-        design = SurveyDesign("fixed_n", 10)
-        rule = DecisionRule("midpoint")
+        # the median under random_miss draws; the reference sums its law
+        design = SurveyDesign("random_miss", 10)
         s = _bern_state_grid(0.5, 1.0, 0.2)
-        exact = _one_state_record(rule, s, design, EvalMethod("exact")).regret
-        mc = _one_state_record(rule, s, design, EvalMethod("monte_carlo", 100_000),
-                               SeedSpec(2)).regret
-        assert mc == pytest.approx(exact, abs=0.002)
+        exact = bernoulli_survey_mse(MEDIAN, 0.5, 1.0, 0.2, design)
+        mc = _one_state_record(MEDIAN, s, design, EvalMethod("monte_carlo", 100_000),
+                               SeedSpec(2))
+        assert mc.mc_stderr > 0
+        assert abs(mc.regret - exact) <= 4 * mc.mc_stderr
 
 
 class TestMaxMseScan:
@@ -619,12 +621,13 @@ class TestMaxMseScan:
             midpoint_max_regret_formula(0.8, 10), abs=1e-9)
 
     def test_midpoint_known_miss_matches_formula_mc(self, bern_grid):
+        # an MC request with an exact path runs that path, and the report says so
         design = SurveyDesign("fixed_n", 10)
         report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design,
                               EvalMethod("monte_carlo", 50_000), SeedSpec(8))
-        rec = report.record(report.argmax)
-        assert abs(report.max_regret - midpoint_max_regret_formula(0.8, 10)) \
-            <= 4 * rec.mc_stderr
+        assert report.method == EvalMethod("exact") and not report.mc_stderr.any()
+        assert report.max_regret == pytest.approx(midpoint_max_regret_formula(0.8, 10),
+                                                  rel=0, abs=1e-12)
 
     def test_no_missing_reduces_to_quarter_n(self):
         thetas = list(np.linspace(0, 1, 11))
@@ -658,14 +661,16 @@ class TestMaxMseScan:
 
     @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), MEDIAN], ids=["midpoint", "median"])
     def test_fixed_n_exact_and_mc_agree_at_every_miss_rate(self, rule):
-        # one grid, four miss rates: both paths read p1 = 1 - the state's miss rate
+        # one grid, four miss rates: both paths read p1 = 1 - the state's miss rate.
+        # A scan here runs exact for either method, so the MC kernel is run directly
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.5, 0.9],
                                      miss_params=[0.0, 0.4, 1.0], miss_rates=[0.0, 0.25, 0.6, 1.0])
         design = SurveyDesign("fixed_n", 10)
         exact = max_mse_scan(rule, grid, design, EvalMethod("exact"))
-        mc = max_mse_scan(rule, grid, design, EvalMethod("monte_carlo", 20_000), SeedSpec(19))
-        assert (np.abs(mc.regret - exact.regret) <= 4 * mc.mc_stderr + 1e-12).all()
-        assert (mc.mc_stderr > 0).sum() > len(grid) / 2
+        mse, stderr = engine._mc_mse_states(rule, design, 20_000, SeedSpec(19), grid,
+                                            range(len(grid)))
+        assert (np.abs(mse - exact.regret) <= 4 * stderr + 1e-12).all()
+        assert (stderr > 0).sum() > len(grid) / 2
 
     @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), DecisionRule("hodges_lehmann"),
                                       DecisionRule("analog_predictor"), MEDIAN,
@@ -690,6 +695,66 @@ class TestMaxMseScan:
             mean = state_means("bernoulli", obs, miss, rate, support)[2]
             want.append(binom_pmf_vector(n, obs) @ (pred - mean) ** 2)
         assert report.regret.tolist() == want
+
+
+_BETA_SHAPES = [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0), (5.0, 2.0)]
+
+
+class TestAffineClosedForm:
+    """A predictor affine in the observed mean has its MSE in closed form, for
+    either outcome family and design."""
+
+    @given(rule=st.sampled_from(AFFINE), random_miss=st.booleans(), total=st.integers(1, 40),
+           obs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           miss=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+           rates=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           y0=st.floats(-5.0, 5.0), width=st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bernoulli_matches_the_double_sum(self, rule, random_miss, total, obs, miss, rates,
+                                              y0, width):
+        support = (y0, y0 + width)
+        design = SurveyDesign("random_miss" if random_miss else "fixed_n", total)
+        grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=miss,
+                                     miss_rates=rates, support=support)
+        got = engine._affine_mse(rule, grid, design)
+        want = [bernoulli_survey_mse(rule, *state, design, support)
+                for state in itertools.product(obs, miss, rates)]
+        # both sides square differences of values of the support's scale, rounded
+        # to an ulp of it: by Cauchy-Schwarz that moves an MSE by at most 4 ulp times
+        # its root, which dominates 1e-12 relative only in near-degenerate states
+        ulp = np.finfo(float).eps * max(abs(y0), abs(y0 + width))
+        for g, w in zip(got.tolist(), want):
+            assert abs(g - w) <= 1e-12 * w + 4 * ulp * np.sqrt(w)
+
+    @pytest.mark.parametrize("rule", AFFINE, ids=AFFINE_IDS)
+    @pytest.mark.parametrize("design", [SurveyDesign("fixed_n", 7),
+                                        SurveyDesign("random_miss", 7)], ids=["fixed_n",
+                                                                              "random_miss"])
+    def test_beta_within_four_stderr_of_monte_carlo(self, rule, design):
+        grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
+                                     miss_params=[(2.0, 0.5)], miss_rates=[0.3],
+                                     support=(-1.0, 3.0))
+        exact = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
+        for k in range(len(grid)):
+            mse, stderr = _mc_mse(rule, grid, k, grid.population_mean[k], design, 100_000,
+                                  SeedSpec(41).rng(k, 0), binom_pmf_vector)
+            assert abs(mse - exact[k]) <= 4 * stderr
+
+    def test_beta_midpoint_is_the_benchmark_formula(self):
+        # p1^2 var / N + (1 - p1)^2 (1/2 - E_miss)^2 on [0, 1], for N known; an MC
+        # request runs the closed form
+        rates, total = [0.0, 0.2, 0.5, 1.0], 10
+        grid = build_prediction_grid("beta", obs_params=_BETA_SHAPES, miss_params=_BETA_SHAPES,
+                                     miss_rates=rates)
+        report = max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("fixed_n", total),
+                              EvalMethod("monte_carlo", 10_000), SeedSpec(11))
+        assert report.method == EvalMethod("exact") and not report.mc_stderr.any()
+        for k, ((a, b), (a_miss, b_miss), rate) in enumerate(
+                itertools.product(_BETA_SHAPES, _BETA_SHAPES, rates)):
+            p1 = 1.0 - rate
+            var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+            want = p1 ** 2 * var / total + (1.0 - p1) ** 2 * (0.5 - a_miss / (a_miss + b_miss)) ** 2
+            assert abs(report.regret[k] - want) <= 1e-15
 
 
 class TestMidpointFormula:
@@ -837,17 +902,19 @@ class TestScanPreconditions:
         assert calls
 
     def test_exact_scan_needs_bernoulli_outcomes(self):
+        # for a predictor that is not affine in the observed mean
         grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0)],
                                      miss_params=[(2.0, 5.0)], miss_rates=[0.2])
-        with pytest.raises(PreconditionError):
-            max_mse_scan(DecisionRule("midpoint"), grid,
+        with pytest.raises(PreconditionError, match="exact MSE needs Bernoulli outcomes"):
+            max_mse_scan(DecisionRule("analog_median"), grid,
                          SurveyDesign("fixed_n", 5), EvalMethod("exact"))
 
     def test_exact_scan_needs_fixed_n_design(self):
+        # for a predictor that is not affine in the observed mean
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
-        with pytest.raises(PreconditionError):
-            max_mse_scan(DecisionRule("midpoint"), grid,
+        with pytest.raises(PreconditionError, match="with a fixed N"):
+            max_mse_scan(DecisionRule("analog_median"), grid,
                          SurveyDesign("random_miss", 5), EvalMethod("exact"))
 
 
@@ -915,9 +982,10 @@ class TestForkedWorkers:
         two = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
         for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
             assert np.array_equal(getattr(one, column), getattr(two, column), equal_nan=True)
-        midpoint = max_mse_scan(DecisionRule("midpoint"), grid, design, method, SeedSpec(3),
-                                workers=2)
-        assert one.regret.tolist() == midpoint.regret.tolist()
+        # the same draws as the named midpoint's MC kernel (its scan takes the closed form)
+        midpoint, _ = engine._mc_mse_states(DecisionRule("midpoint"), design, 2000, SeedSpec(3),
+                                            grid, range(len(grid)))
+        assert one.regret.tolist() == midpoint.tolist()
 
     def test_off_linux_the_tasks_run_in_process(self):
         def no_fork():
@@ -1242,8 +1310,8 @@ def test_mc_pool_gets_one_process_per_chunk(family):
     else:
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
                                      miss_rates=[0.25, 0.5])
-        scan = partial(max_mse_scan, DecisionRule("midpoint"), grid,
-                       SurveyDesign("fixed_n", 5), method, SeedSpec(1))
+        scan = partial(max_mse_scan, MEDIAN, grid, SurveyDesign("random_miss", 5), method,
+                       SeedSpec(1))
     assert len(grid) == 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "platform", "linux")

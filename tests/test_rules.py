@@ -24,6 +24,7 @@ from mmregret import (
 )
 from mmregret.engine import _bernoulli_predictions, choice_table
 from mmregret.mathutil import binom_pmf_vector, one_sided_critical_value
+from mmregret.rules import _AFFINE
 from reference import es_choose, ztest_choose
 
 
@@ -178,6 +179,20 @@ class TestRuleValues:
     def test_bad_field_rejected_when_built(self, build):
         with pytest.raises(PreconditionError):
             build()
+
+    @pytest.mark.parametrize("rule", _AFFINE)
+    def test_affine_predictor_is_affine_in_the_mean(self, rule):
+        # its second differences in the mean vanish, at every count, fraction and support
+        m = np.linspace(-1.0, 2.5, 8)[:, None]
+        n_obs = np.arange(1, 6)
+        for support in ((0.0, 1.0), (-1.0, 2.5)):
+            pred = np.broadcast_to(rule.predict(m, n_obs, n_obs / 5, support), (8, 5))
+            assert np.abs(np.diff(pred, 2, axis=0)).max() <= 1e-13
+
+    @pytest.mark.parametrize("rule", [ANALOG_MEDIAN, mean_table_predictor([(0, 0.2), (1, 0.9)]),
+                                      mean_function_predictor(lambda m, p1: m * p1)])
+    def test_other_predictors_are_not_marked_affine(self, rule):
+        assert rule not in _AFFINE
 
     def test_mean_table_rows_in_any_order(self):
         m = np.linspace(-0.5, 1.5, 9)
