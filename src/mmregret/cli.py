@@ -38,17 +38,19 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
     parser.add_argument("--reps", type=int,
                         help="Monte Carlo replications per state, 1000 to 2^63 - 1 "
                              "(default 100000); --method exact rejects it, and a "
-                             "wald-mse scan that runs exact draws none")
+                             "scan that runs exact draws none")
     parser.add_argument("--workers", type=int,
                         help="most processes of a Monte Carlo scan, at most one per CPU "
                              "(default: every CPU the process may use); states are dealt "
                              "to them in turn, so the result does not depend on it. "
-                             "--method exact rejects it. A CSV of many rows is written "
-                             "on every CPU either way")
+                             "--method exact rejects it, and a scan that runs exact "
+                             "forks none. A CSV of many rows is written on every CPU "
+                             "either way")
     parser.add_argument("--method", choices=("exact", "mc"),
-                        help=f"evaluation method (default {method_default}); wald-mse "
-                             "runs an exact path wherever one exists, under mc too, and "
-                             "prints the method that ran")
+                        help=f"evaluation method (default {method_default}); an mc "
+                             "request that has an exact path runs it, and every run "
+                             "prints the method that ran. scan is exact at every n it "
+                             "accepts; wald-mse draws only where it has no exact path")
     parser.add_argument("--out", help="CSV output path")
 
 
@@ -61,7 +63,8 @@ def _setting(args, cfg: dict[str, str], key: str, default, parse=str):
 
 
 def _run_settings(args, cfg: dict[str, str], method_default: str):
-    """(EvalMethod, SeedSpec, workers, out path) from the global flags and the config."""
+    """(EvalMethod, SeedSpec, workers, out path) from the global flags and the
+    config, each checked."""
     name = _setting(args, cfg, "method", method_default)
     if name not in ("exact", "mc"):
         raise ConfigError(f"method must be 'exact' or 'mc', got {name!r}")
@@ -72,6 +75,7 @@ def _run_settings(args, cfg: dict[str, str], method_default: str):
                                or (key in cfg and args.method is None)
                                for key in ("reps", "workers")):
         raise ConfigError("reps and workers apply to method mc only")
+    engine._check_workers(workers)
     method = (engine.EvalMethod("exact") if name == "exact"
               else engine.EvalMethod("monte_carlo", reps))
     return (method, SeedSpec(_setting(args, cfg, "seed", 0, _integer)), workers,
@@ -130,8 +134,10 @@ def cmd_scan(args) -> int:
     rule = DecisionRule(args.rule, ztest)
     grid = states.build_binary_grid(args.step)
     design = TrialDesign(per_arm_n=args.n)
-    method, seed, workers, out = _run_settings(args, {}, "exact")
-    report = engine.max_regret_scan(rule, grid, design, method, seed, workers)
+    # the MC settings are checked as wald-mse checks them, and go unused: a trial
+    # scan is exact at every n it accepts, so an MC request runs exact and says so
+    out = _run_settings(args, {}, "exact")[-1]
+    report = engine.max_regret_scan(rule, grid, design)
     if out:
         engine.report_to_csv(report, out)
     p_a, p_b = _argmax_coordinates(report)
@@ -141,6 +147,7 @@ def cmd_scan(args) -> int:
     if error_prob == error_prob:  # off the diagonal
         print(f"argmax_error_prob={fmt17(error_prob)}")
     print(f"argmax_effect_size={fmt17(p_b - p_a)}")
+    print(f"method={report.method.mode}")
     return EXIT_OK
 
 
@@ -372,8 +379,7 @@ def cmd_oracle(args) -> int:
     design = TrialDesign(per_arm_n=args.n)
     grid = states.build_binary_grid(args.step)
     table, oracle_max = engine.exhaustive_mmr_oracle(design, grid)
-    es_report = engine.max_regret_scan(DecisionRule("es"), grid, design,
-                                       engine.EvalMethod("exact"))
+    es_report = engine.max_regret_scan(DecisionRule("es"), grid, design)
     print(f"oracle_max_regret={fmt17(oracle_max)}")
     print(f"es_max_regret={fmt17(es_report.max_regret)}")
     if oracle_max >= es_report.max_regret - 1e-12:

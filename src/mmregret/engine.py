@@ -1,11 +1,11 @@
 """Evaluation engine: state-dependent error probability, regret, and MSE.
 
 Evaluates a rule exactly where the sample space is enumerable (two-arm binary
-trials, Bernoulli surveys with a fixed observed count) or a closed form exists
-(surveys read through a predictor affine in the observed mean), and by seeded
-Monte Carlo otherwise. Each grid family has one report builder over a grid,
-which its scan calls; one state is evaluated as a scan of a grid that holds
-only it. Also provides analytic maximum-regret bounds for the
+trials, always; Bernoulli surveys with a fixed observed count) or a closed form
+exists (surveys read through a predictor affine in the observed mean), and by
+seeded Monte Carlo otherwise: only a survey read through a nonlinear predictor
+draws. Each grid family has one scan; one state is evaluated as a scan of a
+grid that holds only it. Also provides analytic maximum-regret bounds for the
 empirical success rule and an exhaustive oracle over deterministic rules on
 tiny trial designs.
 """
@@ -86,7 +86,7 @@ class RegretReport:
     mc_stderr: np.ndarray
     argmax: int
     method: EvalMethod
-    seed: SeedSpec | None = None
+    seed: SeedSpec | None = None  # the seed of the draws; None when nothing was drawn
 
     def __post_init__(self):
         columns = (self.error_prob, self.expected_welfare, self.regret, self.mc_stderr)
@@ -153,11 +153,11 @@ def _ordered_map(fn, tasks) -> list:
     A child starts as a copy of this process, ``fn`` included, so nothing is
     sent to it, and it pickles its result or exception back through a pipe.
     Forking is sound here because no child calls BLAS, whose threads this
-    process may hold: the functions mapped here, the MC kernels and _csv_rows,
-    use numpy without matmul, random draws and file writes only. A child also
-    inherits the heap as this process froze it (``cli.main`` freezes it as the
-    process entry point), so its collections skip the frozen objects. Every
-    child is reaped before this returns or raises.
+    process may hold: the functions mapped here, the survey MC kernel and
+    _csv_rows, use numpy without matmul, random draws and file writes only. A
+    child also inherits the heap as this process froze it (``cli.main`` freezes
+    it as the process entry point), so its collections skip the frozen objects.
+    Every child is reaped before this returns or raises.
     """
     if len(tasks) < 2 or sys.platform != "linux":
         return [fn(*task) for task in tasks]
@@ -214,57 +214,11 @@ def _check_workers(workers: int | None) -> None:
 # two-arm binary trials
 
 def _check_trial_n(design: TrialDesign) -> None:
-    """Reject a per-arm n whose (n+1) x (n+1) choice table, which both methods
-    build, is too large."""
+    """Reject a per-arm n whose (n+1) x (n+1) choice table, which the scan builds,
+    is too large."""
     if design.per_arm_n > _MAX_TRIAL_N:
         raise PreconditionError(
             f"per-arm n={design.per_arm_n} above {_MAX_TRIAL_N}: the choice table is too large")
-
-
-def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
-    """Counts of k = 0..m among count iid Binomial(m, theta) draws: one multinomial
-    draw over ``pmf(m, theta)`` when count exceeds the support, count binomial
-    draws otherwise."""
-    if count > m:
-        return rng.multinomial(count, pmf(m, theta))
-    return np.bincount(rng.binomial(m, theta, size=count), minlength=m + 1)
-
-
-def _moments(values, counts, n: int) -> tuple:
-    """Count, mean and sum of squared deviations of n draws given as values and counts."""
-    mean = np.sum(counts * values) / n
-    return n, mean, np.sum(counts * (values - mean) ** 2)
-
-
-def _merge(a, b) -> tuple:
-    """The moments of a's and b's draws together (Chan et al., 1979); a may be None."""
-    if a is None:
-        return b
-    n, delta = a[0] + b[0], b[1] - a[1]
-    return n, a[1] + delta * (b[0] / n), a[2] + b[2] + delta * delta * (a[0] * b[0] / n)
-
-
-def _estimate(moments) -> tuple[float, float]:
-    """Mean and standard error (ddof=1) of the draws of the moments."""
-    n, mean, m2 = moments
-    return float(mean), float(np.sqrt(m2 / (n - 1) / n))
-
-
-def _mc_choose_b(half, pmf_b, reps: int, seed: SeedSpec, grid: StateGrid, index) -> np.ndarray:
-    """MC probability of choosing b and its standard error, one column per state
-    index of the binary-trial grid. State k, (i, j) = divmod(k, B) on the grid's
-    axes, draws arm b's count reps times from substream k and scores count c by
-    ``half[i, c]``, arm a summed out; a tied state (p_a == p_b) is not drawn and
-    gets zeros."""
-    out = np.zeros((2, len(index)))
-    p_a, p_b = grid.points_a.tolist(), grid.points_b.tolist()
-    for c, k in enumerate(index):
-        i, j = divmod(k, len(p_b))
-        if p_a[i] != p_b[j]:
-            h = seed.rng(k, 0).multinomial(reps, pmf_b[j])
-            rows = np.flatnonzero(h)
-            out[:, c] = _estimate(_moments(half[i, rows], h[rows], reps))
-    return out
 
 
 def choice_table(rule: TrialRule, n: int) -> np.ndarray:
@@ -275,25 +229,22 @@ def choice_table(rule: TrialRule, n: int) -> np.ndarray:
     return rule.table(n)
 
 
-def _trial_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
-    """Regret of a trial-choice rule in every state of a binary-trial grid, worked out
-    on the A x B product of its axes, whose views are the report's columns. One PMF
-    per axis probability serves every state; MC state k draws from substream k."""
+# ---------------------------------------------------------------------------
+# grid scans
+
+def max_regret_scan(rule: TrialRule, grid: StateGrid, design: TrialDesign) -> RegretReport:
+    """Per-state regret of a trial-choice rule over a binary-trial grid, exact, worked
+    out on the A x B product of its axes, whose views are the report's columns. One
+    PMF per axis probability serves every state."""
+    if grid.family != "binary_trial":
+        raise PreconditionError("max_regret_scan needs a binary_trial grid")
     _check_trial_n(design)
     n = design.per_arm_n
     pmf_a, table = binom_pmf_matrix(n, grid.points_a), choice_table(rule, n)
     pmf_b = pmf_a if grid.points_b is grid.points_a else binom_pmf_matrix(n, grid.points_b)
-    if method.mode == "exact":
-        # prob of choosing b in state (points_a[i], points_b[j]), at [i, j]
-        prob_b = pmf_a @ table @ pmf_b.T
-        se_b = None  # zero stderr, and zero times any gap
-    else:
-        # the mass on b at (p_a, j), built once, before any worker forks, by einsum:
-        # a fixed summation order, not BLAS, so the scores do not follow the thread count
-        half = np.einsum("pi,ij->pj", pmf_a, table)
-        kernel = partial(_mc_choose_b, half, pmf_b, method.reps, seed or SeedSpec(), grid)
-        prob_b, se_b = _map_chunks(kernel, len(grid), workers).reshape(2, len(pmf_a), len(pmf_b))
-    # the contraction's round-off, or a sum of PMF mass, can leave [0, 1] by ~1e-15
+    # prob of choosing b in state (points_a[i], points_b[j]), at [i, j]
+    prob_b = pmf_a @ table @ pmf_b.T
+    # the contraction's round-off can leave [0, 1] by ~1e-15
     np.clip(prob_b, 0.0, 1.0, out=prob_b)
     # each A x B array is computed in the buffer of one it replaces, so that at
     # most three coexist: prob_b becomes err, the gap reg
@@ -303,36 +254,13 @@ def _trial_report(rule, grid, design, method, seed, workers: int | None) -> Regr
     gap = pa - pb
     np.abs(gap, out=gap)
     welfare = np.maximum(pa, pb)
-    if se_b is not None:
-        se_b *= gap
     reg = np.multiply(err, gap, out=gap)
     tie = pa == pb
     err[tie] = np.nan
     reg[tie] = 0.0
     welfare -= reg
-    se = np.zeros(len(grid)) if se_b is None else se_b.ravel()
-    return RegretReport(grid, err.ravel(), welfare.ravel(), reg.ravel(), se,
-                        int(np.argmax(reg)), method, seed)
-
-
-# ---------------------------------------------------------------------------
-# grid scans
-
-def max_regret_scan(
-    rule: TrialRule,
-    grid: StateGrid,
-    design: TrialDesign,
-    method: EvalMethod = EvalMethod(),
-    seed: SeedSpec | None = None,
-    workers: int | None = None,
-) -> RegretReport:
-    """Per-state regret of a trial-choice rule over a binary-trial grid. A Monte
-    Carlo scan runs on at most ``workers`` processes and CPUs, on every CPU the
-    process may use when ``workers`` is None; the result does not depend on it."""
-    if grid.family != "binary_trial":
-        raise PreconditionError("max_regret_scan needs a binary_trial grid")
-    _check_workers(workers)
-    return _trial_report(rule, grid, design, method, seed, workers)
+    return RegretReport(grid, err.ravel(), welfare.ravel(), reg.ravel(), np.zeros(len(grid)),
+                        int(np.argmax(reg)), EvalMethod("exact"))
 
 
 @dataclass(frozen=True)
@@ -447,6 +375,35 @@ def _affine_mse(rule: Predictor, grid: StateGrid, design: SurveyDesign) -> np.nd
     return mse
 
 
+def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
+    """Counts of k = 0..m among count iid Binomial(m, theta) draws: one multinomial
+    draw over ``pmf(m, theta)`` when count exceeds the support, count binomial
+    draws otherwise."""
+    if count > m:
+        return rng.multinomial(count, pmf(m, theta))
+    return np.bincount(rng.binomial(m, theta, size=count), minlength=m + 1)
+
+
+def _moments(values, counts, n: int) -> tuple:
+    """Count, mean and sum of squared deviations of n draws given as values and counts."""
+    mean = np.sum(counts * values) / n
+    return n, mean, np.sum(counts * (values - mean) ** 2)
+
+
+def _merge(a, b) -> tuple:
+    """The moments of a's and b's draws together (Chan et al., 1979); a may be None."""
+    if a is None:
+        return b
+    n, delta = a[0] + b[0], b[1] - a[1]
+    return n, a[1] + delta * (b[0] / n), a[2] + b[2] + delta * delta * (a[0] * b[0] / n)
+
+
+def _estimate(moments) -> tuple[float, float]:
+    """Mean and standard error (ddof=1) of the draws of the moments."""
+    n, mean, m2 = moments
+    return float(mean), float(np.sqrt(m2 / (n - 1) / n))
+
+
 def _beta_statistic(rng, shape, count: int, m: int, median: bool):
     """Yield the median or mean of each of count samples of m Beta(alpha, beta)
     draws, shape the pair (alpha, beta), a block of 2^18 draws at a time.
@@ -524,23 +481,24 @@ def _mse_report(rule, grid, design, method, seed, workers: int | None) -> Regret
 
     The input picks the path, whatever the method: a Bernoulli survey of fixed N
     enumerates the success count, any other survey read through an affine
-    predictor takes the closed form, and the report's method is exact. Only a
-    nonlinear predictor under random_miss or on Beta outcomes has no exact path:
-    it draws by Monte Carlo, state k from substream k, and an exact method is
-    rejected there.
+    predictor takes the closed form, and the report's method is exact, with no
+    seed. Only a nonlinear predictor under random_miss or on Beta outcomes has
+    no exact path: it draws by Monte Carlo, state k from substream k of the seed
+    (0 when None), which the report names, and an exact method is rejected there.
     """
     if not isinstance(rule, Predictor):
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     stderr = np.zeros(len(grid))
     if grid.outcome == "bernoulli" and design.mode == "fixed_n":
-        mse, method = _exact_bernoulli_mse(rule, grid, design), EvalMethod("exact")
+        mse, method, seed = _exact_bernoulli_mse(rule, grid, design), EvalMethod("exact"), None
     elif rule in _AFFINE:
-        mse, method = _affine_mse(rule, grid, design), EvalMethod("exact")
+        mse, method, seed = _affine_mse(rule, grid, design), EvalMethod("exact"), None
     elif method.mode == "exact":
         raise PreconditionError("exact MSE needs Bernoulli outcomes with a fixed N, or a "
                                 "predictor affine in the observed mean")
     else:
-        kernel = partial(_mc_mse_states, rule, design, method.reps, seed or SeedSpec(), grid)
+        seed = seed or SeedSpec()
+        kernel = partial(_mc_mse_states, rule, design, method.reps, seed, grid)
         mse, stderr = _map_chunks(kernel, len(grid), workers)
     no_value = np.full(len(grid), np.nan)  # an MSE scan has no error prob or welfare
     return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), method, seed)

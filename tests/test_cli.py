@@ -206,7 +206,7 @@ class TestWaldMse:
         assert outs[0] == outs[1] and grab(outs[0], "method") == "exact"
         csv = (tmp_path / "mc.csv").read_bytes()
         assert csv == (tmp_path / "exact.csv").read_bytes()
-        assert csv.endswith(b",method=exact,reps=0,seed=11\r\n")
+        assert csv.endswith(b",method=exact,reps=0,seed=\r\n")  # nothing was drawn
 
     def test_mc_request_without_an_exact_path_draws(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -225,7 +225,7 @@ class TestRuleNames:
                      "--out", str(cli)]) == 0
         capsys.readouterr()
         report_to_csv(max_regret_scan(DecisionRule(name), build_binary_grid(0.1),
-                                      TrialDesign(per_arm_n=6), seed=SeedSpec(0)), api)
+                                      TrialDesign(per_arm_n=6)), api)
         assert cli.read_bytes() == api.read_bytes()
 
     @pytest.mark.parametrize("name", ["midpoint", "hodges_lehmann", "analog_mean",
@@ -349,11 +349,14 @@ ENTRIES = {
     "script": "from mmregret import _script; sys.exit(_script())",
 }
 # modules no command needs at start-up, and an expression listing those loaded;
-# of the commands, Monte Carlo alone needs numpy.random, and alloc alone
-# mmregret.missing. np.median imports numpy.ma
+# of the commands, Monte Carlo alone needs numpy.random, a forked pool alone
+# pickle, and alloc alone mmregret.missing. np.median imports numpy.ma
 UNNEEDED = ("concurrent.futures", "csv", "decimal", "fractions", "statistics", "signal",
-            "numpy.random", "numpy.ma", "mmregret.missing", "mmregret.asif")
+            "pickle", "numpy.random", "numpy.ma", "mmregret.missing", "mmregret.asif")
 LOADED = f"[m for m in {UNNEEDED!r} if m in sys.modules]"
+# a prelude that counts the process's forks in ``forks``
+FORK_SPY = ["import os", "forks, fork = [], os.fork",
+            "os.fork = lambda: (forks.append(1), fork())[-1]"]
 
 
 def run_entry(argv, hook, entry="module", prelude=()):
@@ -414,9 +417,12 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv", [
         # 40,401 rows: written in parts, a forked process each, on 2 or more CPUs
         ["scan", "--rule", "es", "--n", "20", "--step", "0.005"],
-        ["scan", "--rule", "es", "--n", "20", "--step", "0.05", "--method", "mc",
-         "--reps", "2000", "--workers", "2"]], ids=["exact_parts", "mc_workers2"])
+        # the Beta median draws, its second state in a forked worker on 2 or more CPUs
+        ["wald-mse", "--config", "{beta_median}", "--workers", "2"]],
+        ids=["exact_parts", "mc_workers2"])
     def test_entry_point_writes_the_bytes_of_in_process_main(self, capsys, tmp_path, argv):
+        (tmp_path / "beta_median.cfg").write_text(BETA_MEDIAN_MC)
+        argv = [a.format(beta_median=tmp_path / "beta_median.cfg") for a in argv]
         # a byte lost when the frozen process exits would show here
         code, out, _ = run_entry(argv + ["--out", str(tmp_path / "entry.csv")], "None")
         assert code == 0
@@ -436,26 +442,40 @@ class TestConsoleScript:
     def test_only_monte_carlo_loads_numpy_random(self, tmp_path, mc):
         # an MC request that has an exact path runs it: it loads no numpy.random and
         # forks no worker. Only a scan that draws loads numpy.random
-        if "numpy.random" in loaded_by_numpy():
+        loaded = loaded_by_numpy()
+        if "numpy.random" in loaded:
             pytest.skip("this numpy imports numpy.random itself")
         scan = ["scan", "--rule", "es", "--n", "5", "--step", "0.1"]
         cases = [(scan, False), (WALD_CFG, False)]
         if mc:
-            cases = [(scan + ["--method", "mc", "--reps", "2000"], True), (RANDOM_MISS_MC, False),
+            cases = [(scan + ["--method", "mc", "--reps", "2000"], False), (RANDOM_MISS_MC, False),
                      (BETA_MC, False), (BETA_MEDIAN_MC, True)]
-        prelude = ["import os", "forks, fork = [], os.fork",
-                   "os.fork = lambda: (forks.append(1), fork())[-1]"]
         for k, (argv, draws) in enumerate(cases):
             if isinstance(argv, str):
                 cfg = tmp_path / f"run{k}.cfg"
                 cfg.write_text(argv)
                 argv = ["wald-mse", "--config", str(cfg)]
             code, _, (modules, forks) = run_entry(argv, f"({LOADED}, len(forks))", "module",
-                                                  prelude)
+                                                  FORK_SPY)
             assert code == 0
-            assert modules == (["numpy.random"] if draws else [])
+            # numpy 2 imports pickle itself; elsewhere, a scan that forks imports it
+            modules = set(modules) - (loaded | {"pickle"} if forks else loaded)
+            assert modules == ({"numpy.random"} if draws else set())
             if not draws:
                 assert forks == 0
+
+    def test_scan_mc_request_runs_exact_and_says_so(self, capsys, tmp_path):
+        # a trial scan is exact at every n it accepts: the MC flags are checked,
+        # then nothing is drawn and no worker forks
+        scan = ["scan", "--rule", "es", "--n", "20", "--step", "0.05"]
+        mc = ["--method", "mc", "--reps", "2000", "--workers", "2", "--seed", "11"]
+        code, out, (modules, forks) = run_entry(scan + mc + ["--out", str(tmp_path / "mc.csv")],
+                                                f"({LOADED}, len(forks))", "module", FORK_SPY)
+        assert code == 0 and out.splitlines()[-1] == "method=exact"
+        assert set(modules) <= loaded_by_numpy() and forks == 0
+        assert main(scan + ["--out", str(tmp_path / "exact.csv")]) == 0
+        assert capsys.readouterr().out == out
+        assert (tmp_path / "mc.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
 
     def test_a_beta_median_scan_leaves_numpy_ma_unloaded(self, tmp_path):
         if "numpy.ma" in loaded_by_numpy():

@@ -105,55 +105,11 @@ class TestRegretAndWelfare:
 
 def _one_state_record(rule, grid, design, method=EvalMethod(), seed=None):
     """The record of one state: a scan of the grid that holds only that state, so
-    Monte Carlo draws from substream 0."""
+    Monte Carlo draws from substream 0. A trial scan is exact."""
     assert len(grid) == 1
-    scan = max_regret_scan if grid.family == "binary_trial" else max_mse_scan
-    return scan(rule, grid, design, method, seed).record(0)
-
-
-class TestExactVsMonteCarlo:
-    def test_agreement_within_four_stderr(self):
-        rng = np.random.default_rng(23)
-        design = TrialDesign(per_arm_n=30)
-        method = EvalMethod("monte_carlo", 100_000)
-        for rule in (ES, ZTEST):
-            for k in range(20):
-                pa, pb = rng.random(2)
-                s = build_product_grid([pa], [pb])
-                exact = _one_state_record(rule, s, design).regret
-                rec = _one_state_record(rule, s, design, method, SeedSpec(99))
-                # the 1e-6 floor covers states where the MC draw never errs
-                # (stderr 0) while the exact regret is a tiny positive number
-                assert abs(rec.regret - exact) <= 4 * rec.mc_stderr + 1e-6
-
-    def test_stderr_scales_as_inverse_sqrt_reps(self):
-        s = build_product_grid([0.55], [0.45])
-        design = TrialDesign(per_arm_n=30)
-        stderrs = []
-        for reps in (1000, 10_000, 100_000):
-            rec = _one_state_record(ES, s, design, EvalMethod("monte_carlo", reps), SeedSpec(3))
-            stderrs.append(rec.mc_stderr)
-        for lo, hi in zip(stderrs[1:], stderrs[:-1]):
-            ratio = hi / lo
-            assert abs(ratio - np.sqrt(10)) < 0.2 * np.sqrt(10)
-
-    def test_large_n_scan_agrees_with_exact(self):
-        # n = 2000 is past the n at which a linear-space binomial PMF at p = 0.5
-        # overflows; exact enumeration still runs there
-        design = TrialDesign(per_arm_n=2000)
-        p_a, p_b = [0.5, 0.51], [0.52, 0.49]  # no state whose regret MC cannot see
-        report = max_regret_scan(ES, build_product_grid(p_a, p_b), design,
-                                 EvalMethod("monte_carlo", 20_000), SeedSpec(6))
-        for (a, b), rec in zip(itertools.product(p_a, p_b), report.per_state):
-            exact = _one_state_record(ES, build_product_grid([a], [b]), design).regret
-            assert np.isfinite(exact) and exact > 0
-            assert abs(rec.regret - exact) <= 4 * rec.mc_stderr
-
-    def test_mc_regret_within_noise_of_nonnegative(self):
-        s = build_product_grid([0.5], [0.501])
-        rec = _one_state_record(ES, s, TrialDesign(per_arm_n=5),
-                                EvalMethod("monte_carlo", 5000), SeedSpec(1))
-        assert rec.regret >= -4 * rec.mc_stderr
+    if grid.family == "binary_trial":
+        return max_regret_scan(rule, grid, design).record(0)
+    return max_mse_scan(rule, grid, design, method, seed).record(0)
 
 
 def _lead_rule(n):
@@ -162,8 +118,16 @@ def _lead_rule(n):
     return TableRule(np.fromfunction(lambda a, b: 0.5 + (b - a) / 100, (n + 1, n + 1)))
 
 
+def _iid_regret(table, n, p_a, p_b, reps, rng):
+    """The regret of a trial rule in state (p_a, p_b) by plain iid MC of both arms,
+    and its standard error: tests/reference.py shares nothing with the scan."""
+    gap = abs(p_a - p_b)
+    prob_b, se_b = iid_trial_mc(table, n, p_a, p_b, reps, rng)
+    return gap * (prob_b if p_a > p_b else 1.0 - prob_b), gap * se_b
+
+
 class TestValueClasses:
-    """The MC trial kernel against exact values and plain iid MC."""
+    """The exact trial scan against plain iid MC of both arms."""
 
     @pytest.mark.parametrize("n", [12, 40])
     @pytest.mark.parametrize("kind", ["table", "outcome"])
@@ -173,53 +137,47 @@ class TestValueClasses:
             rule = TableRule(np.random.default_rng(n).random((n + 1, n + 1)))
         else:
             rule = _lead_rule(n)
-        assert all(len(np.unique(row)) == n + 1 for row in rule.table(n))
-        grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=n)
-        exact = max_regret_scan(rule, grid, design)
-        mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", 20_000), SeedSpec(7))
-        # the 1e-12 floor covers states whose draws of arm b are certain (p_b = 0 or
-        # 1), where the MC value is exact and its stderr 0
-        assert (np.abs(mc.regret - exact.regret) <= 4 * mc.mc_stderr + 1e-12).all()
-        assert (mc.mc_stderr > 0).sum() > len(grid) / 2
-
-    @pytest.mark.parametrize("kind", ["es", "table"])
-    def test_agrees_with_iid_reference_and_exact_at_no_larger_stderr(self, kind):
-        # the reference draws both arms iid and shares nothing with the scan's
-        # kernel; summing arm a out can only lower the variance
-        n, reps = 20, 20_000
-        rule = ES if kind == "es" else TableRule(np.random.default_rng(3).random((n + 1, n + 1)))
         table = choice_table(rule, n)
-        assert kind == "es" or all(len(np.unique(row)) == n + 1 for row in table)
-        axes = [0.53, 0.3, 0.8], [0.47, 0.6, 0.65]  # gaps of 0.06 to 0.35
-        grid = build_product_grid(*axes)
-        design = TrialDesign(per_arm_n=n)
-        exact = max_regret_scan(rule, grid, design).regret
-        mc = max_regret_scan(rule, grid, design, EvalMethod("monte_carlo", reps), SeedSpec(9))
-        for k, (p_a, p_b) in enumerate(itertools.product(*axes)):
-            gap = abs(p_a - p_b)
-            prob_b, se_b = iid_trial_mc(table, n, p_a, p_b, reps, np.random.default_rng(k))
-            ref = gap * (prob_b if p_a > p_b else 1.0 - prob_b)
-            se_ref, se_mc = gap * se_b, mc.mc_stderr[k]
-            assert abs(mc.regret[k] - ref) <= 4 * np.hypot(se_mc, se_ref)
-            assert abs(mc.regret[k] - exact[k]) <= 4 * se_mc
-            assert abs(ref - exact[k]) <= 4 * se_ref
-            assert 0 < se_mc <= 1.05 * se_ref
+        assert all(len(np.unique(row)) == n + 1 for row in table)
+        grid = build_binary_grid(0.125)
+        exact = max_regret_scan(rule, grid, TrialDesign(per_arm_n=n)).regret
+        se = np.empty(len(grid))
+        for k, (p_a, p_b) in enumerate(itertools.product(grid.points_a, grid.points_b)):
+            ref, se[k] = _iid_regret(table, n, p_a, p_b, 20_000, np.random.default_rng(k))
+            # the 1e-12 floor covers states whose draws of both arms are certain (p_a
+            # and p_b 0 or 1), where the reference is exact and its stderr 0 up to
+            # rounding
+            assert abs(exact[k] - ref) <= 4 * se[k] + 1e-12
+        assert (se > 0).sum() > len(grid) / 2
 
-    def test_z_scores_over_seeds_are_standard_normal(self):
-        # 200 seeds at one state: the z-scores against exact have mean 0 and
-        # variance 1, each within four of its standard errors
-        grid = build_product_grid([0.53], [0.47])
-        design, method = TrialDesign(per_arm_n=145), EvalMethod("monte_carlo", 5000)
-        exact = max_regret_scan(ES, grid, design).regret[0]
-        z = np.array([(r.regret[0] - exact) / r.mc_stderr[0] for r in
-                      (max_regret_scan(ES, grid, design, method, SeedSpec(s)) for s in range(200))])
-        assert abs(z.mean()) <= 4 / np.sqrt(200)
-        assert abs(z.var(ddof=1) - 1.0) <= 4 * np.sqrt(2 / 199)
+    @pytest.mark.parametrize("kind", ["es", "table", "ztest"])
+    def test_agrees_with_iid_reference_and_exact_at_no_larger_stderr(self, kind):
+        # the exact scan's stderr is 0, no larger than the reference's; the random
+        # table's rows each hold n + 1 distinct values
+        n, reps = 20, 20_000
+        rule = {"es": ES, "ztest": ZTEST}.get(kind) or TableRule(
+            np.random.default_rng(3).random((n + 1, n + 1)))
+        table = choice_table(rule, n)
+        axes = [0.53, 0.3, 0.8], [0.47, 0.6, 0.65]  # gaps of 0.06 to 0.35
+        report = max_regret_scan(rule, build_product_grid(*axes), TrialDesign(per_arm_n=n))
+        assert report.method == EvalMethod("exact") and report.seed is None
+        assert not report.mc_stderr.any()
+        for k, (p_a, p_b) in enumerate(itertools.product(*axes)):
+            ref, se_ref = _iid_regret(table, n, p_a, p_b, reps, np.random.default_rng(k))
+            assert se_ref > 0
+            assert abs(report.regret[k] - ref) <= 4 * se_ref
 
 
 MEDIAN = DecisionRule("analog_predictor", {"loss": "absolute"})
+
 AFFINE_IDS = ["midpoint", "hodges_lehmann", "analog_mean"]
 AFFINE = [DecisionRule(name) for name in AFFINE_IDS]
+
+
+def _random_miss_grid():
+    """Eight Bernoulli states, on which the median under random_miss draws."""
+    return build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
+                                 miss_rates=[0.25, 0.5])
 
 
 def _mc_mse_of(rule, grid, design, reps, rng):
@@ -494,28 +452,11 @@ class TestMaxRegretScan:
             tracemalloc.stop()
         assert peak / len(grid) < 48
 
-    def test_callable_rule_runs_on_two_workers(self, monkeypatch):
-        # a rule given by a function of the outcome is the table of that function
-        table = [[es_choose((i, j))[1] for j in range(13)] for i in range(13)]
-        rule = DecisionRule("custom", {"trial_table": table})
-        grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
-        method = EvalMethod("monte_carlo", 2000)
-        _cpus(monkeypatch, 3)  # so that three workers get three chunks
-        one = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=1)
-        two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
-        three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 8, 8
-        assert one.per_state == two.per_state == three.per_state
-        # the function's table is the ES table, so the draws give the ES report
-        es = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
-        assert one.per_state == es.per_state
-
-    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
-    def test_custom_trial_table_reproduces_es(self, method, tmp_path):
+    def test_custom_trial_table_reproduces_es(self, tmp_path):
         grid, design = build_binary_grid(0.125), TrialDesign(per_arm_n=12)
         table_rule = DecisionRule("custom", {"trial_table": choice_table(ES, 12)})
-        got = max_regret_scan(table_rule, grid, design, method, SeedSpec(5))
-        want = max_regret_scan(ES, grid, design, method, SeedSpec(5))
-        assert any(r.mc_stderr > 0 for r in got.per_state) == (method.mode == "monte_carlo")
+        got = max_regret_scan(table_rule, grid, design)
+        want = max_regret_scan(ES, grid, design)
         report_to_csv(got, tmp_path / "table.csv")
         report_to_csv(want, tmp_path / "es.csv")
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "es.csv").read_bytes()
@@ -818,8 +759,8 @@ class TestReportCsv:
         method = EvalMethod("monte_carlo", 2000)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            report = max_regret_scan(ES, build_binary_grid(0.25),
-                                     TrialDesign(per_arm_n=9), method, SeedSpec(4))
+            report = max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 9),
+                                  method, SeedSpec(4))
             report_to_csv(report, path)
         assert a.read_bytes() == b.read_bytes()
 
@@ -827,9 +768,6 @@ class TestReportCsv:
 class TestScanPreconditions:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):
-        with pytest.raises(PreconditionError):
-            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=2),
-                            workers=workers)
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError):
@@ -838,9 +776,6 @@ class TestScanPreconditions:
 
     @pytest.mark.parametrize("workers", [1.5, "2"])
     def test_worker_count_not_an_integer_rejected(self, workers):
-        with pytest.raises(PreconditionError, match="workers must be an integer"):
-            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=2),
-                            workers=workers)
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError, match="workers must be an integer"):
@@ -855,21 +790,26 @@ class TestScanPreconditions:
     def test_mc_reps_at_the_bounds_accepted(self):
         assert EvalMethod("monte_carlo", np.int64(1000)).reps == 1000
         top = EvalMethod("monte_carlo", (1 << 63) - 1)
-        report = max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=5), top,
-                                 SeedSpec(1))
+        report = max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 5), top,
+                              SeedSpec(1))
         assert np.isfinite(report.regret).all() and report.max_regret > 0
 
-    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
+    @pytest.mark.parametrize("method", [(), ("--method", "mc", "--reps", "1000")],
                              ids=["exact", "mc"])
-    def test_trial_n_above_the_cap_rejected_before_any_table(self, method, monkeypatch):
+    def test_trial_n_above_the_cap_rejected_before_any_table(self, method, monkeypatch,
+                                                             capsys):
+        from mmregret.cli import main
+
         def no_table(*args):
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(engine, "binom_pmf_matrix", no_table)
         monkeypatch.setattr(engine, "choice_table", no_table)
         with pytest.raises(PreconditionError, match="per-arm n=10001 above 10000"):
-            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=10_001), method,
-                            SeedSpec(1))
+            max_regret_scan(ES, build_binary_grid(0.5), TrialDesign(per_arm_n=10_001))
+        # the command line's MC request runs the same exact scan
+        assert main(["scan", "--rule", "es", "--n", "10001", "--step", "0.5", *method]) == 3
+        assert "per-arm n=10001 above 10000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
                              ids=["exact", "mc"])
@@ -924,7 +864,7 @@ class TestScanPreconditions:
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError, match="not a trial-choice rule"):
             max_regret_scan(DecisionRule("midpoint"), build_binary_grid(0.5),
-                            TrialDesign(per_arm_n=2), method)
+                            TrialDesign(per_arm_n=2))
         with pytest.raises(PreconditionError, match="not a predictor"):
             max_mse_scan(ES, grid, SurveyDesign("fixed_n", 5), method)
 
@@ -962,13 +902,13 @@ class TestForkedWorkers:
         assert _no_child_left()
 
     def test_no_child_is_left_after_a_two_worker_scan(self, monkeypatch):
-        grid, design = build_binary_grid(0.25), TrialDesign(per_arm_n=12)
+        grid, design = _random_miss_grid(), SurveyDesign("random_miss", 12)
         method = EvalMethod("monte_carlo", 2000)
-        one = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers=1)
+        one = max_mse_scan(MEDIAN, grid, design, method, SeedSpec(5), workers=1)
         for cpus in (1, 2, 3, 4):
             _cpus(monkeypatch, cpus)
             for workers in (None, 1, 2):
-                got = max_regret_scan(ES, grid, design, method, SeedSpec(5), workers)
+                got = max_mse_scan(MEDIAN, grid, design, method, SeedSpec(5), workers)
                 assert _no_child_left()
                 assert got.per_state == one.per_state
 
@@ -1050,8 +990,8 @@ class TestColumnarReport:
             ES, build_binary_grid(0.1), TrialDesign(per_arm_n=15)),
         "exact_ztest": lambda: max_regret_scan(
             ZTEST, build_binary_grid(0.05), TrialDesign(per_arm_n=30)),
-        "mc_es": lambda: max_regret_scan(
-            ES, build_binary_grid(0.25), TrialDesign(per_arm_n=9),
+        "mc_bernoulli_median": lambda: max_mse_scan(
+            MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 9),
             EvalMethod("monte_carlo", 2000), SeedSpec(4)),
         "exact_midpoint": lambda: max_mse_scan(
             DecisionRule("midpoint"),
@@ -1078,11 +1018,11 @@ class TestColumnarReport:
     def test_cases_cover_ties_stderr_and_chunks(self):
         ties = self.CASES["exact_es_ties"]()
         assert any(r.error_prob is None for r in ties.per_state)
-        assert any(r.mc_stderr > 0 for r in self.CASES["mc_es"]().per_state)
+        assert any(r.mc_stderr > 0 for r in self.CASES["mc_bernoulli_median"]().per_state)
         assert any(r.mc_stderr > 0 for r in self.CASES["mc_beta_median"]().per_state)
         assert len(self.CASES["more_rows_than_a_chunk"]().grid) > _CSV_BLOCK_ROWS
 
-    @pytest.mark.parametrize("case", ["exact_es_ties", "mc_es", "exact_midpoint"])
+    @pytest.mark.parametrize("case", ["exact_es_ties", "mc_bernoulli_median", "exact_midpoint"])
     def test_argmax_record_is_the_argmax_state(self, case):
         report = self.CASES[case]()
         rec = report.record(report.argmax)  # before per_state builds the others
@@ -1291,7 +1231,7 @@ class TestCsvParts:
         assert sorted(os.listdir(tmp_path)) == ["report.csv", "scan.csv"]
 
 
-@pytest.mark.parametrize("family", ["binary_trial", "prediction"])
+@pytest.mark.parametrize("family", ["prediction"])  # a trial scan is exact: no pool
 def test_mc_pool_gets_one_process_per_chunk(family):
     """An MC scan asks the pool helper for no more processes than it has states
     or CPUs, however many workers it is given, and deals the states to them in
@@ -1303,16 +1243,10 @@ def test_mc_pool_gets_one_process_per_chunk(family):
         indices.append([list(task[-1]) for task in tasks])
         return [fn(*task) for task in tasks]  # in process: no child is forked
 
-    method = EvalMethod("monte_carlo", 1000)
-    if family == "binary_trial":
-        grid = build_product_grid([0.2, 0.6], [0.1, 0.3, 0.5, 0.7])
-        scan = partial(max_regret_scan, ES, grid, TrialDesign(per_arm_n=5), method, SeedSpec(1))
-    else:
-        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
-                                     miss_rates=[0.25, 0.5])
-        scan = partial(max_mse_scan, MEDIAN, grid, SurveyDesign("random_miss", 5), method,
-                       SeedSpec(1))
-    assert len(grid) == 8
+    grid = _random_miss_grid()
+    scan = partial(max_mse_scan, MEDIAN, grid, SurveyDesign("random_miss", 5),
+                   EvalMethod("monte_carlo", 1000), SeedSpec(1))
+    assert grid.family == family and len(grid) == 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "platform", "linux")
         mp.setattr(engine, "_ordered_map", spy)

@@ -12,6 +12,8 @@ from mmregret import (
     SurveyDesign,
     TrialDesign,
     build_binary_grid,
+    build_prediction_grid,
+    max_mse_scan,
     max_regret_scan,
 )
 from reference import enumerate_trial
@@ -77,7 +79,7 @@ class TestTrialDesign:
         assert TrialDesign(arms=2, per_arm_n=5) == TrialDesign(per_arm_n=5)
         with pytest.raises(PreconditionError):  # so no Monte Carlo scan can be given one
             max_regret_scan(DecisionRule("empirical_success"), build_binary_grid(0.5),
-                            TrialDesign(arms=3, per_arm_n=5), EvalMethod("monte_carlo", 1000))
+                            TrialDesign(arms=3, per_arm_n=5))
 
     def test_no_outcome_range(self):
         with pytest.raises(TypeError):
@@ -114,12 +116,13 @@ class TestParallelDeterminism:
     def test_worker_count_does_not_change_mc_scan(self, monkeypatch):
         # three CPUs, so that three workers get three chunks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        rule = DecisionRule("empirical_success")
-        grid = build_binary_grid(0.25)
-        design = TrialDesign(per_arm_n=12)
+        rule = DecisionRule("analog_median")  # no exact path under random_miss: it draws
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.5, 0.8],
+                                     miss_params=[0.3, 0.7], miss_rates=[0.25, 0.5])
+        design = SurveyDesign("random_miss", 12)
         method = EvalMethod("monte_carlo", 2000)
-        one = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=1)
-        two = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=2)
-        three = max_regret_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 9, 9, 7
+        one = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=1)
+        two = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=2)
+        three = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 4, 4, 4
         assert one.per_state == two.per_state == three.per_state
         assert one.max_regret == two.max_regret
