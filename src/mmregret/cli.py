@@ -50,7 +50,8 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
                         help=f"evaluation method (default {method_default}); an mc "
                              "request that has an exact path runs it, and every run "
                              "prints the method that ran. scan is exact at every n it "
-                             "accepts; wald-mse draws only where it has no exact path")
+                             "accepts; wald-mse draws only for a nonlinear predictor "
+                             "on Beta outcomes")
     parser.add_argument("--out", help="CSV output path")
 
 

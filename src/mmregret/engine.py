@@ -1,13 +1,13 @@
 """Evaluation engine: state-dependent error probability, regret, and MSE.
 
 Evaluates a rule exactly where the sample space is enumerable (two-arm binary
-trials, always; Bernoulli surveys with a fixed observed count) or a closed form
+trials and Bernoulli surveys, under either survey design) or a closed form
 exists (surveys read through a predictor affine in the observed mean), and by
-seeded Monte Carlo otherwise: only a survey read through a nonlinear predictor
-draws. Each grid family has one scan; one state is evaluated as a scan of a
-grid that holds only it. Also provides analytic maximum-regret bounds for the
-empirical success rule and an exhaustive oracle over deterministic rules on
-tiny trial designs.
+seeded Monte Carlo otherwise: only a Beta survey read through a nonlinear
+predictor draws. Each grid family has one scan; one state is evaluated as a
+scan of a grid that holds only it. Also provides analytic maximum-regret bounds
+for the empirical success rule and an exhaustive oracle over deterministic rules
+on tiny trial designs.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import PreconditionError
-from .mathutil import (FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, binom_pmf_vector,
-                       fmt17)
+from .mathutil import FMT17_WIDTH, _fmt17_cells, binom_pmf_matrix, fmt17
 from .rules import _AFFINE, Predictor, TrialRule
 from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
 from .states import _MAX_GRID_STATES, StateGrid, _outcome_mean
@@ -309,25 +308,11 @@ def _bernoulli_predictions(rule: Predictor, k, n, p1, support):
 
 
 _CONTRACTION_CELLS = 1 << 18  # squared errors held per chunk of states
-
-
-def _exact_bernoulli_mse(rule, grid: StateGrid, design) -> np.ndarray:
-    """Per-state MSE of a fixed-N Bernoulli survey, enumerating the success count:
-    one PMF per distinct theta_obs, one prediction vector per distinct miss rate
-    (the observed fraction p1 is 1 minus it), and one PMF-weighted sum of squared
-    errors per state."""
-    n, k = design.n, np.arange(design.n + 1)
-    preds = np.array([_bernoulli_predictions(rule, k, n, p1, grid.support)
-                      for p1 in (1.0 - grid.miss_rates).tolist()])
-    pmf, pop = binom_pmf_matrix(n, grid.obs_params), grid.population_mean
-    mse = np.empty(len(grid))
-    per = max(1, _CONTRACTION_CELLS // (n + 1))
-    for lo in range(0, len(grid), per):
-        rows = slice(lo, lo + per)
-        err2 = (preds[grid.index_rate[rows]] - pop[rows, None]) ** 2
-        # a stack of (1 x n+1) @ (n+1 x 1) products: the same bits as one pmf @ err2 each
-        mse[rows] = np.matmul(pmf[grid.index_obs[rows], None, :], err2[:, :, None])[:, 0, 0]
-    return mse
+# the most PMF cells, #theta_obs N (N + 1) / 2, that an exact random_miss survey of a
+# predictor not affine in the observed mean may enumerate, one Python step per
+# observed count. On a 2-vCPU VM, 11 thetas took 0.17 s at N = 1,000 and 1.3 s at
+# N = 3,000, and 2^27 cells (64 thetas, N = 2,047) took 3.0 s
+_MAX_ENUMERATED_CELLS = 1 << 27
 
 
 def _affine_terms(rule: Predictor, mean, var, n_obs, p1, support) -> tuple:
@@ -339,49 +324,64 @@ def _affine_terms(rule: Predictor, mean, var, n_obs, p1, support) -> tuple:
     return rule.predict(mean, n_obs, p1, support), (rise / (y1 - y0)) ** 2 * var / n_obs
 
 
-def _affine_mse(rule: Predictor, grid: StateGrid, design: SurveyDesign) -> np.ndarray:
-    """Per-state MSE of a predictor affine in the observed mean, in closed form.
+def _prediction_moments(rule: Predictor, grid: StateGrid, n, p1) -> tuple:
+    """Mean and variance of the prediction from n >= 1 observed outcomes at observed
+    fraction p1: one row per distinct observed parameter, one column per case (n, p1).
 
-    Given n >= 1 observed outcomes of mean E and variance var each, the prediction
-    is f(E) + b (mean - E), so its MSE about the population mean mu is (f(E) - mu)^2
-    + b^2 var / n. Under fixed_n, n is N and p1 is 1 minus the miss rate; under
-    random_miss, n ~ Bin(N, 1 - miss rate), p1 = n / N, and n = 0 predicts the
-    support midpoint. One prediction and variance per distinct observed parameter
-    and n, one PMF per distinct miss rate, and one PMF-weighted sum per state.
+    For a predictor affine in the observed mean they are _affine_terms at the mean
+    and variance of one observed outcome, on either outcome family. Otherwise, for
+    Bernoulli outcomes, the success count k is enumerated: one PMF matrix per
+    distinct n, the mean a PMF-weighted sum of the predictions and the variance one
+    of their squared deviations from it. The sums run in numpy, not BLAS.
     """
     y0, y1 = support = grid.support
-    obs, rate, mu = grid.index_obs, grid.index_rate, grid.population_mean
-    mean = _outcome_mean(grid.outcome, grid.obs_params, support)
-    if grid.outcome == "bernoulli":
-        var = grid.obs_params * (1.0 - grid.obs_params)
-    else:
-        a, b = grid.obs_params.T
-        var = a * b / ((a + b) ** 2 * (a + b + 1.0))
-    var = var * (y1 - y0) ** 2
-    total = design.n
+    if rule in _AFFINE:
+        mean = _outcome_mean(grid.outcome, grid.obs_params, support)
+        if grid.outcome == "bernoulli":
+            var = grid.obs_params * (1.0 - grid.obs_params)
+        else:
+            a, b = grid.obs_params.T
+            var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+        var = var * (y1 - y0) ** 2
+        return np.broadcast_arrays(*_affine_terms(rule, mean[:, None], var[:, None], n, p1,
+                                                  support))
+    mean, var = np.empty((2, len(grid.obs_params), len(n)))
+    pmf = None
+    for c, (size, frac) in enumerate(zip(n.tolist(), p1.tolist())):
+        if pmf is None or pmf.shape[1] != size + 1:
+            pmf = binom_pmf_matrix(size, grid.obs_params)
+        pred = _bernoulli_predictions(rule, np.arange(size + 1), size, frac, support)
+        mean[:, c] = np.einsum("ik,k->i", pmf, pred)
+        dev = pred - mean[:, c, None]
+        var[:, c] = np.einsum("ik,ik->i", pmf, dev * dev)
+    return mean, var
+
+
+def _exact_mse(rule: Predictor, grid: StateGrid, design: SurveyDesign, counts) -> np.ndarray:
+    """Per-state MSE of a survey, exactly: a sum over the observed count n of its
+    weight times (m - mu)^2 + v, where m and v are the mean and variance of the
+    prediction given n (_prediction_moments) and mu is the population mean.
+
+    Under fixed_n there is one case per distinct miss rate, n = N and p1 = 1 minus
+    the rate, and a state weighs its own rate's case by 1. Under random_miss the
+    cases are n = 1..N with p1 = n / N, weighted by ``counts``, the Bin(N, 1 - rate)
+    PMF of n per distinct miss rate, and n = 0 predicts the support midpoint.
+    """
+    y0, y1 = grid.support
+    obs, rate, mu, total = grid.index_obs, grid.index_rate, grid.population_mean, design.n
     if design.mode == "fixed_n":
-        pred, spread = _affine_terms(rule, mean[obs], var[obs], total,
-                                     1.0 - grid.miss_rates[rate], support)
-        return (pred - mu) ** 2 + spread
+        m, v = _prediction_moments(rule, grid, np.full(len(grid.miss_rates), total),
+                                   1.0 - grid.miss_rates)
+        return (m[obs, rate] - mu) ** 2 + v[obs, rate]
     n = np.arange(1, total + 1)
-    pred, spread = _affine_terms(rule, mean[:, None], var[:, None], n, n / total, support)
-    pmf = binom_pmf_matrix(total, 1.0 - grid.miss_rates)
-    mse = pmf[rate, 0] * (0.5 * (y0 + y1) - mu) ** 2
+    m, v = _prediction_moments(rule, grid, n, n / total)
+    mse = counts[rate, 0] * (0.5 * (y0 + y1) - mu) ** 2
     per = max(1, _CONTRACTION_CELLS // total)
     for lo in range(0, len(grid), per):
         rows = slice(lo, lo + per)
-        err2 = (pred[obs[rows]] - mu[rows, None]) ** 2 + spread[obs[rows]]
-        mse[rows] += np.matmul(pmf[rate[rows], None, 1:], err2[:, :, None])[:, 0, 0]
+        err2 = (m[obs[rows]] - mu[rows, None]) ** 2 + v[obs[rows]]
+        mse[rows] += np.matmul(counts[rate[rows], None, 1:], err2[:, :, None])[:, 0, 0]
     return mse
-
-
-def _binomial_counts(rng, count: int, m: int, theta: float, pmf) -> np.ndarray:
-    """Counts of k = 0..m among count iid Binomial(m, theta) draws: one multinomial
-    draw over ``pmf(m, theta)`` when count exceeds the support, count binomial
-    draws otherwise."""
-    if count > m:
-        return rng.multinomial(count, pmf(m, theta))
-    return np.bincount(rng.binomial(m, theta, size=count), minlength=m + 1)
 
 
 def _moments(values, counts, n: int) -> tuple:
@@ -423,82 +423,76 @@ def _beta_statistic(rng, shape, count: int, m: int, median: bool):
 
 
 def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, reps: int,
-            rng, pmf) -> tuple[float, float]:
-    """MC MSE of a predictor in state ``row`` of a prediction grid, whose population mean
-    is mu, and its standard error. Per occupied n_obs, a histogram of the successes
-    for Bernoulli outcomes and blocks of Beta samples otherwise. No observation
-    predicts the support midpoint. ``pmf(n, p)`` is the Binomial(n, p) PMF. Each
-    block of Beta samples, then the histogram, is reduced to _moments of its squared
-    errors, merged in that order, so memory does not grow with reps."""
+            rng, counts) -> tuple[float, float]:
+    """MC MSE of a predictor in state ``row`` of a Beta prediction grid, whose population
+    mean is mu, and its standard error. ``counts`` holds the PMF of the observed count
+    per distinct miss rate under random_miss, and is None under fixed_n. Per occupied
+    n_obs, blocks of Beta samples are each reduced to _moments of their squared errors
+    and merged in order, so memory does not grow with reps; the draws with no
+    observation predict the support midpoint, and are merged last."""
     y0, y1 = support = grid.support
-    mid = 0.5 * (y0 + y1)
-    param = grid.obs_params[grid.index_obs[row]].tolist()  # a theta, or (alpha, beta)
+    shape = grid.obs_params[grid.index_obs[row]].tolist()
     miss_rate = grid.miss_rates[grid.index_rate[row]].tolist()
     if design.mode == "fixed_n":
-        n_obs, pmf_n = np.array([design.n]), np.ones(1)
-        p1 = np.array([1.0 - miss_rate])
+        n_obs, pmf_n, p1 = np.array([design.n]), np.ones(1), np.array([1.0 - miss_rate])
     else:
-        n_obs = np.arange(design.n + 1)
-        pmf_n = pmf(design.n, 1.0 - miss_rate)
+        n_obs, pmf_n = np.arange(design.n + 1), counts[grid.index_rate[row]]
         p1 = n_obs / design.n
     median = rule.statistic == "median"
     h = rng.multinomial(reps, pmf_n)
-    preds, counts, moments = [], [], None
+    moments = None
     for i in np.flatnonzero(h):
         m = n_obs[i]
-        if m == 0:  # the midpoint predictor lands there anyway
-            pred, count = mid, h[i:i + 1]
-        elif grid.outcome == "bernoulli":
-            c = _binomial_counts(rng, h[i], m, param, pmf)
-            k = np.flatnonzero(c)  # only successes that occur reach the predictor
-            pred, count = _bernoulli_predictions(rule, k, m, p1[i], support), c[k]
-        else:
-            for stat in _beta_statistic(rng, param, h[i], m, median):
-                pred = rule.predict(y0 + (y1 - y0) * stat, m, p1[i], support)
-                err2 = np.broadcast_to((pred - mu) ** 2, stat.shape)
-                moments = _merge(moments, _moments(err2, 1, len(stat)))
+        if m == 0:  # scored last
             continue
-        preds.append(np.broadcast_to(pred, count.shape))
-        counts.append(count)
-    if preds:
-        counts = np.concatenate(counts)
-        moments = _merge(moments, _moments((np.concatenate(preds) - mu) ** 2, counts, counts.sum()))
+        for stat in _beta_statistic(rng, shape, h[i], m, median):
+            pred = rule.predict(y0 + (y1 - y0) * stat, m, p1[i], support)
+            err2 = np.broadcast_to((pred - mu) ** 2, stat.shape)
+            moments = _merge(moments, _moments(err2, 1, len(stat)))
+    if n_obs[0] == 0 and h[0]:
+        moments = _merge(moments, _moments((np.array([0.5 * (y0 + y1)]) - mu) ** 2, h[:1], h[0]))
     return _estimate(moments)
 
 
-def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid,
+def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid, counts,
                    index) -> np.ndarray:
     """MC MSE and its standard error, one column per state index of the prediction
-    grid; state k draws from substream k. Each distinct binomial PMF is computed
-    once per chunk."""
-    pmf, mu = cache(binom_pmf_vector), grid.population_mean
-    return np.array([_mc_mse(rule, grid, k, mu[k], design, reps, seed.rng(k, 0), pmf)
+    grid; state k draws from substream k. ``counts`` is as _mc_mse takes it."""
+    mu = grid.population_mean
+    return np.array([_mc_mse(rule, grid, k, mu[k], design, reps, seed.rng(k, 0), counts)
                      for k in index]).T
 
 
 def _mse_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
     """MSE of a predictor in every state of a prediction grid (regret = MSE here).
 
-    The input picks the path, whatever the method: a Bernoulli survey of fixed N
-    enumerates the success count, any other survey read through an affine
-    predictor takes the closed form, and the report's method is exact, with no
-    seed. Only a nonlinear predictor under random_miss or on Beta outcomes has
-    no exact path: it draws by Monte Carlo, state k from substream k of the seed
-    (0 when None), which the report names, and an exact method is rejected there.
+    The input picks the path, whatever the method: a Bernoulli survey, under either
+    design, and any survey read through an affine predictor are exact (_exact_mse),
+    and the report's method is exact, with no seed. Only a nonlinear predictor on
+    Beta outcomes has no exact path: it draws by Monte Carlo, state k from substream
+    k of the seed (0 when None), which the report names, and an exact method is
+    rejected there. A random_miss survey that would enumerate more than
+    _MAX_ENUMERATED_CELLS PMF cells is rejected before any PMF is built.
     """
     if not isinstance(rule, Predictor):
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
+    affine, random_miss, total = rule in _AFFINE, design.mode == "random_miss", design.n
+    exact = affine or grid.outcome == "bernoulli"
+    cells = len(grid.obs_params) * total * (total + 1) // 2
+    if exact and not affine and random_miss and cells > _MAX_ENUMERATED_CELLS:
+        raise PreconditionError(f"survey n={total} under random_miss gives {cells:.4g} PMF "
+                                f"cells to enumerate, above the {_MAX_ENUMERATED_CELLS} a "
+                                "scan may visit")
+    if not exact and method.mode == "exact":
+        raise PreconditionError("exact MSE needs Bernoulli outcomes or a predictor affine "
+                                "in the observed mean")
+    counts = binom_pmf_matrix(total, 1.0 - grid.miss_rates) if random_miss else None
     stderr = np.zeros(len(grid))
-    if grid.outcome == "bernoulli" and design.mode == "fixed_n":
-        mse, method, seed = _exact_bernoulli_mse(rule, grid, design), EvalMethod("exact"), None
-    elif rule in _AFFINE:
-        mse, method, seed = _affine_mse(rule, grid, design), EvalMethod("exact"), None
-    elif method.mode == "exact":
-        raise PreconditionError("exact MSE needs Bernoulli outcomes with a fixed N, or a "
-                                "predictor affine in the observed mean")
+    if exact:
+        mse, method, seed = _exact_mse(rule, grid, design, counts), EvalMethod("exact"), None
     else:
         seed = seed or SeedSpec()
-        kernel = partial(_mc_mse_states, rule, design, method.reps, seed, grid)
+        kernel = partial(_mc_mse_states, rule, design, method.reps, seed, grid, counts)
         mse, stderr = _map_chunks(kernel, len(grid), workers)
     no_value = np.full(len(grid), np.nan)  # an MSE scan has no error prob or welfare
     return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), method, seed)

@@ -6,7 +6,8 @@ its per-arm success counts. They are written without the tables, so tests can
 check ``rule.table(n)`` and the exact scans against them. The PMF runs its
 recurrence for one probability at a time, or takes ``math.comb`` products. The
 trial MC draws both arms iid. The survey MSE sums over every observed count and
-success count. The CSV writer formats one cell at a time with ``format``.
+success count, and the survey MC draws both counts iid. The CSV writer formats
+one cell at a time with ``format``.
 """
 
 import math
@@ -151,6 +152,34 @@ def bernoulli_survey_mse(rule, theta_obs: float, theta_miss: float, miss_rate: f
                 stat = y1 if 2 * k > n else y0 if 2 * k < n else mid
             terms.append(pn * pk * (float(rule.predict(stat, n, p1, support)) - mu) ** 2)
     return math.fsum(terms)
+
+
+def iid_bernoulli_survey_mc(rule, theta_obs: float, theta_miss: float, miss_rate: float,
+                            design, reps: int, rng: np.random.Generator,
+                            support=(0.0, 1.0)) -> tuple[float, float]:
+    """Plain MC of the MSE of a predictor in one Bernoulli survey state, and its
+    standard error (ddof=1): per replication, the observed count n (N under fixed_n,
+    a Bin(N, 1 - miss rate) draw under random_miss), then k ~ Bin(n, theta_obs)
+    successes, read as ``bernoulli_survey_mse`` reads them; n = 0 predicts the
+    support midpoint."""
+    y0, y1 = support
+    mid = 0.5 * (y0 + y1)
+    mu = state_means("bernoulli", theta_obs, theta_miss, miss_rate, support)[2]
+    total = design.n
+    if design.mode == "fixed_n":
+        n, p1 = np.full(reps, total), np.full(reps, 1.0 - miss_rate)
+    else:
+        n = rng.binomial(total, 1.0 - miss_rate, size=reps)
+        p1 = n / total
+    k = rng.binomial(n, theta_obs)
+    seen = np.maximum(n, 1)  # n = 0 is replaced by the midpoint below
+    if rule.statistic == "mean":
+        stat = y0 + k / seen * (y1 - y0)
+    else:
+        stat = np.where(2 * k > n, y1, np.where(2 * k < n, y0, mid))
+    pred = np.where(n == 0, mid, rule.predict(stat, seen, p1, support))
+    err2 = (pred - mu) ** 2
+    return float(err2.mean()), float(err2.std(ddof=1) / np.sqrt(reps))
 
 
 def _per_cell_report_to_csv(report, path):

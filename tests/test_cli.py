@@ -114,10 +114,11 @@ method = exact
 BETA_CFG = WALD_CFG.replace("family = bernoulli", "family = beta").replace(
     "theta_obs_step = 0.1\ntheta_miss_step = 0.1\n",
     "beta_obs_shapes = 1,1; 2,5\nbeta_miss_shapes = 0.5,2\n")
-# MC requests: the first two have an exact path, which they run; the median on
+# MC requests: the first three have an exact path, which they run; the median on
 # Beta outcomes has none, and draws
 RANDOM_MISS_MC = WALD_CFG.replace("known = true", "known = false").replace(
     "method = exact", "method = mc\nreps = 2000")
+RANDOM_MISS_MEDIAN_MC = RANDOM_MISS_MC.replace("= midpoint", "= analog_median")
 BETA_MC = BETA_CFG.replace("method = exact", "method = mc\nreps = 2000")
 BETA_MEDIAN_MC = BETA_MC.replace("= midpoint", "= analog_median")
 
@@ -165,8 +166,9 @@ class TestWaldMse:
         assert code == 2
 
     def test_mc_runs_are_byte_identical(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"  # the median under random_miss draws
-        cfg.write_text(RANDOM_MISS_MC.replace("= midpoint", "= analog_median") + "seed = 7\n")
+        cfg = tmp_path / "run.cfg"  # the median on Beta outcomes draws
+        cfg.write_text(BETA_MEDIAN_MC.replace("miss_known = true", "miss_known = false")
+                       + "seed = 7\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         outs = []
         for path in (a, b):
@@ -181,11 +183,11 @@ class TestWaldMse:
     def test_custom_predictor_csv_ignores_worker_count(self, capsys, tmp_path):
         # a forked worker starts as a copy of this process, custom predictor included
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG.replace("predictor = midpoint",
+        cfg.write_text(BETA_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 1:0.9; 0:0.2; 0.5:0.4")
                        .replace("method = exact", "method = mc\nreps = 2000\nseed = 5")
                        .replace("miss_values = 0.2", "miss_values = 0.2,0.5")
-                       .replace("known = true", "known = false"))  # so that it draws
+                       .replace("known = true", "known = false"))  # Beta: it draws
         paths = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
         for workers, path in zip(("1", "2"), paths):
             code, _ = run(capsys, "wald-mse", "--config", str(cfg), "--workers", workers,
@@ -193,7 +195,8 @@ class TestWaldMse:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("text", [RANDOM_MISS_MC, BETA_MC], ids=["random_miss", "beta"])
+    @pytest.mark.parametrize("text", [RANDOM_MISS_MC, BETA_MC, RANDOM_MISS_MEDIAN_MC],
+                             ids=["random_miss", "beta", "random_miss_median"])
     def test_mc_request_with_an_exact_path_runs_it_and_says_so(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -449,7 +452,7 @@ class TestConsoleScript:
         cases = [(scan, False), (WALD_CFG, False)]
         if mc:
             cases = [(scan + ["--method", "mc", "--reps", "2000"], False), (RANDOM_MISS_MC, False),
-                     (BETA_MC, False), (BETA_MEDIAN_MC, True)]
+                     (RANDOM_MISS_MEDIAN_MC, False), (BETA_MC, False), (BETA_MEDIAN_MC, True)]
         for k, (argv, draws) in enumerate(cases):
             if isinstance(argv, str):
                 cfg = tmp_path / f"run{k}.cfg"
@@ -604,9 +607,11 @@ class TestRejectedInput:
         cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
 
-    # the median has no exact path on Beta outcomes or under random_miss
+    # the median has no exact path on Beta outcomes; under random_miss its exact sum
+    # at n = 5,000 would enumerate 11 x 5,000 x 5,001 / 2 PMF cells, above 2^27
     @pytest.mark.parametrize("text", [BETA_CFG, WALD_CFG.replace(
-        "miss_known = true", "miss_known = false")], ids=["beta", "random_miss"])
+        "miss_known = true", "miss_known = false").replace("n = 10", "n = 5000")],
+        ids=["beta", "random_miss"])
     def test_exact_wald_outside_exact_mode_exits_3(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text.replace("= midpoint", "= analog_median"))
@@ -672,10 +677,11 @@ class TestRejectedInput:
         ("true", 0), ("TRUE", 0), ("yes", 0), ("1", 0),
         ("false", 3), ("False", 3), ("no", 3), ("0", 3)])
     def test_miss_known_spellings(self, capsys, tmp_path, value, code):
-        # the median is exact only under the known-miss (fixed-N) design; the other exits 3
+        # at n = 5,000 the median runs under the known-miss (fixed-N) design; under
+        # random_miss its exact sum is above the enumeration bound, and exits 3
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG.replace("miss_known = true", f"miss_known = {value}")
-                       .replace("= midpoint", "= analog_median"))
+                       .replace("= midpoint", "= analog_median").replace("n = 10", "n = 5000"))
         assert main(["wald-mse", "--config", str(cfg)]) == code
         capsys.readouterr()
 

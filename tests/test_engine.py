@@ -27,11 +27,12 @@ from mmregret import (
     report_to_csv,
 )
 import mmregret.engine as engine
-from mmregret.engine import _CSV_BLOCK_ROWS, _binomial_counts, _mc_mse, choice_table
-from mmregret.mathutil import binom_pmf_vector
+from mmregret.engine import _CSV_BLOCK_ROWS, _mc_mse, choice_table
+from mmregret.mathutil import binom_pmf_matrix, binom_pmf_vector
 from mmregret.rules import TableRule
 from reference import (_per_cell_report_to_csv, bernoulli_survey_mse, comb_pmf, enumerate_trial,
-                       es_choose, iid_trial_mc, state_means, ztest_choose)
+                       es_choose, iid_bernoulli_survey_mc, iid_trial_mc, state_means,
+                       ztest_choose)
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -175,15 +176,24 @@ AFFINE = [DecisionRule(name) for name in AFFINE_IDS]
 
 
 def _random_miss_grid():
-    """Eight Bernoulli states, on which the median under random_miss draws."""
-    return build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
-                                 miss_rates=[0.25, 0.5])
+    """Eight Beta states, on which the median under random_miss draws."""
+    return build_prediction_grid("beta", obs_params=[(1.0, 1.0), (2.0, 5.0)],
+                                 miss_params=[(0.5, 2.0), (2.0, 0.5)], miss_rates=[0.25, 0.5])
+
+
+def _counts(grid, design):
+    """The PMF of the observed count per distinct miss rate, as a scan passes it to
+    the MC kernel: None under fixed_n."""
+    if design.mode == "fixed_n":
+        return None
+    return binom_pmf_matrix(design.n, 1.0 - grid.miss_rates)
 
 
 def _mc_mse_of(rule, grid, design, reps, rng):
-    """_mc_mse in the one state of the grid."""
+    """_mc_mse in the one state of the Beta grid."""
     assert len(grid) == 1
-    return _mc_mse(rule, grid, 0, grid.population_mean[0], design, reps, rng, binom_pmf_vector)
+    return _mc_mse(rule, grid, 0, grid.population_mean[0], design, reps, rng,
+                   _counts(grid, design))
 
 
 def _beta_state_grid(obs, miss, miss_rate, support):
@@ -193,14 +203,8 @@ def _beta_state_grid(obs, miss, miss_rate, support):
 
 
 class TestHistogramMonteCarlo:
-    @pytest.mark.parametrize("count,m", [(5000, 20), (21, 20), (20, 20), (3000, 20000)])
-    def test_binomial_counts_have_the_binomial_mean(self, count, m):
-        # one multinomial draw when count > m, count binomial draws otherwise
-        theta = 0.3
-        c = _binomial_counts(np.random.default_rng(8), count, m, theta, binom_pmf_vector)
-        assert c.shape == (m + 1,) and c.sum() == count
-        k = np.repeat(np.arange(m + 1), c)
-        assert abs(k.mean() - m * theta) <= 4 * np.sqrt(m * theta * (1 - theta) / count)
+    """Survey MSE under random_miss: a Bernoulli survey is an exact sum over the
+    observed and success counts, and a Beta one under a nonlinear predictor draws."""
 
     @pytest.mark.parametrize("rule,predict", [
         (DecisionRule("midpoint"), lambda k, m, total: m / total * k / m + (1 - m / total) / 2),
@@ -219,9 +223,12 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * pk * ((predict(k, m, total) if m else 0.5) - mu) ** 2
                     for m, pm in enumerate(comb_pmf(total, 1 - miss))
                     for k, pk in enumerate(comb_pmf(m, theta_obs)))
-        mse, stderr = _mc_mse_of(rule, state, SurveyDesign("random_miss", total), 50_000,
-                                 SeedSpec(17).rng(3, 0))
-        assert abs(mse - exact) <= 4 * stderr + 1e-12
+        # an MC request runs the exact sum, and draws nothing
+        report = max_mse_scan(rule, state, SurveyDesign("random_miss", total),
+                              EvalMethod("monte_carlo", 50_000), SeedSpec(17))
+        assert report.method == EvalMethod("exact") and report.seed is None
+        assert not report.mc_stderr.any()
+        assert abs(report.regret[0] - exact) <= 1e-12
 
     @pytest.mark.parametrize("obs,miss_dist,miss,support", [
         ((2.0, 5.0), (0.5, 2.0), 0.3, (0.0, 1.0)),
@@ -255,27 +262,33 @@ class TestHistogramMonteCarlo:
         mu = q * theta + miss * theta_miss
         var_x = q / 4 - (q * (theta - 0.5)) ** 2
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
-        mse, stderr = _mc_mse_of(DecisionRule("midpoint"), _bern_state_grid(theta, theta_miss, miss),
-                                 SurveyDesign("random_miss", total), reps,
-                                 SeedSpec(29).rng(2, 0))
-        assert np.isfinite(stderr) and stderr > 0
-        assert abs(mse - exact) <= 4 * stderr
+        # an MC request of reps replications runs the closed form
+        report = max_mse_scan(DecisionRule("midpoint"), _bern_state_grid(theta, theta_miss, miss),
+                              SurveyDesign("random_miss", total), EvalMethod("monte_carlo", reps),
+                              SeedSpec(29))
+        assert report.method == EvalMethod("exact") and not report.mc_stderr.any()
+        assert report.regret[0] == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_each_distinct_pmf_is_computed_once_per_scan(self, monkeypatch):
-        import mmregret.engine as engine
         calls = []
 
-        def counting(n, p):
-            calls.append((n, p))
-            return binom_pmf_vector(n, p)
+        def counting(n, ps):
+            calls.append((n, tuple(np.asarray(ps).tolist())))
+            return binom_pmf_matrix(n, ps)
 
-        monkeypatch.setattr(engine, "binom_pmf_vector", counting)
+        monkeypatch.setattr(engine, "binom_pmf_matrix", counting)
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.1, 0.5],
                                      miss_rates=[0.2, 0.4])
-        # the median has no exact path under random_miss, so the scan draws
+        # the median under random_miss enumerates: one PMF matrix of the observed
+        # count, and one of the success count per n = 1..12
         max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 12),
                      EvalMethod("monte_carlo", 20_000), SeedSpec(5))
-        assert len(calls) == len(set(calls)) > 2
+        assert len(calls) == len(set(calls)) == 13
+        # a Beta scan draws from the rows of its one PMF matrix of the observed count
+        calls.clear()
+        max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 12),
+                     EvalMethod("monte_carlo", 2000), SeedSpec(5), workers=1)
+        assert calls == [(12, (0.75, 0.5))]
 
     @pytest.mark.parametrize("design", [SurveyDesign("random_miss", 12),
                                         SurveyDesign("fixed_n", 12)])
@@ -284,21 +297,23 @@ class TestHistogramMonteCarlo:
             m = np.asarray(m, dtype=float)
             return np.where((m >= 0) & (m <= 1), m, np.nan)
 
-        state = _bern_state_grid(0.3, 0.6, 0.4)
-        got = _mc_mse_of(DecisionRule("custom", {"predict_mean": strict}), state, design, 5000,
-                         SeedSpec(4).rng(0, 0))
-        plain = _mc_mse_of(DecisionRule("analog_predictor"), state, design, 5000,
-                           SeedSpec(4).rng(0, 0))
-        assert np.isfinite(got[0]) and got == plain
+        grid = build_prediction_grid("bernoulli", obs_params=[0.0, 0.3, 1.0], miss_params=[0.6],
+                                     miss_rates=[0.0, 0.4, 1.0])
+        got = max_mse_scan(DecisionRule("custom", {"predict_mean": strict}), grid, design)
+        plain = max_mse_scan(DecisionRule("custom", {"predict_mean": lambda m, p1: m}), grid,
+                             design)
+        assert np.isfinite(got.regret).all() and got.regret.tolist() == plain.regret.tolist()
 
-    # each case has no exact path, so it draws: a nonlinear predictor under
-    # random_miss or on Beta outcomes
+    # a nonlinear predictor under random_miss: a Bernoulli scan runs exact, a Beta
+    # one draws, under random_miss or with a fixed N
     @pytest.mark.parametrize("family,params,design,predictor", [
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), MEDIAN),
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9),
          DecisionRule("custom", {"mean_table": [(0, 0.1), (0.5, 0.6), (1, 0.8)]})),
         ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN),
-        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("fixed_n", 9), MEDIAN)])
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("fixed_n", 9), MEDIAN),
+        ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9),
+         DecisionRule("custom", {"mean_table": [(0, 0.1), (0.5, 0.6), (1, 0.8)]}))])
     def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor,
                                                        monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
@@ -310,7 +325,7 @@ class TestHistogramMonteCarlo:
             for workers in (None, 1, 2, 3):
                 got = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers)
                 assert _column_bytes(got) == _column_bytes(one)
-        assert (one.mc_stderr > 0).all()
+        assert (one.mc_stderr > 0).all() == (family == "beta")
 
 
 def _column_bytes(report) -> list[bytes]:
@@ -526,25 +541,47 @@ class TestPredictorMse:
             assert mse == pytest.approx(theta * (1 - theta) / n, rel=0, abs=1e-16)
 
     def test_exact_mode_guard(self):
-        # a nonlinear predictor has an exact path only for Bernoulli outcomes and a
-        # fixed N; the affine midpoint has one everywhere
+        # a nonlinear predictor has an exact path for Bernoulli outcomes under either
+        # design, and none on Beta outcomes; the affine midpoint has one everywhere
         beta = _beta_state_grid((1.0, 1.0), (2.0, 5.0), 0.2, (0.0, 1.0))
-        bernoulli, random_miss = _bern_state_grid(0.5, 0.5, 0.2), SurveyDesign("random_miss", 5)
-        for grid, design in ((beta, SurveyDesign("fixed_n", 5)), (bernoulli, random_miss)):
+        bernoulli = _bern_state_grid(0.5, 0.5, 0.2)
+        for design in (SurveyDesign("fixed_n", 5), SurveyDesign("random_miss", 5)):
             with pytest.raises(PreconditionError):
-                _one_state_record(MEDIAN, grid, design, EvalMethod("exact"))
-            _one_state_record(DecisionRule("midpoint"), grid, design, EvalMethod("exact"))
-        _one_state_record(MEDIAN, bernoulli, SurveyDesign("fixed_n", 5), EvalMethod("exact"))
+                _one_state_record(MEDIAN, beta, design, EvalMethod("exact"))
+            _one_state_record(DecisionRule("midpoint"), beta, design, EvalMethod("exact"))
+            _one_state_record(DecisionRule("midpoint"), bernoulli, design, EvalMethod("exact"))
+            _one_state_record(MEDIAN, bernoulli, design, EvalMethod("exact"))
 
     def test_mc_matches_exact(self):
-        # the median under random_miss draws; the reference sums its law
+        # the exact random_miss sum against iid draws of the observed count, then
+        # the successes, per replication (the reference's MC)
         design = SurveyDesign("random_miss", 10)
-        s = _bern_state_grid(0.5, 1.0, 0.2)
-        exact = bernoulli_survey_mse(MEDIAN, 0.5, 1.0, 0.2, design)
-        mc = _one_state_record(MEDIAN, s, design, EvalMethod("monte_carlo", 100_000),
-                               SeedSpec(2))
-        assert mc.mc_stderr > 0
-        assert abs(mc.regret - exact) <= 4 * mc.mc_stderr
+        table = DecisionRule("custom", {"mean_table": [(0, 0.3), (0.4, 0.1), (0.7, 0.9),
+                                                       (1, 0.6)]})
+        for k, (rule, (obs, miss, rate)) in enumerate(itertools.product(
+                [MEDIAN, table], [(0.5, 1.0, 0.2), (0.3, 0.0, 0.6), (0.85, 0.4, 0.05)])):
+            exact = _one_state_record(rule, _bern_state_grid(obs, miss, rate), design,
+                                      EvalMethod("exact")).regret
+            mse, stderr = iid_bernoulli_survey_mc(rule, obs, miss, rate, design, 100_000,
+                                                  SeedSpec(2).rng(k, 0))
+            assert stderr > 0
+            assert abs(mse - exact) <= 4 * stderr
+
+    @given(rows=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-2.0, 2.0)), min_size=1,
+                         max_size=5),
+           random_miss=st.booleans(), total=st.integers(1, 30),
+           obs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           rates=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_mean_table_equals_the_double_sum(self, rows, random_miss, total, obs, rates):
+        rule = DecisionRule("custom", {"mean_table": rows})
+        design = SurveyDesign("random_miss" if random_miss else "fixed_n", total)
+        grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=[0.25],
+                                     miss_rates=rates)
+        got = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
+        want = [bernoulli_survey_mse(rule, *state, design)
+                for state in itertools.product(obs, [0.25], rates)]
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestMaxMseScan:
@@ -602,14 +639,16 @@ class TestMaxMseScan:
 
     @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), MEDIAN], ids=["midpoint", "median"])
     def test_fixed_n_exact_and_mc_agree_at_every_miss_rate(self, rule):
-        # one grid, four miss rates: both paths read p1 = 1 - the state's miss rate.
-        # A scan here runs exact for either method, so the MC kernel is run directly
-        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.5, 0.9],
-                                     miss_params=[0.0, 0.4, 1.0], miss_rates=[0.0, 0.25, 0.6, 1.0])
+        # one grid, four miss rates: the scan and the reference's iid draws both read
+        # p1 = 1 - the state's miss rate
+        obs, miss, rates = [0.2, 0.5, 0.9], [0.0, 0.4, 1.0], [0.0, 0.25, 0.6, 1.0]
+        grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=miss,
+                                     miss_rates=rates)
         design = SurveyDesign("fixed_n", 10)
         exact = max_mse_scan(rule, grid, design, EvalMethod("exact"))
-        mse, stderr = engine._mc_mse_states(rule, design, 20_000, SeedSpec(19), grid,
-                                            range(len(grid)))
+        mse, stderr = np.array([iid_bernoulli_survey_mc(rule, *state, design, 20_000,
+                                                        SeedSpec(19).rng(k, 0))
+                                for k, state in enumerate(itertools.product(obs, miss, rates))]).T
         assert (np.abs(mse - exact.regret) <= 4 * stderr + 1e-12).all()
         assert (stderr > 0).sum() > len(grid) / 2
 
@@ -622,7 +661,9 @@ class TestMaxMseScan:
                              ids=["7-None-support0", "7-None-support1", "200-None-support2"])
     def test_exact_equals_per_state_dot_product(self, rule, n, support):
         # the per-state arithmetic of the scan before it was columnar; at n = 200
-        # the grid spans more than one chunk of the contraction
+        # the grid spans more than one chunk of the contraction. The scan sums the
+        # mean and variance of the prediction, not the squared errors, so the two
+        # agree to round-off
         from mmregret.engine import _bernoulli_predictions
         thetas = [0.0, 0.3, 0.3, 0.55, 1.0] if n == 7 else np.linspace(0, 1, 21).tolist()
         rates = [0.0, 0.25, 0.6, 1.0]
@@ -635,7 +676,7 @@ class TestMaxMseScan:
             pred = _bernoulli_predictions(rule, np.arange(n + 1), n, 1.0 - rate, support)
             mean = state_means("bernoulli", obs, miss, rate, support)[2]
             want.append(binom_pmf_vector(n, obs) @ (pred - mean) ** 2)
-        assert report.regret.tolist() == want
+        assert np.abs(report.regret - want).max() <= 1e-14
 
 
 _BETA_SHAPES = [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0), (5.0, 2.0)]
@@ -657,7 +698,7 @@ class TestAffineClosedForm:
         design = SurveyDesign("random_miss" if random_miss else "fixed_n", total)
         grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=miss,
                                      miss_rates=rates, support=support)
-        got = engine._affine_mse(rule, grid, design)
+        got = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
         want = [bernoulli_survey_mse(rule, *state, design, support)
                 for state in itertools.product(obs, miss, rates)]
         # both sides square differences of values of the support's scale, rounded
@@ -678,7 +719,7 @@ class TestAffineClosedForm:
         exact = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
         for k in range(len(grid)):
             mse, stderr = _mc_mse(rule, grid, k, grid.population_mean[k], design, 100_000,
-                                  SeedSpec(41).rng(k, 0), binom_pmf_vector)
+                                  SeedSpec(41).rng(k, 0), _counts(grid, design))
             assert abs(mse - exact[k]) <= 4 * stderr
 
     def test_beta_midpoint_is_the_benchmark_formula(self):
@@ -790,9 +831,12 @@ class TestScanPreconditions:
     def test_mc_reps_at_the_bounds_accepted(self):
         assert EvalMethod("monte_carlo", np.int64(1000)).reps == 1000
         top = EvalMethod("monte_carlo", (1 << 63) - 1)
-        report = max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 5), top,
-                              SeedSpec(1))
+        # accepted, and run exact: a Bernoulli survey draws nothing
+        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
+                                     miss_rates=[0.25, 0.5])
+        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 5), top, SeedSpec(1))
         assert np.isfinite(report.regret).all() and report.max_regret > 0
+        assert report.method == EvalMethod("exact")
 
     @pytest.mark.parametrize("method", [(), ("--method", "mc", "--reps", "1000")],
                              ids=["exact", "mc"])
@@ -823,8 +867,7 @@ class TestScanPreconditions:
                 return fn(*args)
             return recorded
 
-        for name in ("binom_pmf_matrix", "binom_pmf_vector"):
-            monkeypatch.setattr(engine, name, spy(getattr(engine, name)))
+        monkeypatch.setattr(engine, "binom_pmf_matrix", spy(engine.binom_pmf_matrix))
         # two distinct observed thetas and one miss rate: 3 (n + 1) entries
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7, 0.2],
                                      miss_params=[0.5], miss_rates=[0.2])
@@ -838,7 +881,8 @@ class TestScanPreconditions:
             with pytest.raises(PreconditionError, match="above the 30"):
                 scan(design)
         assert calls == []
-        scan(SurveyDesign("fixed_n", 9))  # 30 entries: at the bound
+        # 30 entries, at the bound: the PMF of the observed count is built
+        scan(SurveyDesign("random_miss", 9))
         assert calls
 
     def test_exact_scan_needs_bernoulli_outcomes(self):
@@ -849,13 +893,63 @@ class TestScanPreconditions:
             max_mse_scan(DecisionRule("analog_median"), grid,
                          SurveyDesign("fixed_n", 5), EvalMethod("exact"))
 
-    def test_exact_scan_needs_fixed_n_design(self):
+    def test_exact_scan_runs_either_bernoulli_design(self):
         # for a predictor that is not affine in the observed mean
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
-        with pytest.raises(PreconditionError, match="with a fixed N"):
-            max_mse_scan(DecisionRule("analog_median"), grid,
-                         SurveyDesign("random_miss", 5), EvalMethod("exact"))
+        for design in (SurveyDesign("fixed_n", 5), SurveyDesign("random_miss", 5)):
+            report = max_mse_scan(DecisionRule("analog_median"), grid, design,
+                                  EvalMethod("exact"))
+            want = bernoulli_survey_mse(MEDIAN, 0.5, 0.5, 0.2, design)
+            assert abs(report.regret[0] - want) <= 1e-15
+
+    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
+                             ids=["exact", "mc"])
+    def test_random_miss_enumeration_beyond_its_cell_bound_rejected_before_any_pmf(
+            self, method, monkeypatch, capsys, tmp_path):
+        import time
+        from mmregret.cli import main
+        calls, reached = [], []
+
+        def spy(*args):
+            calls.append(args)
+            return binom_pmf_matrix(*args)
+
+        monkeypatch.setattr(engine, "binom_pmf_matrix", spy)
+        monkeypatch.setattr(engine, "_exact_mse", lambda rule, grid, *rest: (
+            reached.append(grid), np.zeros(len(grid)))[-1])
+        grid = build_prediction_grid("bernoulli", obs_params=[0.3], miss_params=[0.5],
+                                     miss_rates=[0.2])
+        # one theta: N (N + 1) / 2 PMF cells, 2^27 + 8,192 at N = 16,384
+        scan = partial(max_mse_scan, MEDIAN, grid, method=method, seed=SeedSpec(1))
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="n=16384 under random_miss gives 1.342e\\+08"):
+            scan(SurveyDesign("random_miss", 16_384))
+        # three thetas: 134,223,210 cells at N = 9,459
+        cfg = tmp_path / "over.cfg"
+        cfg.write_text("predictor = analog_median\ntheta_obs_step = 0.5\ntheta_miss_step = 0.5\n"
+                       f"miss_values = 0.2\nn = 9459\nmiss_known = false\n"
+                       f"method = {'mc' if method.mode == 'monte_carlo' else 'exact'}\n")
+        assert main(["wald-mse", "--config", str(cfg)]) == 3
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "above the 134217728" in err
+        assert calls == [] and reached == []
+        # the affine midpoint takes the closed form, and fixed_n enumerates N + 1 cells
+        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", 16_384), method)
+        scan(SurveyDesign("fixed_n", 16_384))
+        assert len(reached) == 2
+        # 134,209,536 cells, just below the bound: the scan runs
+        scan(SurveyDesign("random_miss", 16_383))
+        assert len(reached) == 3
+        monkeypatch.undo()
+        monkeypatch.setattr(engine, "_MAX_ENUMERATED_CELLS", 3 * 10 * 11 // 2)
+        grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.5, 0.9],
+                                     miss_params=[0.5], miss_rates=[0.2])
+        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 10), method)
+        assert report.method == EvalMethod("exact") and report.max_regret > 0
+        with pytest.raises(PreconditionError, match="above the 165"):
+            max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 11), method)
 
 
     @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
@@ -915,16 +1009,17 @@ class TestForkedWorkers:
     def test_lambda_predictor_gives_the_same_columns_on_1_and_2_workers(self):
         # a child starts as a copy of the parent, so the predictor is not pickled
         rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
-        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7], miss_params=[0.5],
-                                     miss_rates=[0.2])
+        grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
+                                     miss_params=[(1.0, 1.0)], miss_rates=[0.2])
         design, method = SurveyDesign("random_miss", 6), EvalMethod("monte_carlo", 2000)
         one = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=1)
         two = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
+        assert one.mc_stderr.all()
         for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
             assert np.array_equal(getattr(one, column), getattr(two, column), equal_nan=True)
         # the same draws as the named midpoint's MC kernel (its scan takes the closed form)
         midpoint, _ = engine._mc_mse_states(DecisionRule("midpoint"), design, 2000, SeedSpec(3),
-                                            grid, range(len(grid)))
+                                            grid, _counts(grid, design), range(len(grid)))
         assert one.regret.tolist() == midpoint.tolist()
 
     def test_off_linux_the_tasks_run_in_process(self):
@@ -990,7 +1085,12 @@ class TestColumnarReport:
             ES, build_binary_grid(0.1), TrialDesign(per_arm_n=15)),
         "exact_ztest": lambda: max_regret_scan(
             ZTEST, build_binary_grid(0.05), TrialDesign(per_arm_n=30)),
+        # an MC request that runs the exact random_miss sum
         "mc_bernoulli_median": lambda: max_mse_scan(
+            MEDIAN, build_prediction_grid("bernoulli", obs_params=[0.2, 0.6],
+                                          miss_params=[0.3, 0.7], miss_rates=[0.25, 0.5]),
+            SurveyDesign("random_miss", 9), EvalMethod("monte_carlo", 2000), SeedSpec(4)),
+        "mc_beta_median_random_miss": lambda: max_mse_scan(
             MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 9),
             EvalMethod("monte_carlo", 2000), SeedSpec(4)),
         "exact_midpoint": lambda: max_mse_scan(
@@ -1018,7 +1118,8 @@ class TestColumnarReport:
     def test_cases_cover_ties_stderr_and_chunks(self):
         ties = self.CASES["exact_es_ties"]()
         assert any(r.error_prob is None for r in ties.per_state)
-        assert any(r.mc_stderr > 0 for r in self.CASES["mc_bernoulli_median"]().per_state)
+        assert not self.CASES["mc_bernoulli_median"]().mc_stderr.any()
+        assert self.CASES["mc_beta_median_random_miss"]().mc_stderr.all()
         assert any(r.mc_stderr > 0 for r in self.CASES["mc_beta_median"]().per_state)
         assert len(self.CASES["more_rows_than_a_chunk"]().grid) > _CSV_BLOCK_ROWS
 

@@ -116,9 +116,9 @@ class TestParallelDeterminism:
     def test_worker_count_does_not_change_mc_scan(self, monkeypatch):
         # three CPUs, so that three workers get three chunks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        rule = DecisionRule("analog_median")  # no exact path under random_miss: it draws
-        grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.5, 0.8],
-                                     miss_params=[0.3, 0.7], miss_rates=[0.25, 0.5])
+        rule = DecisionRule("analog_median")  # no exact path on Beta outcomes: it draws
+        grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0), (2.0, 5.0), (0.5, 0.5)],
+                                     miss_params=[(0.5, 2.0), (2.0, 0.5)], miss_rates=[0.25, 0.5])
         design = SurveyDesign("random_miss", 12)
         method = EvalMethod("monte_carlo", 2000)
         one = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=1)
