@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _SUBMODULE_OF = {name: module for module, names in (
     ("asif", ("AsIfDecision", "FiniteDecisionProblem", "asif_decide", "asif_optimize",
               "classify_dominance")),
-    ("engine", ("EvalMethod", "RegretBounds", "RegretReport", "StateRecord",
+    ("engine", ("RegretBounds", "RegretReport", "StateRecord",
                 "exhaustive_mmr_oracle", "max_mse_scan", "max_regret_scan",
                 "midpoint_max_regret_formula", "regret_bounds", "report_to_csv")),
     ("errors", ("ConfigError", "PreconditionError")),

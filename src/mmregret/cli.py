@@ -24,7 +24,7 @@ from . import engine, states
 from .errors import ConfigError, PreconditionError
 from .mathutil import fmt17
 from .rules import RULES, DecisionRule, Predictor
-from .sampling import SeedSpec, SurveyDesign, TrialDesign
+from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,12 +40,10 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
                              "(default 100000); --method exact rejects it, and a "
                              "scan that runs exact draws none")
     parser.add_argument("--workers", type=int,
-                        help="most processes of a Monte Carlo scan, at most one per CPU "
-                             "(default: every CPU the process may use); states are dealt "
-                             "to them in turn, so the result does not depend on it. "
-                             "--method exact rejects it, and a scan that runs exact "
-                             "forks none. A CSV of many rows is written on every CPU "
-                             "either way")
+                        help="an integer of at least 1, for --method mc only; checked and "
+                             "unused: a scan that draws runs one process per CPU the "
+                             "process may use, and taskset narrows that set. A CSV of many "
+                             "rows is written on every CPU either way")
     parser.add_argument("--method", choices=("exact", "mc"),
                         help=f"evaluation method (default {method_default}); an mc "
                              "request that has an exact path runs it, and every run "
@@ -64,8 +62,8 @@ def _setting(args, cfg: dict[str, str], key: str, default, parse=str):
 
 
 def _run_settings(args, cfg: dict[str, str], method_default: str):
-    """(EvalMethod, SeedSpec, workers, out path) from the global flags and the
-    config, each checked."""
+    """(reps, SeedSpec, out path) from the global flags and the config, each
+    checked; reps is None under method exact. Workers are checked, and unused."""
     name = _setting(args, cfg, "method", method_default)
     if name not in ("exact", "mc"):
         raise ConfigError(f"method must be 'exact' or 'mc', got {name!r}")
@@ -76,11 +74,14 @@ def _run_settings(args, cfg: dict[str, str], method_default: str):
                                or (key in cfg and args.method is None)
                                for key in ("reps", "workers")):
         raise ConfigError("reps and workers apply to method mc only")
-    engine._check_workers(workers)
-    method = (engine.EvalMethod("exact") if name == "exact"
-              else engine.EvalMethod("monte_carlo", reps))
-    return (method, SeedSpec(_setting(args, cfg, "seed", 0, _integer)), workers,
-            _setting(args, cfg, "out", None))
+    if workers is not None:
+        _check_integer(workers, "workers", 1)
+    if name == "exact":
+        reps = None
+    else:
+        engine._check_reps(reps)
+    seed = SeedSpec(_setting(args, cfg, "seed", 0, _integer))
+    return reps, seed, _setting(args, cfg, "out", None)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def cmd_scan(args) -> int:
     if error_prob == error_prob:  # off the diagonal
         print(f"argmax_error_prob={fmt17(error_prob)}")
     print(f"argmax_effect_size={fmt17(p_b - p_a)}")
-    print(f"method={report.method.mode}")
+    print(f"method={report.method}")
     return EXIT_OK
 
 
@@ -328,8 +329,8 @@ def cmd_wald_mse(args) -> int:
     if miss_known not in ("true", "yes", "1", "false", "no", "0"):
         raise ConfigError(f"miss_known must be true or false, got {miss_known!r}")
     design = SurveyDesign("fixed_n" if miss_known in ("true", "yes", "1") else "random_miss", n)
-    method, seed, workers, out = _run_settings(args, cfg, "mc")
-    report = engine.max_mse_scan(rule, grid, design, method, seed, workers)
+    reps, seed, out = _run_settings(args, cfg, "mc")
+    report = engine.max_mse_scan(rule, grid, design, reps, seed)
     if out:
         engine.report_to_csv(report, out)
     *params, miss_rate = map(fmt17, _argmax_coordinates(report))
@@ -339,7 +340,7 @@ def cmd_wald_mse(args) -> int:
     else:
         desc = "obs=Beta({},{}), miss=Beta({},{})".format(*params)
     print(f"argmax_state=({desc}, miss_rate={miss_rate})")
-    print(f"method={report.method.mode}")
+    print(f"method={report.method}")
     return EXIT_OK
 
 

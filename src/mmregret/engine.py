@@ -26,7 +26,6 @@ from .sampling import SeedSpec, SurveyDesign, TrialDesign, _check_integer
 from .states import _MAX_GRID_STATES, StateGrid, _outcome_mean
 
 __all__ = [
-    "EvalMethod",
     "RegretBounds",
     "RegretReport",
     "StateRecord",
@@ -45,18 +44,9 @@ _MAX_MC_REPS = (1 << 63) - 1  # numpy's samplers take a count as a signed 64-bit
 _ORACLE_CHUNK_RULES = 4096  # deterministic rules scored per chunk by the oracle
 
 
-@dataclass(frozen=True)
-class EvalMethod:
-    """Exact enumeration or Monte Carlo with a replication count."""
-
-    mode: str = "exact"  # "exact" | "monte_carlo"
-    reps: int = 100_000
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "monte_carlo"):
-            raise PreconditionError(f"unknown evaluation mode {self.mode!r}")
-        if self.mode == "monte_carlo":
-            _check_integer(self.reps, "MC replications", _MIN_MC_REPS, _MAX_MC_REPS)
+def _check_reps(reps) -> None:
+    """Reject a Monte Carlo replication count outside [_MIN_MC_REPS, _MAX_MC_REPS]."""
+    _check_integer(reps, "MC replications", _MIN_MC_REPS, _MAX_MC_REPS)
 
 
 @dataclass(frozen=True)
@@ -72,10 +62,10 @@ class RegretReport:
     """Per-state results of a scan, as columns aligned with the grid's rows.
 
     NaN in ``error_prob`` or ``expected_welfare`` marks a state without that
-    value: tied arms, and every state of an MSE scan. ``argmax`` is the index
-    of the first state of largest regret; its coordinates are the grid's
-    columns read at that index. ``per_state`` builds one StateRecord per state
-    on first access, and caches them.
+    value: tied arms, and every state of an MSE scan. Every regret is finite.
+    ``argmax`` is the index of the first state of largest regret; its
+    coordinates are the grid's columns read at that index. ``per_state`` builds
+    one StateRecord per state on first access, and caches them.
     """
 
     grid: StateGrid
@@ -84,15 +74,26 @@ class RegretReport:
     regret: np.ndarray
     mc_stderr: np.ndarray
     argmax: int
-    method: EvalMethod
+    reps: int = 0  # the draws per state; 0 when nothing was drawn
     seed: SeedSpec | None = None  # the seed of the draws; None when nothing was drawn
 
     def __post_init__(self):
         columns = (self.error_prob, self.expected_welfare, self.regret, self.mc_stderr)
         if any(len(c) != len(self.grid) for c in columns):
             raise PreconditionError("result columns do not match the grid")
-        if abs(self.max_regret - float(np.max(self.regret))) > 1e-12:
-            raise PreconditionError("max_regret does not match per-state records")
+        top = float(np.max(self.regret))
+        # NaN propagates to both ends, and neither holds a temporary of the column
+        if not (np.isfinite(top) and np.isfinite(np.min(self.regret))):
+            k = int(np.flatnonzero(~np.isfinite(self.regret))[0])
+            raise PreconditionError(f"the regret of state {k} is {self.regret[k]}, "
+                                    "not a finite number")
+        if abs(self.max_regret - top) > 1e-12:
+            raise PreconditionError("argmax is not a state of largest regret")
+
+    @property
+    def method(self) -> str:
+        """How the regrets were computed: "monte_carlo" if drawn, else "exact"."""
+        return "monte_carlo" if self.reps else "exact"
 
     @property
     def max_regret(self) -> float:
@@ -188,25 +189,19 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _map_chunks(fn, states: int, workers: int | None) -> np.ndarray:
+def _map_chunks(fn, states: int) -> np.ndarray:
     """``fn(its state indices)`` over K chunks of the states 0..states-1, K the
-    least of the workers (every CPU when None), the CPUs and the states; the
-    result columns in state order. State k goes to chunk k mod K, which spreads
-    a run of costly neighbouring states over the chunks. One process per chunk:
-    this one runs the first, a forked child each other."""
-    cpus = _cpus()
-    count = min(cpus if workers is None else workers, cpus, states)
+    lesser of the CPUs (see _cpus) and the states; the result columns in state
+    order. State k goes to chunk k mod K, which spreads a run of costly
+    neighbouring states over the chunks. One process per chunk: this one runs
+    the first, a forked child each other."""
+    count = min(_cpus(), states)
     tasks = [(range(c, states, count),) for c in range(count)]
     columns = _ordered_map(fn, tasks)
     out = np.empty((len(columns[0]), states))
     for c, column in enumerate(columns):
         out[:, c::count] = column
     return out
-
-
-def _check_workers(workers: int | None) -> None:
-    if workers is not None:
-        _check_integer(workers, "workers", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +254,7 @@ def max_regret_scan(rule: TrialRule, grid: StateGrid, design: TrialDesign) -> Re
     reg[tie] = 0.0
     welfare -= reg
     return RegretReport(grid, err.ravel(), welfare.ravel(), reg.ravel(), np.zeros(len(grid)),
-                        int(np.argmax(reg)), EvalMethod("exact"))
+                        int(np.argmax(reg)))
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,7 @@ def _prediction_moments(rule: Predictor, grid: StateGrid, n, p1) -> tuple:
             var = grid.obs_params * (1.0 - grid.obs_params)
         else:
             a, b = grid.obs_params.T
-            var = a * b / ((a + b) ** 2 * (a + b + 1.0))
+            var = (a / (a + b)) * (b / (a + b)) / (a + b + 1.0)  # no overflow: a + b is finite
         var = var * (y1 - y0) ** 2
         return np.broadcast_arrays(*_affine_terms(rule, mean[:, None], var[:, None], n, p1,
                                                   support))
@@ -463,17 +458,32 @@ def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid, cou
                      for k in index]).T
 
 
-def _mse_report(rule, grid, design, method, seed, workers: int | None) -> RegretReport:
+def max_mse_scan(rule: Predictor, grid: StateGrid, design: SurveyDesign,
+                 reps: int | None = None, seed: SeedSpec | None = None) -> RegretReport:
     """MSE of a predictor in every state of a prediction grid (regret = MSE here).
 
-    The input picks the path, whatever the method: a Bernoulli survey, under either
-    design, and any survey read through an affine predictor are exact (_exact_mse),
-    and the report's method is exact, with no seed. Only a nonlinear predictor on
-    Beta outcomes has no exact path: it draws by Monte Carlo, state k from substream
-    k of the seed (0 when None), which the report names, and an exact method is
-    rejected there. A random_miss survey that would enumerate more than
-    _MAX_ENUMERATED_CELLS PMF cells is rejected before any PMF is built.
+    The input picks the path: a Bernoulli survey, under either design, and any
+    survey read through an affine predictor are exact (_exact_mse), and the
+    report's reps is 0, with no seed. Only a nonlinear predictor on Beta outcomes
+    has no exact path: it draws ``reps`` replications per state by Monte Carlo,
+    state k from substream k of the seed (0 when None), which the report names,
+    and it is rejected when ``reps`` is None. ``reps``, when given, must lie in
+    [_MIN_MC_REPS, _MAX_MC_REPS] on either path. The draws run on one process per
+    CPU (_map_chunks); the result does not depend on their number. A scan whose
+    PMFs and predictions would exceed _MAX_GRID_STATES entries, or a random_miss
+    survey that would enumerate more than _MAX_ENUMERATED_CELLS PMF cells, is
+    rejected before any PMF is built.
     """
+    if grid.family != "prediction":
+        raise PreconditionError("max_mse_scan needs a prediction grid")
+    if reps is not None:
+        _check_reps(reps)
+    # the scan's arrays of n+1 entries, one per distinct observed parameter and one
+    # per distinct miss rate (PMFs, predictions), hold at most 32 MB of floats
+    entries = (design.n + 1) * (len(grid.obs_params) + len(grid.miss_rates))
+    if entries > _MAX_GRID_STATES:
+        raise PreconditionError(f"survey n={design.n} gives {entries:.4g} PMF and prediction "
+                                f"entries, above the {_MAX_GRID_STATES} a scan may hold")
     if not isinstance(rule, Predictor):
         raise PreconditionError(f"{type(rule).__name__} is not a predictor")
     affine, random_miss, total = rule in _AFFINE, design.mode == "random_miss", design.n
@@ -483,44 +493,19 @@ def _mse_report(rule, grid, design, method, seed, workers: int | None) -> Regret
         raise PreconditionError(f"survey n={total} under random_miss gives {cells:.4g} PMF "
                                 f"cells to enumerate, above the {_MAX_ENUMERATED_CELLS} a "
                                 "scan may visit")
-    if not exact and method.mode == "exact":
+    if not exact and reps is None:
         raise PreconditionError("exact MSE needs Bernoulli outcomes or a predictor affine "
                                 "in the observed mean")
     counts = binom_pmf_matrix(total, 1.0 - grid.miss_rates) if random_miss else None
     stderr = np.zeros(len(grid))
     if exact:
-        mse, method, seed = _exact_mse(rule, grid, design, counts), EvalMethod("exact"), None
+        mse, reps, seed = _exact_mse(rule, grid, design, counts), 0, None
     else:
         seed = seed or SeedSpec()
-        kernel = partial(_mc_mse_states, rule, design, method.reps, seed, grid, counts)
-        mse, stderr = _map_chunks(kernel, len(grid), workers)
+        kernel = partial(_mc_mse_states, rule, design, reps, seed, grid, counts)
+        mse, stderr = _map_chunks(kernel, len(grid))
     no_value = np.full(len(grid), np.nan)  # an MSE scan has no error prob or welfare
-    return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), method, seed)
-
-
-def max_mse_scan(
-    rule: Predictor,
-    grid: StateGrid,
-    design: SurveyDesign,
-    method: EvalMethod = EvalMethod(),
-    seed: SeedSpec | None = None,
-    workers: int | None = None,
-) -> RegretReport:
-    """Maximize predictor MSE over a prediction grid (regret = MSE here). The scan
-    is exact wherever an exact path exists, for either method (see _mse_report),
-    and the report says which method ran. A Monte Carlo scan runs on at most
-    ``workers`` processes and CPUs, on every CPU the process may use when
-    ``workers`` is None; the result does not depend on it."""
-    if grid.family != "prediction":
-        raise PreconditionError("max_mse_scan needs a prediction grid")
-    _check_workers(workers)
-    # the scan's arrays of n+1 entries, one per distinct observed parameter and one
-    # per distinct miss rate (PMFs, predictions), hold at most 32 MB of floats
-    entries = (design.n + 1) * (len(grid.obs_params) + len(grid.miss_rates))
-    if entries > _MAX_GRID_STATES:
-        raise PreconditionError(f"survey n={design.n} gives {entries:.4g} PMF and prediction "
-                                f"entries, above the {_MAX_GRID_STATES} a scan may hold")
-    return _mse_report(rule, grid, design, method, seed, workers)
+    return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), reps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +646,7 @@ def report_to_csv(report: RegretReport, path) -> None:
     summary = ["#summary", f"max_regret={fmt17(report.max_regret)}",
                "argmax=" + "|".join(fmt17(values[position(report.argmax)])
                                     for values, position in coordinates),
-               f"method={report.method.mode}",
-               f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+               f"method={report.method}", f"reps={report.reps}",
                f"seed={report.seed.master_seed if report.seed else ''}"]
     n = len(report.grid)
     with open(path, "wb") as fh:

@@ -113,15 +113,21 @@ def _check_prediction_coordinates(family: str, obs: np.ndarray, miss: np.ndarray
         _reject_first(_in_unit(params),
                       lambda k: f"bernoulli theta={params[k].item()} outside [0, 1]")
     else:
-        _reject_first((np.isfinite(params) & (params > 0)).all(axis=1),
-                      lambda k: "beta shapes ({}, {}) must be finite and positive".format(
-                          *params[k].tolist()))
+        # a finite sum bounds every Beta moment the scans compute
+        with np.errstate(over="ignore"):
+            total = params.sum(axis=1)
+        _reject_first((params > 0).all(axis=1) & np.isfinite(total),
+                      lambda k: "beta shapes ({}, {}) must be finite and positive, with a "
+                                "finite sum".format(*params[k].tolist()))
     _reject_first(_in_unit(rates), lambda k: f"miss_rate={rates[k].item()} outside [0, 1]")
     y0, y1 = support
     if not y0 < y1:
         raise PreconditionError(f"support [{y0}, {y1}] is degenerate")
     if not (math.isfinite(y0) and math.isfinite(y1)):
         raise PreconditionError(f"support [{y0}, {y1}] is not finite")
+    if not math.isfinite((y1 - y0) * (y1 - y0)):  # the scale of every squared error
+        raise PreconditionError(f"support [{y0}, {y1}] is too wide: its squared width "
+                                "is not finite")
 
 
 def _check_grid_size(count: float, what: str) -> None:

@@ -213,6 +213,5 @@ def _per_cell_report_to_csv(report, path):
         fh.write(",".join([
             "#summary", f"max_regret={format(report.max_regret, '.17g')}",
             "argmax=" + "|".join(c[report.argmax] for c in coords),
-            f"method={report.method.mode}",
-            f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+            f"method={report.method}", f"reps={report.reps}",
             f"seed={report.seed.master_seed if report.seed else ''}"]) + "\r\n")

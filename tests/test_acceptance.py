@@ -11,7 +11,6 @@ import pytest
 
 from mmregret import (
     DecisionRule,
-    EvalMethod,
     FiniteDecisionProblem,
     MissingDataState,
     SeedSpec,
@@ -123,7 +122,7 @@ def test_criterion_4_shrinkage_predictor_constant_risk():
         for theta in thetas:
             grid = build_prediction_grid("bernoulli", obs_params=[theta],
                                          miss_params=[theta], miss_rates=[0.0])
-            mses.append(max_mse_scan(rule, grid, design, EvalMethod("exact")).record(0).regret)
+            mses.append(max_mse_scan(rule, grid, design).record(0).regret)
         if max(mses) - min(mses) > 1e-9:
             failures.append(f"N={n}: risk varies by {max(mses) - min(mses):.2e}")
         if abs(max(mses) - target) > 1e-9:
@@ -143,7 +142,7 @@ def test_criterion_5_midpoint_analytic_match():
             design = SurveyDesign("fixed_n", n)
             target = midpoint_max_regret_formula(1.0 - miss, n)
             report = max_mse_scan(rule, grid, design,
-                                  EvalMethod("monte_carlo", 100_000), SeedSpec(31))
+                                  100_000, SeedSpec(31))
             rec = report.record(report.argmax)
             tol = 4.0 * rec.mc_stderr + 1e-12
             if abs(report.max_regret - target) > tol:
@@ -151,7 +150,7 @@ def test_criterion_5_midpoint_analytic_match():
                     f"MC miss={miss}, N={n}: {report.max_regret:.6f} vs "
                     f"{target:.6f} (tol {tol:.2e})")
             if n <= 25:
-                exact = max_mse_scan(rule, grid, design, EvalMethod("exact"))
+                exact = max_mse_scan(rule, grid, design)
                 if abs(exact.max_regret - target) > 1e-9:
                     failures.append(
                         f"exact miss={miss}, N={n}: {exact.max_regret:.10f} "

@@ -195,6 +195,24 @@ class TestWaldMse:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_workers_flag_is_checked_and_sizes_no_pool(self, capsys, tmp_path, monkeypatch):
+        # the Beta median draws on one process per CPU, whatever --workers says
+        import mmregret.engine as engine
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BETA_MEDIAN_MC)
+        ordered_map, pools = engine._ordered_map, []
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_ordered_map",
+                            lambda fn, tasks: (pools.append(len(tasks)), ordered_map(fn, tasks))[1])
+        for workers in (["--workers", "1"], ["--workers", "2"], []):
+            code, out = run(capsys, "wald-mse", "--config", str(cfg), *workers,
+                            "--out", str(tmp_path / f"w{''.join(workers[1:])}.csv"))
+            assert code == 0 and grab(out, "method") == "monte_carlo"
+        assert pools == [2, 2, 2]
+        default = (tmp_path / "w.csv").read_bytes()
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes() == default
+        assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
+
     @pytest.mark.parametrize("text", [RANDOM_MISS_MC, BETA_MC, RANDOM_MISS_MEDIAN_MC],
                              ids=["random_miss", "beta", "random_miss_median"])
     def test_mc_request_with_an_exact_path_runs_it_and_says_so(self, capsys, tmp_path, text):
@@ -704,6 +722,29 @@ class TestRejectedInput:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG + f"support = {support}\n")
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("support", ["0,1e200", "-1e308,1e308"])
+    def test_support_of_no_finite_squared_width_exits_3(self, capsys, tmp_path, support):
+        # the first ended in an OverflowError traceback, the second printed max_mse=nan
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG + f"support = {support}\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("predictor", ["midpoint", "analog_median"])
+    def test_beta_shapes_of_no_finite_sum_exit_3(self, capsys, tmp_path, predictor):
+        # a + b overflowed: the midpoint printed max_mse=nan, the median a wrong number
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BETA_MC.replace("= midpoint", f"= {predictor}").replace(
+            "beta_obs_shapes = 1,1; 2,5", "beta_obs_shapes = 1e308,1e308"))
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
+
+    def test_huge_equal_beta_shapes_give_a_finite_mse(self, capsys, tmp_path):
+        # the closed-form variance overflowed, and the run printed max_mse=nan
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BETA_CFG.replace("beta_obs_shapes = 1,1; 2,5",
+                                        "beta_obs_shapes = 1e200,1e200"))
+        code, out = run(capsys, "wald-mse", "--config", str(cfg))
+        assert code == 0 and 0 <= float(grab(out, "max_mse")) < 1
 
     @pytest.mark.parametrize("shape", ["nan", "inf"])
     def test_non_finite_beta_shape_exits_3(self, capsys, tmp_path, shape):

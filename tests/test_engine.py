@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mmregret import (
     DecisionRule,
-    EvalMethod,
     PreconditionError,
     RegretReport,
     SeedSpec,
@@ -104,13 +103,13 @@ class TestRegretAndWelfare:
         assert 0.20 * (5 - 1) == pytest.approx(4 / 5, abs=1e-12)
 
 
-def _one_state_record(rule, grid, design, method=EvalMethod(), seed=None):
+def _one_state_record(rule, grid, design, reps=None, seed=None):
     """The record of one state: a scan of the grid that holds only that state, so
     Monte Carlo draws from substream 0. A trial scan is exact."""
     assert len(grid) == 1
     if grid.family == "binary_trial":
         return max_regret_scan(rule, grid, design).record(0)
-    return max_mse_scan(rule, grid, design, method, seed).record(0)
+    return max_mse_scan(rule, grid, design, reps, seed).record(0)
 
 
 def _lead_rule(n):
@@ -161,7 +160,7 @@ class TestValueClasses:
         table = choice_table(rule, n)
         axes = [0.53, 0.3, 0.8], [0.47, 0.6, 0.65]  # gaps of 0.06 to 0.35
         report = max_regret_scan(rule, build_product_grid(*axes), TrialDesign(per_arm_n=n))
-        assert report.method == EvalMethod("exact") and report.seed is None
+        assert report.method == "exact" and report.seed is None
         assert not report.mc_stderr.any()
         for k, (p_a, p_b) in enumerate(itertools.product(*axes)):
             ref, se_ref = _iid_regret(table, n, p_a, p_b, reps, np.random.default_rng(k))
@@ -225,8 +224,8 @@ class TestHistogramMonteCarlo:
                     for k, pk in enumerate(comb_pmf(m, theta_obs)))
         # an MC request runs the exact sum, and draws nothing
         report = max_mse_scan(rule, state, SurveyDesign("random_miss", total),
-                              EvalMethod("monte_carlo", 50_000), SeedSpec(17))
-        assert report.method == EvalMethod("exact") and report.seed is None
+                              50_000, SeedSpec(17))
+        assert report.method == "exact" and report.seed is None
         assert not report.mc_stderr.any()
         assert abs(report.regret[0] - exact) <= 1e-12
 
@@ -264,9 +263,9 @@ class TestHistogramMonteCarlo:
         exact = var_x / total + (q * theta + 0.5 - q / 2 - mu) ** 2
         # an MC request of reps replications runs the closed form
         report = max_mse_scan(DecisionRule("midpoint"), _bern_state_grid(theta, theta_miss, miss),
-                              SurveyDesign("random_miss", total), EvalMethod("monte_carlo", reps),
+                              SurveyDesign("random_miss", total), reps,
                               SeedSpec(29))
-        assert report.method == EvalMethod("exact") and not report.mc_stderr.any()
+        assert report.method == "exact" and not report.mc_stderr.any()
         assert report.regret[0] == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_each_distinct_pmf_is_computed_once_per_scan(self, monkeypatch):
@@ -282,12 +281,12 @@ class TestHistogramMonteCarlo:
         # the median under random_miss enumerates: one PMF matrix of the observed
         # count, and one of the success count per n = 1..12
         max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 12),
-                     EvalMethod("monte_carlo", 20_000), SeedSpec(5))
+                     20_000, SeedSpec(5))
         assert len(calls) == len(set(calls)) == 13
         # a Beta scan draws from the rows of its one PMF matrix of the observed count
         calls.clear()
         max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 12),
-                     EvalMethod("monte_carlo", 2000), SeedSpec(5), workers=1)
+                     2000, SeedSpec(5))
         assert calls == [(12, (0.75, 0.5))]
 
     @pytest.mark.parametrize("design", [SurveyDesign("random_miss", 12),
@@ -318,12 +317,12 @@ class TestHistogramMonteCarlo:
                                                        monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
                                      miss_rates=[0.1, 0.5])
-        method = EvalMethod("monte_carlo", 2000)
-        one = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers=1)
+        _cpus(monkeypatch, 1)
+        one = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
         for cpus in (1, 2, 3, 4):  # on 3 CPUs the 8 states make uneven chunks
             _cpus(monkeypatch, cpus)
-            for workers in (None, 1, 2, 3):
-                got = max_mse_scan(predictor, grid, design, method, SeedSpec(3), workers)
+            for _ in range(2):
+                got = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
                 assert _column_bytes(got) == _column_bytes(one)
         assert (one.mc_stderr > 0).all() == (family == "beta")
 
@@ -419,7 +418,7 @@ def test_beta_mc_memory_does_not_grow_with_reps():
     tracemalloc.start()
     try:
         report = max_mse_scan(DecisionRule("analog_median"), grid, SurveyDesign("fixed_n", 10),
-                              EvalMethod("monte_carlo", 10 ** 6), SeedSpec(1), workers=1)
+                              10 ** 6, SeedSpec(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -514,22 +513,20 @@ class TestPredictorMse:
         rule = DecisionRule("hodges_lehmann")
         expect = 1.0 / (4 * (np.sqrt(4) + 1) ** 2)
         for theta in np.linspace(0, 1, 11):
-            mse = _one_state_record(rule, _bern_state_grid(theta, theta, 0.0), design,
-                                    EvalMethod("exact")).regret
+            mse = _one_state_record(rule, _bern_state_grid(theta, theta, 0.0), design).regret
             assert mse == pytest.approx(expect, abs=1e-9)
 
     def test_midpoint_no_missing_is_sample_mean_mse(self):
         design = SurveyDesign("fixed_n", 8)
         rule = DecisionRule("midpoint")
         for theta in (0.2, 0.5, 0.9):
-            mse = _one_state_record(rule, _bern_state_grid(theta, theta, 0.0), design,
-                                    EvalMethod("exact")).regret
+            mse = _one_state_record(rule, _bern_state_grid(theta, theta, 0.0), design).regret
             assert mse == pytest.approx(theta * (1 - theta) / 8, abs=1e-12)
 
     def test_degenerate_state_zero(self):
         design = SurveyDesign("fixed_n", 5)
         mse = _one_state_record(DecisionRule("midpoint"), _bern_state_grid(1.0, 1.0, 0.0),
-                                design, EvalMethod("exact")).regret
+                                design).regret
         assert mse == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [26, 400, 5000])
@@ -537,7 +534,7 @@ class TestPredictorMse:
         design = SurveyDesign("fixed_n", n)
         for theta in (0.2, 0.5, 0.9):
             mse = _one_state_record(DecisionRule("midpoint"), _bern_state_grid(theta, theta, 0.0),
-                                    design, EvalMethod("exact")).regret
+                                    design).regret
             assert mse == pytest.approx(theta * (1 - theta) / n, rel=0, abs=1e-16)
 
     def test_exact_mode_guard(self):
@@ -547,10 +544,10 @@ class TestPredictorMse:
         bernoulli = _bern_state_grid(0.5, 0.5, 0.2)
         for design in (SurveyDesign("fixed_n", 5), SurveyDesign("random_miss", 5)):
             with pytest.raises(PreconditionError):
-                _one_state_record(MEDIAN, beta, design, EvalMethod("exact"))
-            _one_state_record(DecisionRule("midpoint"), beta, design, EvalMethod("exact"))
-            _one_state_record(DecisionRule("midpoint"), bernoulli, design, EvalMethod("exact"))
-            _one_state_record(MEDIAN, bernoulli, design, EvalMethod("exact"))
+                _one_state_record(MEDIAN, beta, design)
+            _one_state_record(DecisionRule("midpoint"), beta, design)
+            _one_state_record(DecisionRule("midpoint"), bernoulli, design)
+            _one_state_record(MEDIAN, bernoulli, design)
 
     def test_mc_matches_exact(self):
         # the exact random_miss sum against iid draws of the observed count, then
@@ -560,8 +557,7 @@ class TestPredictorMse:
                                                        (1, 0.6)]})
         for k, (rule, (obs, miss, rate)) in enumerate(itertools.product(
                 [MEDIAN, table], [(0.5, 1.0, 0.2), (0.3, 0.0, 0.6), (0.85, 0.4, 0.05)])):
-            exact = _one_state_record(rule, _bern_state_grid(obs, miss, rate), design,
-                                      EvalMethod("exact")).regret
+            exact = _one_state_record(rule, _bern_state_grid(obs, miss, rate), design).regret
             mse, stderr = iid_bernoulli_survey_mc(rule, obs, miss, rate, design, 100_000,
                                                   SeedSpec(2).rng(k, 0))
             assert stderr > 0
@@ -578,7 +574,7 @@ class TestPredictorMse:
         design = SurveyDesign("random_miss" if random_miss else "fixed_n", total)
         grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=[0.25],
                                      miss_rates=rates)
-        got = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
+        got = max_mse_scan(rule, grid, design).regret
         want = [bernoulli_survey_mse(rule, *state, design)
                 for state in itertools.product(obs, [0.25], rates)]
         assert np.abs(got - want).max() <= 1e-12
@@ -593,8 +589,7 @@ class TestMaxMseScan:
 
     def test_midpoint_known_miss_matches_formula_exact(self, bern_grid):
         design = SurveyDesign("fixed_n", 10)
-        report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design,
-                              EvalMethod("exact"))
+        report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design)
         assert report.max_regret == pytest.approx(
             midpoint_max_regret_formula(0.8, 10), abs=1e-9)
 
@@ -602,8 +597,8 @@ class TestMaxMseScan:
         # an MC request with an exact path runs that path, and the report says so
         design = SurveyDesign("fixed_n", 10)
         report = max_mse_scan(DecisionRule("midpoint"), bern_grid, design,
-                              EvalMethod("monte_carlo", 50_000), SeedSpec(8))
-        assert report.method == EvalMethod("exact") and not report.mc_stderr.any()
+                              50_000, SeedSpec(8))
+        assert report.method == "exact" and not report.mc_stderr.any()
         assert report.max_regret == pytest.approx(midpoint_max_regret_formula(0.8, 10),
                                                   rel=0, abs=1e-12)
 
@@ -612,7 +607,7 @@ class TestMaxMseScan:
         grid = build_prediction_grid("bernoulli", obs_params=thetas,
                                      miss_params=thetas, miss_rates=[0.0])
         design = SurveyDesign("fixed_n", 25)
-        report = max_mse_scan(DecisionRule("midpoint"), grid, design, EvalMethod("exact"))
+        report = max_mse_scan(DecisionRule("midpoint"), grid, design)
         assert report.max_regret == pytest.approx(0.01, abs=1e-9)
 
     def test_fully_missing_is_quarter(self):
@@ -620,7 +615,7 @@ class TestMaxMseScan:
         grid = build_prediction_grid("bernoulli", obs_params=thetas,
                                      miss_params=thetas, miss_rates=[1.0])
         design = SurveyDesign("fixed_n", 5)
-        report = max_mse_scan(DecisionRule("midpoint"), grid, design, EvalMethod("exact"))
+        report = max_mse_scan(DecisionRule("midpoint"), grid, design)
         assert report.max_regret == pytest.approx(0.25, abs=1e-9)
 
     def test_restriction_never_raises_max(self):
@@ -631,10 +626,8 @@ class TestMaxMseScan:
         restricted = build_prediction_grid("bernoulli", obs_params=thetas,
                                            miss_params=thetas, miss_rates=[0.3],
                                            min_missing_mean=0.5)
-        full_max = max_mse_scan(DecisionRule("midpoint"), full, design,
-                                EvalMethod("exact")).max_regret
-        restr_max = max_mse_scan(DecisionRule("midpoint"), restricted, design,
-                                 EvalMethod("exact")).max_regret
+        full_max = max_mse_scan(DecisionRule("midpoint"), full, design).max_regret
+        restr_max = max_mse_scan(DecisionRule("midpoint"), restricted, design).max_regret
         assert restr_max <= full_max + 1e-15
 
     @pytest.mark.parametrize("rule", [DecisionRule("midpoint"), MEDIAN], ids=["midpoint", "median"])
@@ -645,7 +638,7 @@ class TestMaxMseScan:
         grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=miss,
                                      miss_rates=rates)
         design = SurveyDesign("fixed_n", 10)
-        exact = max_mse_scan(rule, grid, design, EvalMethod("exact"))
+        exact = max_mse_scan(rule, grid, design)
         mse, stderr = np.array([iid_bernoulli_survey_mc(rule, *state, design, 20_000,
                                                         SeedSpec(19).rng(k, 0))
                                 for k, state in enumerate(itertools.product(obs, miss, rates))]).T
@@ -670,7 +663,7 @@ class TestMaxMseScan:
         grid = build_prediction_grid("bernoulli", obs_params=thetas, miss_params=thetas[::-1],
                                      miss_rates=rates, support=support)
         design = SurveyDesign("fixed_n", n)
-        report = max_mse_scan(rule, grid, design, EvalMethod("exact"))
+        report = max_mse_scan(rule, grid, design)
         want = []
         for obs, miss, rate in itertools.product(thetas, thetas[::-1], rates):
             pred = _bernoulli_predictions(rule, np.arange(n + 1), n, 1.0 - rate, support)
@@ -698,7 +691,7 @@ class TestAffineClosedForm:
         design = SurveyDesign("random_miss" if random_miss else "fixed_n", total)
         grid = build_prediction_grid("bernoulli", obs_params=obs, miss_params=miss,
                                      miss_rates=rates, support=support)
-        got = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
+        got = max_mse_scan(rule, grid, design).regret
         want = [bernoulli_survey_mse(rule, *state, design, support)
                 for state in itertools.product(obs, miss, rates)]
         # both sides square differences of values of the support's scale, rounded
@@ -716,7 +709,7 @@ class TestAffineClosedForm:
         grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
                                      miss_params=[(2.0, 0.5)], miss_rates=[0.3],
                                      support=(-1.0, 3.0))
-        exact = max_mse_scan(rule, grid, design, EvalMethod("exact")).regret
+        exact = max_mse_scan(rule, grid, design).regret
         for k in range(len(grid)):
             mse, stderr = _mc_mse(rule, grid, k, grid.population_mean[k], design, 100_000,
                                   SeedSpec(41).rng(k, 0), _counts(grid, design))
@@ -729,14 +722,33 @@ class TestAffineClosedForm:
         grid = build_prediction_grid("beta", obs_params=_BETA_SHAPES, miss_params=_BETA_SHAPES,
                                      miss_rates=rates)
         report = max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("fixed_n", total),
-                              EvalMethod("monte_carlo", 10_000), SeedSpec(11))
-        assert report.method == EvalMethod("exact") and not report.mc_stderr.any()
+                              10_000, SeedSpec(11))
+        assert report.method == "exact" and not report.mc_stderr.any()
         for k, ((a, b), (a_miss, b_miss), rate) in enumerate(
                 itertools.product(_BETA_SHAPES, _BETA_SHAPES, rates)):
             p1 = 1.0 - rate
             var = a * b / ((a + b) ** 2 * (a + b + 1.0))
             want = p1 ** 2 * var / total + (1.0 - p1) ** 2 * (0.5 - a_miss / (a_miss + b_miss)) ** 2
             assert abs(report.regret[k] - want) <= 1e-15
+
+
+    @pytest.mark.parametrize("shape", [1e103, 1e200])
+    def test_beta_variance_of_huge_equal_shapes_is_finite(self, shape):
+        # a b / ((a + b)^2 (a + b + 1)) overflowed to NaN above a = b of about 3e102;
+        # the missing mean is the midpoint, so the MSE is p1^2 var / N
+        grid = build_prediction_grid("beta", obs_params=[(shape, shape)],
+                                     miss_params=[(1.0, 1.0)], miss_rates=[0.2])
+        report = max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("fixed_n", 10))
+        assert report.regret[0] == pytest.approx(0.8 ** 2 * 0.25 / (2 * shape + 1) / 10,
+                                                 rel=1e-15, abs=0)
+
+    def test_beta_variance_keeps_its_bits_on_the_benchmark_shapes(self):
+        grid = build_prediction_grid("beta", obs_params=_BETA_SHAPES, miss_params=[(1.0, 1.0)],
+                                     miss_rates=[0.0])
+        m, v = engine._prediction_moments(DecisionRule("analog_mean"), grid, np.array([1]),
+                                          np.array([1.0]))
+        a, b = np.array(_BETA_SHAPES).T
+        assert v[:, 0].tolist() == (a * b / ((a + b) ** 2 * (a + b + 1.0))).tolist()
 
 
 class TestMidpointFormula:
@@ -797,46 +809,36 @@ class TestReportCsv:
         assert lines[-1].startswith("#summary,max_regret=")
 
     def test_deterministic_bytes(self, tmp_path):
-        method = EvalMethod("monte_carlo", 2000)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             report = max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 9),
-                                  method, SeedSpec(4))
+                                  2000, SeedSpec(4))
             report_to_csv(report, path)
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestScanPreconditions:
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_worker_count_below_one_rejected(self, workers):
-        grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
-                                     miss_rates=[0.2])
-        with pytest.raises(PreconditionError):
-            max_mse_scan(DecisionRule("midpoint"), grid,
-                         SurveyDesign("fixed_n", 5), workers=workers)
-
-    @pytest.mark.parametrize("workers", [1.5, "2"])
-    def test_worker_count_not_an_integer_rejected(self, workers):
-        grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
-                                     miss_rates=[0.2])
-        with pytest.raises(PreconditionError, match="workers must be an integer"):
-            max_mse_scan(DecisionRule("midpoint"), grid,
-                         SurveyDesign("fixed_n", 5), workers=workers)
-
     @pytest.mark.parametrize("reps", [999, 1 << 63, 10 ** 20, 2000.0])
     def test_mc_reps_outside_a_sampler_count_rejected(self, reps):
-        with pytest.raises(PreconditionError):
-            EvalMethod("monte_carlo", reps)
+        # on either path: a Bernoulli survey has an exact one, a Beta median none
+        bernoulli = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                          miss_rates=[0.2])
+        for grid in (bernoulli, _random_miss_grid()):
+            with pytest.raises(PreconditionError, match="MC replications must be an integer"):
+                max_mse_scan(MEDIAN, grid, SurveyDesign("fixed_n", 5), reps)
 
     def test_mc_reps_at_the_bounds_accepted(self):
-        assert EvalMethod("monte_carlo", np.int64(1000)).reps == 1000
-        top = EvalMethod("monte_carlo", (1 << 63) - 1)
+        beta = build_prediction_grid("beta", obs_params=[(2.0, 5.0)], miss_params=[(1.0, 1.0)],
+                                     miss_rates=[0.2])
+        low = max_mse_scan(MEDIAN, beta, SurveyDesign("fixed_n", 5), np.int64(1000))
+        assert low.reps == 1000 and low.method == "monte_carlo"
         # accepted, and run exact: a Bernoulli survey draws nothing
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.6], miss_params=[0.3, 0.7],
                                      miss_rates=[0.25, 0.5])
-        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 5), top, SeedSpec(1))
+        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 5), (1 << 63) - 1,
+                              SeedSpec(1))
         assert np.isfinite(report.regret).all() and report.max_regret > 0
-        assert report.method == EvalMethod("exact")
+        assert report.method == "exact" and report.reps == 0 and report.seed is None
 
     @pytest.mark.parametrize("method", [(), ("--method", "mc", "--reps", "1000")],
                              ids=["exact", "mc"])
@@ -855,9 +857,8 @@ class TestScanPreconditions:
         assert main(["scan", "--rule", "es", "--n", "10001", "--step", "0.5", *method]) == 3
         assert "per-arm n=10001 above 10000" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
-                             ids=["exact", "mc"])
-    def test_survey_n_beyond_the_memory_bound_rejected_before_any_pmf(self, method,
+    @pytest.mark.parametrize("reps", [None, 1000], ids=["exact", "mc"])
+    def test_survey_n_beyond_the_memory_bound_rejected_before_any_pmf(self, reps,
                                                                       monkeypatch):
         calls = []
 
@@ -871,7 +872,7 @@ class TestScanPreconditions:
         # two distinct observed thetas and one miss rate: 3 (n + 1) entries
         grid = build_prediction_grid("bernoulli", obs_params=[0.2, 0.7, 0.2],
                                      miss_params=[0.5], miss_rates=[0.2])
-        scan = partial(max_mse_scan, DecisionRule("midpoint"), grid, method=method,
+        scan = partial(max_mse_scan, DecisionRule("midpoint"), grid, reps=reps,
                        seed=SeedSpec(1))
         with pytest.raises(PreconditionError, match="survey n=100000000 gives 3e\\+08"):
             scan(SurveyDesign("fixed_n", 100_000_000))
@@ -891,22 +892,20 @@ class TestScanPreconditions:
                                      miss_params=[(2.0, 5.0)], miss_rates=[0.2])
         with pytest.raises(PreconditionError, match="exact MSE needs Bernoulli outcomes"):
             max_mse_scan(DecisionRule("analog_median"), grid,
-                         SurveyDesign("fixed_n", 5), EvalMethod("exact"))
+                         SurveyDesign("fixed_n", 5))
 
     def test_exact_scan_runs_either_bernoulli_design(self):
         # for a predictor that is not affine in the observed mean
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
         for design in (SurveyDesign("fixed_n", 5), SurveyDesign("random_miss", 5)):
-            report = max_mse_scan(DecisionRule("analog_median"), grid, design,
-                                  EvalMethod("exact"))
+            report = max_mse_scan(DecisionRule("analog_median"), grid, design)
             want = bernoulli_survey_mse(MEDIAN, 0.5, 0.5, 0.2, design)
             assert abs(report.regret[0] - want) <= 1e-15
 
-    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 1000)],
-                             ids=["exact", "mc"])
+    @pytest.mark.parametrize("reps", [None, 1000], ids=["exact", "mc"])
     def test_random_miss_enumeration_beyond_its_cell_bound_rejected_before_any_pmf(
-            self, method, monkeypatch, capsys, tmp_path):
+            self, reps, monkeypatch, capsys, tmp_path):
         import time
         from mmregret.cli import main
         calls, reached = [], []
@@ -921,7 +920,7 @@ class TestScanPreconditions:
         grid = build_prediction_grid("bernoulli", obs_params=[0.3], miss_params=[0.5],
                                      miss_rates=[0.2])
         # one theta: N (N + 1) / 2 PMF cells, 2^27 + 8,192 at N = 16,384
-        scan = partial(max_mse_scan, MEDIAN, grid, method=method, seed=SeedSpec(1))
+        scan = partial(max_mse_scan, MEDIAN, grid, reps=reps, seed=SeedSpec(1))
         start = time.perf_counter()
         with pytest.raises(PreconditionError, match="n=16384 under random_miss gives 1.342e\\+08"):
             scan(SurveyDesign("random_miss", 16_384))
@@ -929,14 +928,14 @@ class TestScanPreconditions:
         cfg = tmp_path / "over.cfg"
         cfg.write_text("predictor = analog_median\ntheta_obs_step = 0.5\ntheta_miss_step = 0.5\n"
                        f"miss_values = 0.2\nn = 9459\nmiss_known = false\n"
-                       f"method = {'mc' if method.mode == 'monte_carlo' else 'exact'}\n")
+                       f"method = {'exact' if reps is None else 'mc'}\n")
         assert main(["wald-mse", "--config", str(cfg)]) == 3
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "above the 134217728" in err
         assert calls == [] and reached == []
         # the affine midpoint takes the closed form, and fixed_n enumerates N + 1 cells
-        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", 16_384), method)
+        max_mse_scan(DecisionRule("midpoint"), grid, SurveyDesign("random_miss", 16_384), reps)
         scan(SurveyDesign("fixed_n", 16_384))
         assert len(reached) == 2
         # 134,209,536 cells, just below the bound: the scan runs
@@ -946,21 +945,21 @@ class TestScanPreconditions:
         monkeypatch.setattr(engine, "_MAX_ENUMERATED_CELLS", 3 * 10 * 11 // 2)
         grid = build_prediction_grid("bernoulli", obs_params=[0.1, 0.5, 0.9],
                                      miss_params=[0.5], miss_rates=[0.2])
-        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 10), method)
-        assert report.method == EvalMethod("exact") and report.max_regret > 0
+        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 10), reps)
+        assert report.method == "exact" and report.max_regret > 0
         with pytest.raises(PreconditionError, match="above the 165"):
-            max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 11), method)
+            max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 11), reps)
 
 
-    @pytest.mark.parametrize("method", [EvalMethod("exact"), EvalMethod("monte_carlo", 2000)])
-    def test_scan_of_the_other_rule_family_rejected(self, method):
+    @pytest.mark.parametrize("reps", [None, 2000], ids=["method0", "method1"])
+    def test_scan_of_the_other_rule_family_rejected(self, reps):
         grid = build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                      miss_rates=[0.2])
         with pytest.raises(PreconditionError, match="not a trial-choice rule"):
             max_regret_scan(DecisionRule("midpoint"), build_binary_grid(0.5),
                             TrialDesign(per_arm_n=2))
         with pytest.raises(PreconditionError, match="not a predictor"):
-            max_mse_scan(ES, grid, SurveyDesign("fixed_n", 5), method)
+            max_mse_scan(ES, grid, SurveyDesign("fixed_n", 5), reps)
 
 
 def _fail_on(bad, task):
@@ -997,23 +996,24 @@ class TestForkedWorkers:
 
     def test_no_child_is_left_after_a_two_worker_scan(self, monkeypatch):
         grid, design = _random_miss_grid(), SurveyDesign("random_miss", 12)
-        method = EvalMethod("monte_carlo", 2000)
-        one = max_mse_scan(MEDIAN, grid, design, method, SeedSpec(5), workers=1)
+        _cpus(monkeypatch, 1)
+        one = max_mse_scan(MEDIAN, grid, design, 2000, SeedSpec(5))
         for cpus in (1, 2, 3, 4):
             _cpus(monkeypatch, cpus)
-            for workers in (None, 1, 2):
-                got = max_mse_scan(MEDIAN, grid, design, method, SeedSpec(5), workers)
-                assert _no_child_left()
-                assert got.per_state == one.per_state
+            got = max_mse_scan(MEDIAN, grid, design, 2000, SeedSpec(5))
+            assert _no_child_left()
+            assert got.per_state == one.per_state
 
-    def test_lambda_predictor_gives_the_same_columns_on_1_and_2_workers(self):
+    def test_lambda_predictor_gives_the_same_columns_on_1_and_2_workers(self, monkeypatch):
         # a child starts as a copy of the parent, so the predictor is not pickled
         rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
         grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
                                      miss_params=[(1.0, 1.0)], miss_rates=[0.2])
-        design, method = SurveyDesign("random_miss", 6), EvalMethod("monte_carlo", 2000)
-        one = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=1)
-        two = max_mse_scan(rule, grid, design, method, SeedSpec(3), workers=2)
+        design = SurveyDesign("random_miss", 6)
+        _cpus(monkeypatch, 1)
+        one = max_mse_scan(rule, grid, design, 2000, SeedSpec(3))
+        _cpus(monkeypatch, 2)
+        two = max_mse_scan(rule, grid, design, 2000, SeedSpec(3))
         assert one.mc_stderr.all()
         for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
             assert np.array_equal(getattr(one, column), getattr(two, column), equal_nan=True)
@@ -1069,8 +1069,7 @@ def _rowwise_report_to_csv(report, path):
                 fmt17(rec.regret), fmt17(rec.mc_stderr)])
         wr.writerow(["#summary", f"max_regret={fmt17(report.max_regret)}",
                      "argmax=" + "|".join(map(fmt17, coords(report.argmax))),
-                     f"method={report.method.mode}",
-                     f"reps={report.method.reps if report.method.mode == 'monte_carlo' else 0}",
+                     f"method={report.method}", f"reps={report.reps}",
                      f"seed={report.seed.master_seed if report.seed else ''}"])
 
 
@@ -1089,19 +1088,19 @@ class TestColumnarReport:
         "mc_bernoulli_median": lambda: max_mse_scan(
             MEDIAN, build_prediction_grid("bernoulli", obs_params=[0.2, 0.6],
                                           miss_params=[0.3, 0.7], miss_rates=[0.25, 0.5]),
-            SurveyDesign("random_miss", 9), EvalMethod("monte_carlo", 2000), SeedSpec(4)),
+            SurveyDesign("random_miss", 9), 2000, SeedSpec(4)),
         "mc_beta_median_random_miss": lambda: max_mse_scan(
             MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 9),
-            EvalMethod("monte_carlo", 2000), SeedSpec(4)),
+            2000, SeedSpec(4)),
         "exact_midpoint": lambda: max_mse_scan(
             DecisionRule("midpoint"),
             build_prediction_grid("bernoulli", obs_params=list(np.linspace(0, 1, 11)),
                                   miss_params=list(np.linspace(0, 1, 11)),
                                   miss_rates=[0.2, 0.5]),
-            SurveyDesign("fixed_n", 10), EvalMethod("exact")),
+            SurveyDesign("fixed_n", 10)),
         "mc_beta_median": lambda: max_mse_scan(
             DecisionRule("analog_predictor", {"loss": "absolute"}), _beta_grid(),
-            SurveyDesign("fixed_n", 5), EvalMethod("monte_carlo", 1000),
+            SurveyDesign("fixed_n", 5), 1000,
             SeedSpec(3)),
         "more_rows_than_a_chunk": lambda: max_regret_scan(
             ES, build_binary_grid(0.01), TrialDesign(per_arm_n=20)),
@@ -1136,8 +1135,18 @@ class TestColumnarReport:
     def test_inconsistent_max_rejected(self):
         from dataclasses import replace
         report = self.CASES["exact_ztest"]()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="argmax is not a state of largest regret"):
             replace(report, argmax=(report.argmax + 1) % len(report.grid))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regret_rejected(self, bad):
+        # abs(nan - nan) > 1e-12 is False, so the argmax check let a NaN regret through
+        from dataclasses import replace
+        report = self.CASES["exact_ztest"]()
+        regret = report.regret.copy()
+        regret[3] = bad
+        with pytest.raises(PreconditionError, match="regret of state 3 is .*, not a finite"):
+            replace(report, regret=regret, argmax=int(np.argmax(regret)))
 
 
 _SPECIAL_FLOATS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
@@ -1162,9 +1171,9 @@ def _wild_report(grid, seed):
     err, welfare, regret, stderr = (_wild_column(rng, n) for _ in range(4))
     err[rng.random(n) < 0.3] = np.nan
     welfare[rng.random(n) < 0.3] = np.nan
-    method = EvalMethod("monte_carlo", 5000) if seed % 2 else EvalMethod("exact")
-    return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)), method,
-                        SeedSpec(seed) if seed % 3 else None)
+    regret = np.nan_to_num(regret, nan=0.0)  # a report's regrets are finite
+    return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
+                        5000 if seed % 2 else 0, SeedSpec(seed) if seed % 3 else None)
 
 
 def _grid(family, rows, rng):
@@ -1225,8 +1234,9 @@ def _boundary_report(rows, seed):
             err[edge] = welfare[edge] = np.nan
             p_a[edge] = regret[edge] = stderr[edge] = -0.0
     grid = build_product_grid(p_a, [rng.choice(points)])
+    regret = np.nan_to_num(regret, nan=0.0)  # a report's regrets are finite
     return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
-                        EvalMethod("exact"), SeedSpec(seed))
+                        seed=SeedSpec(seed))
 
 
 def _cpus(mp, count):
@@ -1334,9 +1344,9 @@ class TestCsvParts:
 
 @pytest.mark.parametrize("family", ["prediction"])  # a trial scan is exact: no pool
 def test_mc_pool_gets_one_process_per_chunk(family):
-    """An MC scan asks the pool helper for no more processes than it has states
-    or CPUs, however many workers it is given, and deals the states to them in
-    turn: each task holds its states' indices."""
+    """An MC scan asks the pool helper for one process per CPU, and no more than
+    it has states, and deals the states to them in turn: each task holds its
+    states' indices."""
     import mmregret.engine as engine
     indices = []
 
@@ -1346,15 +1356,15 @@ def test_mc_pool_gets_one_process_per_chunk(family):
 
     grid = _random_miss_grid()
     scan = partial(max_mse_scan, MEDIAN, grid, SurveyDesign("random_miss", 5),
-                   EvalMethod("monte_carlo", 1000), SeedSpec(1))
+                   1000, SeedSpec(1))
     assert grid.family == family and len(grid) == 8
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "platform", "linux")
         mp.setattr(engine, "_ordered_map", spy)
         many = []
-        for cpus in (2, 16):
+        for cpus in (1, 2, 3, 16):
             _cpus(mp, cpus)
-            many.append(scan(workers=10 ** 6).per_state)
             many.append(scan().per_state)
-    assert indices == [[[0, 2, 4, 6], [1, 3, 5, 7]]] * 2 + [[[k] for k in range(8)]] * 2
-    assert many == [scan(workers=1).per_state] * 4
+    assert indices == [[list(range(8))], [[0, 2, 4, 6], [1, 3, 5, 7]],
+                       [[0, 3, 6], [1, 4, 7], [2, 5]], [[k] for k in range(8)]]
+    assert many == [many[0]] * 4

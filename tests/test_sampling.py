@@ -1,4 +1,3 @@
-import os
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from mmregret import (
     DecisionRule,
-    EvalMethod,
     PreconditionError,
     SeedSpec,
     SurveyDesign,
@@ -114,15 +112,15 @@ class TestSurveyDesign:
 
 class TestParallelDeterminism:
     def test_worker_count_does_not_change_mc_scan(self, monkeypatch):
-        # three CPUs, so that three workers get three chunks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        import mmregret.engine as engine
         rule = DecisionRule("analog_median")  # no exact path on Beta outcomes: it draws
         grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0), (2.0, 5.0), (0.5, 0.5)],
                                      miss_params=[(0.5, 2.0), (2.0, 0.5)], miss_rates=[0.25, 0.5])
         design = SurveyDesign("random_miss", 12)
-        method = EvalMethod("monte_carlo", 2000)
-        one = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=1)
-        two = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=2)
-        three = max_mse_scan(rule, grid, design, method, SeedSpec(5), workers=3)  # 4, 4, 4
+        scans = []
+        for cpus in (1, 2, 3):  # on 3 CPUs the 12 states make three chunks of 4
+            monkeypatch.setattr(engine, "_cpus", lambda cpus=cpus: cpus)
+            scans.append(max_mse_scan(rule, grid, design, 2000, SeedSpec(5)))
+        one, two, three = scans
         assert one.per_state == two.per_state == three.per_state
         assert one.max_regret == two.max_regret

@@ -104,6 +104,17 @@ class TestPredictionGrid:
                 build_prediction_grid("beta", obs_params=[obs], miss_params=[miss],
                                       miss_rates=[0.1])
 
+    @pytest.mark.parametrize("shapes", [(1e308, 1e308), (1.7e308, 1e307)])
+    def test_beta_shapes_of_no_finite_sum_rejected(self, shapes):
+        # a + b overflowed: the mean a / (a + b) read 0, not 0.5, and numpy's beta drew 0
+        for obs, miss in ((shapes, (1.0, 1.0)), ((1.0, 1.0), shapes)):
+            with pytest.raises(PreconditionError, match="with a finite sum"):
+                build_prediction_grid("beta", obs_params=[obs], miss_params=[miss],
+                                      miss_rates=[0.1])
+        # the largest sum that is finite
+        build_prediction_grid("beta", obs_params=[(8.9e307, 8.9e307)], miss_params=[(1.0, 1.0)],
+                              miss_rates=[0.1])
+
     def test_family_mismatch_rejected(self):
         # thetas where Beta shapes are due, and shapes where thetas are
         with pytest.raises(PreconditionError, match="must be \\(alpha, beta\\) pairs"):
@@ -287,6 +298,15 @@ class TestColumnarPredictionGrid:
         with pytest.raises(PreconditionError, match="not finite"):
             build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
                                   miss_rates=[0.1], support=support)
+
+    @pytest.mark.parametrize("support", [(0.0, 1e200), (-1e308, 1e308), (-1e154, 1e154)])
+    def test_support_of_no_finite_squared_width_rejected(self, support):
+        # (y1 - y0) ** 2 raised OverflowError at 0,1e200, and -1e308,1e308 gave NaN MSEs
+        with pytest.raises(PreconditionError, match="squared width is not finite"):
+            build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                                  miss_rates=[0.1], support=support)
+        build_prediction_grid("bernoulli", obs_params=[0.5], miss_params=[0.5],
+                              miss_rates=[0.1], support=(0.0, 1e154))
 
     @pytest.mark.parametrize("kwargs", [
         dict(obs_params=[0.5, 1.5], miss_params=[0.5], miss_rates=[0.1]),
