@@ -36,14 +36,14 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
     # None marks a flag not given, so that a config value can stand in for it
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--reps", type=int,
-                        help="Monte Carlo replications per state, 1000 to 2^63 - 1 "
-                             "(default 100000); --method exact rejects it, and a "
-                             "scan that runs exact draws none")
+                        help="Monte Carlo draws of the sample statistic per observed "
+                             "shape, and per observed count under random missingness, "
+                             "1000 to 2^63 - 1 (default 100000); --method exact rejects "
+                             "it, and a scan that runs exact draws none")
     parser.add_argument("--workers", type=int,
                         help="an integer of at least 1, for --method mc only; checked and "
-                             "unused: a scan that draws runs one process per CPU the "
-                             "process may use, and taskset narrows that set. A CSV of many "
-                             "rows is written on every CPU either way")
+                             "unused: every scan runs in one process. A CSV of many rows "
+                             "is written on every CPU the process may use either way")
     parser.add_argument("--method", choices=("exact", "mc"),
                         help=f"evaluation method (default {method_default}); an mc "
                              "request that has an exact path runs it, and every run "

@@ -3,19 +3,20 @@
 Evaluates a rule exactly where the sample space is enumerable (two-arm binary
 trials and Bernoulli surveys, under either survey design) or a closed form
 exists (surveys read through a predictor affine in the observed mean), and by
-seeded Monte Carlo otherwise: only a Beta survey read through a nonlinear
-predictor draws. Each grid family has one scan; one state is evaluated as a
-scan of a grid that holds only it. Also provides analytic maximum-regret bounds
-for the empirical success rule and an exhaustive oracle over deterministic rules
-on tiny trial designs.
+seeded Monte Carlo otherwise: a Beta survey read through a nonlinear predictor
+draws only the moments of its prediction, which the one survey sum reads. Each
+grid family has one scan; one state is evaluated as a scan of a grid that holds
+only it. Also provides analytic maximum-regret bounds for the empirical success
+rule and an exhaustive oracle over deterministic rules on tiny trial designs.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,8 @@ class RegretReport:
     """Per-state results of a scan, as columns aligned with the grid's rows.
 
     NaN in ``error_prob`` or ``expected_welfare`` marks a state without that
-    value: tied arms, and every state of an MSE scan. Every regret is finite.
+    value: tied arms, and every state of an MSE scan. Every regret and every
+    standard error is finite.
     ``argmax`` is the index of the first state of largest regret; its
     coordinates are the grid's columns read at that index. ``per_state`` builds
     one StateRecord per state on first access, and caches them.
@@ -74,20 +76,20 @@ class RegretReport:
     regret: np.ndarray
     mc_stderr: np.ndarray
     argmax: int
-    reps: int = 0  # the draws per state; 0 when nothing was drawn
+    reps: int = 0  # the reps of a survey scan that drew (see max_mse_scan); 0 when none drew
     seed: SeedSpec | None = None  # the seed of the draws; None when nothing was drawn
 
     def __post_init__(self):
         columns = (self.error_prob, self.expected_welfare, self.regret, self.mc_stderr)
         if any(len(c) != len(self.grid) for c in columns):
             raise PreconditionError("result columns do not match the grid")
-        top = float(np.max(self.regret))
-        # NaN propagates to both ends, and neither holds a temporary of the column
-        if not (np.isfinite(top) and np.isfinite(np.min(self.regret))):
-            k = int(np.flatnonzero(~np.isfinite(self.regret))[0])
-            raise PreconditionError(f"the regret of state {k} is {self.regret[k]}, "
-                                    "not a finite number")
-        if abs(self.max_regret - top) > 1e-12:
+        for name, column in (("regret", self.regret), ("mc_stderr", self.mc_stderr)):
+            # NaN propagates to both ends, and neither holds a temporary of the column
+            if not (np.isfinite(np.max(column)) and np.isfinite(np.min(column))):
+                k = int(np.flatnonzero(~np.isfinite(column))[0])
+                raise PreconditionError(f"the {name} of state {k} is {column[k]}, "
+                                        "not a finite number")
+        if abs(self.max_regret - float(np.max(self.regret))) > 1e-12:
             raise PreconditionError("argmax is not a state of largest regret")
 
     @property
@@ -153,10 +155,10 @@ def _ordered_map(fn, tasks) -> list:
     A child starts as a copy of this process, ``fn`` included, so nothing is
     sent to it, and it pickles its result or exception back through a pipe.
     Forking is sound here because no child calls BLAS, whose threads this
-    process may hold: the functions mapped here, the survey MC kernel and
-    _csv_rows, use numpy without matmul, random draws and file writes only. A
-    child also inherits the heap as this process froze it (``cli.main`` freezes
-    it as the process entry point), so its collections skip the frozen objects.
+    process may hold: the one function mapped here, _csv_rows, uses numpy
+    without matmul and file writes only. A child also inherits the heap as this
+    process froze it (``cli.main`` freezes it as the process entry point), so its
+    collections skip the frozen objects.
     Every child is reaped before this returns or raises.
     """
     if len(tasks) < 2 or sys.platform != "linux":
@@ -187,21 +189,6 @@ def _cpus() -> int:
     """The CPUs this process may run on, on Linux; 1 elsewhere, where
     _ordered_map runs every task in this process."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-
-
-def _map_chunks(fn, states: int) -> np.ndarray:
-    """``fn(its state indices)`` over K chunks of the states 0..states-1, K the
-    lesser of the CPUs (see _cpus) and the states; the result columns in state
-    order. State k goes to chunk k mod K, which spreads a run of costly
-    neighbouring states over the chunks. One process per chunk: this one runs
-    the first, a forked child each other."""
-    count = min(_cpus(), states)
-    tasks = [(range(c, states, count),) for c in range(count)]
-    columns = _ordered_map(fn, tasks)
-    out = np.empty((len(columns[0]), states))
-    for c, column in enumerate(columns):
-        out[:, c::count] = column
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +306,17 @@ def _affine_terms(rule: Predictor, mean, var, n_obs, p1, support) -> tuple:
     return rule.predict(mean, n_obs, p1, support), (rise / (y1 - y0)) ** 2 * var / n_obs
 
 
-def _prediction_moments(rule: Predictor, grid: StateGrid, n, p1) -> tuple:
-    """Mean and variance of the prediction from n >= 1 observed outcomes at observed
-    fraction p1: one row per distinct observed parameter, one column per case (n, p1).
-
-    For a predictor affine in the observed mean they are _affine_terms at the mean
-    and variance of one observed outcome, on either outcome family. Otherwise, for
-    Bernoulli outcomes, the success count k is enumerated: one PMF matrix per
-    distinct n, the mean a PMF-weighted sum of the predictions and the variance one
-    of their squared deviations from it. The sums run in numpy, not BLAS.
-    """
+def _prediction_moments(rule: Predictor, grid: StateGrid, n, p1, samples=None,
+                        seed: SeedSpec | None = None) -> tuple:
+    """Mean m, variance v, and third and fourth central moments c3 and c4 of the
+    prediction from n >= 1 observed outcomes at observed fraction p1, one row per
+    distinct observed parameter and one column per case (n, p1): drawn given
+    ``samples`` (_drawn_moments); else exact, with c3 and c4 None. Exact m and v are
+    _affine_terms for an affine predictor, on either outcome family, and otherwise,
+    on Bernoulli outcomes, PMF-weighted sums over the success count k, one PMF
+    matrix per distinct n, run in numpy, not BLAS."""
+    if samples is not None:
+        return _drawn_moments(rule, grid, n, p1, samples, seed)
     y0, y1 = support = grid.support
     if rule in _AFFINE:
         mean = _outcome_mean(grid.outcome, grid.obs_params, support)
@@ -338,8 +326,8 @@ def _prediction_moments(rule: Predictor, grid: StateGrid, n, p1) -> tuple:
             a, b = grid.obs_params.T
             var = (a / (a + b)) * (b / (a + b)) / (a + b + 1.0)  # no overflow: a + b is finite
         var = var * (y1 - y0) ** 2
-        return np.broadcast_arrays(*_affine_terms(rule, mean[:, None], var[:, None], n, p1,
-                                                  support))
+        return (*np.broadcast_arrays(*_affine_terms(rule, mean[:, None], var[:, None], n, p1,
+                                                    support)), None, None)
     mean, var = np.empty((2, len(grid.obs_params), len(n)))
     pmf = None
     for c, (size, frac) in enumerate(zip(n.tolist(), p1.tolist())):
@@ -349,64 +337,15 @@ def _prediction_moments(rule: Predictor, grid: StateGrid, n, p1) -> tuple:
         mean[:, c] = np.einsum("ik,k->i", pmf, pred)
         dev = pred - mean[:, c, None]
         var[:, c] = np.einsum("ik,ik->i", pmf, dev * dev)
-    return mean, var
-
-
-def _exact_mse(rule: Predictor, grid: StateGrid, design: SurveyDesign, counts) -> np.ndarray:
-    """Per-state MSE of a survey, exactly: a sum over the observed count n of its
-    weight times (m - mu)^2 + v, where m and v are the mean and variance of the
-    prediction given n (_prediction_moments) and mu is the population mean.
-
-    Under fixed_n there is one case per distinct miss rate, n = N and p1 = 1 minus
-    the rate, and a state weighs its own rate's case by 1. Under random_miss the
-    cases are n = 1..N with p1 = n / N, weighted by ``counts``, the Bin(N, 1 - rate)
-    PMF of n per distinct miss rate, and n = 0 predicts the support midpoint.
-    """
-    y0, y1 = grid.support
-    obs, rate, mu, total = grid.index_obs, grid.index_rate, grid.population_mean, design.n
-    if design.mode == "fixed_n":
-        m, v = _prediction_moments(rule, grid, np.full(len(grid.miss_rates), total),
-                                   1.0 - grid.miss_rates)
-        return (m[obs, rate] - mu) ** 2 + v[obs, rate]
-    n = np.arange(1, total + 1)
-    m, v = _prediction_moments(rule, grid, n, n / total)
-    mse = counts[rate, 0] * (0.5 * (y0 + y1) - mu) ** 2
-    per = max(1, _CONTRACTION_CELLS // total)
-    for lo in range(0, len(grid), per):
-        rows = slice(lo, lo + per)
-        err2 = (m[obs[rows]] - mu[rows, None]) ** 2 + v[obs[rows]]
-        mse[rows] += np.matmul(counts[rate[rows], None, 1:], err2[:, :, None])[:, 0, 0]
-    return mse
-
-
-def _moments(values, counts, n: int) -> tuple:
-    """Count, mean and sum of squared deviations of n draws given as values and counts."""
-    mean = np.sum(counts * values) / n
-    return n, mean, np.sum(counts * (values - mean) ** 2)
-
-
-def _merge(a, b) -> tuple:
-    """The moments of a's and b's draws together (Chan et al., 1979); a may be None."""
-    if a is None:
-        return b
-    n, delta = a[0] + b[0], b[1] - a[1]
-    return n, a[1] + delta * (b[0] / n), a[2] + b[2] + delta * delta * (a[0] * b[0] / n)
-
-
-def _estimate(moments) -> tuple[float, float]:
-    """Mean and standard error (ddof=1) of the draws of the moments."""
-    n, mean, m2 = moments
-    return float(mean), float(np.sqrt(m2 / (n - 1) / n))
+    return mean, var, None, None
 
 
 def _beta_statistic(rng, shape, count: int, m: int, median: bool):
     """Yield the median or mean of each of count samples of m Beta(alpha, beta)
-    draws, shape the pair (alpha, beta), a block of 2^18 draws at a time.
-
-    The median sorts each fresh block in place and averages its middle column or
-    columns as np.median does, so the bits are np.median's; np.median would copy
-    and partition the block, and its first call imports numpy.ma.
-    """
+    draws, shape the pair (alpha, beta), a block of 2^18 draws at a time. The
+    median sorts each fresh block in place and averages its middle column or
+    columns, which gives np.median's bits without its copy and partition of the
+    block, and without the numpy.ma import of its first call."""
     per = max(1, (1 << 18) // m)
     for lo in range(0, count, per):
         b = rng.beta(*shape, size=(min(per, count - lo), m))
@@ -417,62 +356,101 @@ def _beta_statistic(rng, shape, count: int, m: int, median: bool):
             yield b.mean(axis=1)
 
 
-def _mc_mse(rule, grid: StateGrid, row: int, mu: float, design: SurveyDesign, reps: int,
-            rng, counts) -> tuple[float, float]:
-    """MC MSE of a predictor in state ``row`` of a Beta prediction grid, whose population
-    mean is mu, and its standard error. ``counts`` holds the PMF of the observed count
-    per distinct miss rate under random_miss, and is None under fixed_n. Per occupied
-    n_obs, blocks of Beta samples are each reduced to _moments of their squared errors
-    and merged in order, so memory does not grow with reps; the draws with no
-    observation predict the support midpoint, and are merged last."""
+def _central_moments(blocks) -> np.ndarray:
+    """The mean and the second to fourth central moments (divisor: the count), as
+    rows, of each column over all rows of the blocks, 2-D arrays of one width. Each
+    block becomes power sums about the first block's means before the next is read."""
+    count, shift, sums = 0, None, 0.0
+    for block in blocks:
+        shift = block.mean(axis=0) if shift is None else shift
+        d = block - shift
+        d2 = d * d
+        sums = sums + np.array([d.sum(0), d2.sum(0), (d2 * d).sum(0), (d2 * d2).sum(0)])
+        count += len(block)
+    e1, e2, e3, e4 = sums / count
+    return np.array([shift + e1, e2 - e1 * e1, e3 - e1 * (3.0 * e2 - 2.0 * e1 * e1),
+                     e4 - e1 * (4.0 * e3 - e1 * (6.0 * e2 - 3.0 * e1 * e1))])
+
+
+def _drawn_moments(rule: Predictor, grid: StateGrid, n, p1, samples, seed: SeedSpec) -> tuple:
+    """_prediction_moments from Beta outcomes, estimated: per distinct n with samples
+    and per observed shape s that a state uses, samples[c] statistics of n Beta draws
+    (one count for every case c of that n) are drawn once, from ``seed.rng(s, n)``,
+    and read at each case's p1. Cases without samples, and unused shapes, keep 0."""
     y0, y1 = support = grid.support
-    shape = grid.obs_params[grid.index_obs[row]].tolist()
-    miss_rate = grid.miss_rates[grid.index_rate[row]].tolist()
+    moments = np.zeros((4, len(grid.obs_params), len(n)))
+    # np.unique would import numpy.ma, which no other path needs
+    shapes = np.flatnonzero(np.bincount(grid.index_obs, minlength=len(grid.obs_params)))
+    for size in sorted(set(n[samples > 0].tolist())):
+        cases = np.flatnonzero(n == size)
+        for s in shapes.tolist():
+            stats = _beta_statistic(seed.rng(s, size), grid.obs_params[s].tolist(),
+                                    int(samples[cases[0]]), size, rule.statistic == "median")
+            moments[:, s, cases] = _central_moments(np.column_stack([np.broadcast_to(
+                rule.predict(y0 + (y1 - y0) * stat, size, frac, support), stat.shape)
+                for frac in p1[cases].tolist()]) for stat in stats)
+    return tuple(moments)
+
+
+def _error_spread(dev, v, c3, c4):
+    """Variance of (X - mu)^2, X of variance v, central moments c3, c4, mean mu + dev."""
+    return c4 - v * v + 4.0 * dev * (c3 + dev * v)
+
+
+def _survey_mse(rule: Predictor, grid: StateGrid, design: SurveyDesign, counts,
+                reps: int | None = None, seed: SeedSpec | None = None) -> tuple:
+    """Per-state MSE of a survey, the sum over the observed count n of its weight w
+    times (m - mu)^2 + v, m and v given n (_prediction_moments) and mu the population
+    mean, and its stderr. Under fixed_n a state's one case is n = N, p1 = 1 - its
+    miss rate; under random_miss n = 1..N, p1 = n / N, weighted by ``counts``, the
+    Bin(N, 1 - rate) PMF of n per distinct rate, and n = 0 predicts the midpoint.
+    Without ``reps`` the terms are exact and the stderr 0. With it, n draws R_n
+    statistics per shape: reps under fixed_n; under random_miss reps times the
+    largest weight of n at the states' rates, rounded up, in [2, reps], or 0 if that
+    is 0. The stderr is the root of the sum over n of w^2 (c4 - v^2 + 4 d c3 +
+    4 d^2 v) / (R_n - 1), d = m - mu: each n's draws are independent (ddof=1)."""
+    y0, y1 = grid.support
+    obs, rate, mu, total = grid.index_obs, grid.index_rate, grid.population_mean, design.n
+    stderr = np.zeros(len(grid))
     if design.mode == "fixed_n":
-        n_obs, pmf_n, p1 = np.array([design.n]), np.ones(1), np.array([1.0 - miss_rate])
-    else:
-        n_obs, pmf_n = np.arange(design.n + 1), counts[grid.index_rate[row]]
-        p1 = n_obs / design.n
-    median = rule.statistic == "median"
-    h = rng.multinomial(reps, pmf_n)
-    moments = None
-    for i in np.flatnonzero(h):
-        m = n_obs[i]
-        if m == 0:  # scored last
-            continue
-        for stat in _beta_statistic(rng, shape, h[i], m, median):
-            pred = rule.predict(y0 + (y1 - y0) * stat, m, p1[i], support)
-            err2 = np.broadcast_to((pred - mu) ** 2, stat.shape)
-            moments = _merge(moments, _moments(err2, 1, len(stat)))
-    if n_obs[0] == 0 and h[0]:
-        moments = _merge(moments, _moments((np.array([0.5 * (y0 + y1)]) - mu) ** 2, h[:1], h[0]))
-    return _estimate(moments)
-
-
-def _mc_mse_states(rule, design, reps: int, seed: SeedSpec, grid: StateGrid, counts,
-                   index) -> np.ndarray:
-    """MC MSE and its standard error, one column per state index of the prediction
-    grid; state k draws from substream k. ``counts`` is as _mc_mse takes it."""
-    mu = grid.population_mean
-    return np.array([_mc_mse(rule, grid, k, mu[k], design, reps, seed.rng(k, 0), counts)
-                     for k in index]).T
+        n = np.full(len(grid.miss_rates), total)
+        samples = None if reps is None else np.full(len(n), reps)
+        m, v, c3, c4 = _prediction_moments(rule, grid, n, 1.0 - grid.miss_rates, samples, seed)
+        dev, v = m[obs, rate] - mu, v[obs, rate]
+        if c3 is not None:
+            stderr = np.sqrt(_error_spread(dev, v, c3[obs, rate], c4[obs, rate]) / (reps - 1))
+        return dev ** 2 + v, stderr
+    n, samples = np.arange(1, total + 1), None
+    if reps is not None:
+        top = counts[np.bincount(rate, minlength=len(counts)) > 0, 1:].max(axis=0).tolist()
+        samples = np.array([min(reps, max(2, math.ceil(reps * w))) if w else 0 for w in top])
+    m, v, c3, c4 = _prediction_moments(rule, grid, n, n / total, samples, seed)
+    mse = counts[rate, 0] * (0.5 * (y0 + y1) - mu) ** 2
+    per = max(1, _CONTRACTION_CELLS // total)
+    for lo in range(0, len(grid), per):
+        rows = slice(lo, lo + per)
+        dev = m[obs[rows]] - mu[rows, None]
+        err2 = dev ** 2 + v[obs[rows]]
+        mse[rows] += np.matmul(counts[rate[rows], None, 1:], err2[:, :, None])[:, 0, 0]
+        if c3 is not None:
+            spread = _error_spread(dev, v[obs[rows]], c3[obs[rows]], c4[obs[rows]])
+            scale = counts[rate[rows], 1:] ** 2 / np.maximum(samples - 1, 1)
+            stderr[rows] = np.sqrt(np.einsum("ij,ij->i", scale, spread))
+    return mse, stderr
 
 
 def max_mse_scan(rule: Predictor, grid: StateGrid, design: SurveyDesign,
                  reps: int | None = None, seed: SeedSpec | None = None) -> RegretReport:
-    """MSE of a predictor in every state of a prediction grid (regret = MSE here).
+    """MSE of a predictor in every state of a prediction grid (regret = MSE here),
+    by one survey sum (_survey_mse), in this process.
 
-    The input picks the path: a Bernoulli survey, under either design, and any
-    survey read through an affine predictor are exact (_exact_mse), and the
-    report's reps is 0, with no seed. Only a nonlinear predictor on Beta outcomes
-    has no exact path: it draws ``reps`` replications per state by Monte Carlo,
-    state k from substream k of the seed (0 when None), which the report names,
-    and it is rejected when ``reps`` is None. ``reps``, when given, must lie in
-    [_MIN_MC_REPS, _MAX_MC_REPS] on either path. The draws run on one process per
-    CPU (_map_chunks); the result does not depend on their number. A scan whose
-    PMFs and predictions would exceed _MAX_GRID_STATES entries, or a random_miss
-    survey that would enumerate more than _MAX_ENUMERATED_CELLS PMF cells, is
-    rejected before any PMF is built.
+    A Bernoulli survey and any survey read through an affine predictor are exact:
+    the report's reps is 0, with no seed. A nonlinear predictor on Beta outcomes
+    draws ``reps`` as _survey_mse counts them, from the seed's substreams (0 when
+    None), which the report names; ``reps`` None rejects it. ``reps`` must lie in
+    [_MIN_MC_REPS, _MAX_MC_REPS] on either path. A scan whose PMFs and predictions
+    would exceed _MAX_GRID_STATES entries, or that would enumerate more than
+    _MAX_ENUMERATED_CELLS PMF cells under random_miss, is rejected before any PMF.
     """
     if grid.family != "prediction":
         raise PreconditionError("max_mse_scan needs a prediction grid")
@@ -497,15 +475,12 @@ def max_mse_scan(rule: Predictor, grid: StateGrid, design: SurveyDesign,
         raise PreconditionError("exact MSE needs Bernoulli outcomes or a predictor affine "
                                 "in the observed mean")
     counts = binom_pmf_matrix(total, 1.0 - grid.miss_rates) if random_miss else None
-    stderr = np.zeros(len(grid))
-    if exact:
-        mse, reps, seed = _exact_mse(rule, grid, design, counts), 0, None
-    else:
-        seed = seed or SeedSpec()
-        kernel = partial(_mc_mse_states, rule, design, reps, seed, grid, counts)
-        mse, stderr = _map_chunks(kernel, len(grid))
+    reps, seed = (None, None) if exact else (reps, seed or SeedSpec())
+    with np.errstate(all="ignore"):  # a huge prediction's inf or NaN: RegretReport rejects it
+        mse, stderr = _survey_mse(rule, grid, design, counts, reps, seed)
     no_value = np.full(len(grid), np.nan)  # an MSE scan has no error prob or welfare
-    return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), reps, seed)
+    return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), reps or 0,
+                        seed)
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,8 @@ class Predictor:
     """A point predictor of the population mean: ``predict(statistic, n_obs, p1,
     support)`` of the sample ``statistic`` ("mean" or "median") of the observed
     outcomes, their count and fraction p1 (each may be an array). ``predict``
-    may be any callable: a scan's worker processes are forked copies of the
-    caller, so the predictor is never pickled."""
+    may be any callable: a scan calls it in the calling process, so the
+    predictor is never pickled."""
 
     statistic: str
     predict: Callable

@@ -1,9 +1,8 @@
 """Sampling designs and seeded random substreams.
 
 Describes balanced two-arm binary trials and random-sample surveys with
-missingness, and derives each random stream from (master seed, state index,
-stream), so Monte Carlo scans are reproducible independent of execution order
-and worker count.
+missingness, and derives each random stream from (master seed, index, stream),
+so Monte Carlo scans are reproducible independent of execution order.
 """
 
 from __future__ import annotations
@@ -72,8 +71,9 @@ class SurveyDesign:
 class SeedSpec:
     """Master seed plus the substream derivation contract.
 
-    Substreams are keyed on (master_seed, state_index, stream), so identical
-    keys yield identical draws regardless of execution order or parallelism.
+    Substreams are keyed on (master_seed, state_index, stream), so identical keys
+    yield identical draws in any order. A Beta survey scan keys on (observed shape
+    index, observed count).
     """
 
     master_seed: int = 0

@@ -6,8 +6,8 @@ its per-arm success counts. They are written without the tables, so tests can
 check ``rule.table(n)`` and the exact scans against them. The PMF runs its
 recurrence for one probability at a time, or takes ``math.comb`` products. The
 trial MC draws both arms iid. The survey MSE sums over every observed count and
-success count, and the survey MC draws both counts iid. The CSV writer formats
-one cell at a time with ``format``.
+success count, and the survey MCs draw the observed count and then the outcomes
+iid. The CSV writer formats one cell at a time with ``format``.
 """
 
 import math
@@ -178,6 +178,32 @@ def iid_bernoulli_survey_mc(rule, theta_obs: float, theta_miss: float, miss_rate
     else:
         stat = np.where(2 * k > n, y1, np.where(2 * k < n, y0, mid))
     pred = np.where(n == 0, mid, rule.predict(stat, seen, p1, support))
+    err2 = (pred - mu) ** 2
+    return float(err2.mean()), float(err2.std(ddof=1) / np.sqrt(reps))
+
+
+def iid_beta_survey_mc(rule, obs_shape, miss_shape, miss_rate: float, design, reps: int,
+                       rng: np.random.Generator, support=(0.0, 1.0)) -> tuple[float, float]:
+    """Plain MC of the MSE of a predictor in one Beta survey state, and its standard
+    error (ddof=1): per replication, the observed count n (N under fixed_n, a
+    Bin(N, 1 - miss rate) draw under random_miss), then n Beta(obs_shape) draws on
+    the support, whose mean or median (``np.median``) the predictor reads at p1
+    (1 - miss rate under fixed_n, n / N under random_miss); n = 0 predicts the
+    support midpoint. The replications of one n are drawn as one array."""
+    y0, y1 = support
+    mu = state_means("beta", obs_shape, miss_shape, miss_rate, support)[2]
+    total = design.n
+    if design.mode == "fixed_n":
+        n = np.full(reps, total)
+    else:
+        n = rng.binomial(total, 1.0 - miss_rate, size=reps)
+    pred = np.full(reps, 0.5 * (y0 + y1))
+    for m in np.unique(n[n > 0]).tolist():
+        rows = n == m
+        draws = y0 + (y1 - y0) * rng.beta(*obs_shape, size=(int(rows.sum()), m))
+        stat = draws.mean(axis=1) if rule.statistic == "mean" else np.median(draws, axis=1)
+        p1 = 1.0 - miss_rate if design.mode == "fixed_n" else m / total
+        pred[rows] = rule.predict(stat, m, p1, support)
     err2 = (pred - mu) ** 2
     return float(err2.mean()), float(err2.std(ddof=1) / np.sqrt(reps))
 

@@ -181,7 +181,6 @@ class TestWaldMse:
 
 
     def test_custom_predictor_csv_ignores_worker_count(self, capsys, tmp_path):
-        # a forked worker starts as a copy of this process, custom predictor included
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BETA_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 1:0.9; 0:0.2; 0.5:0.4")
@@ -195,8 +194,9 @@ class TestWaldMse:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_workers_flag_is_checked_and_sizes_no_pool(self, capsys, tmp_path, monkeypatch):
-        # the Beta median draws on one process per CPU, whatever --workers says
+    def test_beta_scan_maps_nothing_and_workers_flag_is_checked(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # the Beta median draws in this process, whatever --workers says
         import mmregret.engine as engine
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BETA_MEDIAN_MC)
@@ -208,7 +208,7 @@ class TestWaldMse:
             code, out = run(capsys, "wald-mse", "--config", str(cfg), *workers,
                             "--out", str(tmp_path / f"w{''.join(workers[1:])}.csv"))
             assert code == 0 and grab(out, "method") == "monte_carlo"
-        assert pools == [2, 2, 2]
+        assert pools == []
         default = (tmp_path / "w.csv").read_bytes()
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes() == default
         assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
@@ -234,6 +234,34 @@ class TestWaldMse:
         cfg.write_text(BETA_MEDIAN_MC)
         code, out = run(capsys, "wald-mse", "--config", str(cfg))
         assert code == 0 and grab(out, "method") == "monte_carlo"
+
+    @pytest.mark.parametrize("text", [
+        RANDOM_MISS_MC, RANDOM_MISS_MC.replace("known = false", "known = true"), BETA_MC,
+        BETA_MC.replace("known = true", "known = false")],
+        ids=["bernoulli_random_miss", "bernoulli_fixed_n", "beta_fixed_n", "beta_random_miss"])
+    def test_huge_predictions_exit_3_with_one_stderr_line(self, tmp_path, text):
+        # the squares overflow: only the finite-regret check speaks, with no numpy
+        # warning before it (a subprocess, since pytest would record the warnings)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("predictor = midpoint",
+                                    "predictor = custom\ncustom_table = 0:1e300; 1:-1e300"))
+        proc = subprocess.run([sys.executable, "-m", "mmregret.cli", "wald-mse", "--config",
+                               str(cfg)], capture_output=True, text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert re.fullmatch(r"precondition violation: the regret of state \d+ is (inf|nan), "
+                            r"not a finite number\n", proc.stderr)
+
+    def test_non_finite_mc_stderr_exits_3(self, capsys, tmp_path):
+        # the MSE, about 1e200, is finite; the fourth moment of the predictions is not
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BETA_MC.replace("predictor = midpoint",
+                                       "predictor = custom\ncustom_table = 0:1e100; 1:-1e100")
+                       .replace("1,1; 2,5", "2,5"))
+        assert main(["wald-mse", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"precondition violation: the mc_stderr of state 0 is (inf|nan), "
+                            r"not a finite number\n", err)
 
 
 class TestRuleNames:

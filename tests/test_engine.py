@@ -26,12 +26,12 @@ from mmregret import (
     report_to_csv,
 )
 import mmregret.engine as engine
-from mmregret.engine import _CSV_BLOCK_ROWS, _mc_mse, choice_table
+from mmregret.engine import _CSV_BLOCK_ROWS, choice_table
 from mmregret.mathutil import binom_pmf_matrix, binom_pmf_vector
-from mmregret.rules import TableRule
+from mmregret.rules import Predictor, TableRule
 from reference import (_per_cell_report_to_csv, bernoulli_survey_mse, comb_pmf, enumerate_trial,
-                       es_choose, iid_bernoulli_survey_mc, iid_trial_mc, state_means,
-                       ztest_choose)
+                       es_choose, iid_bernoulli_survey_mc, iid_beta_survey_mc, iid_trial_mc,
+                       state_means, ztest_choose)
 
 ES = DecisionRule("empirical_success")
 ZTEST = DecisionRule("ztest", {"alpha": 0.05, "status_quo": 0})
@@ -180,19 +180,10 @@ def _random_miss_grid():
                                  miss_params=[(0.5, 2.0), (2.0, 0.5)], miss_rates=[0.25, 0.5])
 
 
-def _counts(grid, design):
-    """The PMF of the observed count per distinct miss rate, as a scan passes it to
-    the MC kernel: None under fixed_n."""
-    if design.mode == "fixed_n":
-        return None
-    return binom_pmf_matrix(design.n, 1.0 - grid.miss_rates)
-
-
-def _mc_mse_of(rule, grid, design, reps, rng):
-    """_mc_mse in the one state of the Beta grid."""
-    assert len(grid) == 1
-    return _mc_mse(rule, grid, 0, grid.population_mean[0], design, reps, rng,
-                   _counts(grid, design))
+def _nonaffine(rule):
+    """The rule's predictions from a predictor the scan does not know as affine, so
+    that on Beta outcomes it draws."""
+    return Predictor(rule.statistic, lambda *args: rule.predict(*args))
 
 
 def _beta_state_grid(obs, miss, miss_rate, support):
@@ -246,11 +237,11 @@ class TestHistogramMonteCarlo:
         exact = sum(pm * ((m / total) ** 2 * var_obs / max(m, 1)
                           + (m / total * mu_obs + (1 - m / total) * c - mu) ** 2)
                     for m, pm in enumerate(comb_pmf(total, 1 - miss)))
-        mse, stderr = _mc_mse_of(DecisionRule("midpoint"),
-                                 _beta_state_grid(obs, miss_dist, miss, support),
-                                 SurveyDesign("random_miss", total), 50_000,
-                                 SeedSpec(23).rng(1, 0))
-        assert abs(mse - exact) <= 4 * stderr
+        report = max_mse_scan(_nonaffine(DecisionRule("midpoint")),
+                              _beta_state_grid(obs, miss_dist, miss, support),
+                              SurveyDesign("random_miss", total), 50_000, SeedSpec(23))
+        assert report.method == "monte_carlo" and report.mc_stderr[0] > 0
+        assert abs(report.regret[0] - exact) <= 4 * report.mc_stderr[0]
 
     @pytest.mark.parametrize("total,reps", [(2000, 20_000), (20000, 2000)])
     def test_bernoulli_random_miss_large_n_matches_closed_form(self, total, reps):
@@ -283,7 +274,7 @@ class TestHistogramMonteCarlo:
         max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 12),
                      20_000, SeedSpec(5))
         assert len(calls) == len(set(calls)) == 13
-        # a Beta scan draws from the rows of its one PMF matrix of the observed count
+        # a Beta scan sizes its draws by its one PMF matrix of the observed count
         calls.clear()
         max_mse_scan(MEDIAN, _random_miss_grid(), SurveyDesign("random_miss", 12),
                      2000, SeedSpec(5))
@@ -317,9 +308,10 @@ class TestHistogramMonteCarlo:
                                                        monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
                                      miss_rates=[0.1, 0.5])
+        # the CPU count sizes only the CSV writer's parts: a scan runs in one process
         _cpus(monkeypatch, 1)
         one = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
-        for cpus in (1, 2, 3, 4):  # on 3 CPUs the 8 states make uneven chunks
+        for cpus in (1, 2, 3, 4):
             _cpus(monkeypatch, cpus)
             for _ in range(2):
                 got = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
@@ -393,20 +385,21 @@ class TestProductGridOrder:
 
 
 @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=6),
-       seed=st.integers(0, 2 ** 31 - 1))
+       seed=st.integers(0, 2 ** 31 - 1), offset=st.sampled_from([0.0, -3.0, 1e3]))
 @settings(max_examples=50, deadline=None)
-def test_merged_block_moments_match_the_two_pass_moments(sizes, seed):
-    # blocks merged in order against one pass over all the draws: the sums run in
-    # another order, so they agree to round-off
-    values = np.random.default_rng(seed).random(sum(sizes)) ** 2
-    merged, lo = None, 0
-    for size in sizes:
-        merged = engine._merge(merged, engine._moments(values[lo:lo + size], 1, size))
-        lo += size
-    n, mean, m2 = engine._moments(values, 1, len(values))
-    assert merged[0] == n
-    assert merged[1] == pytest.approx(mean, rel=1e-12)
-    assert merged[2] == pytest.approx(m2, rel=1e-12, abs=1e-15)
+def test_block_moments_match_the_one_pass_central_moments(sizes, seed, offset):
+    # power sums about the first block's means, over blocks of two columns, against
+    # central moments taken about the mean of all the values: the sums run in another
+    # order, so they agree to round-off of the values' spread
+    values = offset + np.random.default_rng(seed).random((sum(sizes), 2)) ** 2
+    bounds = np.cumsum([0] + sizes)
+    got = engine._central_moments(values[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    mean = values.mean(axis=0)
+    want = [mean] + [np.mean((values - mean) ** k, axis=0) for k in (2, 3, 4)]
+    scale = np.ptp(values, axis=0) + 1e-300
+    assert np.abs(got[0] - want[0]).max() <= 1e-12 * max(1.0, abs(offset))
+    for k, (g, w) in enumerate(zip(got[1:], want[1:]), 2):
+        assert (np.abs(g - w) <= 1e-12 * scale ** k).all()
 
 
 def test_beta_mc_memory_does_not_grow_with_reps():
@@ -673,6 +666,10 @@ class TestMaxMseScan:
 
 
 _BETA_SHAPES = [(0.5, 0.5), (1.0, 1.0), (2.0, 5.0), (5.0, 2.0)]
+# 4 observed shapes x 2 missing shapes x 3 miss rates, on a support other than [0, 1]
+_BETA_MC_GRID = build_prediction_grid("beta", obs_params=_BETA_SHAPES,
+                                      miss_params=[(0.5, 2.0), (2.0, 0.5)],
+                                      miss_rates=[0.0, 0.3, 0.8], support=(-1.0, 3.0))
 
 
 class TestAffineClosedForm:
@@ -706,14 +703,48 @@ class TestAffineClosedForm:
                                         SurveyDesign("random_miss", 7)], ids=["fixed_n",
                                                                               "random_miss"])
     def test_beta_within_four_stderr_of_monte_carlo(self, rule, design):
-        grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
-                                     miss_params=[(2.0, 0.5)], miss_rates=[0.3],
-                                     support=(-1.0, 3.0))
-        exact = max_mse_scan(rule, grid, design).regret
-        for k in range(len(grid)):
-            mse, stderr = _mc_mse(rule, grid, k, grid.population_mean[k], design, 100_000,
-                                  SeedSpec(41).rng(k, 0), _counts(grid, design))
-            assert abs(mse - exact[k]) <= 4 * stderr
+        # the rule behind a wrapper the scan does not know as affine draws
+        exact = max_mse_scan(rule, _BETA_MC_GRID, design).regret
+        drawn = max_mse_scan(_nonaffine(rule), _BETA_MC_GRID, design, 100_000, SeedSpec(41))
+        assert drawn.method == "monte_carlo" and (drawn.mc_stderr > 0).all()
+        assert (np.abs(drawn.regret - exact) <= 4 * drawn.mc_stderr).all()
+
+    @pytest.mark.parametrize("rule", [MEDIAN, DecisionRule(
+        "custom", {"mean_table": [(-1.0, 0.5), (0.2, -0.3), (1.0, 2.0), (3.0, 1.0)]})],
+        ids=["median", "mean_table"])
+    @pytest.mark.parametrize("design", [SurveyDesign("fixed_n", 7),
+                                        SurveyDesign("random_miss", 7)], ids=["fixed_n",
+                                                                              "random_miss"])
+    def test_nonlinear_beta_agrees_with_the_iid_reference(self, rule, design):
+        # both sides draw: the scan the moments of the prediction per shape and count,
+        # the reference each replication's count and outcomes. Under fixed_n both
+        # stderrs estimate one number; under random_miss the scan draws each count at
+        # least in proportion to its weight, which can only shrink its stderr
+        report = max_mse_scan(rule, _BETA_MC_GRID, design, 100_000, SeedSpec(43))
+        g = _BETA_MC_GRID
+        for k in range(len(g)):
+            ref, se = iid_beta_survey_mc(
+                rule, g.obs_params[g.index_obs[k]].tolist(),
+                g.miss_params[g.index_miss[k]].tolist(), g.miss_rates[g.index_rate[k]],
+                design, 100_000, np.random.default_rng(k), g.support)
+            assert se > 0 and report.mc_stderr[k] > 0
+            assert abs(report.regret[k] - ref) <= 4 * np.hypot(se, report.mc_stderr[k])
+            ratio = report.mc_stderr[k] / se
+            assert 0.95 < ratio < 1.05 if design.mode == "fixed_n" else ratio < 1.05
+
+    def test_beta_random_miss_with_nothing_observed_is_the_midpoint_error(self):
+        # no count n >= 1 has weight: nothing is drawn, and the MSE is exact
+        grid = build_prediction_grid("beta", obs_params=_BETA_SHAPES, miss_params=_BETA_SHAPES,
+                                     miss_rates=[1.0], support=(-1.0, 3.0))
+        report = max_mse_scan(MEDIAN, grid, SurveyDesign("random_miss", 7), 1000, SeedSpec(1))
+        assert report.method == "monte_carlo" and not report.mc_stderr.any()
+        assert report.regret.tolist() == ((1.0 - grid.population_mean) ** 2).tolist()
+
+    def test_beta_fixed_n_with_every_outcome_missing_is_finite(self):
+        grid = build_prediction_grid("beta", obs_params=_BETA_SHAPES, miss_params=_BETA_SHAPES,
+                                     miss_rates=[1.0])
+        report = max_mse_scan(MEDIAN, grid, SurveyDesign("fixed_n", 7), 1000, SeedSpec(1))
+        assert np.isfinite(report.regret).all() and np.isfinite(report.mc_stderr).all()
 
     def test_beta_midpoint_is_the_benchmark_formula(self):
         # p1^2 var / N + (1 - p1)^2 (1/2 - E_miss)^2 on [0, 1], for N known; an MC
@@ -746,7 +777,7 @@ class TestAffineClosedForm:
         grid = build_prediction_grid("beta", obs_params=_BETA_SHAPES, miss_params=[(1.0, 1.0)],
                                      miss_rates=[0.0])
         m, v = engine._prediction_moments(DecisionRule("analog_mean"), grid, np.array([1]),
-                                          np.array([1.0]))
+                                          np.array([1.0]))[:2]
         a, b = np.array(_BETA_SHAPES).T
         assert v[:, 0].tolist() == (a * b / ((a + b) ** 2 * (a + b + 1.0))).tolist()
 
@@ -915,8 +946,8 @@ class TestScanPreconditions:
             return binom_pmf_matrix(*args)
 
         monkeypatch.setattr(engine, "binom_pmf_matrix", spy)
-        monkeypatch.setattr(engine, "_exact_mse", lambda rule, grid, *rest: (
-            reached.append(grid), np.zeros(len(grid)))[-1])
+        monkeypatch.setattr(engine, "_survey_mse", lambda rule, grid, *rest: (
+            reached.append(grid), np.zeros((2, len(grid))))[-1])
         grid = build_prediction_grid("bernoulli", obs_params=[0.3], miss_params=[0.5],
                                      miss_rates=[0.2])
         # one theta: N (N + 1) / 2 PMF cells, 2^27 + 8,192 at N = 16,384
@@ -1017,10 +1048,10 @@ class TestForkedWorkers:
         assert one.mc_stderr.all()
         for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
             assert np.array_equal(getattr(one, column), getattr(two, column), equal_nan=True)
-        # the same draws as the named midpoint's MC kernel (its scan takes the closed form)
-        midpoint, _ = engine._mc_mse_states(DecisionRule("midpoint"), design, 2000, SeedSpec(3),
-                                            grid, _counts(grid, design), range(len(grid)))
-        assert one.regret.tolist() == midpoint.tolist()
+        # the same draws as the named midpoint behind a wrapper (its own scan is exact)
+        midpoint = max_mse_scan(_nonaffine(DecisionRule("midpoint")), grid, design, 2000,
+                                SeedSpec(3))
+        assert one.regret.tolist() == midpoint.regret.tolist()
 
     def test_off_linux_the_tasks_run_in_process(self):
         def no_fork():
@@ -1171,7 +1202,8 @@ def _wild_report(grid, seed):
     err, welfare, regret, stderr = (_wild_column(rng, n) for _ in range(4))
     err[rng.random(n) < 0.3] = np.nan
     welfare[rng.random(n) < 0.3] = np.nan
-    regret = np.nan_to_num(regret, nan=0.0)  # a report's regrets are finite
+    # a report's regrets and standard errors are finite
+    regret, stderr = (np.nan_to_num(c, nan=0.0) for c in (regret, stderr))
     return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
                         5000 if seed % 2 else 0, SeedSpec(seed) if seed % 3 else None)
 
@@ -1234,7 +1266,8 @@ def _boundary_report(rows, seed):
             err[edge] = welfare[edge] = np.nan
             p_a[edge] = regret[edge] = stderr[edge] = -0.0
     grid = build_product_grid(p_a, [rng.choice(points)])
-    regret = np.nan_to_num(regret, nan=0.0)  # a report's regrets are finite
+    # a report's regrets and standard errors are finite
+    regret, stderr = (np.nan_to_num(c, nan=0.0) for c in (regret, stderr))
     return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
                         seed=SeedSpec(seed))
 
@@ -1340,31 +1373,3 @@ class TestCsvParts:
         assert len(err.strip().splitlines()) == 1
         assert _no_child_left()
         assert sorted(os.listdir(tmp_path)) == ["report.csv", "scan.csv"]
-
-
-@pytest.mark.parametrize("family", ["prediction"])  # a trial scan is exact: no pool
-def test_mc_pool_gets_one_process_per_chunk(family):
-    """An MC scan asks the pool helper for one process per CPU, and no more than
-    it has states, and deals the states to them in turn: each task holds its
-    states' indices."""
-    import mmregret.engine as engine
-    indices = []
-
-    def spy(fn, tasks):
-        indices.append([list(task[-1]) for task in tasks])
-        return [fn(*task) for task in tasks]  # in process: no child is forked
-
-    grid = _random_miss_grid()
-    scan = partial(max_mse_scan, MEDIAN, grid, SurveyDesign("random_miss", 5),
-                   1000, SeedSpec(1))
-    assert grid.family == family and len(grid) == 8
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "platform", "linux")
-        mp.setattr(engine, "_ordered_map", spy)
-        many = []
-        for cpus in (1, 2, 3, 16):
-            _cpus(mp, cpus)
-            many.append(scan().per_state)
-    assert indices == [[list(range(8))], [[0, 2, 4, 6], [1, 3, 5, 7]],
-                       [[0, 3, 6], [1, 4, 7], [2, 5]], [[k] for k in range(8)]]
-    assert many == [many[0]] * 4
