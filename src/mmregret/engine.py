@@ -113,81 +113,9 @@ class RegretReport:
         return tuple(map(self.record, range(len(self.grid))))
 
 
-def _run_child(fn, task, fd: int, inherited) -> None:
-    """In a forked child: close the inherited pipe ends, pickle ``(True,
-    fn(*task))``, or ``(False, exception)``, to the pipe fd, and leave without
-    running the parent's exit handlers."""
-    try:
-        import pickle  # here and in _child_result: only a forked map needs it
-        for other in inherited:
-            os.close(other)
-        try:
-            payload = pickle.dumps((True, fn(*task)))
-        except BaseException as exc:  # interrupts too: the parent re-raises it
-            try:
-                payload = pickle.dumps((False, exc))
-            except Exception:  # an exception that does not pickle: its type and text
-                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with os.fdopen(fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
-
-
-def _child_result(pid: int, fd: int):
-    """The result a child sent on the pipe fd; its exception is raised here."""
-    import pickle
-    with os.fdopen(fd, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    if not data:
-        raise RuntimeError(f"worker process {pid} ended without a result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
-def _ordered_map(fn, tasks) -> list:
-    """``fn(*task)`` for each task, in order. With more than one task on Linux,
-    every task after the first runs in a child forked for it, and the first in
-    this process; elsewhere all run in this process.
-
-    A child starts as a copy of this process, ``fn`` included, so nothing is
-    sent to it, and it pickles its result or exception back through a pipe.
-    Forking is sound here because no child calls BLAS, whose threads this
-    process may hold: the one function mapped here, _csv_rows, uses numpy
-    without matmul and file writes only. A child also inherits the heap as this
-    process froze it (``cli.main`` freezes it as the process entry point), so its
-    collections skip the frozen objects.
-    Every child is reaped before this returns or raises.
-    """
-    if len(tasks) < 2 or sys.platform != "linux":
-        return [fn(*task) for task in tasks]
-    children = []  # (pid, the read end of its pipe)
-    try:
-        for task in tasks[1:]:
-            fd_read, fd_write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the earlier children's pipes are not this child's
-                _run_child(fn, task, fd_write, [fd_read] + [fd for _, fd in children])
-            os.close(fd_write)
-            children.append((pid, fd_read))
-        first = fn(*tasks[0])
-        return [first] + [_child_result(pid, fd) for pid, fd in children]
-    except BaseException:
-        import signal  # here: the module costs every CLI start ~2 ms
-        for pid, _ in children:  # their results are lost: stop them rather than wait
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            os.waitpid(pid, 0)
-
-
 def _cpus() -> int:
-    """The CPUs this process may run on, on Linux; 1 elsewhere, where
-    _ordered_map runs every task in this process."""
+    """The CPUs this process may run on, on Linux; 1 elsewhere, where a CSV is
+    written in one part, in this process (see _csv_parts)."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
@@ -572,8 +500,8 @@ def _csv_rows(texts, results, fh, lo: int, hi: int) -> None:
     ``texts`` holds, per state coordinate, the templates of its values and the
     function that gives each row's position among them; ``results`` holds, per
     result column, its values and whether NaN there is an empty field. It runs in a
-    forked child for every part after the first, so, as _ordered_map requires,
-    it calls no BLAS: only elementwise numpy and file writes.
+    forked child for every part after the first (see _write_parts), so it calls
+    no BLAS: only elementwise numpy and file writes.
     """
     fields = np.empty((min(hi - lo, _CSV_BLOCK_ROWS), len(texts) + len(results),
                        FMT17_WIDTH // 8), "<u8")
@@ -596,6 +524,52 @@ def _csv_parts(rows: int) -> int:
     return max(1, min(_cpus(), rows // _CSV_PART_ROWS))
 
 
+def _write_parts(texts, results, fh, bounds) -> None:
+    """Write the CSV lines of each part of rows bounds[k]..bounds[k+1]-1 into fh,
+    in order: the first in this process, each other one in a child forked for it.
+
+    A child writes its part into an anonymous file in fh's directory and leaves
+    with exit status 0, or 1 on any exception. Once every child is reaped, this
+    process appends the file of each child that exited 0 and writes every other
+    part again itself, so those bytes, or the exception that stops them, come
+    from this process. A child starts as a copy of this process, so nothing is
+    sent to it or back. Forking is sound here because _csv_rows calls no BLAS,
+    whose threads this process may hold. A child also inherits the heap as this
+    process froze it (``cli.main`` freezes it as the process entry point), so its
+    collections skip the frozen objects. Every file is closed and every child
+    reaped before this returns or raises.
+    """
+    # here: tempfile and shutil would cost every CLI start ~5 ms, and only a
+    # split report needs them
+    import shutil
+    import tempfile
+    from contextlib import ExitStack
+    fh.flush()  # no byte of fh stays in the buffer the children copy
+    folder = os.path.dirname(os.path.abspath(fh.name))
+    with ExitStack() as spills:
+        children = []  # (pid, its file, its part's bounds)
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                spill = spills.enter_context(tempfile.TemporaryFile(dir=folder))
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        _csv_rows(texts, results, spill, lo, hi)
+                        os._exit(0)
+                    finally:  # reached on an exception only: os._exit does not return
+                        os._exit(1)
+                children.append((pid, spill, lo, hi))
+            _csv_rows(texts, results, fh, bounds[0], bounds[1])
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid, *_ in children]
+        for status, (_, spill, lo, hi) in zip(statuses, children):
+            if status == 0:
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh, 1 << 20)
+            else:  # the child failed or was killed
+                _csv_rows(texts, results, fh, lo, hi)
+
+
 def report_to_csv(report: RegretReport, path) -> None:
     """One row per state plus a summary footer row, written a block of rows at a time.
 
@@ -607,11 +581,11 @@ def report_to_csv(report: RegretReport, path) -> None:
     number, an empty value or a fixed word.
 
     A report of many rows on a machine of several CPUs is written in
-    _csv_parts contiguous parts of rows. This process writes the first into
-    the file; a child forked for each other part writes it into an anonymous
-    file in the same directory, which this process appends, in order, once
-    every child is reaped. A row's text does not depend on the part it is in,
-    so the bytes are the same on any number of CPUs.
+    _csv_parts contiguous parts of rows by _write_parts: this process writes
+    the first, and a child forked for each other part writes it into an
+    anonymous file, which this process appends. A part whose child failed or
+    was killed is written again in this process. A row's text does not depend
+    on the part it is in, so the bytes are the same on any number of CPUs.
     """
     state_names, coordinates = _coordinate_columns(report.grid)
     texts = [(_fmt17_cells(values), position) for values, position in coordinates]
@@ -631,20 +605,5 @@ def report_to_csv(report: RegretReport, path) -> None:
         if parts == 1:
             _csv_rows(texts, results, fh, 0, n)
         else:
-            # here, as signal in _ordered_map: tempfile and shutil would cost every
-            # CLI start ~5 ms, and only a split report needs them
-            import shutil
-            import tempfile
-            from contextlib import ExitStack
-            fh.flush()  # no byte of this file stays in the buffer the children copy
-            with ExitStack() as spills:
-                folder = os.path.dirname(os.path.abspath(path))
-                files = [fh] + [spills.enter_context(tempfile.TemporaryFile(dir=folder))
-                                for _ in range(parts - 1)]
-                bounds = [n * k // parts for k in range(parts + 1)]
-                _ordered_map(_csv_rows, [(texts, results, f, lo, hi) for f, lo, hi
-                                         in zip(files, bounds, bounds[1:])])
-                for spill in files[1:]:
-                    spill.seek(0)
-                    shutil.copyfileobj(spill, fh, 1 << 20)
+            _write_parts(texts, results, fh, [n * k // parts for k in range(parts + 1)])
         fh.write((",".join(summary) + "\r\n").encode())

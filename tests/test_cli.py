@@ -194,21 +194,19 @@ class TestWaldMse:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_beta_scan_maps_nothing_and_workers_flag_is_checked(self, capsys, tmp_path,
-                                                                 monkeypatch):
+    def test_beta_scan_forks_nothing_and_workers_flag_is_checked(self, capsys, tmp_path,
+                                                                  monkeypatch):
         # the Beta median draws in this process, whatever --workers says
+        import os
         import mmregret.engine as engine
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BETA_MEDIAN_MC)
-        ordered_map, pools = engine._ordered_map, []
         monkeypatch.setattr(engine, "_cpus", lambda: 2)
-        monkeypatch.setattr(engine, "_ordered_map",
-                            lambda fn, tasks: (pools.append(len(tasks)), ordered_map(fn, tasks))[1])
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a Beta scan forked"))
         for workers in (["--workers", "1"], ["--workers", "2"], []):
             code, out = run(capsys, "wald-mse", "--config", str(cfg), *workers,
                             "--out", str(tmp_path / f"w{''.join(workers[1:])}.csv"))
             assert code == 0 and grab(out, "method") == "monte_carlo"
-        assert pools == []
         default = (tmp_path / "w.csv").read_bytes()
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes() == default
         assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
@@ -398,8 +396,8 @@ ENTRIES = {
     "script": "from mmregret import _script; sys.exit(_script())",
 }
 # modules no command needs at start-up, and an expression listing those loaded;
-# of the commands, Monte Carlo alone needs numpy.random, a forked pool alone
-# pickle, and alloc alone mmregret.missing. np.median imports numpy.ma
+# of the commands, Monte Carlo alone needs numpy.random, and alloc alone
+# mmregret.missing. np.median imports numpy.ma
 UNNEEDED = ("concurrent.futures", "csv", "decimal", "fractions", "statistics", "signal",
             "pickle", "numpy.random", "numpy.ma", "mmregret.missing", "mmregret.asif")
 LOADED = f"[m for m in {UNNEEDED!r} if m in sys.modules]"
@@ -466,9 +464,9 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv", [
         # 40,401 rows: written in parts, a forked process each, on 2 or more CPUs
         ["scan", "--rule", "es", "--n", "20", "--step", "0.005"],
-        # the Beta median draws, its second state in a forked worker on 2 or more CPUs
+        # the Beta median draws in one process, and --workers is checked and unused
         ["wald-mse", "--config", "{beta_median}", "--workers", "2"]],
-        ids=["exact_parts", "mc_workers2"])
+        ids=["exact_parts", "beta_median_mc"])
     def test_entry_point_writes_the_bytes_of_in_process_main(self, capsys, tmp_path, argv):
         (tmp_path / "beta_median.cfg").write_text(BETA_MEDIAN_MC)
         argv = [a.format(beta_median=tmp_path / "beta_median.cfg") for a in argv]
@@ -507,8 +505,7 @@ class TestConsoleScript:
             code, _, (modules, forks) = run_entry(argv, f"({LOADED}, len(forks))", "module",
                                                   FORK_SPY)
             assert code == 0
-            # numpy 2 imports pickle itself; elsewhere, a scan that forks imports it
-            modules = set(modules) - (loaded | {"pickle"} if forks else loaded)
+            modules = set(modules) - loaded
             assert modules == ({"numpy.random"} if draws else set())
             if not draws:
                 assert forks == 0

@@ -294,8 +294,9 @@ class TestHistogramMonteCarlo:
                              design)
         assert np.isfinite(got.regret).all() and got.regret.tolist() == plain.regret.tolist()
 
-    # a nonlinear predictor under random_miss: a Bernoulli scan runs exact, a Beta
-    # one draws, under random_miss or with a fixed N
+    # a survey scan runs in one process on any CPU count: it forks nothing and
+    # repeats bit for bit. A nonlinear predictor under random_miss: a Bernoulli scan
+    # runs exact, a Beta one draws, under random_miss or with a fixed N
     @pytest.mark.parametrize("family,params,design,predictor", [
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9), MEDIAN),
         ("bernoulli", [0.2, 0.7], SurveyDesign("random_miss", 9),
@@ -303,20 +304,30 @@ class TestHistogramMonteCarlo:
         ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9), MEDIAN),
         ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("fixed_n", 9), MEDIAN),
         ("beta", [(1.0, 1.0), (2.0, 5.0)], SurveyDesign("random_miss", 9),
-         DecisionRule("custom", {"mean_table": [(0, 0.1), (0.5, 0.6), (1, 0.8)]}))])
-    def test_mse_scan_repeats_and_ignores_worker_count(self, family, params, design, predictor,
-                                                       monkeypatch):
+         DecisionRule("custom", {"mean_table": [(0, 0.1), (0.5, 0.6), (1, 0.8)]})),
+        ("beta", [(1.0, 1.0), (2.0, 5.0), (0.5, 0.5)], SurveyDesign("random_miss", 12),
+         DecisionRule("analog_median"))])
+    def test_mse_scan_forks_nothing_and_repeats(self, family, params, design, predictor,
+                                                monkeypatch):
         grid = build_prediction_grid(family, obs_params=params, miss_params=params,
                                      miss_rates=[0.1, 0.5])
-        # the CPU count sizes only the CSV writer's parts: a scan runs in one process
-        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a survey scan forked"))
         one = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
-        for cpus in (1, 2, 3, 4):
-            _cpus(monkeypatch, cpus)
-            for _ in range(2):
-                got = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
-                assert _column_bytes(got) == _column_bytes(one)
+        again = max_mse_scan(predictor, grid, design, 2000, SeedSpec(3))
+        assert _column_bytes(again) == _column_bytes(one)
         assert (one.mc_stderr > 0).all() == (family == "beta")
+
+    def test_lambda_predictor_draws_as_the_wrapped_midpoint(self):
+        rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
+        grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
+                                     miss_params=[(1.0, 1.0)], miss_rates=[0.2])
+        design = SurveyDesign("random_miss", 6)
+        one = max_mse_scan(rule, grid, design, 2000, SeedSpec(3))
+        assert one.mc_stderr.all()
+        # the same draws as the named midpoint behind a wrapper (its own scan is exact)
+        midpoint = max_mse_scan(_nonaffine(DecisionRule("midpoint")), grid, design, 2000,
+                                SeedSpec(3))
+        assert one.regret.tolist() == midpoint.regret.tolist()
 
 
 def _column_bytes(report) -> list[bytes]:
@@ -993,12 +1004,6 @@ class TestScanPreconditions:
             max_mse_scan(ES, grid, SurveyDesign("fixed_n", 5), reps)
 
 
-def _fail_on(bad, task):
-    if task == bad:
-        raise PreconditionError(f"task {task} is bad")
-    return task
-
-
 def _no_child_left():
     """True when this process has no child, waited for or not."""
     try:
@@ -1006,62 +1011,6 @@ def _no_child_left():
     except ChildProcessError:
         return True
     return False
-
-
-class TestForkedWorkers:
-    """With more than one task, _ordered_map forks a child per task after the
-    first and runs the first itself."""
-
-    pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")
-
-    def test_child_exception_reaches_the_parent_with_its_type(self):
-        assert engine._ordered_map(partial(_fail_on, 9), [(0,), (1,), (2,)]) == [0, 1, 2]
-        with pytest.raises(PreconditionError, match="task 2 is bad"):
-            engine._ordered_map(partial(_fail_on, 2), [(0,), (1,), (2,)])
-        assert _no_child_left()
-
-    def test_children_are_reaped_when_the_parents_task_raises(self):
-        with pytest.raises(PreconditionError, match="task 0 is bad"):
-            engine._ordered_map(partial(_fail_on, 0), [(0,), (1,), (2,)])
-        assert _no_child_left()
-
-    def test_no_child_is_left_after_a_two_worker_scan(self, monkeypatch):
-        grid, design = _random_miss_grid(), SurveyDesign("random_miss", 12)
-        _cpus(monkeypatch, 1)
-        one = max_mse_scan(MEDIAN, grid, design, 2000, SeedSpec(5))
-        for cpus in (1, 2, 3, 4):
-            _cpus(monkeypatch, cpus)
-            got = max_mse_scan(MEDIAN, grid, design, 2000, SeedSpec(5))
-            assert _no_child_left()
-            assert got.per_state == one.per_state
-
-    def test_lambda_predictor_gives_the_same_columns_on_1_and_2_workers(self, monkeypatch):
-        # a child starts as a copy of the parent, so the predictor is not pickled
-        rule = DecisionRule("custom", {"predict_mean": lambda m, p1: m * p1 + (1 - p1) / 2})
-        grid = build_prediction_grid("beta", obs_params=[(2.0, 5.0), (0.5, 0.5)],
-                                     miss_params=[(1.0, 1.0)], miss_rates=[0.2])
-        design = SurveyDesign("random_miss", 6)
-        _cpus(monkeypatch, 1)
-        one = max_mse_scan(rule, grid, design, 2000, SeedSpec(3))
-        _cpus(monkeypatch, 2)
-        two = max_mse_scan(rule, grid, design, 2000, SeedSpec(3))
-        assert one.mc_stderr.all()
-        for column in ("error_prob", "expected_welfare", "regret", "mc_stderr"):
-            assert np.array_equal(getattr(one, column), getattr(two, column), equal_nan=True)
-        # the same draws as the named midpoint behind a wrapper (its own scan is exact)
-        midpoint = max_mse_scan(_nonaffine(DecisionRule("midpoint")), grid, design, 2000,
-                                SeedSpec(3))
-        assert one.regret.tolist() == midpoint.regret.tolist()
-
-    def test_off_linux_the_tasks_run_in_process(self):
-        def no_fork():
-            raise AssertionError("forked off Linux")
-
-        tasks = [(0,), (1,), (2,)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys, "platform", "darwin")
-            mp.setattr(os, "fork", no_fork)
-            assert engine._ordered_map(partial(_fail_on, 9), tasks) == [0, 1, 2]
 
 
 def _rowwise_report_to_csv(report, path):
@@ -1298,15 +1247,15 @@ class TestCsvParts:
                                       _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 1])
     def test_bytes_are_the_same_on_any_cpu_count(self, tmp_path, rows):
         report, parts = _boundary_report(rows, rows), []
-        ordered_map = engine._ordered_map
+        write_parts = engine._write_parts
 
-        def spy(fn, tasks):
-            parts.append(len(tasks))
-            return ordered_map(fn, tasks)
+        def spy(texts, results, fh, bounds):
+            parts.append(len(bounds) - 1)
+            write_parts(texts, results, fh, bounds)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_CSV_PART_ROWS", self.PART_ROWS)
-            mp.setattr(engine, "_ordered_map", spy)
+            mp.setattr(engine, "_write_parts", spy)
             for cpus in (1, 2, 3, 4):
                 _cpus(mp, cpus)
                 report_to_csv(report, tmp_path / f"{cpus}.csv")
@@ -1334,18 +1283,90 @@ class TestCsvParts:
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
 
-        def no_fork(fn, tasks):
+        def no_fork():
             raise AssertionError("a pipe was written in parts")
 
         with pytest.MonkeyPatch.context() as mp:
             _cpus(mp, 2)
             mp.setattr(engine, "_CSV_PART_ROWS", 1000)
-            mp.setattr(engine, "_ordered_map", no_fork)
+            mp.setattr(os, "fork", no_fork)
             report_to_csv(report, fifo)
         reader.join(timeout=30)
         assert not reader.is_alive()
         report_to_csv(report, tmp_path / "file.csv")
         assert got == [(tmp_path / "file.csv").read_bytes()]
+
+    @pytest.mark.parametrize("bad", [0, 2000], ids=["callers_part", "childs_part"])
+    def test_a_parts_exception_reaches_the_caller_with_its_type(self, tmp_path, bad):
+        # a child's part that raises is written again in the caller, where it raises
+        write, caller, fds = engine._csv_rows, os.getpid(), os.listdir("/proc/self/fd")
+
+        def fail_on(texts, results, fh, lo, hi):
+            if lo == bad:
+                raise PreconditionError(f"the part at row {lo} failed in process {os.getpid()}")
+            write(texts, results, fh, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 3)
+            mp.setattr(engine, "_CSV_PART_ROWS", 1000)
+            mp.setattr(engine, "_csv_rows", fail_on)
+            with pytest.raises(PreconditionError, match=f"row {bad} failed in process {caller}$"):
+                report_to_csv(_boundary_report(3000, 5), tmp_path / "report.csv")
+        assert _no_child_left()
+        assert os.listdir(tmp_path) == ["report.csv"]
+        assert os.listdir("/proc/self/fd") == fds  # every spill file is closed
+
+    def test_a_killed_childs_part_is_written_in_process(self, tmp_path, capsys):
+        import signal
+        from mmregret.cli import main
+        write, caller, written = engine._csv_rows, os.getpid(), []
+
+        def killed(texts, results, fh, lo, hi):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            written.append(lo)
+            write(texts, results, fh, lo, hi)
+
+        scan = ["scan", "--rule", "es", "--n", "5", "--step", "0.05"]  # 441 rows
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 1)
+            assert main(scan + ["--out", str(tmp_path / "one.csv")]) == 0
+            one = capsys.readouterr()
+            _cpus(mp, 3)
+            mp.setattr(engine, "_CSV_PART_ROWS", 100)
+            mp.setattr(engine, "_csv_rows", killed)
+            assert main(scan + ["--out", str(tmp_path / "killed.csv")]) == 0
+        assert capsys.readouterr() == one
+        assert written == [0, 147, 294]  # both children's parts were written again here
+        assert (tmp_path / "killed.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert _no_child_left()
+        assert sorted(os.listdir(tmp_path)) == ["killed.csv", "one.csv"]
+
+    def test_a_part_that_fails_only_in_its_child_is_written_in_process(self, tmp_path):
+        # the child writes its first rows and then raises: its spill is dropped,
+        # and the part's rows appear once, from this process
+        import errno
+        write, caller, written = engine._csv_rows, os.getpid(), []
+
+        def spill_fills(texts, results, fh, lo, hi):
+            if os.getpid() != caller:
+                write(texts, results, fh, lo, lo + 10)
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(lo)
+            write(texts, results, fh, lo, hi)
+
+        report = _boundary_report(3000, 5)
+        report_to_csv(report, tmp_path / "one.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            _cpus(mp, 3)
+            mp.setattr(engine, "_CSV_PART_ROWS", 1000)
+            mp.setattr(engine, "_csv_rows", spill_fills)
+            report_to_csv(report, tmp_path / "parts.csv")
+        assert written == [0, 1000, 2000]
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert _no_child_left()
+        assert sorted(os.listdir(tmp_path)) == ["one.csv", "parts.csv"]
 
     def test_a_childs_write_error_reaches_the_caller(self, tmp_path, capsys):
         import errno

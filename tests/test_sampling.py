@@ -10,8 +10,6 @@ from mmregret import (
     SurveyDesign,
     TrialDesign,
     build_binary_grid,
-    build_prediction_grid,
-    max_mse_scan,
     max_regret_scan,
 )
 from reference import enumerate_trial
@@ -108,19 +106,3 @@ class TestSurveyDesign:
 
     def test_mode_and_n_are_its_only_fields(self):
         assert [f.name for f in fields(SurveyDesign)] == ["mode", "n"]
-
-
-class TestParallelDeterminism:
-    def test_worker_count_does_not_change_mc_scan(self, monkeypatch):
-        import mmregret.engine as engine
-        rule = DecisionRule("analog_median")  # no exact path on Beta outcomes: it draws
-        grid = build_prediction_grid("beta", obs_params=[(1.0, 1.0), (2.0, 5.0), (0.5, 0.5)],
-                                     miss_params=[(0.5, 2.0), (2.0, 0.5)], miss_rates=[0.25, 0.5])
-        design = SurveyDesign("random_miss", 12)
-        scans = []
-        for cpus in (1, 2, 3):  # on 3 CPUs the 12 states make three chunks of 4
-            monkeypatch.setattr(engine, "_cpus", lambda cpus=cpus: cpus)
-            scans.append(max_mse_scan(rule, grid, design, 2000, SeedSpec(5)))
-        one, two, three = scans
-        assert one.per_state == two.per_state == three.per_state
-        assert one.max_regret == two.max_regret
