@@ -112,19 +112,16 @@ def asif_decide(
             raise PreconditionError("prior puts no mass on the set estimate")
         scores = w @ (pr / total)
         best = float(scores.max())
-        tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
     elif criterion == "maximin":
         scores = w.min(axis=1)
         best = float(scores.max())
-        tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
     elif criterion == "minimax_regret":
         regret = w.max(axis=0, keepdims=True) - w
         scores = regret.max(axis=1)
         best = float(scores.min())
-        tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
     else:
         raise PreconditionError(f"unknown criterion {criterion!r}")
-
+    tied = np.flatnonzero(np.isclose(scores, best, rtol=0, atol=1e-12))
     winner = int(tied[0])
     return AsIfDecision(
         action=problem.actions[winner],

@@ -40,10 +40,6 @@ def _global_flags(parser: argparse.ArgumentParser, method_default: str) -> None:
                              "shape, and per observed count under random missingness, "
                              "1000 to 2^63 - 1 (default 100000); --method exact rejects "
                              "it, and a scan that runs exact draws none")
-    parser.add_argument("--workers", type=int,
-                        help="an integer of at least 1, for --method mc only; checked and "
-                             "unused: every scan runs in one process. A CSV of many rows "
-                             "is written on every CPU the process may use either way")
     parser.add_argument("--method", choices=("exact", "mc"),
                         help=f"evaluation method (default {method_default}); an mc "
                              "request that has an exact path runs it, and every run "
@@ -63,16 +59,15 @@ def _setting(args, cfg: dict[str, str], key: str, default, parse=str):
 
 def _run_settings(args, cfg: dict[str, str], method_default: str):
     """(reps, SeedSpec, out path) from the global flags and the config, each
-    checked; reps is None under method exact. Workers are checked, and unused."""
+    checked; reps is None under method exact. scan's --workers is checked, and unused."""
     name = _setting(args, cfg, "method", method_default)
     if name not in ("exact", "mc"):
         raise ConfigError(f"method must be 'exact' or 'mc', got {name!r}")
     reps = _setting(args, cfg, "reps", 100_000, _integer)
-    workers = _setting(args, cfg, "workers", None, _integer)
-    # a config's reps and workers go with its method: --method overrides all three
-    if name == "exact" and any(getattr(args, key) is not None
-                               or (key in cfg and args.method is None)
-                               for key in ("reps", "workers")):
+    workers = getattr(args, "workers", None)  # scan alone takes --workers
+    # a config's reps goes with its method: --method overrides both
+    if name == "exact" and (args.reps is not None or workers is not None
+                            or ("reps" in cfg and args.method is None)):
         raise ConfigError("reps and workers apply to method mc only")
     if workers is not None:
         _check_integer(workers, "workers", 1)
@@ -136,8 +131,8 @@ def cmd_scan(args) -> int:
     rule = DecisionRule(args.rule, ztest)
     grid = states.build_binary_grid(args.step)
     design = TrialDesign(per_arm_n=args.n)
-    # the MC settings are checked as wald-mse checks them, and go unused: a trial
-    # scan is exact at every n it accepts, so an MC request runs exact and says so
+    # the MC settings are checked, and go unused: a trial scan is exact at every n
+    # it accepts, so an MC request runs exact and says so
     out = _run_settings(args, {}, "exact")[-1]
     report = engine.max_regret_scan(rule, grid, design)
     if out:
@@ -171,16 +166,6 @@ def cmd_bounds(args) -> int:
 
 # ---------------------------------------------------------------------------
 # wald-mse
-
-_WALD_KEYS = {
-    "predictor", "custom_table", "family",
-    "theta_obs_step", "theta_obs_values", "theta_miss_step", "theta_miss_values",
-    "beta_obs_shapes", "beta_miss_shapes",
-    "miss_step", "miss_values", "support", "n", "miss_known",
-    "max_miss", "min_miss_mean", "max_miss_mean", "max_mean_diff",
-    "method", "reps", "seed", "workers", "out",
-}
-
 
 def parse_config(path) -> dict[str, str]:
     """Flat key=value config; '#' starts a comment; unknown keys rejected."""
@@ -229,17 +214,18 @@ def _bounds(text: str, flag: str) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
-def _pairs(text: str) -> list[tuple[float, float]]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = _floats(chunk)
-        if len(vals) != 2:
-            raise ConfigError(f"expected 'a,b' pairs separated by ';', got {chunk!r}")
-        out.append((vals[0], vals[1]))
-    return out
+def _entries(text: str, split, form: str) -> list[tuple[float, float]]:
+    """The two-number entries of ``text``, separated by ';': ``split`` cuts an entry
+    into its pieces, as strings or numbers, and ``form`` says what an entry of another
+    length should be."""
+    rows = []
+    for chunk in map(str.strip, text.split(";")):
+        if chunk:
+            pieces = split(chunk)
+            if len(pieces) != 2:
+                raise ConfigError(f"{form}, got {chunk!r}")
+            rows.append((_number(pieces[0]), _number(pieces[1])))
+    return rows
 
 
 def _coordinate(cfg, name: str):
@@ -268,15 +254,8 @@ def _wald_predictor(cfg) -> Predictor:
 
 
 def _custom_table(cfg) -> list[tuple[float, float]]:
-    rows = []
-    for chunk in cfg.get("custom_table", "").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"custom_table entries must be 'mean:prediction', got {chunk!r}")
-        rows.append((_number(parts[0]), _number(parts[1])))
+    rows = _entries(cfg.get("custom_table", ""), lambda chunk: chunk.split(":"),
+                    "custom_table entries must be 'mean:prediction'")
     if not rows:
         raise ConfigError("custom predictor needs custom_table")
     return rows
@@ -287,6 +266,13 @@ _FAMILY_KEYS = {
     "bernoulli": ("theta_obs_step", "theta_obs_values", "theta_miss_step", "theta_miss_values"),
     "beta": ("beta_obs_shapes", "beta_miss_shapes"),
 }
+# the grid restrictions: config key -> keyword of states.build_prediction_grid
+_FILTER_KEYS = {"max_miss": "max_miss_rate", "min_miss_mean": "min_missing_mean",
+                "max_miss_mean": "max_missing_mean", "max_mean_diff": "max_mean_abs_diff"}
+# every key a config may hold
+_WALD_KEYS = {"predictor", "custom_table", "family", "miss_step", "miss_values", "support",
+              "n", "miss_known", "method", "reps", "seed", "out", *_FILTER_KEYS,
+              *(key for keys in _FAMILY_KEYS.values() for key in keys)}
 
 
 def _wald_grid(cfg) -> states.StateGrid:
@@ -299,20 +285,15 @@ def _wald_grid(cfg) -> states.StateGrid:
             raise ConfigError(f"{stray[0]} applies to family = {other} only")
     support = _bounds(cfg.get("support", "0,1"), "support")
     miss = _coordinate(cfg, "miss")
-    filters = dict(
-        max_miss_rate=_number(cfg["max_miss"]) if "max_miss" in cfg else None,
-        min_missing_mean=_number(cfg["min_miss_mean"]) if "min_miss_mean" in cfg else None,
-        max_missing_mean=_number(cfg["max_miss_mean"]) if "max_miss_mean" in cfg else None,
-        max_mean_abs_diff=_number(cfg["max_mean_diff"]) if "max_mean_diff" in cfg else None,
-    )
+    filters = {keyword: _number(cfg[key]) for key, keyword in _FILTER_KEYS.items() if key in cfg}
     if family == "bernoulli":
         obs = _coordinate(cfg, "theta_obs")
         mis = _coordinate(cfg, "theta_miss")
     else:
-        if "beta_obs_shapes" not in cfg or "beta_miss_shapes" not in cfg:
+        if not all(key in cfg for key in _FAMILY_KEYS["beta"]):
             raise ConfigError("beta family needs beta_obs_shapes and beta_miss_shapes")
-        obs = _pairs(cfg["beta_obs_shapes"])
-        mis = _pairs(cfg["beta_miss_shapes"])
+        obs, mis = (_entries(cfg[key], _floats, "expected 'a,b' pairs separated by ';'")
+                    for key in _FAMILY_KEYS["beta"])
     return states.build_prediction_grid(
         family, obs_params=obs, miss_params=mis, miss_rates=miss,
         support=support, **filters)
@@ -418,6 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="subjects per arm")
     p.add_argument("--step", type=float, default=0.01, help="grid step")
     _global_flags(p, "exact")
+    p.add_argument("--workers", type=int,
+                   help="an integer of at least 1, for --method mc only; checked and "
+                        "unused, and accepted only for scripts that pass it: a scan runs "
+                        "in one process")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("bounds", help="analytic max-regret bounds for empirical success")

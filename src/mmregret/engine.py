@@ -189,8 +189,15 @@ def regret_bounds(k: int, m: float, n: int) -> RegretBounds:
         raise PreconditionError("need at least two treatments")
     if n < 1 or not 0 < m < np.inf:  # also rejects NaN
         raise PreconditionError("need n >= 1 and a finite M > 0")
-    b10 = (2.0 * np.e) ** -0.5 * m * (k - 1) / np.sqrt(n)
-    b11 = m * np.sqrt(np.log(k)) / np.sqrt(n)
+    try:  # numpy takes no int wider than 64 bits, so k and n reach it as floats
+        k_float, n_float = float(k), float(n)
+    except OverflowError:
+        raise PreconditionError("need K and n below 2^1024, the float range") from None
+    with np.errstate(over="ignore"):  # an overflow is reported below, in one line
+        b10 = (2.0 * np.e) ** -0.5 * m * (k - 1) / np.sqrt(n_float)
+        b11 = m * np.sqrt(np.log(k_float)) / np.sqrt(n_float)
+    if not (np.isfinite(b10) and np.isfinite(b11)):
+        raise PreconditionError("a bound overflows the float range")
     return RegretBounds(float(b10), float(b11), 10 if b10 <= b11 else 11)
 
 

@@ -12,6 +12,7 @@ commands, only ``alloc`` imports this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,6 +60,9 @@ class MissingDataState:
                                  ("b", self.e_b, self.bounds_b)):
             if not y0 <= y1:
                 raise PreconditionError(f"arm {arm} bounds [{y0}, {y1}] inverted")
+            if not math.isfinite(y1 - y0):  # the scale of every allocation formula
+                raise PreconditionError(f"arm {arm} bounds [{y0}, {y1}] are too wide: "
+                                        "their width is not finite")
             if not y0 <= e <= y1:
                 raise PreconditionError(f"e_{arm}={e} outside bounds [{y0}, {y1}]")
         if self.full_means is not None:
@@ -107,12 +111,11 @@ def _alloc_general(e_a, e_b, p_a, p_b, bounds_a, bounds_b) -> AllocationResult:
         return AllocationResult(1.0, "dominant_b")
     if a_dominates < 0:
         return AllocationResult(0.0, "dominant_a")
-    num = (e_b - y1b) * p_b + (y0a - e_a) * p_a + (y1b - y0a)
     den = (y0b - y1b) * p_b + (y0a - y1a) * p_a + (y1b - y0b) + (y1a - y0a)
     if den == 0.0:
         # knife edge: no dominance and no interior trade-off left
         raise PreconditionError("allocation denominator vanishes (degenerate state)")
-    return AllocationResult(num / den, "interior")
+    return AllocationResult(a_dominates / den, "interior")
 
 
 def mmr_alloc_population(state: MissingDataState) -> AllocationResult:

@@ -98,6 +98,22 @@ class TestBounds:
         code, _ = run(capsys, "bounds", "--k", "1", "--n", "10")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [("--n", "10", "--k", str(1 << 64)), ("--n", str(1 << 64))],
+                             ids=["k", "n"])
+    def test_k_and_n_of_65_bits_give_finite_bounds(self, capsys, argv):
+        # numpy's log and sqrt raised TypeError on an int wider than 64 bits
+        code, out = run(capsys, "bounds", *argv)
+        assert code == 0
+        row = out.splitlines()[1].split()
+        assert all(0 < float(value) < float("inf") for value in row[1:3])
+
+    @pytest.mark.parametrize("argv", [("--n", "10", "--k", str(10 ** 400)),
+                                      ("--n", str(10 ** 400)),
+                                      ("--n", "1", "--k", "100", "--m", "1e308")],
+                             ids=["k", "n", "overflowing_bound"])
+    def test_bounds_beyond_the_float_range_exit_3(self, capsys, argv):
+        assert run_err(capsys, "bounds", *argv) == 3
+
 
 WALD_CFG = """\
 # midpoint predictor, known missingness
@@ -149,11 +165,12 @@ class TestWaldMse:
         assert float(grab(out, "max_mse")) == pytest.approx(
             midpoint_max_regret_formula(0.8, 10), abs=1e-9)
 
-    def test_unknown_key_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["plot", "workers"])
+    def test_unknown_key_exits_2(self, capsys, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG + "plot = yes\n")
-        code, _ = run(capsys, "wald-mse", "--config", str(cfg))
-        assert code == 2
+        cfg.write_text(WALD_CFG + f"{key} = 1\n")
+        assert main(["wald-mse", "--config", str(cfg)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -180,36 +197,32 @@ class TestWaldMse:
         assert outs[0] == outs[1]
 
 
-    def test_custom_predictor_csv_ignores_worker_count(self, capsys, tmp_path):
+    def test_custom_predictor_csv_repeats_bit_for_bit(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BETA_CFG.replace("predictor = midpoint",
                                         "predictor = custom\ncustom_table = 1:0.9; 0:0.2; 0.5:0.4")
                        .replace("method = exact", "method = mc\nreps = 2000\nseed = 5")
                        .replace("miss_values = 0.2", "miss_values = 0.2,0.5")
                        .replace("known = true", "known = false"))  # Beta: it draws
-        paths = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
-        for workers, path in zip(("1", "2"), paths):
-            code, _ = run(capsys, "wald-mse", "--config", str(cfg), "--workers", workers,
-                          "--out", str(path))
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            code, _ = run(capsys, "wald-mse", "--config", str(cfg), "--out", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_beta_scan_forks_nothing_and_workers_flag_is_checked(self, capsys, tmp_path,
-                                                                  monkeypatch):
-        # the Beta median draws in this process, whatever --workers says
+    def test_beta_scan_forks_nothing_and_repeats(self, capsys, tmp_path, monkeypatch):
+        # the Beta median draws in this process, on a machine of 2 CPUs too
         import os
         import mmregret.engine as engine
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BETA_MEDIAN_MC)
         monkeypatch.setattr(engine, "_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a Beta scan forked"))
-        for workers in (["--workers", "1"], ["--workers", "2"], []):
-            code, out = run(capsys, "wald-mse", "--config", str(cfg), *workers,
-                            "--out", str(tmp_path / f"w{''.join(workers[1:])}.csv"))
+        for name in ("a", "b"):
+            code, out = run(capsys, "wald-mse", "--config", str(cfg),
+                            "--out", str(tmp_path / f"{name}.csv"))
             assert code == 0 and grab(out, "method") == "monte_carlo"
-        default = (tmp_path / "w.csv").read_bytes()
-        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes() == default
-        assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("text", [RANDOM_MISS_MC, BETA_MC, RANDOM_MISS_MEDIAN_MC],
                              ids=["random_miss", "beta", "random_miss_median"])
@@ -323,7 +336,7 @@ class TestStateObjects:
         assert len(printed) == 2
         assert printed == _footer_argmax(csv_path)
 
-    MC = "method = mc\nreps = 1000\nworkers = 1"
+    MC = "method = mc\nreps = 1000"
 
     @pytest.mark.parametrize("text,coordinates", [
         (WALD_CFG.replace("miss_values = 0.2", "miss_values = 0.2,0.5"), 3),
@@ -373,6 +386,14 @@ class TestAlloc:
         code, _ = run(capsys, "alloc", "--mode", "sample",
                       "--e-a", "0.5", "--e-b", "0.5", "--p-a", "1.2", "--p-b", "0.5")
         assert code == 3
+
+    @pytest.mark.parametrize("bounds", ["-1e308,1e308", "0,inf"])
+    @pytest.mark.parametrize("mode", ["population", "known-p"])
+    def test_bounds_of_no_finite_width_exit_3(self, capsys, mode, bounds):
+        # known-p printed z_b=0 at [-1e308, 1e308], where [-1, 1] gives 0.5
+        assert run_err(capsys, "alloc", "--mode", mode, "--e-a", "0.5", "--e-b", "0.5",
+                       "--p-a", "0.5", "--p-b", "0.5", f"--bounds-a={bounds}",
+                       f"--bounds-b={bounds}") == 3
 
 
 class TestOracle:
@@ -464,8 +485,8 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv", [
         # 40,401 rows: written in parts, a forked process each, on 2 or more CPUs
         ["scan", "--rule", "es", "--n", "20", "--step", "0.005"],
-        # the Beta median draws in one process, and --workers is checked and unused
-        ["wald-mse", "--config", "{beta_median}", "--workers", "2"]],
+        # the Beta median draws in one process
+        ["wald-mse", "--config", "{beta_median}"]],
         ids=["exact_parts", "beta_median_mc"])
     def test_entry_point_writes_the_bytes_of_in_process_main(self, capsys, tmp_path, argv):
         (tmp_path / "beta_median.cfg").write_text(BETA_MEDIAN_MC)
@@ -587,22 +608,21 @@ class TestRejectedInput:
                        "--method", "exact", "--seed", "3", *flags) == 2
 
     def test_seed_on_exact_scan_accepted(self, capsys):
-        # the summary row prints the seed, so an exact scan takes one
+        # an exact scan draws nothing, and takes a seed only for scripts that pass one
         code, _ = run(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
                       "--seed", "3")
         assert code == 0
 
-    @pytest.mark.parametrize("key", ["reps", "workers"])
-    def test_mc_setting_on_exact_wald_exits_2(self, capsys, tmp_path, key):
+    def test_reps_on_exact_wald_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG)
-        assert run_err(capsys, "wald-mse", "--config", str(cfg), f"--{key}", "2000") == 2
-        cfg.write_text(WALD_CFG + f"{key} = 2000\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg), "--reps", "2000") == 2
+        cfg.write_text(WALD_CFG + "reps = 2000\n")
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
-        # a config's MC settings go with its method, and --method overrides both
-        cfg.write_text(WALD_CFG.replace("method = exact", f"method = mc\n{key} = 2000"))
+        # a config's reps goes with its method, and --method overrides both
+        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg), "--method", "exact",
-                       f"--{key}", "2000") == 2
+                       "--reps", "2000") == 2
         assert main(["wald-mse", "--config", str(cfg), "--method", "exact"]) == 0
         capsys.readouterr()
 
@@ -644,11 +664,6 @@ class TestRejectedInput:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000\nseed = -1"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 3
-
-    def test_wald_workers_below_one_exit_3(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(WALD_CFG.replace("method = exact", "method = mc\nreps = 2000"))
-        assert run_err(capsys, "wald-mse", "--config", str(cfg), "--workers", "0") == 3
 
     # the median has no exact path on Beta outcomes; under random_miss its exact sum
     # at n = 5,000 would enumerate 11 x 5,000 x 5,001 / 2 PMF cells, above 2^27
@@ -700,7 +715,7 @@ class TestRejectedInput:
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == code
 
     @pytest.mark.parametrize("key,value,code", [
-        ("n", "ten", 2), ("reps", "many", 2), ("seed", "s", 2), ("workers", "w", 2),
+        ("n", "ten", 2), ("reps", "many", 2), ("seed", "s", 2),
         ("method", "fast", 2), ("max_miss", "abc", 2), ("theta_obs_step", "nan", 3),
         ("theta_obs_step", "1", 3), ("theta_obs_step", "0.3", 3), ("miss_step", "x", 2)])
     def test_bad_wald_value(self, capsys, tmp_path, key, value, code):
@@ -812,7 +827,8 @@ class TestRejectedInput:
         ("alloc", "--mode", "sample", "--e-a", "0.5", "--e-b", "0.5", "--p-a", "1",
          "--p-b", "1", "--workers", "2"),
         ("oracle", "--n", "1", "--step", "0.5", "--method", "mc"),
-        ("oracle", "--n", "1", "--step", "0.5", "--out", "x.csv")])
+        ("oracle", "--n", "1", "--step", "0.5", "--out", "x.csv"),
+        ("wald-mse", "--config", "x.cfg", "--workers", "2")])
     def test_global_flag_on_command_that_ignores_it_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

@@ -504,6 +504,13 @@ class TestRegretBounds:
         with pytest.raises(PreconditionError):
             regret_bounds(1, 1.0, 10)
 
+    @pytest.mark.parametrize("k,n", [(2, 145), (7, 1), ((1 << 53) + 1, 3),
+                                     ((1 << 63) - 1, (1 << 63) - 1)])
+    def test_bounds_keep_the_bits_of_numpy_on_ints(self, k, n):
+        b = regret_bounds(k, 1.5, n)
+        assert b.bound_10 == float((2.0 * np.e) ** -0.5 * 1.5 * (k - 1) / np.sqrt(n))
+        assert b.bound_11 == float(1.5 * np.sqrt(np.log(k)) / np.sqrt(n))
+
 
 def _bern_state_grid(theta_obs, theta_miss, miss_rate):
     """The grid of one Bernoulli survey state."""

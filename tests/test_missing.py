@@ -108,6 +108,12 @@ class TestSampleAllocation:
         with pytest.raises(PreconditionError, match="outside bounds"):
             mmr_alloc_sample(e_a, e_b, 0.5, 0.5, bounds_b=bounds_b)
 
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308), (0.0, float("inf")),
+                                        (float("-inf"), float("-inf"))])
+    def test_bounds_of_no_finite_width_rejected(self, bounds):
+        with pytest.raises(PreconditionError, match="width is not finite"):
+            MissingDataState(0.5, -1e308, 0.5, 0.5, bounds_b=bounds)
+
 
 def _outcome(fn, *args):
     """A rule's result with its float's bits, or the message of its PreconditionError."""
