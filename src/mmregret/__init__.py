@@ -5,51 +5,40 @@ regret over finite grids, exactly where the sample space is enumerable and by
 seeded Monte Carlo otherwise, and provides closed-form minimax-regret
 allocations for treatment choice with missing outcome data.
 
-The package namespace is lazy: ``mmregret.X`` imports the submodule that
-defines ``X`` on first use, so a command line process loads only the modules
-its command runs.
+The package namespace is lazy: ``mmregret.X`` imports the submodule whose
+``__all__`` lists ``X`` on first use, so a command line process loads only the
+modules its command runs. The package's ``__all__`` is the union of those lists.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# every public name, by the submodule that defines it
-_SUBMODULE_OF = {name: module for module, names in (
-    ("asif", ("AsIfDecision", "FiniteDecisionProblem", "asif_decide", "asif_optimize",
-              "classify_dominance")),
-    ("engine", ("RegretBounds", "RegretReport", "StateRecord",
-                "exhaustive_mmr_oracle", "max_mse_scan", "max_regret_scan",
-                "midpoint_max_regret_formula", "regret_bounds", "report_to_csv")),
-    ("errors", ("ConfigError", "PreconditionError")),
-    ("missing", ("AllocationResult", "MissingDataState", "allocation_regret",
-                 "allocation_welfare", "es_asymptotic_interval", "mmr_alloc_known_p",
-                 "mmr_alloc_population", "mmr_alloc_sample", "mmr_alloc_sample_known_p")),
-    ("rules", ("ANALOG_MEAN", "ANALOG_MEDIAN", "HODGES_LEHMANN", "MIDPOINT", "DecisionRule",
-               "EmpiricalSuccess", "Predictor", "TableRule", "TrialRule", "ZTest",
-               "mean_function_predictor", "mean_table_predictor")),
-    ("sampling", ("SeedSpec", "SurveyDesign", "TrialDesign")),
-    ("states", ("StateGrid", "build_binary_grid", "build_product_grid", "build_prediction_grid")),
-) for name in names}
-_SUBMODULES = frozenset(_SUBMODULE_OF.values()) | {"cli", "mathutil"}
-
-__all__ = sorted(_SUBMODULE_OF)
+# the submodules whose __all__ is the package's
+_PUBLIC = ("asif", "engine", "errors", "missing", "rules", "sampling", "states")
+_SUBMODULES = frozenset(_PUBLIC) | {"cli", "mathutil"}
 
 
 def __getattr__(name: str):
-    """A public name or a submodule, imported on first use and then kept here."""
-    if name in _SUBMODULE_OF:
-        value = getattr(_import_module(f"{__name__}.{_SUBMODULE_OF[name]}"), name)
-    elif name in _SUBMODULES:
+    """A submodule, a public name of one, or ``__all__``, imported on first use and
+    then kept here."""
+    if name in _SUBMODULES:
         value = _import_module(f"{__name__}.{name}")
-    else:
+    elif name == "__all__":
+        value = sorted(n for module in map(__getattr__, _PUBLIC) for n in module.__all__)
+    elif name.startswith("__"):  # probed by tools; no submodule defines one
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        home = next((m for m in map(__getattr__, _PUBLIC) if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+    return sorted(set(globals()) | set(__getattr__("__all__")) | _SUBMODULES)
 
 
 def _script() -> int:

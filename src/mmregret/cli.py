@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 precondition violation, 4 I/O error.
 from __future__ import annotations
 
 import gc
+import math
 import sys
 
 if __name__ == "__main__":
@@ -68,7 +69,8 @@ def _run_settings(args, cfg: dict[str, str], method_default: str):
     # a config's reps goes with its method: --method overrides both
     if name == "exact" and (args.reps is not None or workers is not None
                             or ("reps" in cfg and args.method is None)):
-        raise ConfigError("reps and workers apply to method mc only")
+        settings = "reps and workers apply" if hasattr(args, "workers") else "reps applies"
+        raise ConfigError(f"{settings} to method mc only")
     if workers is not None:
         _check_integer(workers, "workers", 1)
     if name == "exact":
@@ -89,8 +91,8 @@ def medical_regrets(w_statusquo, w_worse, w_better, alpha1, alpha2):
     status quo is superior (a Type I error adopts the inferior innovation) and
     when the innovation is superior (a Type II error keeps the status quo).
     """
-    if w_statusquo <= 0 or w_worse <= 0 or w_better <= 0:
-        raise PreconditionError("welfare values must be positive")
+    if not all(0 < w < math.inf for w in (w_statusquo, w_worse, w_better)):  # and not NaN
+        raise PreconditionError("welfare values must be positive and finite")
     for a in (alpha1, alpha2):
         if not 0.0 < a < 1.0:
             raise PreconditionError(f"error probability {a} outside (0, 1)")
@@ -203,37 +205,32 @@ def _integer(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-def _floats(text: str) -> list[float]:
-    return [_number(x) for x in text.split(",") if x.strip() != ""]
+def _pair(text: str, sep: str, message: str) -> tuple[float, float]:
+    """The two numbers of ``text``, cut at ``sep``; ``message`` rejects any other
+    count of pieces, or a blank piece."""
+    pieces = text.split(sep)
+    if len(pieces) != 2 or not all(piece.strip() for piece in pieces):
+        raise ConfigError(message)
+    return _number(pieces[0]), _number(pieces[1])
 
 
 def _bounds(text: str, flag: str) -> tuple[float, float]:
-    vals = _floats(text)
-    if len(vals) != 2:
-        raise ConfigError(f"{flag} must be 'y0,y1', got {text!r}")
-    return vals[0], vals[1]
+    return _pair(text, ",", f"{flag} must be 'y0,y1', got {text!r}")
 
 
-def _entries(text: str, split, form: str) -> list[tuple[float, float]]:
-    """The two-number entries of ``text``, separated by ';': ``split`` cuts an entry
-    into its pieces, as strings or numbers, and ``form`` says what an entry of another
-    length should be."""
-    rows = []
-    for chunk in map(str.strip, text.split(";")):
-        if chunk:
-            pieces = split(chunk)
-            if len(pieces) != 2:
-                raise ConfigError(f"{form}, got {chunk!r}")
-            rows.append((_number(pieces[0]), _number(pieces[1])))
-    return rows
+def _entries(text: str, sep: str, form: str) -> list[tuple[float, float]]:
+    """The pairs of ``text``, separated by ';', each cut at ``sep``; ``form`` says
+    what an entry should be."""
+    return [_pair(chunk, sep, f"{form}, got {chunk!r}")
+            for chunk in map(str.strip, text.split(";")) if chunk]
 
 
 def _coordinate(cfg, name: str):
     """A grid coordinate's values: the list ``{name}_values`` or the lattice ``{name}_step``."""
     if f"{name}_values" in cfg and f"{name}_step" in cfg:
         raise ConfigError(f"give one of {name}_values and {name}_step, not both")
-    if f"{name}_values" in cfg:
-        return _floats(cfg[f"{name}_values"])
+    if f"{name}_values" in cfg:  # a blank piece of the list is dropped
+        return [_number(x) for x in cfg[f"{name}_values"].split(",") if x.strip()]
     if f"{name}_step" in cfg:
         return states._lattice(_number(cfg[f"{name}_step"]))
     raise ConfigError(f"config needs {name}_step or {name}_values")
@@ -254,7 +251,7 @@ def _wald_predictor(cfg) -> Predictor:
 
 
 def _custom_table(cfg) -> list[tuple[float, float]]:
-    rows = _entries(cfg.get("custom_table", ""), lambda chunk: chunk.split(":"),
+    rows = _entries(cfg.get("custom_table", ""), ":",
                     "custom_table entries must be 'mean:prediction'")
     if not rows:
         raise ConfigError("custom predictor needs custom_table")
@@ -292,7 +289,7 @@ def _wald_grid(cfg) -> states.StateGrid:
     else:
         if not all(key in cfg for key in _FAMILY_KEYS["beta"]):
             raise ConfigError("beta family needs beta_obs_shapes and beta_miss_shapes")
-        obs, mis = (_entries(cfg[key], _floats, "expected 'a,b' pairs separated by ';'")
+        obs, mis = (_entries(cfg[key], ",", "expected 'a,b' pairs separated by ';'")
                     for key in _FAMILY_KEYS["beta"])
     return states.build_prediction_grid(
         family, obs_params=obs, miss_params=mis, miss_rates=miss,

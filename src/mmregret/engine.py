@@ -35,7 +35,6 @@ __all__ = [
     "max_mse_scan",
     "midpoint_max_regret_formula",
     "exhaustive_mmr_oracle",
-    "choice_table",
     "report_to_csv",
 ]
 
@@ -65,9 +64,9 @@ class RegretReport:
     NaN in ``error_prob`` or ``expected_welfare`` marks a state without that
     value: tied arms, and every state of an MSE scan. Every regret and every
     standard error is finite.
-    ``argmax`` is the index of the first state of largest regret; its
-    coordinates are the grid's columns read at that index. ``per_state`` builds
-    one StateRecord per state on first access, and caches them.
+    ``argmax`` is the index of the first state of largest regret, read from the
+    regret column; its coordinates are the grid's columns read at that index.
+    ``per_state`` builds one StateRecord per state on first access, and caches them.
     """
 
     grid: StateGrid
@@ -75,7 +74,6 @@ class RegretReport:
     expected_welfare: np.ndarray
     regret: np.ndarray
     mc_stderr: np.ndarray
-    argmax: int
     reps: int = 0  # the reps of a survey scan that drew (see max_mse_scan); 0 when none drew
     seed: SeedSpec | None = None  # the seed of the draws; None when nothing was drawn
 
@@ -89,13 +87,15 @@ class RegretReport:
                 k = int(np.flatnonzero(~np.isfinite(column))[0])
                 raise PreconditionError(f"the {name} of state {k} is {column[k]}, "
                                         "not a finite number")
-        if abs(self.max_regret - float(np.max(self.regret))) > 1e-12:
-            raise PreconditionError("argmax is not a state of largest regret")
 
     @property
     def method(self) -> str:
         """How the regrets were computed: "monte_carlo" if drawn, else "exact"."""
         return "monte_carlo" if self.reps else "exact"
+
+    @cached_property
+    def argmax(self) -> int:
+        return int(np.argmax(self.regret))
 
     @property
     def max_regret(self) -> float:
@@ -168,8 +168,7 @@ def max_regret_scan(rule: TrialRule, grid: StateGrid, design: TrialDesign) -> Re
     err[tie] = np.nan
     reg[tie] = 0.0
     welfare -= reg
-    return RegretReport(grid, err.ravel(), welfare.ravel(), reg.ravel(), np.zeros(len(grid)),
-                        int(np.argmax(reg)))
+    return RegretReport(grid, err.ravel(), welfare.ravel(), reg.ravel(), np.zeros(len(grid)))
 
 
 @dataclass(frozen=True)
@@ -414,8 +413,7 @@ def max_mse_scan(rule: Predictor, grid: StateGrid, design: SurveyDesign,
     with np.errstate(all="ignore"):  # a huge prediction's inf or NaN: RegretReport rejects it
         mse, stderr = _survey_mse(rule, grid, design, counts, reps, seed)
     no_value = np.full(len(grid), np.nan)  # an MSE scan has no error prob or welfare
-    return RegretReport(grid, no_value, no_value, mse, stderr, int(np.argmax(mse)), reps or 0,
-                        seed)
+    return RegretReport(grid, no_value, no_value, mse, stderr, reps or 0, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,24 @@ bad = [name for name in mmregret.__all__ if len(homes[name]) != 1 or getattr(mmr
 bad + [name for name in mmregret.__all__ if name not in vars(mmregret)]""" % SUBMODULES) == []
 
 
+def test_package_all_is_the_union_of_the_submodules_all():
+    # every public submodule's names, rules.RULES among them, and no other
+    assert fresh("""
+import importlib, mmregret
+names = {n for m in %r for n in getattr(importlib.import_module("mmregret." + m), "__all__", ())}
+sorted(mmregret.__all__) == sorted(names) and "RULES" in names""" % SUBMODULES) is True
+
+
+def test_unknown_dunder_loads_no_submodule():
+    assert fresh("""
+import mmregret
+try:
+    mmregret.__no_such_dunder__
+except AttributeError:
+    pass
+[m for m in sys.modules if m.startswith("mmregret.")]""") == []
+
+
 def test_star_import_gives_every_name_of_all():
     assert fresh("""
 import mmregret

@@ -45,6 +45,10 @@ class TestMedical:
         code, _ = run(capsys, "medical", "--alpha1", "1.5")
         assert code == 3
 
+    def test_infinite_welfare_exits_3(self, capsys):
+        # it printed inf regrets and exited 0
+        assert run_err(capsys, "medical", "--w-better", "inf") == 3
+
 
 class TestScan:
     def test_exact_scan_writes_csv(self, capsys, tmp_path):
@@ -137,6 +141,7 @@ RANDOM_MISS_MC = WALD_CFG.replace("known = true", "known = false").replace(
 RANDOM_MISS_MEDIAN_MC = RANDOM_MISS_MC.replace("= midpoint", "= analog_median")
 BETA_MC = BETA_CFG.replace("method = exact", "method = mc\nreps = 2000")
 BETA_MEDIAN_MC = BETA_MC.replace("= midpoint", "= analog_median")
+CUSTOM_CFG = WALD_CFG.replace("= midpoint", "= custom")
 
 
 class TestWaldMse:
@@ -607,6 +612,19 @@ class TestRejectedInput:
         assert run_err(capsys, "scan", "--rule", "ztest", "--n", "5", "--step", "0.5",
                        "--method", "exact", "--seed", "3", *flags) == 2
 
+    @pytest.mark.parametrize("argv,settings", [
+        (("scan", "--rule", "es", "--n", "5", "--step", "0.5", "--reps", "5"),
+         "reps and workers apply"),
+        (("wald-mse", "--reps", "2000"), "reps applies")], ids=["scan", "wald-mse"])
+    def test_mc_setting_on_exact_run_names_the_commands_settings(self, capsys, tmp_path,
+                                                                 argv, settings):
+        # wald-mse takes no workers, and its message named them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG)
+        argv = argv + ("--config", str(cfg)) if argv[0] == "wald-mse" else argv
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == f"config error: {settings} to method mc only\n"
+
     def test_seed_on_exact_scan_accepted(self, capsys):
         # an exact scan draws nothing, and takes a seed only for scripts that pass one
         code, _ = run(capsys, "scan", "--rule", "es", "--n", "5", "--step", "0.5",
@@ -713,6 +731,32 @@ class TestRejectedInput:
         cfg.write_text(WALD_CFG.replace("predictor = midpoint",
                                         f"predictor = custom\ncustom_table = {table}"))
         assert run_err(capsys, "wald-mse", "--config", str(cfg)) == code
+
+    @pytest.mark.parametrize("text,entry", [
+        (BETA_CFG, "beta_obs_shapes = 1,,2"), (BETA_CFG, "beta_obs_shapes = 1,2,"),
+        (BETA_CFG, "beta_miss_shapes = ,0.5,2"), (WALD_CFG, "support = 0,,1"),
+        (WALD_CFG, "support = 0,1,"), (CUSTOM_CFG, "custom_table = 1::2"),
+        (CUSTOM_CFG, "custom_table = 0:0; 1:")],
+        ids=["obs_inner", "obs_trailing", "miss_leading", "support_inner", "support_trailing",
+             "custom_inner", "custom_trailing"])
+    def test_pair_with_a_blank_piece_exits_2(self, capsys, tmp_path, text, entry):
+        # each but the custom tables dropped the blank piece, and the run went on
+        key = entry.split(" ")[0]
+        lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + [entry]) + "\n")
+        assert run_err(capsys, "wald-mse", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("bounds", ["--bounds-a=0,,1", "--bounds-b=0,1,", "--bounds-a=,0,1"])
+    def test_alloc_bounds_with_a_blank_piece_exit_2(self, capsys, bounds):
+        assert run_err(capsys, "alloc", "--mode", "population", "--e-a", "0.5", "--e-b", "0.5",
+                       "--p-a", "1", "--p-b", "1", bounds) == 2
+
+    def test_value_list_drops_a_blank_piece(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WALD_CFG.replace("miss_values = 0.2", "miss_values = 0.2,,"))
+        code, out = run(capsys, "wald-mse", "--config", str(cfg))
+        assert code == 0 and "miss_rate=0.20000000000000001" in out
 
     @pytest.mark.parametrize("key,value,code", [
         ("n", "ten", 2), ("reps", "many", 2), ("seed", "s", 2),

@@ -1119,21 +1119,33 @@ class TestColumnarReport:
         first = next(k for k, r in enumerate(report.per_state) if r.regret == report.max_regret)
         assert first == report.argmax
 
-    def test_inconsistent_max_rejected(self):
-        from dataclasses import replace
-        report = self.CASES["exact_ztest"]()
-        with pytest.raises(PreconditionError, match="argmax is not a state of largest regret"):
-            replace(report, argmax=(report.argmax + 1) % len(report.grid))
+    @pytest.mark.parametrize("scan", ["trial", "survey"])
+    def test_argmax_is_the_first_of_tied_states(self, scan):
+        if scan == "trial":
+            # n=1 and p in {0, 0.5, 1}: every PMF entry and regret is dyadic, so four
+            # states tie at 0.125 exactly, whatever order the contraction sums in
+            report = max_regret_scan(ES, build_product_grid([0, 0.5, 1], [0, 0.5, 1]),
+                                     TrialDesign(per_arm_n=1))
+        else:
+            # a repeated parameter is evaluated once, so each state has a bit-equal twin
+            report = max_mse_scan(DecisionRule("midpoint"),
+                                  build_prediction_grid("bernoulli", obs_params=[0.2, 0.7] * 2,
+                                                        miss_params=[0.0, 1.0],
+                                                        miss_rates=[0.5]),
+                                  SurveyDesign("fixed_n", 4))
+        tied = np.flatnonzero(report.regret == report.regret.max())
+        assert len(tied) > 1
+        assert report.argmax == tied[0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_regret_rejected(self, bad):
-        # abs(nan - nan) > 1e-12 is False, so the argmax check let a NaN regret through
+        # a NaN or infinite regret is refused before any argmax is read from the column
         from dataclasses import replace
         report = self.CASES["exact_ztest"]()
         regret = report.regret.copy()
         regret[3] = bad
         with pytest.raises(PreconditionError, match="regret of state 3 is .*, not a finite"):
-            replace(report, regret=regret, argmax=int(np.argmax(regret)))
+            replace(report, regret=regret)
 
 
 _SPECIAL_FLOATS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310,
@@ -1160,8 +1172,8 @@ def _wild_report(grid, seed):
     welfare[rng.random(n) < 0.3] = np.nan
     # a report's regrets and standard errors are finite
     regret, stderr = (np.nan_to_num(c, nan=0.0) for c in (regret, stderr))
-    return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
-                        5000 if seed % 2 else 0, SeedSpec(seed) if seed % 3 else None)
+    return RegretReport(grid, err, welfare, regret, stderr, 5000 if seed % 2 else 0,
+                        SeedSpec(seed) if seed % 3 else None)
 
 
 def _grid(family, rows, rng):
@@ -1224,8 +1236,7 @@ def _boundary_report(rows, seed):
     grid = build_product_grid(p_a, [rng.choice(points)])
     # a report's regrets and standard errors are finite
     regret, stderr = (np.nan_to_num(c, nan=0.0) for c in (regret, stderr))
-    return RegretReport(grid, err, welfare, regret, stderr, int(np.argmax(regret)),
-                        seed=SeedSpec(seed))
+    return RegretReport(grid, err, welfare, regret, stderr, seed=SeedSpec(seed))
 
 
 def _cpus(mp, count):
